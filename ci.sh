@@ -2,7 +2,8 @@
 # CI gate: formatting, lints (warnings are errors), rustdoc (warnings
 # are errors), a documentation-consistency gate (every flag, schema
 # token and schema version mentioned in docs/*.md must still exist in
-# the code), the tier-1 build + test cycle in both invariant modes,
+# the code), the tier-1 build + test cycle in both invariant modes, the
+# benchmark harness's self-tests (perfbench/, its own cargo workspace),
 # the full-corpus differential perf-equivalence sweep (incremental vs
 # from-scratch evaluation must stay bit-identical), the full
 # whole-system static verifier (plan-safety proofs, protocol
@@ -27,6 +28,25 @@ set -eu
 
 cd "$(dirname "$0")"
 
+# start_daemon LOG ARGS...: starts the release `aceso serve ARGS...` in
+# the background with stdout in LOG, waits for its "listening on" line,
+# and sets DAEMON_PID and ADDR. Exits the script if no address appears.
+start_daemon() {
+    daemon_log=$1
+    shift
+    target/release/aceso serve "$@" >"$daemon_log" &
+    DAEMON_PID=$!
+    ADDR=""
+    for _ in $(seq 1 50); do
+        ADDR=$(sed -n 's/^listening on //p' "$daemon_log")
+        [ -n "$ADDR" ] && return 0
+        sleep 0.1
+    done
+    echo "daemon logging to $daemon_log never reported its address"
+    kill "$DAEMON_PID" 2>/dev/null || :
+    exit 1
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -45,6 +65,9 @@ cargo build --release
 
 echo "==> tier-1: cargo test -q"
 cargo test -q
+
+echo "==> perfbench self-tests (the benchmark harness, its own workspace)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> tests with debug-invariants enabled"
 cargo test -q --workspace --features aceso-core/debug-invariants
@@ -101,16 +124,8 @@ SERVE_PID=""
 # Kill the daemon and drop the temp dir even when a later step trips
 # set -e mid-stage.
 trap 'kill "$SERVE_PID" 2>/dev/null || :; rm -rf "$SERVE_TMP"' EXIT
-cargo run --release --quiet --bin aceso -- serve \
-    --addr 127.0.0.1:0 --workers 2 >"$SERVE_TMP/serve.log" &
-SERVE_PID=$!
-ADDR=""
-for _ in $(seq 1 50); do
-    ADDR=$(sed -n 's/^listening on //p' "$SERVE_TMP/serve.log")
-    [ -n "$ADDR" ] && break
-    sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "daemon never reported its address"; exit 1; }
+start_daemon "$SERVE_TMP/serve.log" --addr 127.0.0.1:0 --workers 2
+SERVE_PID=$DAEMON_PID
 cargo run --release --quiet --bin aceso -- submit \
     --addr "$ADDR" --model gpt3-0.35b --gpus 4 --iterations 24 \
     --metrics-out "$SERVE_TMP/metrics.json" \
@@ -130,17 +145,9 @@ CRASH_PID=""
 trap 'kill -9 "$CRASH_PID" 2>/dev/null || :; rm -rf "$CRASH_TMP"' EXIT
 # Run the release binary directly (not via cargo) so the SIGKILL below
 # lands on the daemon itself, exactly like a crash or OOM kill would.
-target/release/aceso serve --addr 127.0.0.1:0 --workers 2 \
-    --spool-dir "$CRASH_TMP/spool" --checkpoint-every 2 \
-    >"$CRASH_TMP/serve.log" &
-CRASH_PID=$!
-ADDR=""
-for _ in $(seq 1 50); do
-    ADDR=$(sed -n 's/^listening on //p' "$CRASH_TMP/serve.log")
-    [ -n "$ADDR" ] && break
-    sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "crash daemon never reported its address"; exit 1; }
+start_daemon "$CRASH_TMP/serve.log" --addr 127.0.0.1:0 --workers 2 \
+    --spool-dir "$CRASH_TMP/spool" --checkpoint-every 2
+CRASH_PID=$DAEMON_PID
 # Reference: the same request, uninterrupted, no spooling involved.
 target/release/aceso submit --addr "$ADDR" \
     --model gpt3-0.35b --gpus 4 --iterations 24 \
@@ -163,17 +170,9 @@ wait "$SUBMIT_PID" 2>/dev/null || :  # the client lost its daemon — expected
 # Restart the daemon on the same spool dir and resubmit the same id:
 # the search must resume from the spooled checkpoint and the collected
 # event stream must be byte-identical to the uninterrupted reference.
-target/release/aceso serve --addr 127.0.0.1:0 --workers 2 \
-    --spool-dir "$CRASH_TMP/spool" --checkpoint-every 2 \
-    >"$CRASH_TMP/serve2.log" &
-CRASH_PID=$!
-ADDR=""
-for _ in $(seq 1 50); do
-    ADDR=$(sed -n 's/^listening on //p' "$CRASH_TMP/serve2.log")
-    [ -n "$ADDR" ] && break
-    sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "restarted daemon never reported its address"; exit 1; }
+start_daemon "$CRASH_TMP/serve2.log" --addr 127.0.0.1:0 --workers 2 \
+    --spool-dir "$CRASH_TMP/spool" --checkpoint-every 2
+CRASH_PID=$DAEMON_PID
 target/release/aceso submit --addr "$ADDR" \
     --model gpt3-0.35b --gpus 4 --iterations 24 --request-id ci-crash --retries 3 \
     --events-out "$CRASH_TMP/crash-events.jsonl" >/dev/null
@@ -196,16 +195,8 @@ trap 'kill -9 "$REACT_PID" 2>/dev/null || :; rm -rf "$REACT_TMP"' EXIT
 # Drain under load: shut the reactor down while a request is in
 # flight — the daemon must finish the in-flight search, deliver its
 # result, and only then report a clean drain (docs/SERVER.md).
-target/release/aceso serve --addr 127.0.0.1:0 --workers 2 --reactor \
-    >"$REACT_TMP/serve.log" &
-REACT_PID=$!
-ADDR=""
-for _ in $(seq 1 50); do
-    ADDR=$(sed -n 's/^listening on //p' "$REACT_TMP/serve.log")
-    [ -n "$ADDR" ] && break
-    sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "reactor daemon never reported its address"; exit 1; }
+start_daemon "$REACT_TMP/serve.log" --addr 127.0.0.1:0 --workers 2 --reactor
+REACT_PID=$DAEMON_PID
 target/release/aceso submit --addr "$ADDR" \
     --model gpt3-0.35b --gpus 4 --iterations 24 \
     --events-out "$REACT_TMP/drain-events.jsonl" >/dev/null &
@@ -220,17 +211,9 @@ grep -q "daemon drained" "$REACT_TMP/serve.log" || {
     echo "reactor daemon did not drain cleanly"; exit 1; }
 # SIGKILL mid-pipeline: same crash-recovery contract as the blocking
 # front-end, but through the reactor's event loop and spool markers.
-target/release/aceso serve --addr 127.0.0.1:0 --workers 2 --reactor \
-    --spool-dir "$REACT_TMP/spool" --checkpoint-every 2 \
-    >"$REACT_TMP/serve2.log" &
-REACT_PID=$!
-ADDR=""
-for _ in $(seq 1 50); do
-    ADDR=$(sed -n 's/^listening on //p' "$REACT_TMP/serve2.log")
-    [ -n "$ADDR" ] && break
-    sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "reactor crash daemon never reported its address"; exit 1; }
+start_daemon "$REACT_TMP/serve2.log" --addr 127.0.0.1:0 --workers 2 --reactor \
+    --spool-dir "$REACT_TMP/spool" --checkpoint-every 2
+REACT_PID=$DAEMON_PID
 target/release/aceso submit --addr "$ADDR" \
     --model gpt3-0.35b --gpus 4 --iterations 24 \
     --events-out "$REACT_TMP/ref-events.jsonl" >/dev/null
@@ -247,17 +230,9 @@ done
 [ -n "$SPOOL" ] || { echo "no checkpoint spool appeared before the search finished"; exit 1; }
 kill -9 "$REACT_PID"
 wait "$SUBMIT_PID" 2>/dev/null || :  # the client lost its daemon — expected
-target/release/aceso serve --addr 127.0.0.1:0 --workers 2 --reactor \
-    --spool-dir "$REACT_TMP/spool" --checkpoint-every 2 \
-    >"$REACT_TMP/serve3.log" &
-REACT_PID=$!
-ADDR=""
-for _ in $(seq 1 50); do
-    ADDR=$(sed -n 's/^listening on //p' "$REACT_TMP/serve3.log")
-    [ -n "$ADDR" ] && break
-    sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "restarted reactor daemon never reported its address"; exit 1; }
+start_daemon "$REACT_TMP/serve3.log" --addr 127.0.0.1:0 --workers 2 --reactor \
+    --spool-dir "$REACT_TMP/spool" --checkpoint-every 2
+REACT_PID=$DAEMON_PID
 target/release/aceso submit --addr "$ADDR" \
     --model gpt3-0.35b --gpus 4 --iterations 24 --request-id ci-reactor-crash \
     --retries 3 --events-out "$REACT_TMP/crash-events.jsonl" >/dev/null
@@ -283,16 +258,9 @@ echo "==> store smoke: SIGKILL mid-run, the store never shows a torn entry"
 STORE_TMP=$(mktemp -d)
 STORE_PID=""
 trap 'kill -9 "$STORE_PID" 2>/dev/null || :; rm -rf "$STORE_TMP"' EXIT
-target/release/aceso serve --addr 127.0.0.1:0 --workers 2 \
-    --store-dir "$STORE_TMP/store" >"$STORE_TMP/serve.log" &
-STORE_PID=$!
-ADDR=""
-for _ in $(seq 1 50); do
-    ADDR=$(sed -n 's/^listening on //p' "$STORE_TMP/serve.log")
-    [ -n "$ADDR" ] && break
-    sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "store daemon never reported its address"; exit 1; }
+start_daemon "$STORE_TMP/serve.log" --addr 127.0.0.1:0 --workers 2 \
+    --store-dir "$STORE_TMP/store"
+STORE_PID=$DAEMON_PID
 # The first submit populates the store; the second is still in flight
 # when the daemon is SIGKILLed, so the kill can land mid-write.
 # INV-STORE-ATOMIC: whatever the timing, verify must find only clean
@@ -309,16 +277,9 @@ target/release/aceso store verify --dir "$STORE_TMP/store" || {
     echo "store verify found a torn entry after SIGKILL"; exit 1; }
 # A fresh daemon on the surviving store serves the first request off a
 # store hit, not a re-profile.
-target/release/aceso serve --addr 127.0.0.1:0 --workers 2 \
-    --store-dir "$STORE_TMP/store" >"$STORE_TMP/serve2.log" &
-STORE_PID=$!
-ADDR=""
-for _ in $(seq 1 50); do
-    ADDR=$(sed -n 's/^listening on //p' "$STORE_TMP/serve2.log")
-    [ -n "$ADDR" ] && break
-    sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "restarted store daemon never reported its address"; exit 1; }
+start_daemon "$STORE_TMP/serve2.log" --addr 127.0.0.1:0 --workers 2 \
+    --store-dir "$STORE_TMP/store"
+STORE_PID=$DAEMON_PID
 target/release/aceso submit --addr "$ADDR" \
     --model gpt3-0.35b --gpus 4 --iterations 8 >/dev/null
 target/release/aceso submit --addr "$ADDR" --stats >"$STORE_TMP/stats.json"

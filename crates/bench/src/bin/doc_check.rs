@@ -99,7 +99,6 @@ const STRUCTURAL_TOKENS: &[&str] = &[
     "zero",
     "budget_secs",
     "plan",
-    "search_threads",
     "best_time",
     "best_oom",
     "error",

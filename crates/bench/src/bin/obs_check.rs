@@ -321,7 +321,6 @@ fn main() {
                 max_iterations: 24,
                 ..SearchOptions::default()
             };
-            let threads = opts.resolved_threads();
             let mut runs: Vec<(SearchResult, ObsReport, f64)> = Vec::with_capacity(GATE_RUNS);
             for run in 0..GATE_RUNS {
                 let (result, report) = env
@@ -336,7 +335,7 @@ fn main() {
             }
             runs.sort_by(|a, b| a.2.total_cmp(&b.2));
             let (result, report, _) = runs.swap_remove(runs.len() / 2);
-            let path = write_bench_search(&result, &report, threads);
+            let path = write_bench_search(&result, &report);
             let doc = Value::parse(&read(&path.display().to_string()))
                 .unwrap_or_else(|e| fail(&format!("BENCH_search.json: unparseable: {e:?}")));
             let metrics = doc

@@ -147,15 +147,8 @@ pub fn write_csv(name: &str, table: &aceso_util::table::Table) {
 /// workspace root: the search's headline numbers plus the full
 /// observability metric snapshot (`docs/OBSERVABILITY.md` schema). One
 /// file per checkout, overwritten on each run, so the trajectory is the
-/// file's git history. `search_threads` records the resolved frontier
-/// worker count the run used (`SearchOptions::resolved_threads`), so a
-/// snapshot taken on a multicore box is never mistaken for a serial
-/// baseline (field reference in `docs/BENCHMARKS.md`).
-pub fn write_bench_search(
-    result: &SearchResult,
-    report: &ObsReport,
-    search_threads: usize,
-) -> PathBuf {
+/// file's git history (field reference in `docs/BENCHMARKS.md`).
+pub fn write_bench_search(result: &SearchResult, report: &ObsReport) -> PathBuf {
     let path = bench_search_path();
     // Sections owned by other harnesses survive the overwrite: the
     // `serve_fleet` fan-in numbers come from `serve_bench fleet` and the
@@ -174,7 +167,6 @@ pub fn write_bench_search(
     let mut doc = obj([
         ("best_time", Value::Float(result.best_time)),
         ("explored", Value::UInt(result.explored as u64)),
-        ("search_threads", Value::UInt(search_threads as u64)),
         (
             "wall_time_secs",
             Value::Float(result.wall_time.as_secs_f64()),

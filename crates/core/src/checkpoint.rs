@@ -40,13 +40,13 @@ use aceso_util::FnvHasher;
 /// JSON shape; a daemon that finds a checkpoint with an unknown version
 /// runs a fresh search instead of guessing.
 ///
-/// History: v1 was the original format; v2 added the informational
-/// `search_threads` field (the resolved frontier worker count at pause
-/// time — never compared on resume, a checkpoint may be resumed at any
-/// worker count) and widened the checkpointed counter set to include
-/// `search_worker_batches` (deterministic) — `search_steals` is
-/// scheduling-dependent and deliberately never enters a checkpoint.
-pub const CHECKPOINT_SCHEMA_VERSION: u64 = 2;
+/// History: v1 was the original format; v2 added an informational
+/// worker-count field for an in-stage search pool and the
+/// `search_worker_batches` counter; v3 removes that field together with
+/// the pool. A v2 spool is not migrated: it fails with
+/// [`CheckpointError::UnknownSchemaVersion`] and the daemon runs a fresh
+/// search.
+pub const CHECKPOINT_SCHEMA_VERSION: u64 = 3;
 
 /// Stable fingerprint of a model's profile-relevant content: the
 /// sequence of operator signatures (order-sensitively hashed — op order
@@ -75,12 +75,9 @@ pub fn cluster_fingerprint(cluster: &ClusterSpec) -> u64 {
 }
 
 /// Stable fingerprint of every [`SearchOptions`] field that affects the
-/// deterministic result. `time_budget`, `parallel`, and
-/// `search_threads` are deliberately excluded: none of them changes
-/// what an unexpired search computes (frontier results are bit-identical
-/// at every worker count), a resumed search must be allowed a fresh
-/// wall-clock budget, and a checkpoint taken at one worker count must
-/// resume cleanly at another.
+/// deterministic result. `time_budget` and `parallel` are deliberately
+/// excluded: neither changes what an unexpired search computes, and a
+/// resumed search must be allowed a fresh wall-clock budget.
 pub fn options_fingerprint(o: &SearchOptions) -> u64 {
     let mut h = FnvHasher::new();
     h.write_usize(o.max_hops);
@@ -294,12 +291,6 @@ pub struct SearchCheckpoint {
     /// Wall-clock seconds consumed by previous slices, as `f64::to_bits`
     /// (accumulated into the final `wall_time`).
     pub elapsed_secs_bits: u64,
-    /// Resolved frontier worker count when the checkpoint was taken.
-    /// **Informational only**: results are worker-count independent, so
-    /// this is never part of any fingerprint, never compared on resume
-    /// (a checkpoint may be resumed at a different worker count), and
-    /// masked by checkpoint-byte determinism comparisons.
-    pub search_threads: u64,
     /// Events emitted before any stage ran (the `search_start` record).
     pub head_events: Vec<Event>,
     /// Per-stage-count checkpoints, sorted by stage count.
@@ -350,7 +341,6 @@ impl SearchCheckpoint {
             ("options_fingerprint", Value::UInt(self.options_fingerprint)),
             ("metrics", Value::Bool(self.metrics)),
             ("elapsed_secs_bits", Value::UInt(self.elapsed_secs_bits)),
-            ("search_threads", Value::UInt(self.search_threads)),
             ("head_events", events_to_json(&self.head_events)),
             (
                 "stages",
@@ -379,7 +369,6 @@ impl SearchCheckpoint {
             options_fingerprint: v.field("options_fingerprint")?.as_u64()?,
             metrics: v.field("metrics")?.as_bool()?,
             elapsed_secs_bits: v.field("elapsed_secs_bits")?.as_u64()?,
-            search_threads: v.field("search_threads")?.as_u64()?,
             head_events: events_from_json(v.field("head_events")?)?,
             stages,
         })
@@ -833,14 +822,6 @@ mod tests {
             ..SearchOptions::default()
         };
         assert_eq!(same, options_fingerprint(&budgeted));
-        // The frontier worker count never affects results, so it must
-        // not affect the fingerprint either: a checkpoint taken at one
-        // worker count resumes at any other.
-        let threaded = SearchOptions {
-            search_threads: 8,
-            ..SearchOptions::default()
-        };
-        assert_eq!(same, options_fingerprint(&threaded));
     }
 
     #[test]
@@ -928,7 +909,7 @@ mod tests {
 
     #[test]
     fn truncated_json_is_a_json_error() {
-        let text = r#"{"schema_version":2,"model_fingerprint":12,"#;
+        let text = r#"{"schema_version":3,"model_fingerprint":12,"#;
         match SearchCheckpoint::from_json_str(text) {
             Err(CheckpointError::Json(_)) => {}
             other => panic!("expected Json error, got {other:?}"),

@@ -16,7 +16,6 @@
 pub mod bottleneck;
 pub mod checkpoint;
 pub mod finetune;
-pub(crate) mod frontier;
 pub mod invariants;
 pub mod primitives;
 pub mod search;

@@ -8,9 +8,6 @@ use crate::checkpoint::{
     CHECKPOINT_SCHEMA_VERSION,
 };
 use crate::finetune::fine_tune;
-use crate::frontier::{
-    run_wave_task, CandEval, FrontierPool, ShardedVisited, TaskResult, WaveTask,
-};
 use crate::primitives::{generate_with, Candidate, GenOptions, Primitive, Resource};
 use crate::trace::{AcceptedConfig, ConvergencePoint, IterationRecord, SearchTrace};
 use aceso_cluster::ClusterSpec;
@@ -20,7 +17,7 @@ use aceso_obs::{Counter, Event, HistKind, Metrics, ObsReport, Recorder};
 use aceso_perf::{CachedEvaluator, ConfigEstimate, Evaluator, P2pMemo, PerfModel};
 use aceso_profile::ProfileDb;
 use aceso_util::SplitMix64;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -57,16 +54,6 @@ pub struct SearchOptions {
     /// Start from this configuration instead of the balanced default
     /// (Exp#7 robustness); forces its stage count.
     pub initial: Option<ParallelConfig>,
-    /// Frontier worker threads per stage-count sub-search (the
-    /// work-stealing pool of `docs/SEARCH.md`). `0` = automatic: the
-    /// `ACESO_SEARCH_THREADS` environment variable when set, else 1
-    /// (the serial path). Clamped to `1..=64` by
-    /// [`SearchOptions::resolved_threads`]. This knob never affects
-    /// results — outputs are bit-identical at every worker count — so
-    /// it is deliberately *not* part of the checkpoint options
-    /// fingerprint and a checkpoint may be resumed at a different
-    /// worker count.
-    pub search_threads: usize,
 }
 
 impl Default for SearchOptions {
@@ -85,27 +72,7 @@ impl Default for SearchOptions {
             max_bottlenecks: 3,
             gen_options: GenOptions::default(),
             initial: None,
-            search_threads: 0,
         }
-    }
-}
-
-impl SearchOptions {
-    /// Resolves [`SearchOptions::search_threads`] to an actual worker
-    /// count: an explicit value wins, `0` consults the
-    /// `ACESO_SEARCH_THREADS` environment variable, and anything else
-    /// falls back to 1 (the serial path). The result is clamped to
-    /// `1..=64`.
-    pub fn resolved_threads(&self) -> usize {
-        let requested = if self.search_threads != 0 {
-            self.search_threads
-        } else {
-            std::env::var("ACESO_SEARCH_THREADS")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .unwrap_or(1)
-        };
-        requested.clamp(1, 64)
     }
 }
 
@@ -405,8 +372,15 @@ impl<'a> AcesoSearch<'a> {
         // triple first serves every other thread. Values are exact
         // `ProfileDb::p2p_time` results — sharing cannot change any score,
         // so it is deliberately *not* checkpointed (a cold memo on resume
-        // recomputes identical values and touches no counter).
+        // recomputes identical values and touches no counter; INV-MEMO in
+        // docs/SEARCH.md).
         let p2p = P2pMemo::new();
+        let env = |p| SliceEnv {
+            p,
+            deadline,
+            metrics,
+            pause_after,
+        };
         if self.options.parallel && counts.len() > 1 {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = counts
@@ -414,9 +388,7 @@ impl<'a> AcesoSearch<'a> {
                     .map(|&p| {
                         let p2p = &p2p;
                         let prev = restored.get(&p).copied();
-                        scope.spawn(move || {
-                            self.stage_slice(p, deadline, metrics, p2p, prev, pause_after)
-                        })
+                        scope.spawn(move || self.stage_slice(env(p), p2p, prev))
                     })
                     .collect();
                 for h in handles {
@@ -428,12 +400,13 @@ impl<'a> AcesoSearch<'a> {
         } else {
             for &p in &counts {
                 let prev = restored.get(&p).copied();
-                if let Some(o) = self.stage_slice(p, deadline, metrics, &p2p, prev, pause_after) {
+                if let Some(o) = self.stage_slice(env(p), &p2p, prev) {
                     outcomes.push(o);
                 }
             }
         }
-        // Deterministic merge order regardless of thread completion order.
+        // Deterministic merge order regardless of thread completion order
+        // (INV-MERGE-ORDER).
         outcomes.sort_by_key(StageOutcome::stage_count);
 
         if outcomes
@@ -444,12 +417,7 @@ impl<'a> AcesoSearch<'a> {
             let stages = outcomes
                 .into_iter()
                 .map(|o| match o {
-                    // Steal counts are dropped on the pause path: they are
-                    // scheduling-dependent and must never enter checkpoint
-                    // bytes (docs/SEARCH.md, INV-STEALS).
-                    StageOutcome::Finished {
-                        tops, trace, rec, ..
-                    } => {
+                    StageOutcome::Finished { tops, trace, rec } => {
                         let (events, mets) = rec.into_parts();
                         StageCheckpoint {
                             stage_count: trace.stage_count,
@@ -471,7 +439,6 @@ impl<'a> AcesoSearch<'a> {
                 options_fingerprint: options_fingerprint(&self.options),
                 metrics,
                 elapsed_secs_bits: elapsed.to_bits(),
-                search_threads: self.options.resolved_threads() as u64,
                 head_events,
                 stages,
             })));
@@ -482,19 +449,11 @@ impl<'a> AcesoSearch<'a> {
         let mut all: Vec<ScoredConfig> = Vec::new();
         let mut traces = Vec::new();
         let mut explored = 0usize;
-        let mut total_steals = 0u64;
         for o in outcomes {
-            let StageOutcome::Finished {
-                tops,
-                trace,
-                rec,
-                steals,
-            } = o
-            else {
+            let StageOutcome::Finished { tops, trace, rec } = o else {
                 unreachable!("paused outcomes already returned a checkpoint")
             };
             explored += trace.explored;
-            total_steals += steals;
             traces.push(trace);
             all.extend(tops);
             report.absorb(rec);
@@ -514,10 +473,6 @@ impl<'a> AcesoSearch<'a> {
             best_score: best.score,
             best_fingerprint: best.config.semantic_hash(),
         });
-        // `search_steals` is the one scheduling-dependent counter: it is
-        // only folded in when the whole search completes, never enters a
-        // checkpoint, and is masked by every determinism comparison.
-        tail.add(Counter::SearchSteals, total_steals);
         report.absorb(tail);
         report.set_wall_time(prior_elapsed + start.elapsed().as_secs_f64());
 
@@ -538,68 +493,11 @@ impl<'a> AcesoSearch<'a> {
     /// One stage-count search slice (Algorithm 1): fresh or restored
     /// from `prev`, running to completion or to the `pause_after`
     /// iteration bound.
-    ///
-    /// With `search_threads > 1` this wraps the slice body in a
-    /// work-stealing frontier pool (`docs/SEARCH.md`): speculative
-    /// workers generate and pre-score candidate waves while the body —
-    /// the *reducer* — replays their results in canonical order, so the
-    /// outcome is bit-identical to the serial path at any worker count.
     fn stage_slice(
-        &self,
-        p: usize,
-        deadline: Option<Instant>,
-        metrics: bool,
-        p2p: &P2pMemo,
-        prev: Option<&StageCheckpoint>,
-        pause_after: Option<usize>,
-    ) -> Option<StageOutcome> {
-        let env = SliceEnv {
-            p,
-            deadline,
-            metrics,
-            pause_after,
-        };
-        let workers = self.options.resolved_threads();
-        // The visited set lives outside the worker scope so workers can
-        // consult it while evaluating speculatively; only the reducer
-        // writes to it, and only while workers idle at a wave barrier
-        // (docs/SEARCH.md, INV-VISITED).
-        let visited = ShardedVisited::new();
-        if workers <= 1 {
-            return self.stage_slice_body(env, p2p, prev, &visited, None);
-        }
-        let pool: FrontierPool<WaveTask, TaskResult> = FrontierPool::new(workers);
-        // Each worker owns a private memoizing evaluator. It shares the
-        // search-wide p2p memo (exact values — sharing cannot change a
-        // score) but *no* recorder: all observability flows through the
-        // reducer's canonical evaluator during trace replay (INV-MEMO).
-        let factory = |_idx: usize| {
-            let ev = CachedEvaluator::new(
-                PerfModel::new(self.model, self.cluster, self.db).with_p2p_memo(p2p),
-            );
-            let visited = &visited;
-            move |task: &WaveTask| run_wave_task(&ev, visited, task)
-        };
-        std::thread::scope(|scope| {
-            pool.spawn_workers(scope, &factory);
-            let mut out = self.stage_slice_body(env, p2p, prev, &visited, Some(&pool));
-            pool.shutdown();
-            if let Some(StageOutcome::Finished { steals, .. }) = &mut out {
-                *steals = pool.steals();
-            }
-            out
-        })
-    }
-
-    /// The slice body — Algorithm 1 proper. Runs on the reducer thread;
-    /// `pool` is `Some` when speculative frontier workers are attached.
-    fn stage_slice_body(
         &self,
         env: SliceEnv,
         p2p: &P2pMemo,
         prev: Option<&StageCheckpoint>,
-        visited: &ShardedVisited,
-        wpool: Option<&FrontierPool<WaveTask, TaskResult>>,
     ) -> Option<StageOutcome> {
         let SliceEnv {
             p,
@@ -616,7 +514,6 @@ impl<'a> AcesoSearch<'a> {
                     tops: sc.tops.iter().map(CheckpointedScore::to_scored).collect(),
                     trace: sc.trace.clone(),
                     rec: Recorder::from_parts(sc.events.clone(), sc.metrics.clone()),
-                    steals: 0,
                 });
             }
         }
@@ -650,8 +547,7 @@ impl<'a> AcesoSearch<'a> {
             opts: &self.options,
             rec: &rec,
             stage_count: p,
-            visited,
-            pool: wpool,
+            visited: HashSet::new(),
             unexplored: BinaryHeap::new(),
             explored: 0,
             deadline,
@@ -674,9 +570,7 @@ impl<'a> AcesoSearch<'a> {
                 config = pr.current.clone();
                 best = pr.best.to_scored();
                 iter = pr.next_iter;
-                for h in &pr.visited {
-                    visited.insert(*h);
-                }
+                ctx.visited.extend(pr.visited.iter().copied());
                 for e in &pr.unexplored {
                     ctx.unexplored.push(HeapEntry {
                         score: f64::from_bits(e.score_bits),
@@ -823,11 +717,12 @@ impl<'a> AcesoSearch<'a> {
 
         if paused {
             let memo = ctx.ev.export_memo();
-            // Canonical orders: the sharded visited set exports sorted,
-            // and the heap's internal arrangement depends on insertion
-            // history — both must serialise to the same bytes however
-            // the slice got here (and at whatever worker count).
-            let parked_visited = visited.export_sorted();
+            // Canonical orders: hash-set iteration order and the heap's
+            // internal arrangement both depend on insertion history, so
+            // both are sorted — a checkpoint serialises to the same bytes
+            // however the slice got here (INV-CANONICAL-EXPORT).
+            let mut parked_visited: Vec<u64> = ctx.visited.iter().copied().collect();
+            parked_visited.sort_unstable();
             let unexplored: Vec<ParkedConfig> = std::mem::take(&mut ctx.unexplored)
                 .into_sorted_vec()
                 .into_iter()
@@ -879,18 +774,12 @@ impl<'a> AcesoSearch<'a> {
             }
         }
         drop(ctx);
-        // `steals` is filled in by the wrapper once the pool winds down.
-        Some(StageOutcome::Finished {
-            tops,
-            trace,
-            rec,
-            steals: 0,
-        })
+        Some(StageOutcome::Finished { tops, trace, rec })
     }
 }
 
-/// Per-slice parameters threaded from [`AcesoSearch::stage_slice`] into
-/// its body (bundled to keep the signatures small).
+/// Per-slice parameters of [`AcesoSearch::stage_slice`] (bundled to keep
+/// the signature small).
 #[derive(Clone, Copy)]
 struct SliceEnv {
     p: usize,
@@ -907,10 +796,6 @@ enum StageOutcome {
         tops: Vec<ScoredConfig>,
         trace: SearchTrace,
         rec: Recorder,
-        /// Work-steal count of this slice's frontier pool. Scheduling-
-        /// dependent: folded into the final report only on the Done
-        /// path, never checkpointed (docs/SEARCH.md, INV-STEALS).
-        steals: u64,
     },
     /// The sub-search hit the pause bound.
     Paused(StageCheckpoint),
@@ -927,16 +812,13 @@ impl StageOutcome {
 
 /// Mutable state of one stage-count search.
 struct Ctx<'a> {
-    /// The canonical evaluator: the only one that records observability,
-    /// and the one whose memo state is checkpointed. Worker evaluations
-    /// reach it exclusively via trace replay, in canonical order.
+    /// The slice's memoizing evaluator; its memo state is checkpointed.
     ev: CachedEvaluator<'a>,
     opts: &'a SearchOptions,
     rec: &'a Recorder,
     stage_count: usize,
-    visited: &'a ShardedVisited,
-    /// Speculative frontier workers, when `search_threads > 1`.
-    pool: Option<&'a FrontierPool<WaveTask, TaskResult>>,
+    /// Fingerprints of every configuration generated so far.
+    visited: HashSet<u64>,
     unexplored: BinaryHeap<HeapEntry>,
     explored: usize,
     deadline: Option<Instant>,
@@ -944,8 +826,7 @@ struct Ctx<'a> {
     tie_counter: u64,
 }
 
-/// One (bottleneck, resource) generation step of a multi-hop call —
-/// the unit that fans out as a wave of per-primitive tasks.
+/// One (bottleneck, resource) generation step of a multi-hop call.
 struct HopStep<'h> {
     config: &'h ParallelConfig,
     est: &'h ConfigEstimate,
@@ -977,13 +858,6 @@ impl Ctx<'_> {
     /// Algorithm 2: multi-hop search from `config` toward any configuration
     /// scoring better than `init_score`. Returns the configuration and the
     /// hop depth that reached it.
-    ///
-    /// Candidate generation within one (bottleneck, resource) step is a
-    /// *wave* of per-primitive tasks. With one worker the wave runs
-    /// inline in canonical order; with more it fans out over the
-    /// work-stealing pool and the results are replayed in task-ordinal
-    /// order, keeping every observable effect bit-identical to the
-    /// serial path (docs/SEARCH.md, INV-ORDINAL).
     fn multi_hop(
         &mut self,
         config: &ParallelConfig,
@@ -1022,10 +896,7 @@ impl Ctx<'_> {
             // the bounded recursion below, sharing their config with the
             // backtracking heap via `Arc` (no deep clones on this path).
             let mut pool: Vec<PoolEntry> = Vec::new();
-            let hit = match self.pool {
-                Some(wp) => self.hop_resource_waved(wp, &step, &prims, &mut pool),
-                None => self.hop_resource_serial(&step, &prims, &mut pool),
-            };
+            let hit = self.hop_resource_serial(&step, &prims, &mut pool);
             if hit.is_some() {
                 return hit;
             }
@@ -1056,9 +927,9 @@ impl Ctx<'_> {
         None
     }
 
-    /// The canonical serial execution of one generation step: task by
-    /// task in primitive order, generating and scoring lazily with the
-    /// canonical evaluator.
+    /// One generation step: primitive by primitive in order, generating
+    /// and scoring candidates lazily, stopping at the first acceptance.
+    /// Each primitive counts one `search_worker_batches` step.
     fn hop_resource_serial(
         &mut self,
         step: &HopStep<'_>,
@@ -1090,72 +961,8 @@ impl Ctx<'_> {
         None
     }
 
-    /// The pooled execution of one generation step: one wave task per
-    /// primitive, speculatively generated and pre-scored by the workers,
-    /// then replayed here in task-ordinal order. The replay drives the
-    /// canonical evaluator through the exact evaluation sequence of the
-    /// serial path — memo hits/misses, counters, and histograms included
-    /// — re-checks every dedup decision against the live visited set,
-    /// and stops at the first acceptance just like the serial early
-    /// exit; speculative work past that point is discarded unobserved.
-    fn hop_resource_waved(
-        &mut self,
-        wp: &FrontierPool<WaveTask, TaskResult>,
-        step: &HopStep<'_>,
-        prims: &[Primitive],
-        pool: &mut Vec<PoolEntry>,
-    ) -> Option<(ParallelConfig, usize)> {
-        let shared_cfg = Arc::new(step.config.clone());
-        let shared_est = Arc::new(step.est.clone());
-        let wave: Vec<WaveTask> = prims
-            .iter()
-            .map(|&prim| WaveTask {
-                config: Arc::clone(&shared_cfg),
-                est: Arc::clone(&shared_est),
-                prim,
-                stage: step.bottleneck.stage,
-                resource: step.resource,
-                gen_opts: self.opts.gen_options,
-            })
-            .collect();
-        for result in wp.run_wave(wave) {
-            self.rec.count(Counter::SearchWorkerBatches);
-            // The generation fix-up evaluations precede the task's
-            // candidate evaluations in the serial path too.
-            for t in &result.gen_traces {
-                self.ev.absorb_trace(t);
-            }
-            for ce in result.cands {
-                match ce {
-                    CandEval::Skipped { hash } => {
-                        // The worker saw the fingerprint visited; the set
-                        // is monotone, so the serial path would dedup too.
-                        debug_assert!(self.visited.contains(hash), "worker skips are monotone");
-                        self.rec.count(Counter::CandidatesDeduped);
-                    }
-                    CandEval::Done {
-                        cand,
-                        hash,
-                        est: cest,
-                        trace,
-                    } => {
-                        if !self.visited.insert(hash) {
-                            self.rec.count(Counter::CandidatesDeduped);
-                            continue;
-                        }
-                        self.ev.absorb_trace(&trace);
-                        if let Some(hit) = self.settle_candidate(step, cand, hash, cest, pool) {
-                            return Some(hit);
-                        }
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    /// Shared bookkeeping for one freshly deduplicated, freshly scored
-    /// candidate — identical between the serial path and the wave replay.
+    /// Bookkeeping for one freshly deduplicated, freshly scored
+    /// candidate: accept it, or park it in the heap and the hop pool.
     fn settle_candidate(
         &mut self,
         step: &HopStep<'_>,
@@ -1352,61 +1159,6 @@ mod tests {
         assert_eq!(first.tie, 2);
         assert_eq!(heap.pop().expect("second").score, 1.0);
         assert_eq!(heap.pop().expect("third").score, 2.0);
-    }
-
-    #[test]
-    fn worker_pool_matches_serial_bit_for_bit() {
-        let (m, c) = setup();
-        let db = ProfileDb::build(&m, &c);
-        let serial = AcesoSearch::new(
-            &m,
-            &c,
-            &db,
-            SearchOptions {
-                search_threads: 1,
-                ..opts()
-            },
-        )
-        .run_observed(true)
-        .expect("serial");
-        let pooled = AcesoSearch::new(
-            &m,
-            &c,
-            &db,
-            SearchOptions {
-                search_threads: 4,
-                ..opts()
-            },
-        )
-        .run_observed(true)
-        .expect("pooled");
-        assert_eq!(
-            serial.0.best_config.semantic_hash(),
-            pooled.0.best_config.semantic_hash()
-        );
-        assert_eq!(serial.0.explored, pooled.0.explored);
-        assert_eq!(
-            serial.1.events_jsonl(),
-            pooled.1.events_jsonl(),
-            "event streams must be byte-identical at any worker count"
-        );
-    }
-
-    #[test]
-    fn search_threads_resolution_clamps() {
-        let o = SearchOptions {
-            search_threads: 3,
-            ..SearchOptions::default()
-        };
-        assert_eq!(o.resolved_threads(), 3);
-        let o = SearchOptions {
-            search_threads: 500,
-            ..SearchOptions::default()
-        };
-        assert_eq!(o.resolved_threads(), 64);
-        if std::env::var("ACESO_SEARCH_THREADS").is_err() {
-            assert_eq!(SearchOptions::default().resolved_threads(), 1);
-        }
     }
 
     #[test]

@@ -64,17 +64,9 @@ pub enum Counter {
     /// Resubmissions of an already-spooled request id observed by the
     /// serve daemon (client-side retries after a crash or disconnect).
     ClientRetries,
-    /// Candidate batches (one per generation task) consumed by the
-    /// frontier reducer's ordinal merge. Deterministic: the merge
-    /// consumes batches in canonical serial order regardless of worker
-    /// count, so two runs with the same seed agree even at different
-    /// `--search-threads`.
+    /// Per-primitive generation steps: one per (primitive, bottleneck
+    /// resource) candidate-generation call of the multi-hop search.
     SearchWorkerBatches,
-    /// Tasks a frontier worker stole from another worker's deque.
-    /// **Scheduling-dependent** — intentionally non-deterministic
-    /// (see [`crate::schema::NONDETERMINISTIC_COUNTERS`]); every
-    /// bit-identity comparison masks it, and it is never checkpointed.
-    SearchSteals,
     /// Connections currently open on the serve reactor, sampled at
     /// snapshot time (a gauge rendered through the counter machinery).
     /// **Timing-dependent** — listed in
@@ -116,7 +108,7 @@ pub enum Counter {
 
 impl Counter {
     /// All counters, in snapshot order.
-    pub const ALL: [Counter; 33] = [
+    pub const ALL: [Counter; 32] = [
         Counter::PerfEvaluations,
         Counter::PerfIncrementalHits,
         Counter::PerfFullEvals,
@@ -140,7 +132,6 @@ impl Counter {
         Counter::SearchResumed,
         Counter::ClientRetries,
         Counter::SearchWorkerBatches,
-        Counter::SearchSteals,
         Counter::ServeConnectionsOpen,
         Counter::ServePipelinedRequests,
         Counter::ServeFairnessDeferrals,
@@ -178,7 +169,6 @@ impl Counter {
             Counter::SearchResumed => "search_resumed",
             Counter::ClientRetries => "client_retries",
             Counter::SearchWorkerBatches => "search_worker_batches",
-            Counter::SearchSteals => "search_steals",
             Counter::ServeConnectionsOpen => "serve_connections_open",
             Counter::ServePipelinedRequests => "serve_pipelined_requests",
             Counter::ServeFairnessDeferrals => "serve_fairness_deferrals",

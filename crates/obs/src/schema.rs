@@ -31,14 +31,9 @@
 /// shape of `primitives_applied`; stays empty outside `aceso audit`
 /// runs).
 ///
-/// v6: the work-stealing frontier counters were added.
-/// `search_worker_batches` (candidate batches consumed by the frontier
-/// reducer's ordinal merge) is deterministic and worker-count
-/// independent; `search_steals` (tasks stolen between worker deques) is
-/// scheduling-dependent and listed in [`NONDETERMINISTIC_COUNTERS`], so
-/// bit-identity comparisons mask it. Both stay zero in single-threaded
-/// runs except `search_worker_batches`, which counts the same batches
-/// the serial path consumes.
+/// v6: the in-stage worker-pool counters were added:
+/// `search_worker_batches` (deterministic) and a scheduling-dependent
+/// steal count (removed in v10).
 ///
 /// v7: the serve-reactor counters were added. `serve_connections_open`
 /// (open-connection gauge sampled at snapshot time),
@@ -65,7 +60,12 @@
 /// counter and `sweep_degraded` event surface retention-sweep removals
 /// that used to fail silently (both deterministic for a fixed fault
 /// schedule, zero in healthy runs).
-pub const SCHEMA_VERSION: u64 = 9;
+///
+/// v10: the in-stage worker pool was removed, and with it the
+/// scheduling-dependent steal counter. `search_worker_batches` keeps its
+/// name and values and is now described as what it counts on the serial
+/// search path: per-primitive generation steps.
+pub const SCHEMA_VERSION: u64 = 10;
 
 /// One documented field of an event kind.
 #[derive(Debug, Clone, Copy)]
@@ -315,14 +315,7 @@ pub const COUNTERS: &[(&str, &str)] = &[
         "client_retries",
         "resubmissions of an already-spooled request id (client retries)",
     ),
-    (
-        "search_worker_batches",
-        "candidate batches consumed by the frontier reducer's ordinal merge",
-    ),
-    (
-        "search_steals",
-        "frontier tasks stolen between worker deques (scheduling-dependent)",
-    ),
+    ("search_worker_batches", "per-primitive generation steps"),
     (
         "serve_connections_open",
         "connections open on the serve reactor, sampled at snapshot time",
@@ -362,14 +355,12 @@ pub const COUNTERS: &[(&str, &str)] = &[
 ];
 
 /// Counters whose values legitimately vary between runs with identical
-/// seeds and options: the work-stealing steal count (OS scheduling) and
-/// the serve-reactor counters (connection timing and dispatch order).
-/// Every bit-identity comparison (goldens, checkpoint-resume equality,
-/// the worker-count determinism sweep) masks these names, and the
-/// search never includes them in a checkpoint. Everything else in
+/// seeds and options: the serve-reactor counters (connection timing and
+/// dispatch order). Every bit-identity comparison (goldens,
+/// checkpoint-resume equality) masks these names; they are server-level
+/// only, so a search never moves them. Everything else in
 /// [`COUNTERS`] is covered by the determinism contract.
 pub const NONDETERMINISTIC_COUNTERS: &[&str] = &[
-    "search_steals",
     "serve_connections_open",
     "serve_pipelined_requests",
     "serve_fairness_deferrals",

@@ -105,40 +105,6 @@ pub struct MemoEntry {
     pub estimate: StageEstimate,
 }
 
-impl MemoEntry {
-    fn key(&self) -> StageKey {
-        StageKey {
-            content: self.content,
-            microbatch: self.microbatch,
-            dev_start: self.dev_start,
-            prev_last_dp: self.prev_last_dp,
-            has_next: self.has_next,
-        }
-    }
-}
-
-/// One speculative evaluation, captured by a frontier worker so the
-/// reducer can replay it against the canonical evaluator without
-/// recomputing anything.
-///
-/// `entries` holds every stage's key + estimate **in stage order** —
-/// including stages the worker served from its own memo, because the
-/// canonical memo may disagree with the worker's about what is already
-/// cached. Replaying with [`CachedEvaluator::absorb_trace`] therefore
-/// reproduces the exact hit/miss sequence (and counter splits) a serial
-/// search would have produced.
-#[derive(Debug, Clone)]
-pub struct EvalTrace {
-    /// Per-stage memo entries in stage order.
-    pub entries: Vec<MemoEntry>,
-    /// Whether the assembled estimate predicted an out-of-memory config.
-    pub oom: bool,
-    /// Worker-measured wall-clock latency of the evaluation (µs). Only
-    /// ever surfaces in the `eval_latency_us` histogram, which every
-    /// bit-identity comparison already masks.
-    pub latency_us: f64,
-}
-
 fn stage_key(config: &ParallelConfig, i: usize, dev_start: usize) -> StageKey {
     let s = &config.stages[i];
     let mut h = FnvHasher::new();
@@ -249,93 +215,6 @@ impl<'a> CachedEvaluator<'a> {
         }
     }
 
-    /// Evaluates a configuration *and* captures the per-stage memo
-    /// entries as an [`EvalTrace`], so a different (canonical) evaluator
-    /// can later [`absorb_trace`](Self::absorb_trace) the result instead
-    /// of recomputing it. Used by frontier workers; never records
-    /// observability itself (worker evaluators carry no recorder).
-    pub fn evaluate_traced(&self, config: &ParallelConfig) -> (ConfigEstimate, EvalTrace) {
-        let start = std::time::Instant::now();
-        let p = config.num_stages();
-        let mut stages: Vec<StageEstimate> = Vec::with_capacity(p);
-        let mut entries: Vec<MemoEntry> = Vec::with_capacity(p);
-        let mut dev_start = 0usize;
-        for i in 0..p {
-            let key = stage_key(config, i, dev_start);
-            let cached = self.memo.borrow().get(&key).cloned();
-            let e = match cached {
-                Some(e) => e,
-                None => {
-                    let e = self.pm.stage_with_boundaries(config, i);
-                    let mut memo = self.memo.borrow_mut();
-                    if memo.len() >= MEMO_CAP {
-                        memo.clear();
-                    }
-                    memo.insert(key, e.clone());
-                    e
-                }
-            };
-            entries.push(MemoEntry {
-                content: key.content,
-                microbatch: key.microbatch,
-                dev_start: key.dev_start,
-                prev_last_dp: key.prev_last_dp,
-                has_next: key.has_next,
-                estimate: e.clone(),
-            });
-            stages.push(e);
-            dev_start += config.stages[i].gpus;
-        }
-        let est = self.pm.assemble(config, stages);
-        let trace = EvalTrace {
-            entries,
-            oom: est.oom(),
-            latency_us: start.elapsed().as_secs_f64() * 1e6,
-        };
-        (est, trace)
-    }
-
-    /// Replays a worker-captured [`EvalTrace`] against *this* evaluator's
-    /// memo table, reproducing exactly what a direct
-    /// [`evaluate_unchecked`](Evaluator::evaluate_unchecked) of the same
-    /// configuration would have done at this point: per stage, a present
-    /// key counts as a hit, an absent one is inserted (with the same
-    /// wholesale cap-clear), and the recorder — if one is attached and
-    /// enabled — sees the same `perf_evaluations` /
-    /// `perf_incremental_hits` / `perf_full_evals` / `oom_predictions`
-    /// accounting and `eval_latency_us` observation.
-    pub fn absorb_trace(&self, trace: &EvalTrace) {
-        let mut hits = 0usize;
-        {
-            let mut memo = self.memo.borrow_mut();
-            for e in &trace.entries {
-                let key = e.key();
-                if memo.contains_key(&key) {
-                    hits += 1;
-                } else {
-                    if memo.len() >= MEMO_CAP {
-                        memo.clear();
-                    }
-                    memo.insert(key, e.estimate.clone());
-                }
-            }
-        }
-        if let Some(rec) = self.pm.recorder() {
-            if rec.enabled() {
-                rec.observe(HistKind::EvalLatencyUs, trace.latency_us);
-                rec.count(Counter::PerfEvaluations);
-                rec.count(if hits > 0 {
-                    Counter::PerfIncrementalHits
-                } else {
-                    Counter::PerfFullEvals
-                });
-                if trace.oom {
-                    rec.count(Counter::OomPredictions);
-                }
-            }
-        }
-    }
-
     /// The evaluation body; returns the estimate and whether at least one
     /// stage was served from the memo table.
     fn evaluate_cached(&self, config: &ParallelConfig) -> (ConfigEstimate, bool) {
@@ -393,46 +272,6 @@ impl Evaluator for CachedEvaluator<'_> {
             }
             _ => self.evaluate_cached(config).0,
         }
-    }
-}
-
-/// An [`Evaluator`] adapter that records an [`EvalTrace`] for every
-/// evaluation routed through it. Frontier workers wrap their private
-/// [`CachedEvaluator`] in one of these while running candidate
-/// generation, so the generator's internal evaluations (the attached
-/// recompute fix-up) can be replayed on the canonical evaluator in
-/// exact serial order.
-pub struct TracingEvaluator<'e, 'a> {
-    inner: &'e CachedEvaluator<'a>,
-    traces: RefCell<Vec<EvalTrace>>,
-}
-
-impl<'e, 'a> TracingEvaluator<'e, 'a> {
-    /// Wraps a worker-owned evaluator.
-    pub fn new(inner: &'e CachedEvaluator<'a>) -> Self {
-        Self {
-            inner,
-            traces: RefCell::new(Vec::new()),
-        }
-    }
-
-    /// Takes the traces captured so far, in evaluation order.
-    pub fn take_traces(&self) -> Vec<EvalTrace> {
-        std::mem::take(&mut self.traces.borrow_mut())
-    }
-}
-
-impl Evaluator for TracingEvaluator<'_, '_> {
-    fn model(&self) -> &ModelGraph {
-        self.inner.model()
-    }
-    fn cluster(&self) -> &ClusterSpec {
-        self.inner.cluster()
-    }
-    fn evaluate_unchecked(&self, config: &ParallelConfig) -> ConfigEstimate {
-        let (est, trace) = self.inner.evaluate_traced(config);
-        self.traces.borrow_mut().push(trace);
-        est
     }
 }
 
@@ -569,50 +408,6 @@ mod tests {
         // configuration adds no new entries.
         other.evaluate_unchecked(&balanced_init(&m, &c, 2).expect("init"));
         assert_eq!(other.memo_len(), exported.len());
-    }
-
-    #[test]
-    fn absorbed_traces_reproduce_the_serial_memo_and_estimates() {
-        // A "worker" evaluates a sequence of configurations and captures
-        // traces; a fresh "canonical" evaluator absorbs them in order.
-        // Its memo table must end up byte-for-byte where a canonical
-        // evaluator that evaluated the same sequence directly would be.
-        let (m, c) = setup();
-        let db = ProfileDb::build(&m, &c);
-        let cfgs = [
-            balanced_init(&m, &c, 2).expect("init"),
-            balanced_init(&m, &c, 4).expect("init"),
-            balanced_init(&m, &c, 2).expect("init"), // repeat: all-hit eval
-        ];
-
-        let worker = CachedEvaluator::new(PerfModel::new(&m, &c, &db));
-        let direct = CachedEvaluator::new(PerfModel::new(&m, &c, &db));
-        let canonical = CachedEvaluator::new(PerfModel::new(&m, &c, &db));
-        for cfg in &cfgs {
-            let (west, trace) = worker.evaluate_traced(cfg);
-            let dest = direct.evaluate_unchecked(cfg);
-            assert_eq!(west.iteration_time.to_bits(), dest.iteration_time.to_bits());
-            assert_eq!(trace.entries.len(), cfg.num_stages());
-            canonical.absorb_trace(&trace);
-        }
-        assert_eq!(canonical.export_memo(), direct.export_memo());
-    }
-
-    #[test]
-    fn tracing_evaluator_captures_every_evaluation_in_order() {
-        let (m, c) = setup();
-        let db = ProfileDb::build(&m, &c);
-        let ev = CachedEvaluator::new(PerfModel::new(&m, &c, &db));
-        let tev = TracingEvaluator::new(&ev);
-        let a = balanced_init(&m, &c, 2).expect("init");
-        let b = balanced_init(&m, &c, 4).expect("init");
-        tev.evaluate_unchecked(&a);
-        tev.evaluate_unchecked(&b);
-        let traces = tev.take_traces();
-        assert_eq!(traces.len(), 2);
-        assert_eq!(traces[0].entries.len(), a.num_stages());
-        assert_eq!(traces[1].entries.len(), b.num_stages());
-        assert!(tev.take_traces().is_empty(), "take drains the buffer");
     }
 
     #[test]

@@ -19,7 +19,7 @@ pub mod grid;
 pub mod model;
 pub mod p2p;
 
-pub use cached::{CachedEvaluator, EvalTrace, Evaluator, MemoEntry, TracingEvaluator};
+pub use cached::{CachedEvaluator, Evaluator, MemoEntry};
 pub use estimate::{ConfigEstimate, StageEstimate};
 pub use grid::LatencyGrid;
 pub use model::PerfModel;

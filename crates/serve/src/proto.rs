@@ -40,11 +40,6 @@ pub struct Request {
     /// response stays bit-identical to an uninterrupted run
     /// (`docs/SERVER.md`). `None` disables spooling for this request.
     pub request_id: Option<String>,
-    /// Worker threads for the frontier search within each stage count
-    /// (`--search-threads`). `0` keeps the daemon's default (serial);
-    /// the daemon caps the value at 16 so one request cannot oversubscribe
-    /// the host. Never changes results — see `docs/SEARCH.md`.
-    pub search_threads: usize,
 }
 
 impl Default for Request {
@@ -60,7 +55,6 @@ impl Default for Request {
             seed: defaults.seed,
             plan: false,
             request_id: None,
-            search_threads: 0,
         }
     }
 }
@@ -75,10 +69,6 @@ impl Request {
             time_budget: self.budget_secs.map(Duration::from_secs),
             stage_counts: self.stages.map(|p| vec![p]),
             seed: self.seed,
-            // Cap the requested worker count: the daemon shares one host
-            // across concurrent searches, so a single request must not
-            // oversubscribe it. 0 keeps the daemon-side default.
-            search_threads: self.search_threads.min(16),
             ..SearchOptions::default()
         };
         options.gen_options.enable_zero = self.zero;
@@ -111,7 +101,6 @@ impl ToJson for Request {
                     .as_ref()
                     .map_or(Value::Null, |id| Value::Str(id.clone())),
             ),
-            ("search_threads", Value::UInt(self.search_threads as u64)),
         ])
     }
 }
@@ -132,12 +121,6 @@ impl FromJson for Request {
             None | Some(Value::Null) => None,
             Some(s) => Some(s.as_str()?.to_string()),
         };
-        // Absent/null means "daemon default": frames from clients that
-        // predate the work-stealing frontier never send the field.
-        let search_threads = match v.get("search_threads") {
-            None | Some(Value::Null) => 0,
-            Some(s) => s.as_usize()?,
-        };
         Ok(Self {
             model: v.field("model")?.as_str()?.to_string(),
             gpus: v.field("gpus")?.as_usize()?,
@@ -148,7 +131,6 @@ impl FromJson for Request {
             seed: v.field("seed")?.as_u64()?,
             plan: v.field("plan")?.as_bool()?,
             request_id,
-            search_threads,
         })
     }
 }
@@ -220,7 +202,6 @@ mod tests {
             seed: 7,
             plan: true,
             request_id: Some("job-42".into()),
-            search_threads: 4,
         };
         let back = Request::from_json_value(&req.to_json_value()).expect("parses");
         assert_eq!(back, req);
@@ -234,19 +215,29 @@ mod tests {
     }
 
     #[test]
-    fn requests_without_a_request_id_field_still_parse() {
-        // A frame from a pre-checkpoint client omits the field entirely.
-        let mut v = Request {
+    fn frames_from_older_clients_still_parse() {
+        let req = Request {
             model: "deepnet-8l".into(),
             ..Request::default()
+        };
+        let frame = req.to_json_value().to_string_compact();
+        let body = frame.strip_suffix('}').expect("an object frame");
+        for older in [
+            // A pre-checkpoint client omits `request_id` entirely.
+            frame.replacen(r#","request_id":null"#, "", 1),
+            // A client from before the in-stage worker pool was removed
+            // still sends its worker count; unknown fields are ignored.
+            format!(r#"{body},"search_threads":4}}"#),
+        ] {
+            assert_ne!(older, frame);
+            let v = Value::parse(&older).expect("valid JSON");
+            // Equal requests map to equal search options, so the older
+            // frame is served exactly like the current one.
+            assert_eq!(
+                Request::from_json_value(&v).expect("older frame parses"),
+                req
+            );
         }
-        .to_json_value();
-        if let Value::Object(fields) = &mut v {
-            fields.retain(|(k, _)| k != "request_id" && k != "search_threads");
-        }
-        let back = Request::from_json_value(&v).expect("parses without request_id");
-        assert_eq!(back.request_id, None);
-        assert_eq!(back.search_threads, 0, "absent field means daemon default");
     }
 
     #[test]
@@ -261,7 +252,6 @@ mod tests {
             seed: 9,
             plan: false,
             request_id: None,
-            search_threads: 3,
         };
         let o = req.search_options();
         assert_eq!(o.max_iterations, 12);
@@ -269,13 +259,6 @@ mod tests {
         assert_eq!(o.stage_counts, Some(vec![2]));
         assert_eq!(o.seed, 9);
         assert!(o.gen_options.enable_zero);
-        assert_eq!(o.search_threads, 3);
-        // The daemon-side cap: a greedy request cannot oversubscribe.
-        let greedy = Request {
-            search_threads: 512,
-            ..req
-        };
-        assert_eq!(greedy.search_options().search_threads, 16);
     }
 
     #[test]

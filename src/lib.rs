@@ -77,7 +77,7 @@ pub mod cli {
 usage: aceso [search] --model <name> [--gpus N] [--budget-secs S] [--stages P]
              [--zero] [--plan-out FILE] [--metrics-out FILE]
              [--events-out FILE] [--no-metrics] [--checkpoint FILE]
-             [--resume FILE] [--checkpoint-every I] [--search-threads N]
+             [--resume FILE] [--checkpoint-every I]
        aceso audit [--smoke] [--full] [--json FILE] [--epsilon E]
              [--mutate M] [--metrics-out FILE]
        aceso serve [--addr HOST:PORT] [--workers N] [--cache-mb M]
@@ -89,7 +89,7 @@ usage: aceso [search] --model <name> [--gpus N] [--budget-secs S] [--stages P]
        aceso store (ls | verify | prune) --dir DIR
        aceso submit --addr HOST:PORT (--model <name> [--gpus N] [--stages P]
              [--zero] [--iterations I] [--budget-secs S] [--seed K]
-             [--search-threads N] [--request-id ID] [--retries N]
+             [--request-id ID] [--retries N]
              [--retry-deadline-secs S] [--plan-out FILE]
              [--metrics-out FILE] [--events-out FILE]
              | --stats | --shutdown)
@@ -115,10 +115,6 @@ flags:
   --resume FILE       resume a search from a checkpoint; an unusable or
                       incompatible checkpoint warns and searches fresh
   --checkpoint-every I  iterations between checkpoints (default 32)
-  --search-threads N  worker threads for the frontier search within each
-                    stage count (default: $ACESO_SEARCH_THREADS, else 1;
-                    clamped to 1..=64). Results are bit-identical at any
-                    setting — see docs/SEARCH.md
 
 audit: run the static invariant analyzers (primitive signatures,
 transform validity, perf-model consistency, search-trace replay) over
@@ -191,9 +187,6 @@ submit: send one search to a daemon and collect the streamed response
                     deterministic budget — results are reproducible when
                     no --budget-secs is given
   --seed K          search RNG seed (default 0xACE50)
-  --search-threads N  ask the daemon to run the frontier search with N
-                    worker threads (0 = daemon default; the daemon caps
-                    the value at 16; never changes results)
   --request-id ID   idempotency key: lets a --spool-dir daemon resume
                     this search if it is interrupted and resubmitted
   --retries N       retry transient failures (busy, timeout, dropped

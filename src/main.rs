@@ -37,7 +37,6 @@ struct Args {
     checkpoint: Option<String>,
     resume: Option<String>,
     checkpoint_every: usize,
-    search_threads: usize,
 }
 
 /// Runs `aceso audit` and exits: 0 when clean, 1 on findings, 2 on bad
@@ -352,11 +351,6 @@ fn run_submit(mut it: impl Iterator<Item = String>) -> ! {
                     .map(|s| req.seed = s)
                     .map_err(|e| format!("--seed: {e}"))
             }),
-            "--search-threads" => value("--search-threads").and_then(|v| {
-                v.parse()
-                    .map(|n| req.search_threads = n)
-                    .map_err(|e| format!("--search-threads: {e}"))
-            }),
             "--request-id" => value("--request-id").map(|v| req.request_id = Some(v)),
             "--retries" => value("--retries").and_then(|v| {
                 v.parse()
@@ -528,7 +522,6 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
         checkpoint: None,
         resume: None,
         checkpoint_every: 32,
-        search_threads: 0,
     };
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
@@ -563,11 +556,6 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
                     .parse::<usize>()
                     .map_err(|e| format!("--checkpoint-every: {e}"))?
                     .max(1)
-            }
-            "--search-threads" => {
-                args.search_threads = value("--search-threads")?
-                    .parse()
-                    .map_err(|e| format!("--search-threads: {e}"))?
             }
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown flag `{other}`")),
@@ -906,7 +894,6 @@ fn main() {
         max_iterations: 10_000,
         time_budget: Some(Duration::from_secs(args.budget_secs)),
         stage_counts: args.stages.map(|p| vec![p]),
-        search_threads: args.search_threads,
         ..SearchOptions::default()
     };
     options.gen_options.enable_zero = args.zero;

@@ -1,218 +1,41 @@
-//! `docs/RELIABILITY.md` is a *test-enforced* reliability contract, in
-//! the same spirit as `docs/STORE.md` / `tests/store_doc.rs`: every
-//! invariant anchor, fault-matrix token, CLI flag, and observability
-//! name the document states is cross-referenced here against the code,
-//! so the document cannot silently drift from the implementation.
+//! `docs/RELIABILITY.md` is a test-enforced contract; its row in the
+//! shared table lives in `tests/doc_contracts/mod.rs`.
 
-use aceso::obs::schema::{COUNTERS, EVENTS, NONDETERMINISTIC_FAMILIES};
+mod doc_contracts;
 
-const DOC_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/docs/RELIABILITY.md");
+const DOC: &str = "docs/RELIABILITY.md";
 
-fn doc() -> String {
-    std::fs::read_to_string(DOC_PATH).unwrap_or_else(|e| panic!("cannot read {DOC_PATH}: {e}"))
-}
-
-/// Every `INV-<NAME>` token in `text`, deduplicated (same scan as
-/// `tests/store_doc.rs`).
-fn inv_tokens(text: &str) -> Vec<String> {
-    let mut out: Vec<String> = Vec::new();
-    let mut i = 0;
-    while let Some(pos) = text[i..].find("INV-") {
-        let start = i + pos + "INV-".len();
-        let mut name: String = text[start..]
-            .chars()
-            .take_while(|c| c.is_ascii_uppercase() || *c == '-')
-            .collect();
-        i = start;
-        while name.ends_with('-') {
-            name.pop();
-        }
-        if !name.is_empty() && !out.contains(&name) {
-            out.push(name);
-        }
-    }
-    out
-}
-
-/// Every `INV-` token cited by the `.rs` sources under `dir`.
-fn dir_inv_tokens(dir: &str, out: &mut Vec<String>) {
-    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{dir} listable: {e}")) {
-        let path = entry.expect("entry").path();
-        if path.extension().is_some_and(|x| x == "rs") {
-            let text = std::fs::read_to_string(&path).expect("source readable");
-            for inv in inv_tokens(&text) {
-                if !out.contains(&inv) {
-                    out.push(inv);
-                }
-            }
-        }
-    }
-}
-
-/// Invariant anchors stay in sync in both directions: every INV-CHAOS
-/// anchor the chaos-facing sources cite is defined in the document, and
-/// every INV-CHAOS anchor the document defines is cited by at least one
-/// source. The fsio seam and the util retention module carry chaos
-/// anchors too, so they are part of the scan.
-#[test]
-fn invariant_anchors_match_the_code() {
-    let doc_invs = inv_tokens(&doc());
-    for required in [
-        "CHAOS-REALFS",
-        "CHAOS-DETERMINISM",
-        "CHAOS-ORACLE",
-        "CHAOS-SHRINK",
-        "CHAOS-SWEEP",
-    ] {
-        assert!(
-            doc_invs.iter().any(|i| i == required),
-            "docs/RELIABILITY.md must define INV-{required}"
-        );
-    }
-    // The contract explicitly builds on the store anchors.
-    for cited in ["STORE-ATOMIC", "STORE-DEGRADE", "STORE-BITEXACT"] {
-        assert!(
-            doc_invs.iter().any(|i| i == cited),
-            "docs/RELIABILITY.md must cite INV-{cited} (defined in docs/STORE.md)"
-        );
-    }
-
-    let mut code_invs: Vec<String> = Vec::new();
-    dir_inv_tokens(
-        concat!(env!("CARGO_MANIFEST_DIR"), "/crates/chaos/src"),
-        &mut code_invs,
-    );
-    dir_inv_tokens(
-        concat!(env!("CARGO_MANIFEST_DIR"), "/crates/util/src"),
-        &mut code_invs,
-    );
-    for inv in code_invs.iter().filter(|i| i.starts_with("CHAOS")) {
-        assert!(
-            doc_invs.contains(inv),
-            "the code cites INV-{inv} but docs/RELIABILITY.md never defines it"
-        );
-    }
-    for inv in doc_invs.iter().filter(|i| i.starts_with("CHAOS")) {
-        assert!(
-            code_invs.contains(inv),
-            "docs/RELIABILITY.md defines INV-{inv} but no chaos-facing source cites it"
-        );
-    }
-}
-
-/// The chaos observability vocabulary the document names must exist in
-/// the schema registry with the documented shape, and the fault-count
-/// family must stay nondeterministic-masked.
-#[test]
-fn doc_names_the_chaos_observability_surface() {
-    let doc = doc();
-    for (token, registry_has) in [
-        (
-            "chaos_faults_injected",
-            NONDETERMINISTIC_FAMILIES.contains(&"chaos_faults_injected"),
-        ),
-        (
-            "retention_sweep_errors",
-            COUNTERS.iter().any(|(n, _)| *n == "retention_sweep_errors"),
-        ),
-    ] {
-        assert!(registry_has, "`{token}` missing from the schema registry");
-        assert!(
-            doc.contains(&format!("`{token}`")),
-            "docs/RELIABILITY.md must name `{token}`"
-        );
-    }
-    let fault = EVENTS
-        .iter()
-        .find(|s| s.kind == "fault_injected")
-        .expect("fault_injected is a registered event kind");
-    for field in ["op", "fault", "path"] {
-        assert!(
-            fault.fields.iter().any(|f| f.name == field),
-            "fault_injected must carry the `{field}` field"
-        );
-    }
-    let sweep = EVENTS
-        .iter()
-        .find(|s| s.kind == "sweep_degraded")
-        .expect("sweep_degraded is a registered event kind");
-    for field in ["dir", "errors"] {
-        assert!(
-            sweep.fields.iter().any(|f| f.name == field),
-            "sweep_degraded must carry the `{field}` field"
-        );
-    }
-    for kind in ["fault_injected", "sweep_degraded"] {
-        assert!(
-            doc.contains(&format!("`{kind}`")),
-            "docs/RELIABILITY.md must document the `{kind}` event"
-        );
-    }
-}
-
-/// The chaos CLI the document describes is the one the binary
-/// advertises.
+/// The chaos subcommands and flags are documented in both the doc and
+/// the usage text.
 #[test]
 fn doc_covers_the_chaos_cli() {
-    let doc = doc();
-    for flag in [
-        "--seed-range",
-        "--mutate",
-        "--trace-out",
-        "--retry-deadline-secs",
-    ] {
-        assert!(
-            doc.contains(flag),
-            "docs/RELIABILITY.md must document the `{flag}` flag"
-        );
-        assert!(
-            aceso::cli::USAGE.contains(flag),
-            "the aceso binary must advertise `{flag}` (aceso::cli::USAGE)"
-        );
-    }
-    for needle in ["chaos run", "chaos replay", "store-direct-write"] {
-        assert!(
-            doc.contains(needle) && aceso::cli::USAGE.contains(needle),
-            "both docs/RELIABILITY.md and aceso::cli::USAGE must cover `{needle}`"
-        );
-    }
+    doc_contracts::covers_its_cli(DOC);
+}
+
+/// The fault counter family and the chaos events are registered with
+/// the documented shape and named.
+#[test]
+fn doc_names_the_chaos_observability_surface() {
+    doc_contracts::names_its_observability_surface(DOC);
+}
+
+/// The chaos and util sources and the document cite the same `INV-`
+/// anchors.
+#[test]
+fn invariant_anchors_match_the_code() {
+    doc_contracts::invariant_anchors_match_the_code(DOC);
 }
 
 /// The document points at the tests and harnesses that actually enforce
 /// its claims.
 #[test]
 fn doc_references_its_enforcement_surface() {
-    let doc = doc();
-    for needle in [
-        "tests/chaos_doc.rs",
-        "tests/chaos.rs",
-        "two_hundred_seeded_schedules_violate_no_oracle",
-        "store_direct_write_mutant_is_caught_and_shrunk",
-        "empty_schedule_daemon_is_bit_identical_to_realfs",
-        "shared_store_daemons_race_eviction_against_load_without_errors",
-        "retry_deadline_bounds_total_wall_clock",
-        "no_counter_is_silently_dead",
-        "write_atomic_cleans_its_temp_on_rename_failure",
-        "every_truncation_degrades_typed",
-        "ci.sh",
-        "aceso_util::retention",
-    ] {
-        assert!(
-            doc.contains(needle),
-            "docs/RELIABILITY.md must reference its enforcement surface: missing `{needle}`"
-        );
-    }
+    doc_contracts::references_its_enforcement_surface(DOC);
 }
 
-/// The sibling documents and the README route readers here.
+/// The sibling documents and the README route readers to the
+/// reliability contract.
 #[test]
 fn sibling_docs_link_to_the_reliability_contract() {
-    for path in ["README.md", "docs/STORE.md", "docs/SERVER.md"] {
-        let full = format!("{}/{path}", env!("CARGO_MANIFEST_DIR"));
-        let text = std::fs::read_to_string(&full).unwrap_or_else(|e| panic!("read {path}: {e}"));
-        assert!(
-            text.contains("RELIABILITY.md"),
-            "{path} must link to docs/RELIABILITY.md"
-        );
-    }
+    doc_contracts::sibling_docs_link_to_the_reliability_contract();
 }

@@ -8,12 +8,8 @@
 //! fingerprint, and the predicted time's exact `f64` bits. The only
 //! masked fields are `wall_time_secs` and the `eval_latency_us`
 //! histogram, which measure the host clock, and the counters the obs
-//! schema registers as `NONDETERMINISTIC_COUNTERS` (`search_steals` —
-//! work-stealing scheduling, not search semantics).
-//!
-//! A second contract rides along: results and checkpoint bytes are
-//! independent of the frontier worker count (`search_threads`), and a
-//! checkpoint taken at one worker count resumes at any other.
+//! schema registers as `NONDETERMINISTIC_COUNTERS` (serve-reactor
+//! timing, which a library search never moves).
 
 use aceso::cluster::ClusterSpec;
 use aceso::model::{zoo, ModelGraph};
@@ -285,92 +281,6 @@ fn incompatible_checkpoints_are_rejected_before_any_work() {
     ));
 }
 
-/// Strips every wall-clock-derived field from a checkpoint document,
-/// plus the informational `search_threads` field: `elapsed_secs_bits`
-/// (whole-search wall time), `eval_latency_us` (latency histogram
-/// snapshots inside stage metrics), and `elapsed_bits` (per-iteration
-/// convergence timestamps inside traces). Everything that remains is
-/// covered by the bit-identity contract.
-fn mask_checkpoint(v: &Value) -> Value {
-    match v {
-        Value::Object(fields) => Value::Object(
-            fields
-                .iter()
-                .filter(|(k, _)| {
-                    k != "search_threads"
-                        && k != "elapsed_secs_bits"
-                        && k != "eval_latency_us"
-                        && k != "elapsed_bits"
-                })
-                .map(|(k, v)| (k.clone(), mask_checkpoint(v)))
-                .collect(),
-        ),
-        Value::Array(items) => Value::Array(items.iter().map(mask_checkpoint).collect()),
-        other => other.clone(),
-    }
-}
-
-#[test]
-fn checkpoints_are_byte_identical_across_worker_counts() {
-    let model = zoo::gpt3_custom("ckpt-workers", 4, 512, 8, 256, 8192, 64);
-    let cluster = ClusterSpec::v100(1, 4);
-    let db = ProfileDb::build(&model, &cluster);
-    let mut texts = Vec::new();
-    for threads in [1usize, 2, 4, 8] {
-        let search = AcesoSearch::new(
-            &model,
-            &cluster,
-            &db,
-            SearchOptions {
-                search_threads: threads,
-                ..opts()
-            },
-        );
-        let SearchStep::Paused(ckpt) = search.run_partial(true, 3).expect("slice") else {
-            panic!("an 8-iteration search must not finish in 3 iterations");
-        };
-        assert_eq!(ckpt.search_threads, threads as u64);
-        let parsed = Value::parse(&ckpt.to_json_string()).expect("parses");
-        texts.push(mask_checkpoint(&parsed).to_string_compact());
-    }
-    for (i, t) in texts.iter().enumerate().skip(1) {
-        assert_eq!(
-            &texts[0], t,
-            "checkpoint bytes must not depend on worker count (index {i})"
-        );
-    }
-}
-
-#[test]
-fn resume_at_a_different_worker_count_is_bit_identical() {
-    let model = zoo::gpt3_custom("ckpt-retune", 4, 512, 8, 256, 8192, 64);
-    let cluster = ClusterSpec::v100(1, 4);
-    let db = ProfileDb::build(&model, &cluster);
-    let serial = AcesoSearch::new(&model, &cluster, &db, opts());
-    let (want, want_report) = serial.run_observed(true).expect("reference run");
-    let SearchStep::Paused(ckpt) = serial.run_partial(true, 3).expect("slice") else {
-        panic!("must pause");
-    };
-    let parsed = SearchCheckpoint::from_json_str(&ckpt.to_json_string()).expect("round-trip");
-    // Finish the serially-started search on a 4-worker frontier pool:
-    // the worker count is not part of the options fingerprint, so the
-    // checkpoint is compatible, and the merged output must still be
-    // bit-identical to the uninterrupted serial run.
-    let pooled = AcesoSearch::new(
-        &model,
-        &cluster,
-        &db,
-        SearchOptions {
-            search_threads: 4,
-            ..opts()
-        },
-    );
-    let (got, got_report) = pooled
-        .resume_from(true, &parsed)
-        .expect("resume at a different worker count");
-    assert_bit_identical("retune", (&want, &want_report), (&got, &got_report));
-}
-
 #[test]
 fn foreign_and_corrupt_checkpoints_fail_without_panicking() {
     let model = zoo::gpt3_custom("ckpt-corrupt", 4, 512, 8, 256, 8192, 64);
@@ -382,12 +292,20 @@ fn foreign_and_corrupt_checkpoints_fail_without_panicking() {
     };
     let text = ckpt.to_json_string();
 
-    // A future schema version is detected before anything else.
-    let future = text.replacen("\"schema_version\":2", "\"schema_version\":3", 1);
-    assert!(matches!(
-        SearchCheckpoint::from_json_str(&future),
-        Err(CheckpointError::UnknownSchemaVersion(3))
-    ));
+    // Another schema version is detected before anything else: a
+    // future one, and a v2 spool that still carries the worker-count
+    // field of the removed in-stage worker pool (a daemon degrades both
+    // to a fresh search).
+    let v3 = "\"schema_version\":3,";
+    assert!(text.starts_with(&format!("{{{v3}")));
+    let future = text.replacen(v3, "\"schema_version\":4,", 1);
+    let v2 = text.replacen(v3, "\"schema_version\":2,\"search_threads\":1,", 1);
+    for (doc, version) in [(&future, 4), (&v2, 2)] {
+        match SearchCheckpoint::from_json_str(doc) {
+            Err(CheckpointError::UnknownSchemaVersion(v)) => assert_eq!(v, version),
+            other => panic!("expected UnknownSchemaVersion({version}), got {other:?}"),
+        }
+    }
 
     // Truncation at any prefix length is an error, never a panic.
     for cut in [0, 1, text.len() / 4, text.len() / 2, text.len() - 1] {

@@ -41,9 +41,8 @@ fn identical_searches_emit_byte_identical_event_streams() {
     assert_eq!(res_a.best_time, res_b.best_time);
     assert_eq!(obs_a.events_jsonl(), obs_b.events_jsonl());
     for c in Counter::ALL {
-        // Counters in NONDETERMINISTIC_COUNTERS (e.g. `search_steals`)
-        // depend on thread scheduling when ACESO_SEARCH_THREADS > 1 and
-        // are exempt from the determinism contract by design.
+        // Counters in NONDETERMINISTIC_COUNTERS (the serve-reactor
+        // timing counters) are exempt from the determinism contract.
         if NONDETERMINISTIC_COUNTERS.contains(&c.name()) {
             continue;
         }
@@ -370,11 +369,9 @@ fn no_counter_is_silently_dead() {
             + sweep_report.counter(c)
     };
     for c in Counter::ALL {
-        // Scheduling-dependent counters only move when the work-stealing
-        // frontier pool actually steals, which a single-threaded scenario
-        // suite cannot force. Their wiring is proven by the deterministic
-        // pool unit test `steal_on_empty_is_exercised_and_counted` in
-        // `crates/core/src/frontier.rs`.
+        // Timing-dependent reactor counters only move under concurrent
+        // connections, which this scenario suite does not open; the
+        // reactor tests in `tests/serve.rs` exercise them.
         if NONDETERMINISTIC_COUNTERS.contains(&c.name()) {
             continue;
         }

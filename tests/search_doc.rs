@@ -1,138 +1,31 @@
-//! `docs/SEARCH.md` is a *test-enforced* architecture contract, in the
-//! same spirit as `docs/OBSERVABILITY.md`: every named invariant,
-//! frontier counter, CLI knob, and schema version the document states
-//! is cross-referenced here against the code registries, so the
-//! document cannot silently drift from the implementation.
+//! `docs/SEARCH.md` is a test-enforced contract; its row in the shared
+//! table lives in `tests/doc_contracts/mod.rs`.
 
-use aceso::obs::schema::COUNTERS;
-use aceso::obs::NONDETERMINISTIC_COUNTERS;
-use aceso::search::CHECKPOINT_SCHEMA_VERSION;
+mod doc_contracts;
 
-const DOC_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/docs/SEARCH.md");
+const DOC: &str = "docs/SEARCH.md";
 
-fn doc() -> String {
-    std::fs::read_to_string(DOC_PATH).unwrap_or_else(|e| panic!("cannot read {DOC_PATH}: {e}"))
-}
-
-/// Every `INV-<NAME>` token in `text`, deduplicated.
-fn inv_tokens(text: &str) -> Vec<String> {
-    let mut out: Vec<String> = Vec::new();
-    let mut i = 0;
-    while let Some(pos) = text[i..].find("INV-") {
-        let start = i + pos + "INV-".len();
-        let name: String = text[start..]
-            .chars()
-            .take_while(|c| c.is_ascii_uppercase())
-            .collect();
-        i = start;
-        if !name.is_empty() && !out.contains(&name) {
-            out.push(name);
-        }
-    }
-    out
-}
-
-/// The frontier counters must exist in the schema registry and be
-/// documented by name, and every counter the schema declares
-/// non-deterministic must be called out.
+/// Every counter the document promises is registered and named, and
+/// every counter the schema declares non-deterministic is called out.
 #[test]
 fn doc_names_every_frontier_and_nondeterministic_counter() {
-    let doc = doc();
-    for name in ["search_worker_batches", "search_steals"] {
-        assert!(
-            COUNTERS.iter().any(|(n, _)| *n == name),
-            "frontier counter `{name}` is gone from the schema registry — \
-             update docs/SEARCH.md and this test together"
-        );
-        assert!(
-            doc.contains(&format!("`{name}`")),
-            "docs/SEARCH.md is missing frontier counter `{name}`"
-        );
-    }
-    for name in NONDETERMINISTIC_COUNTERS {
-        assert!(
-            doc.contains(&format!("`{name}`")),
-            "docs/SEARCH.md must document the non-deterministic counter `{name}`"
-        );
-    }
+    doc_contracts::names_its_observability_surface(DOC);
 }
 
 /// The stated checkpoint schema version must be the code's.
 #[test]
 fn doc_states_current_checkpoint_schema_version() {
-    assert!(
-        doc().contains(&format!(
-            "checkpoint schema version: {CHECKPOINT_SCHEMA_VERSION}"
-        )),
-        "docs/SEARCH.md must state `checkpoint schema version: \
-         {CHECKPOINT_SCHEMA_VERSION}` (crates/core/src/checkpoint.rs)"
-    );
+    doc_contracts::states_current_versions(DOC);
 }
 
-/// The worker-count knob is documented under both of its spellings.
-#[test]
-fn doc_covers_the_worker_count_knob() {
-    let doc = doc();
-    for needle in ["--search-threads", "ACESO_SEARCH_THREADS", "1..=64"] {
-        assert!(
-            doc.contains(needle),
-            "docs/SEARCH.md must document the worker-count knob: missing `{needle}`"
-        );
-    }
-}
-
-/// Invariant anchors stay in sync in both directions: every `INV-` the
-/// core sources cite is defined in the document, and every `INV-` the
-/// document defines is cited by at least one source file (a stale
-/// anchor in either place is drift).
+/// The core sources and the document cite the same `INV-` anchors.
 #[test]
 fn invariant_anchors_match_the_code() {
-    let doc_invs = inv_tokens(&doc());
-    assert!(
-        !doc_invs.is_empty(),
-        "docs/SEARCH.md must define INV- invariant anchors"
-    );
-
-    let core_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/crates/core/src");
-    let mut code_invs: Vec<String> = Vec::new();
-    for entry in std::fs::read_dir(core_dir).expect("core src listable") {
-        let path = entry.expect("entry").path();
-        if path.extension().is_some_and(|x| x == "rs") {
-            let text = std::fs::read_to_string(&path).expect("source readable");
-            for inv in inv_tokens(&text) {
-                if !code_invs.contains(&inv) {
-                    code_invs.push(inv);
-                }
-            }
-        }
-    }
-    for inv in &code_invs {
-        assert!(
-            doc_invs.contains(inv),
-            "crates/core cites INV-{inv} but docs/SEARCH.md never defines it"
-        );
-    }
-    for inv in &doc_invs {
-        assert!(
-            code_invs.contains(inv),
-            "docs/SEARCH.md defines INV-{inv} but no crates/core source cites it"
-        );
-    }
+    doc_contracts::invariant_anchors_match_the_code(DOC);
 }
 
 /// The document points at the tests that actually enforce its claims.
 #[test]
 fn doc_references_its_enforcement_tests() {
-    let doc = doc();
-    for needle in [
-        "tests/search_golden.rs",
-        "tests/checkpoint_resume.rs",
-        "steal_on_empty_is_exercised_and_counted",
-        "NONDETERMINISTIC_COUNTERS",
-    ] {
-        assert!(
-            doc.contains(needle),
-            "docs/SEARCH.md must reference its enforcement surface: missing `{needle}`"
-        );
-    }
+    doc_contracts::references_its_enforcement_surface(DOC);
 }
