@@ -3,7 +3,9 @@
 # are errors), a documentation-consistency gate (every flag, schema
 # token and schema version mentioned in docs/*.md must still exist in
 # the code), the tier-1 build + test cycle in both invariant modes, the
-# benchmark harness's self-tests (perfbench/, its own cargo workspace),
+# serve suite again in a release build (its timing-sensitive tests must
+# hold at release speeds too), the benchmark harness's self-tests
+# (perfbench/, its own cargo workspace),
 # the full-corpus differential perf-equivalence sweep (incremental vs
 # from-scratch evaluation must stay bit-identical), the full
 # whole-system static verifier (plan-safety proofs, protocol
@@ -65,6 +67,9 @@ cargo build --release
 
 echo "==> tier-1: cargo test -q"
 cargo test -q
+
+echo "==> serve suite in release mode (timing-sensitive tests see release speeds)"
+cargo test -q --release --test serve
 
 echo "==> perfbench self-tests (the benchmark harness, its own workspace)"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml

@@ -175,10 +175,7 @@ pub fn write_bench_search(result: &SearchResult, report: &ObsReport) -> PathBuf 
             "configs_per_sec",
             Value::Float(result.explored as f64 / result.wall_time.as_secs_f64().max(1e-9)),
         ),
-        (
-            "metrics",
-            Value::parse(&report.metrics_json()).expect("own snapshot parses"),
-        ),
+        ("metrics", report.metrics_value()),
     ]);
     if let Value::Object(fields) = &mut doc {
         fields.extend(carried);

@@ -208,7 +208,7 @@ mod tests {
         }
         let mut report = ObsReport::new();
         report.absorb(rec);
-        Value::parse(&report.metrics_json()).expect("own snapshot parses")
+        report.metrics_value()
     }
 
     #[test]

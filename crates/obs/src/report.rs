@@ -73,12 +73,12 @@ impl ObsReport {
         out
     }
 
-    /// Renders the metric snapshot as a pretty JSON document:
-    /// `schema_version`, `wall_time_secs` (null unless set), `counters`,
+    /// The metric snapshot as a JSON value: `schema_version`,
+    /// `wall_time_secs` (null unless set), `counters`,
     /// `primitives_applied`, `audit_findings`, `chaos_faults_injected`,
     /// and `histograms`.
-    pub fn metrics_json(&self) -> String {
-        let doc = obj([
+    pub fn metrics_value(&self) -> Value {
+        obj([
             ("schema_version", Value::UInt(SCHEMA_VERSION)),
             (
                 "wall_time_secs",
@@ -89,8 +89,12 @@ impl ObsReport {
             ("audit_findings", self.metrics.audit_findings_json()),
             ("chaos_faults_injected", self.metrics.chaos_faults_json()),
             ("histograms", self.metrics.histograms_json()),
-        ]);
-        let mut text = doc.to_string_pretty();
+        ])
+    }
+
+    /// Renders [`ObsReport::metrics_value`] as a pretty JSON document.
+    pub fn metrics_json(&self) -> String {
+        let mut text = self.metrics_value().to_string_pretty();
         text.push('\n');
         text
     }

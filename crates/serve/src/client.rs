@@ -13,6 +13,7 @@ use crate::proto::Request;
 use crate::wire::{read_frame, write_frame, WireError};
 use aceso_util::json::{obj, ToJson, Value};
 use aceso_util::SplitMix64;
+use std::io::BufReader;
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -156,10 +157,22 @@ fn response_from_result(
     })
 }
 
+/// Moves the `event` payload out of an event frame.
+fn take_event(frame: Value) -> Result<Value, ClientError> {
+    match frame {
+        Value::Object(fields) => fields
+            .into_iter()
+            .find_map(|(k, v)| (k == "event").then_some(v)),
+        _ => None,
+    }
+    .ok_or_else(|| ClientError::Protocol("event frame without payload".into()))
+}
+
 /// Submits one search request and blocks until the result frame.
 pub fn submit(addr: &str, req: &Request) -> Result<Response, ClientError> {
     let mut stream = TcpStream::connect(addr)?;
     write_frame(&mut stream, &req.to_json_value())?;
+    let mut stream = BufReader::new(stream);
     let mut statuses = Vec::new();
     let mut events = Vec::new();
     loop {
@@ -183,11 +196,7 @@ pub fn submit(addr: &str, req: &Request) -> Result<Response, ClientError> {
                         events.len()
                     )));
                 }
-                let event = frame
-                    .get("event")
-                    .cloned()
-                    .ok_or_else(|| ClientError::Protocol("event frame without payload".into()))?;
-                events.push(event);
+                events.push(take_event(frame)?);
             }
             Some("result") => return response_from_result(frame, statuses, events),
             Some("error") => return Err(server_error(&frame)),
@@ -371,6 +380,7 @@ pub fn submit_pipelined(addr: &str, reqs: &[Request]) -> Result<PipelineOutcomes
     for req in reqs {
         write_frame(&mut stream, &req.to_json_value())?;
     }
+    let mut stream = BufReader::new(stream);
     while !collector.is_complete() {
         let frame = read_frame(&mut stream)?;
         collector.accept(&frame)?;

@@ -27,7 +27,7 @@
 
 use crate::proto::{error_frame, tag_request_id, Request};
 use crate::server::{execute_request, validate_request, FrameSink, Shared};
-use crate::wire::{write_frame, FrameDecoder, WireError};
+use crate::wire::{encode_frame, write_frame, FrameDecoder, WireError};
 use aceso_model::zoo;
 use aceso_obs::ObsReport;
 use aceso_util::json::{obj, Value};
@@ -99,13 +99,10 @@ struct QueueSink {
 
 impl QueueSink {
     fn encode(&self, frame: &Value) -> Result<Vec<u8>, WireError> {
-        let framed = match &self.tag {
-            Some(id) => tag_request_id(frame.clone(), id),
-            None => frame.clone(),
-        };
-        let mut bytes = Vec::new();
-        write_frame(&mut bytes, &framed)?;
-        Ok(bytes)
+        match &self.tag {
+            Some(id) => encode_frame(&tag_request_id(frame.clone(), id)),
+            None => encode_frame(frame),
+        }
     }
 
     fn push(&self, msg: OutMsg) {
@@ -209,8 +206,7 @@ impl Conn {
     }
 
     fn enqueue_frame(&mut self, frame: &Value) {
-        let mut bytes = Vec::new();
-        if write_frame(&mut bytes, frame).is_ok() {
+        if let Ok(bytes) = encode_frame(frame) {
             self.enqueue(&bytes, None);
         }
     }
@@ -684,7 +680,7 @@ fn handle_frame(shared: &Arc<Shared>, c: &mut Conn, frame: &Value) {
         },
         Some("stats") => {
             let report = shared.report();
-            let metrics = Value::parse(&report.metrics_json()).expect("own snapshot parses");
+            let metrics = report.metrics_value();
             c.enqueue_frame(&obj([
                 ("type", Value::Str("stats".into())),
                 ("metrics", metrics),

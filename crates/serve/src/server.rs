@@ -15,7 +15,7 @@
 
 use crate::cache::ProfileCache;
 use crate::proto::{error_frame, event_frame, status_frame, Request};
-use crate::wire::{read_frame, write_frame, WireError, PROTOCOL_VERSION};
+use crate::wire::{read_frame, write_frame, FrameBatcher, WireError, PROTOCOL_VERSION};
 use aceso_cluster::ClusterSpec;
 use aceso_core::{AcesoSearch, ResumeError, SearchCheckpoint, SearchResult, SearchStep};
 use aceso_model::zoo;
@@ -492,7 +492,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
             Some("request") => handle_request(shared, &mut stream, &frame),
             Some("stats") => {
                 let report = shared.report();
-                let metrics = Value::parse(&report.metrics_json()).expect("own snapshot parses");
+                let metrics = report.metrics_value();
                 let _ = write_frame(
                     &mut stream,
                     &obj([("type", Value::Str("stats".into())), ("metrics", metrics)]),
@@ -542,22 +542,32 @@ pub(crate) trait FrameSink {
     fn send_final(&mut self, frame: &Value, spool: Option<&Path>) -> Result<(), WireError>;
 }
 
-/// Blocking sink: frames go straight down the connection's socket.
-/// Carries the daemon's filesystem handle so the final-frame spool
-/// removal goes through the same injectable [`Fs`] as every other
-/// spool side-effect.
-struct StreamSink<'a>(&'a mut TcpStream, &'a dyn Fs);
+/// Blocking sink: frames go down the connection's socket through a
+/// [`FrameBatcher`]. Event frames collect in its bounded buffer; every
+/// other frame (status, error, result) writes the buffer out first and
+/// then goes out in a write of its own, so status frames still reach
+/// the client while the search runs. Carries the daemon's filesystem
+/// handle so the final-frame spool removal goes through the same
+/// injectable [`Fs`] as every other spool side-effect.
+struct StreamSink<'a> {
+    out: FrameBatcher<&'a mut TcpStream>,
+    fs: &'a dyn Fs,
+}
 
 impl FrameSink for StreamSink<'_> {
     fn send(&mut self, frame: &Value) -> Result<(), WireError> {
-        write_frame(self.0, frame)
+        if frame.get("type").and_then(|t| t.as_str().ok()) == Some("event") {
+            self.out.batch(frame)
+        } else {
+            self.out.send(frame)
+        }
     }
 
     fn send_final(&mut self, frame: &Value, spool: Option<&Path>) -> Result<(), WireError> {
-        write_frame(self.0, frame)?;
+        self.out.send(frame)?;
         // The write reached the kernel; the saved work is now redundant.
         if let Some(path) = spool {
-            let _ = self.1.remove_file(path);
+            let _ = self.fs.remove_file(path);
         }
         Ok(())
     }
@@ -670,7 +680,10 @@ fn handle_request(shared: &Shared, stream: &mut TcpStream, frame: &Value) {
         shared,
         &req,
         &model,
-        &mut StreamSink(stream, shared.opts.fs.as_ref()),
+        &mut StreamSink {
+            out: FrameBatcher::new(stream),
+            fs: shared.opts.fs.as_ref(),
+        },
     );
 }
 
@@ -728,11 +741,11 @@ pub(crate) fn execute_request(
     let plan = if req.plan && !result.best_oom {
         ExecutionPlan::build(model, &cluster, &result.best_config)
             .ok()
-            .map(|p| Value::parse(&p.to_json()).expect("own plan parses"))
+            .map(|p| aceso_util::json::ToJson::to_json_value(&p))
     } else {
         None
     };
-    let metrics = Value::parse(&report.metrics_json()).expect("own snapshot parses");
+    let metrics = report.metrics_value();
     let final_frame = obj([
         ("type", Value::Str("result".into())),
         ("protocol_version", Value::UInt(PROTOCOL_VERSION)),

@@ -63,18 +63,84 @@ impl From<std::io::Error> for WireError {
     }
 }
 
-/// Writes one frame: 4-byte big-endian length, then the compact JSON
-/// payload.
-pub fn write_frame(w: &mut impl Write, v: &Value) -> Result<(), WireError> {
+/// Encodes one frame — 4-byte big-endian length, then the compact JSON
+/// payload — into a single buffer.
+pub(crate) fn encode_frame(v: &Value) -> Result<Vec<u8>, WireError> {
     let payload = v.to_string_compact();
-    let bytes = payload.as_bytes();
-    if bytes.len() > MAX_FRAME_BYTES {
-        return Err(WireError::Oversize(bytes.len()));
+    if payload.len() > MAX_FRAME_BYTES {
+        return Err(WireError::Oversize(payload.len()));
     }
-    w.write_all(&(bytes.len() as u32).to_be_bytes())?;
-    w.write_all(bytes)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload.as_bytes());
+    Ok(frame)
+}
+
+/// Writes one frame: 4-byte big-endian length, then the compact JSON
+/// payload, handed to the writer in one `write_all` (one syscall on a
+/// socket, not one for the prefix and one for the payload).
+pub fn write_frame(w: &mut impl Write, v: &Value) -> Result<(), WireError> {
+    w.write_all(&encode_frame(v)?)?;
     w.flush()?;
     Ok(())
+}
+
+/// Byte budget of a [`FrameBatcher`]'s buffer.
+pub(crate) const BATCH_BYTES: usize = 64 << 10;
+
+/// Coalesces a stream of frames into few writes.
+///
+/// [`FrameBatcher::batch`] collects frames in a buffer of at most
+/// [`BATCH_BYTES`], writing it out whenever the next frame would not
+/// fit; a frame larger than the whole buffer is written straight
+/// through after it. [`FrameBatcher::send`] writes the buffer out and
+/// then its own frame as a separate write, so nothing queued before it
+/// is held back. The bytes on the wire are exactly those of one
+/// [`write_frame`] per frame, in the same order.
+pub(crate) struct FrameBatcher<W: Write> {
+    inner: W,
+    buf: Vec<u8>,
+}
+
+impl<W: Write> FrameBatcher<W> {
+    /// A batcher with an empty buffer in front of `inner`.
+    pub fn new(inner: W) -> Self {
+        Self {
+            inner,
+            buf: Vec::new(),
+        }
+    }
+
+    /// Queues one frame, writing the buffer out first when the frame
+    /// would overflow it.
+    pub fn batch(&mut self, v: &Value) -> Result<(), WireError> {
+        let frame = encode_frame(v)?;
+        if self.buf.len() + frame.len() > BATCH_BYTES {
+            self.flush()?;
+        }
+        if frame.len() > BATCH_BYTES {
+            self.inner.write_all(&frame)?;
+        } else {
+            self.buf.extend_from_slice(&frame);
+        }
+        Ok(())
+    }
+
+    /// Writes the buffer out, then `v` in a write of its own.
+    pub fn send(&mut self, v: &Value) -> Result<(), WireError> {
+        self.flush()?;
+        write_frame(&mut self.inner, v)
+    }
+
+    /// Writes the buffered frames out.
+    fn flush(&mut self) -> Result<(), WireError> {
+        if !self.buf.is_empty() {
+            self.inner.write_all(&self.buf)?;
+            self.buf.clear();
+        }
+        self.inner.flush()?;
+        Ok(())
+    }
 }
 
 /// Reads one frame. Returns [`WireError::Closed`] on clean EOF before a
@@ -192,6 +258,79 @@ mod tests {
             assert_eq!(read_frame(&mut r).unwrap().as_u64().unwrap(), i);
         }
         assert!(matches!(read_frame(&mut r), Err(WireError::Closed)));
+
+        // A burst of event frames several times the batch buffer, with
+        // one frame bigger than the whole buffer in the middle, ended by
+        // a status frame. Batched, it must put exactly the bytes of one
+        // `write_frame` per frame on the wire, in far fewer writes, none
+        // over the buffer size except the oversized frame's own.
+        let event = |seq: usize, pad: String| {
+            crate::proto::event_frame(
+                seq,
+                obj([
+                    ("kind", Value::Str("accept".into())),
+                    ("pad", Value::Str(pad)),
+                ]),
+            )
+        };
+        let mut burst: Vec<Value> = (0..1200).map(|i| event(i, "x→".repeat(i % 50))).collect();
+        burst[600] = event(600, "y".repeat(BATCH_BYTES));
+        burst.push(crate::proto::status_frame("searching", None));
+        let mut one_by_one = Recording::default();
+        for frame in &burst {
+            write_frame(&mut one_by_one, frame).expect("writes");
+        }
+        assert_eq!(one_by_one.writes.len(), burst.len(), "one write per frame");
+        let mut batched = Recording::default();
+        let mut batcher = FrameBatcher::new(&mut batched);
+        let (last, events) = burst.split_last().expect("non-empty burst");
+        for frame in events {
+            batcher.batch(frame).expect("batches");
+        }
+        batcher.send(last).expect("sends");
+        assert_eq!(batched.bytes, one_by_one.bytes);
+        assert!(
+            batched.writes.len() < burst.len() / 20,
+            "{:?}",
+            batched.writes
+        );
+        assert_eq!(
+            batched.writes.iter().filter(|&&n| n > BATCH_BYTES).count(),
+            1,
+            "only the oversized frame exceeds the buffer"
+        );
+        assert_eq!(
+            *batched.writes.last().unwrap(),
+            encode_frame(last).unwrap().len(),
+            "the status frame goes out in a write of its own"
+        );
+        let mut reader = std::io::BufReader::new(batched.bytes.as_slice());
+        let mut direct = one_by_one.bytes.as_slice();
+        for frame in &burst {
+            let got = read_frame(&mut reader).expect("reads").to_string_compact();
+            assert_eq!(got, frame.to_string_compact());
+            assert_eq!(got, read_frame(&mut direct).unwrap().to_string_compact());
+        }
+        assert!(matches!(read_frame(&mut reader), Err(WireError::Closed)));
+    }
+
+    /// A writer that keeps what it is given and the size of every write.
+    #[derive(Default)]
+    struct Recording {
+        bytes: Vec<u8>,
+        writes: Vec<usize>,
+    }
+
+    impl Write for Recording {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.bytes.extend_from_slice(buf);
+            self.writes.push(buf.len());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! Integers are kept exact: `u64` values (e.g. 64-bit hashes and byte
 //! counts) never pass through `f64`, so round-trips are lossless.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed or constructed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -186,9 +186,13 @@ impl Value {
             Value::Null => out.push_str("null"),
             Value::Bool(true) => out.push_str("true"),
             Value::Bool(false) => out.push_str("false"),
-            Value::UInt(n) => out.push_str(&n.to_string()),
-            Value::Int(n) => out.push_str(&n.to_string()),
-            Value::Float(x) => out.push_str(&format_f64(*x)),
+            Value::UInt(n) => {
+                let _ = write!(out, "{n}");
+            }
+            Value::Int(n) => {
+                let _ = write!(out, "{n}");
+            }
+            Value::Float(x) => write_f64(out, *x),
             Value::Str(s) => write_escaped(out, s),
             Value::Array(xs) => {
                 if xs.is_empty() {
@@ -255,37 +259,46 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
-/// Shortest float form that round-trips; integral values keep a trailing
-/// `.0` so they parse back as floats.
-fn format_f64(x: f64) -> String {
+/// Writes the shortest float form that round-trips; integral values keep
+/// a trailing `.0` so they parse back as floats.
+fn write_f64(out: &mut String, x: f64) {
     if !x.is_finite() {
         // JSON has no Inf/NaN; null is the conventional degradation.
-        return "null".to_string();
-    }
-    if x == x.trunc() && x.abs() < 1e15 {
-        format!("{x:.1}")
+        out.push_str("null");
+    } else if x == x.trunc() && x.abs() < 1e15 {
+        let _ = write!(out, "{x:.1}");
     } else {
-        let s = format!("{x}");
-        debug_assert_eq!(s.parse::<f64>().ok(), Some(x));
-        s
+        let start = out.len();
+        let _ = write!(out, "{x}");
+        debug_assert_eq!(out[start..].parse::<f64>().ok(), Some(x));
     }
 }
 
+/// Writes `s` as a quoted JSON string. Runs of characters that need no
+/// escaping are copied in one go; every byte that needs escaping is
+/// ASCII, so slicing at it never splits a multibyte character.
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run_start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            b if b < 0x20 => "",
+            _ => continue,
+        };
+        out.push_str(&s[run_start..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
         }
+        run_start = i + 1;
     }
+    out.push_str(&s[run_start..]);
     out.push('"');
 }
 
@@ -438,13 +451,19 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
+                    // Copy the whole run up to the next quote or
+                    // backslash at once, checking UTF-8 for that run only:
+                    // re-checking the rest of the input per character made
+                    // parsing quadratic in document length.
                     let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest)
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len])
                         .map_err(|_| JsonError::new("invalid UTF-8", self.pos))?;
-                    let c = text.chars().next().expect("non-empty");
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    s.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -621,9 +640,44 @@ mod tests {
 
     #[test]
     fn escapes_roundtrip() {
-        let s = "quote\" slash\\ newline\n tab\t unicode→ ctrl\u{1}";
-        let v = Value::Str(s.into());
-        assert_eq!(Value::parse(&v.to_string_compact()).unwrap(), v);
+        for s in [
+            "quote\" slash\\ newline\n tab\t unicode→ ctrl\u{1}",
+            // Multibyte characters right before and right after escapes.
+            "→\"→\\→\n→\u{1f}→",
+            "\"→",
+            // A string that ends in a multibyte character.
+            "ends in →",
+            "→",
+        ] {
+            let v = Value::Str(s.into());
+            assert_eq!(Value::parse(&v.to_string_compact()).unwrap(), v, "{s:?}");
+        }
+        // An unterminated string is reported at the end of the input,
+        // whether it ends inside a plain run or right after an escape.
+        for text in ["\"abc→", "\"a→\\n", "[\"x\", \"→→"] {
+            let err = Value::parse(text).unwrap_err();
+            assert_eq!(err.message, "unterminated string", "{text:?}");
+            assert_eq!(err.offset, text.len(), "{text:?}");
+        }
+    }
+
+    /// String parsing is linear in document length: a 256 KiB string of
+    /// multibyte characters and escapes parses well inside a second even
+    /// in a debug build (a quadratic parser takes tens of seconds here).
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let unit = "ab→\"c\\→\n";
+        let s = unit.repeat((256 << 10) / unit.len());
+        let text = Value::Str(s.clone()).to_string_compact();
+        let start = std::time::Instant::now();
+        let back = Value::parse(&text).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(back, Value::Str(s));
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "parsing {} bytes took {elapsed:?}",
+            text.len()
+        );
     }
 
     #[test]

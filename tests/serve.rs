@@ -704,6 +704,28 @@ fn reactor_responses_are_bit_identical_to_direct_runs() {
     assert!(report.counter(Counter::ServePipelinedRequests) >= 1);
 }
 
+/// Polls the daemon's `stats` until its `serve_requests` counter — the
+/// requests that have entered a worker slot — reaches `n`.
+fn wait_for_serve_requests(addr: &str, n: u64) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    loop {
+        let stats = serve::server_stats(addr).expect("stats");
+        let started = stats
+            .field("counters")
+            .and_then(|c| c.field("serve_requests"))
+            .and_then(Value::as_u64)
+            .expect("serve_requests counter");
+        if started >= n {
+            return;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "serve_requests stuck at {started}, waiting for {n}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 /// INV-FAIRNESS, observably: while one connection pipelines a deep
 /// queue, a fresh request on another connection is dispatched first and
 /// each such preference is counted as a fairness deferral.
@@ -745,9 +767,11 @@ fn reactor_counts_fairness_deferrals_and_pipelined_requests() {
                 serve::submit_pipelined(&addr, &reqs).expect("pipelined batch")
             })
         };
-        // Give the pipeliner a head start so its queue is deep when the
-        // fresh single request arrives on a second connection.
-        std::thread::sleep(Duration::from_millis(20));
+        // Send the fresh request on a second connection only once `a1`
+        // and `a2` both hold worker slots, so `a3` is queued behind them
+        // when it arrives. (A fixed head start raced `a1` finishing
+        // inside it, which left nothing to defer.)
+        wait_for_serve_requests(&addr, 2);
         let fresh = serve::submit(&addr, &base).expect("fresh submit");
         (pipeliner.join().unwrap(), fresh)
     });
