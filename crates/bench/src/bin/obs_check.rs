@@ -8,14 +8,15 @@
 //!   (`accepted + rejected == generated`), and every event line carries
 //!   a `kind` known to the schema registry with a contiguous `seq`.
 //! * `obs_check` (no args) — run a small metrics-enabled search three
-//!   times, keep the median-latency run, and gate it against the
-//!   *committed* `BENCH_search.json` (mean `eval_latency_us` must not
-//!   regress by more than 1.5×; `configs_per_sec` is reported
-//!   alongside), then refresh the snapshot from that median run and
-//!   validate it with the same rules. The median discards both
-//!   lucky-fast outliers (which would poison the committed baseline)
-//!   and load-slow ones (which would trip the gate spuriously); the
-//!   search itself is deterministic, so runs differ only in timing.
+//!   times, keep the median-latency run, refresh the snapshot from it
+//!   and validate it with the same rules, then gate its *work* against
+//!   the *committed* `BENCH_search.json`: `explored` and the `best_time`
+//!   bits must be equal, and `perf_evaluations` must not grow. The
+//!   search is deterministic under its iteration budget, so the gate
+//!   reads no host noise. Mean `eval_latency_us` and `configs_per_sec`
+//!   are printed for information only; the median run keeps the
+//!   committed timing figures clear of lucky-fast and load-slow
+//!   outliers.
 //!
 //! Exits non-zero with a diagnostic on the first violated rule; `ci.sh`
 //! runs both modes.
@@ -110,76 +111,97 @@ fn read(path: &str) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")))
 }
 
-/// The perf-gate figures carried by one `BENCH_search.json` snapshot.
-struct PerfFigures {
+/// The gate figures carried by one `BENCH_search.json` snapshot: the
+/// search's deterministic work, and its timing for information.
+struct BenchFigures {
+    /// Configurations explored.
+    explored: u64,
+    /// Bit pattern of the best configuration's predicted iteration time.
+    best_time_bits: u64,
+    /// Performance-model evaluations (`perf_evaluations`).
+    perf_evaluations: u64,
     /// Mean perf-model evaluation latency, microseconds.
     mean_latency_us: f64,
     /// End-to-end search throughput, configurations per second.
     configs_per_sec: f64,
 }
 
-/// Extracts the perf-gate figures from a `BENCH_search.json` document.
-/// Tolerates older schema versions: the gate only needs the latency
-/// histogram and the throughput figure, both present since v1.
-fn perf_figures(doc: &Value, origin: &str) -> PerfFigures {
-    let hist = doc
-        .field("metrics")
-        .and_then(|m| m.field("histograms"))
-        .and_then(|h| h.field("eval_latency_us"))
-        .unwrap_or_else(|e| fail(&format!("{origin}: eval_latency_us histogram: {e:?}")));
-    let count = hist
-        .field("count")
-        .and_then(Value::as_u64)
-        .unwrap_or_else(|e| fail(&format!("{origin}: eval_latency_us count: {e:?}")));
-    let sum = hist
-        .field("sum")
-        .and_then(Value::as_f64)
-        .unwrap_or_else(|e| fail(&format!("{origin}: eval_latency_us sum: {e:?}")));
+/// The value at `path` inside `doc`, or a failure naming it.
+fn at<'a>(doc: &'a Value, path: &[&str], origin: &str) -> &'a Value {
+    path.iter()
+        .try_fold(doc, |v, name| v.field(name))
+        .unwrap_or_else(|e| fail(&format!("{origin}: {}: {e:?}", path.join("."))))
+}
+
+/// Extracts the gate figures from a `BENCH_search.json` document.
+fn bench_figures(doc: &Value, origin: &str) -> BenchFigures {
+    let uint = |path: &[&str]| {
+        at(doc, path, origin)
+            .as_u64()
+            .unwrap_or_else(|e| fail(&format!("{origin}: {}: {e:?}", path.join("."))))
+    };
+    let float = |path: &[&str]| {
+        at(doc, path, origin)
+            .as_f64()
+            .unwrap_or_else(|e| fail(&format!("{origin}: {}: {e:?}", path.join("."))))
+    };
+    let count = uint(&["metrics", "histograms", "eval_latency_us", "count"]);
     if count == 0 {
         fail(&format!("{origin}: empty eval_latency_us histogram"));
     }
-    let configs_per_sec = doc
-        .field("configs_per_sec")
-        .and_then(Value::as_f64)
-        .unwrap_or_else(|e| fail(&format!("{origin}: configs_per_sec: {e:?}")));
-    PerfFigures {
-        mean_latency_us: sum / count as f64,
-        configs_per_sec,
+    BenchFigures {
+        explored: uint(&["explored"]),
+        best_time_bits: float(&["best_time"]).to_bits(),
+        perf_evaluations: uint(&["metrics", "counters", "perf_evaluations"]),
+        mean_latency_us: float(&["metrics", "histograms", "eval_latency_us", "sum"]) / count as f64,
+        configs_per_sec: float(&["configs_per_sec"]),
     }
 }
 
-/// Maximum tolerated mean-latency regression vs the committed baseline.
-/// Calibrated above the observed median-of-3 noise band on a loaded
-/// shared machine (~1.25×) while still far below what any algorithmic
-/// regression in the evaluation hot path costs (2×+).
-const MAX_LATENCY_REGRESSION: f64 = 1.5;
-
-/// Number of search runs in no-args mode; the median-latency run is
-/// gated and saved. A single run's mean latency swings well past the
-/// gate limit under transient machine load.
-const GATE_RUNS: usize = 3;
-
-/// Compares the fresh run against the committed baseline figures. Mean
-/// evaluation latency is the gate (wall-clock throughput is reported but
-/// not gated — it is far noisier on shared CI machines).
-fn perf_gate(baseline: &PerfFigures, fresh: &PerfFigures) {
-    let ratio = fresh.mean_latency_us / baseline.mean_latency_us;
+/// Gates the fresh run's work against the committed baseline. The
+/// gated search runs under a fixed iteration budget, so `explored`,
+/// the best time and the evaluation count are deterministic: an equal
+/// `explored` and best time show the search took the same path to the
+/// same plan, and `perf_evaluations` may only fall. Mean evaluation
+/// latency and configurations per second vary 2× with host load, so
+/// they are printed, not gated.
+fn work_gate(baseline: &BenchFigures, fresh: &BenchFigures) {
     println!(
-        "obs_check: perf gate: mean eval_latency_us {:.3} -> {:.3} ({ratio:.2}x), \
-         configs_per_sec {:.0} -> {:.0}",
+        "obs_check: work gate: explored {} -> {}, perf_evaluations {} -> {}; \
+         for information: mean eval_latency_us {:.3} -> {:.3}, configs_per_sec {:.0} -> {:.0}",
+        baseline.explored,
+        fresh.explored,
+        baseline.perf_evaluations,
+        fresh.perf_evaluations,
         baseline.mean_latency_us,
         fresh.mean_latency_us,
         baseline.configs_per_sec,
         fresh.configs_per_sec,
     );
-    if ratio > MAX_LATENCY_REGRESSION {
+    if fresh.explored != baseline.explored || fresh.best_time_bits != baseline.best_time_bits {
         fail(&format!(
-            "mean eval_latency_us regressed {ratio:.2}x over the committed \
-             BENCH_search.json (limit {MAX_LATENCY_REGRESSION}x) — \
-             investigate before refreshing the baseline"
+            "the gated search changed its path: explored {} -> {}, best_time {} -> {} — \
+             a behaviour change; explain it and re-bless the goldens and \
+             BENCH_search.json together",
+            baseline.explored,
+            fresh.explored,
+            f64::from_bits(baseline.best_time_bits),
+            f64::from_bits(fresh.best_time_bits),
+        ));
+    }
+    if fresh.perf_evaluations > baseline.perf_evaluations {
+        fail(&format!(
+            "perf_evaluations grew {} -> {} over the committed BENCH_search.json \
+             for the same search — investigate before refreshing the baseline",
+            baseline.perf_evaluations, fresh.perf_evaluations,
         ));
     }
 }
+
+/// Number of search runs in no-args mode; the median-latency run is
+/// saved. A single run's mean latency swings 2× under transient machine
+/// load.
+const GATE_RUNS: usize = 3;
 
 /// Gates the `serve_fleet` fan-in section (written by `serve_bench
 /// fleet` and carried across snapshot refreshes): the committed numbers
@@ -305,7 +327,7 @@ fn main() {
                 let doc = Value::parse(&text).unwrap_or_else(|e| {
                     fail(&format!("committed BENCH_search.json: unparseable: {e:?}"))
                 });
-                perf_figures(&doc, "committed BENCH_search.json")
+                bench_figures(&doc, "committed BENCH_search.json")
             });
 
             let env = ExpEnv::new(
@@ -313,10 +335,10 @@ fn main() {
                 4,
             );
             // The search is deterministic under an iteration budget, so
-            // repeated runs differ only in timing. Gate and save the
-            // median-latency run of GATE_RUNS: a single run's mean is
-            // hostage to machine load, and the fastest run would commit
-            // an unrepeatable floor as the next baseline.
+            // repeated runs differ only in timing. Save the median-latency
+            // run of GATE_RUNS: a single run's mean is hostage to machine
+            // load, and the fastest run would commit an unrepeatable
+            // floor as the next baseline's information figures.
             let opts = SearchOptions {
                 max_iterations: 24,
                 ..SearchOptions::default()
@@ -346,8 +368,8 @@ fn main() {
             check_serve_restart(&doc);
             check_events(&report.events_jsonl(), "search event stream");
             match baseline {
-                Some(b) => perf_gate(&b, &perf_figures(&doc, "fresh BENCH_search.json")),
-                None => println!("obs_check: no committed baseline — perf gate skipped"),
+                Some(b) => work_gate(&b, &bench_figures(&doc, "fresh BENCH_search.json")),
+                None => println!("obs_check: no committed baseline — work gate skipped"),
             }
         }
         _ => {

@@ -43,10 +43,14 @@ use aceso_util::FnvHasher;
 /// History: v1 was the original format; v2 added an informational
 /// worker-count field for an in-stage search pool and the
 /// `search_worker_batches` counter; v3 removes that field together with
-/// the pool. A v2 spool is not migrated: it fails with
-/// [`CheckpointError::UnknownSchemaVersion`] and the daemon runs a fresh
-/// search.
-pub const CHECKPOINT_SCHEMA_VERSION: u64 = 3;
+/// the pool. v4 keeps v3's shape, but a v3 spool's counters include a
+/// second evaluation of every candidate the recompute fix-up left
+/// unchanged, which the search no longer makes (INV-SCORE-ONCE in
+/// docs/SEARCH.md); resuming one would give counters matching neither
+/// version's uninterrupted run. Older spools are not migrated: they fail
+/// with [`CheckpointError::UnknownSchemaVersion`] and the daemon runs a
+/// fresh search.
+pub const CHECKPOINT_SCHEMA_VERSION: u64 = 4;
 
 /// Stable fingerprint of a model's profile-relevant content: the
 /// sequence of operator signatures (order-sensitively hashed — op order

@@ -6,9 +6,11 @@
 //! exact point an invariant breaks — the dynamic twin of the static
 //! analyzers in `aceso-audit`.
 
+use crate::primitives::Candidate;
 use aceso_cluster::ClusterSpec;
 use aceso_config::ParallelConfig;
 use aceso_model::ModelGraph;
+use aceso_profile::ProfileDb;
 
 /// Panics unless `config` passes full validation against the model and
 /// the cluster. Used where both are in scope (candidate generation, the
@@ -99,6 +101,60 @@ pub fn assert_structure(model: &ModelGraph, config: &ParallelConfig, ctx: &str) 
 #[inline(always)]
 pub fn assert_structure(_: &ModelGraph, _: &ParallelConfig, _: &str) {}
 
+/// Checks what candidate generation hands the search (INV-SCORE-ONCE in
+/// docs/SEARCH.md): the carried fingerprint is the configuration's
+/// semantic hash, and a carried estimate equals a from-scratch
+/// evaluation to the last bit. It scores through its own
+/// `PerfModel`, which has no recorder, so checking moves no counter.
+#[cfg(feature = "debug-invariants")]
+pub struct ScoreCheck<'a> {
+    pm: aceso_perf::PerfModel<'a>,
+}
+
+#[cfg(feature = "debug-invariants")]
+impl<'a> ScoreCheck<'a> {
+    /// A checker for candidates of `model` on `cluster`.
+    pub fn new(model: &'a ModelGraph, cluster: &'a ClusterSpec, db: &'a ProfileDb) -> Self {
+        Self {
+            pm: aceso_perf::PerfModel::new(model, cluster, db),
+        }
+    }
+
+    /// Panics unless `cand`'s fingerprint and carried estimate are what
+    /// the search would have computed itself.
+    pub fn assert_carried(&self, cand: &Candidate) {
+        let name = cand.primitive.name();
+        assert_eq!(
+            cand.fingerprint,
+            cand.config.semantic_hash(),
+            "debug-invariants[{name}]: carried fingerprint is not the configuration's hash"
+        );
+        if let Some(est) = &cand.estimate {
+            assert!(
+                est.bit_identical(&self.pm.evaluate_unchecked(&cand.config)),
+                "debug-invariants[{name}]: carried estimate differs from a fresh evaluation"
+            );
+        }
+    }
+}
+
+/// No-op stub (feature off).
+#[cfg(not(feature = "debug-invariants"))]
+pub struct ScoreCheck<'a>(std::marker::PhantomData<&'a ()>);
+
+#[cfg(not(feature = "debug-invariants"))]
+impl<'a> ScoreCheck<'a> {
+    /// No-op stub (feature off).
+    #[inline(always)]
+    pub fn new(_: &'a ModelGraph, _: &'a ClusterSpec, _: &'a ProfileDb) -> Self {
+        Self(std::marker::PhantomData)
+    }
+
+    /// No-op stub (feature off).
+    #[inline(always)]
+    pub fn assert_carried(&self, _: &Candidate) {}
+}
+
 #[cfg(all(test, feature = "debug-invariants"))]
 mod tests {
     use super::*;
@@ -113,6 +169,48 @@ mod tests {
         let cfg = balanced_init(&model, &cluster, 2).expect("init");
         assert_structure(&model, &cfg, "test");
         assert_valid(&model, &cluster, &cfg, "test");
+    }
+
+    /// A generated candidate that carries an estimate, with its checker.
+    fn carried_candidate(f: impl FnOnce(&ScoreCheck<'_>, Candidate)) {
+        use crate::primitives::{generate, Primitive};
+        use crate::Resource;
+        let model = gpt3_custom("t", 2, 256, 4, 128, 1000, 64);
+        let cluster = ClusterSpec::v100(1, 4);
+        let db = ProfileDb::build(&model, &cluster);
+        let pm = aceso_perf::PerfModel::new(&model, &cluster, &db);
+        let cfg = balanced_init(&model, &cluster, 2).expect("init");
+        let est = pm.evaluate_unchecked(&cfg);
+        let cand = generate(&pm, &cfg, &est, Primitive::DecOp, 0, Resource::Compute)
+            .into_iter()
+            .find(|c| c.estimate.is_some())
+            .expect("an unchanged fix-up carries its estimate");
+        f(&ScoreCheck::new(&model, &cluster, &db), cand);
+    }
+
+    #[test]
+    fn accepts_carried_candidate() {
+        carried_candidate(|check, cand| check.assert_carried(&cand));
+    }
+
+    #[test]
+    #[should_panic(expected = "carried fingerprint")]
+    fn panics_on_stale_fingerprint() {
+        carried_candidate(|check, mut cand| {
+            cand.fingerprint ^= 1;
+            check.assert_carried(&cand);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "carried estimate")]
+    fn panics_on_stale_estimate() {
+        carried_candidate(|check, mut cand| {
+            if let Some(est) = cand.estimate.as_mut() {
+                est.iteration_time = f64::from_bits(est.iteration_time.to_bits() ^ 1);
+            }
+            check.assert_carried(&cand);
+        });
     }
 
     #[test]

@@ -234,6 +234,13 @@ pub struct Candidate {
     /// (relay moves chain several op moves; the attached recompute fix-up
     /// adds one more) — the unit the paper's hop counts are measured in.
     pub primitives_applied: usize,
+    /// `config.semantic_hash()`, computed once here and reused by the
+    /// search's visited set (INV-SCORE-ONCE in docs/SEARCH.md).
+    pub fingerprint: u64,
+    /// The estimate of `config` the recompute fix-up scored, kept when
+    /// the fix-up left the configuration unchanged. `None` when the
+    /// fix-up rewrote it or is switched off: the search scores those.
+    pub estimate: Option<ConfigEstimate>,
 }
 
 /// Ranks partner stages by how much of the bottleneck's scarce resource
@@ -286,6 +293,34 @@ pub fn generate<E: Evaluator>(
 pub fn generate_with<E: Evaluator>(
     pm: &E,
     config: &ParallelConfig,
+    est: &ConfigEstimate,
+    prim: Primitive,
+    stage: usize,
+    resource: Resource,
+    gen_opts: GenOptions,
+) -> Vec<Candidate> {
+    generate_hashed(
+        pm,
+        config,
+        config.semantic_hash(),
+        est,
+        prim,
+        stage,
+        resource,
+        gen_opts,
+    )
+}
+
+/// [`generate_with`] for a caller that already holds `config`'s
+/// fingerprint: the search hashes each hop's input once, not once per
+/// primitive (INV-SCORE-ONCE).
+// The arguments are `generate_with`'s plus the fingerprint; a struct
+// would only rename them.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn generate_hashed<E: Evaluator>(
+    pm: &E,
+    config: &ParallelConfig,
+    fingerprint: u64,
     est: &ConfigEstimate,
     prim: Primitive,
     stage: usize,
@@ -415,31 +450,36 @@ pub fn generate_with<E: Evaluator>(
     // §4.3: attach a recompute fix-up to every candidate so memory shifts
     // caused by the primitive do not leave a stage needlessly OOM or
     // needlessly recomputing. The fix-up counts as one more applied
-    // primitive when it changes the configuration.
-    let fixed: Vec<(ParallelConfig, usize)> = if gen_opts.attach_rc {
+    // primitive when it changes the configuration. When it does not, the
+    // estimate it scored the candidate with travels on to the search
+    // (INV-SCORE-ONCE).
+    let fixed: Vec<(ParallelConfig, usize, Option<ConfigEstimate>)> = if gen_opts.attach_rc {
         out.into_iter()
             .map(|(c, hops)| {
-                let before = c.semantic_hash();
-                let fixed = rc_fixup(pm, c);
-                let extra = usize::from(fixed.semantic_hash() != before);
-                (fixed, hops + extra)
+                let (fixed, estimate) = rc_fixup(pm, c);
+                let extra = usize::from(estimate.is_none());
+                (fixed, hops + extra, estimate)
             })
             .collect()
     } else {
-        out
+        out.into_iter().map(|(c, hops)| (c, hops, None)).collect()
     };
 
     // Seed the dedup set with the input: a candidate identical to the
     // configuration it rewrites is a wasted hop, never a real move.
-    let mut seen = std::collections::HashSet::from([config.semantic_hash()]);
+    let mut seen = std::collections::HashSet::from([fingerprint]);
     let candidates: Vec<Candidate> = fixed
         .into_iter()
-        .filter(|(c, _)| seen.insert(c.semantic_hash()))
-        .map(|(config, primitives_applied)| Candidate {
-            config,
-            primitive: prim,
-            stage,
-            primitives_applied,
+        .filter_map(|(config, primitives_applied, estimate)| {
+            let fingerprint = config.semantic_hash();
+            seen.insert(fingerprint).then_some(Candidate {
+                config,
+                primitive: prim,
+                stage,
+                primitives_applied,
+                fingerprint,
+                estimate,
+            })
         })
         .collect();
     for cand in &candidates {
@@ -578,17 +618,27 @@ fn greedy_uncompute_in_headroom<E: Evaluator>(
 
 /// Attached recompute check (§4.3): after any primitive, re-fit recompute
 /// flags on every stage whose memory the primitive disturbed.
-pub fn rc_fixup<E: Evaluator>(pm: &E, config: ParallelConfig) -> ParallelConfig {
+///
+/// Returns the fixed configuration and, when the fix-up left `config`
+/// unchanged, the estimate it scored `config` with (`None` when it
+/// rewrote it). A rewrite always sets at least one recompute flag, so
+/// telling the two apart needs no hashing.
+pub fn rc_fixup<E: Evaluator>(
+    pm: &E,
+    config: ParallelConfig,
+) -> (ParallelConfig, Option<ConfigEstimate>) {
     let est = pm.evaluate_unchecked(&config);
     let mut cfg = config;
+    let mut rewritten = false;
     for stage in 0..cfg.stages.len() {
         if est.stages[stage].mem_total > pm.cluster().device.mem_bytes {
             if let Some(fixed) = greedy_recompute_to_fit(pm, &cfg, &est, stage) {
                 cfg = fixed;
+                rewritten = true;
             }
         }
     }
-    cfg
+    (cfg, (!rewritten).then_some(est))
 }
 
 #[cfg(test)]
@@ -711,9 +761,19 @@ mod tests {
         let cfg = balanced_init(&m, &c, 1).expect("init");
         let before = pm.evaluate_unchecked(&cfg);
         assert!(before.oom(), "baseline should be OOM");
-        let fixed = rc_fixup(&pm, cfg);
+        let (fixed, estimate) = rc_fixup(&pm, cfg);
+        assert!(estimate.is_none(), "a rewrite carries no estimate");
         let after = pm.evaluate_unchecked(&fixed);
         assert!(after.max_memory < before.max_memory);
+        // A second pass carries its estimate exactly when it changes nothing.
+        let (again, estimate) = rc_fixup(&pm, fixed.clone());
+        match estimate {
+            Some(e) => {
+                assert_eq!(again.semantic_hash(), fixed.semantic_hash());
+                assert!(e.bit_identical(&after));
+            }
+            None => assert_ne!(again.semantic_hash(), fixed.semantic_hash()),
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@ use crate::checkpoint::{
     CHECKPOINT_SCHEMA_VERSION,
 };
 use crate::finetune::fine_tune;
-use crate::primitives::{generate_with, Candidate, GenOptions, Primitive, Resource};
+use crate::invariants::ScoreCheck;
+use crate::primitives::{generate_hashed, Candidate, GenOptions, Primitive, Resource};
 use crate::trace::{AcceptedConfig, ConvergencePoint, IterationRecord, SearchTrace};
 use aceso_cluster::ClusterSpec;
 use aceso_config::{balanced_init, ConfigError, ParallelConfig};
@@ -544,6 +545,7 @@ impl<'a> AcesoSearch<'a> {
         let start = Instant::now();
         let mut ctx = Ctx {
             ev,
+            check: ScoreCheck::new(self.model, self.cluster, self.db),
             opts: &self.options,
             rec: &rec,
             stage_count: p,
@@ -814,6 +816,9 @@ impl StageOutcome {
 struct Ctx<'a> {
     /// The slice's memoizing evaluator; its memo state is checkpointed.
     ev: CachedEvaluator<'a>,
+    /// `debug-invariants` check of what generation carries (a no-op
+    /// stub otherwise).
+    check: ScoreCheck<'a>,
     opts: &'a SearchOptions,
     rec: &'a Recorder,
     stage_count: usize,
@@ -829,6 +834,8 @@ struct Ctx<'a> {
 /// One (bottleneck, resource) generation step of a multi-hop call.
 struct HopStep<'h> {
     config: &'h ParallelConfig,
+    /// `config.semantic_hash()`, taken once per multi-hop call.
+    fingerprint: u64,
     est: &'h ConfigEstimate,
     hop: usize,
     bottleneck: &'h Bottleneck,
@@ -869,6 +876,7 @@ impl Ctx<'_> {
         if hop >= self.opts.max_hops || self.expired() {
             return None;
         }
+        let fingerprint = config.semantic_hash();
         let mut resources = bottleneck.resources.clone();
         if !self.opts.use_heuristic2 {
             self.rng.shuffle(&mut resources);
@@ -884,6 +892,7 @@ impl Ctx<'_> {
             }
             let step = HopStep {
                 config,
+                fingerprint,
                 est,
                 hop,
                 bottleneck,
@@ -929,7 +938,10 @@ impl Ctx<'_> {
 
     /// One generation step: primitive by primitive in order, generating
     /// and scoring candidates lazily, stopping at the first acceptance.
-    /// Each primitive counts one `search_worker_batches` step.
+    /// Each primitive counts one `search_worker_batches` step. A
+    /// candidate is hashed and scored once: the search reuses the
+    /// fingerprint and fix-up estimate generation carries, and evaluates
+    /// only candidates the fix-up rewrote (INV-SCORE-ONCE).
     fn hop_resource_serial(
         &mut self,
         step: &HopStep<'_>,
@@ -938,22 +950,26 @@ impl Ctx<'_> {
     ) -> Option<(ParallelConfig, usize)> {
         for &prim in prims {
             self.rec.count(Counter::SearchWorkerBatches);
-            for cand in generate_with(
+            for mut cand in generate_hashed(
                 &self.ev,
                 step.config,
+                step.fingerprint,
                 step.est,
                 prim,
                 step.bottleneck.stage,
                 step.resource,
                 self.opts.gen_options,
             ) {
-                let h = cand.config.semantic_hash();
-                if !self.visited.insert(h) {
+                if !self.visited.insert(cand.fingerprint) {
                     self.rec.count(Counter::CandidatesDeduped);
                     continue;
                 }
-                let cest = self.ev.evaluate_unchecked(&cand.config);
-                if let Some(hit) = self.settle_candidate(step, cand, h, cest, pool) {
+                self.check.assert_carried(&cand);
+                let cest = cand
+                    .estimate
+                    .take()
+                    .unwrap_or_else(|| self.ev.evaluate_unchecked(&cand.config));
+                if let Some(hit) = self.settle_candidate(step, cand, cest, pool) {
                     return Some(hit);
                 }
             }
@@ -967,10 +983,10 @@ impl Ctx<'_> {
         &mut self,
         step: &HopStep<'_>,
         cand: Candidate,
-        h: u64,
         cest: ConfigEstimate,
         pool: &mut Vec<PoolEntry>,
     ) -> Option<(ParallelConfig, usize)> {
+        let h = cand.fingerprint;
         self.explored += 1;
         self.rec.count(Counter::CandidatesGenerated);
         let score = cest.score();

@@ -4,16 +4,19 @@
 //! setting — passes full validation, conserves the GPU total, reports at
 //! least one applied primitive, and differs from its input. This is the
 //! executable twin of the `aceso-audit` transform analyzer, run from
-//! random starting points instead of the fixed corpus.
+//! random starting points instead of the fixed corpus. A second walk
+//! checks what each candidate carries into the search (INV-SCORE-ONCE in
+//! docs/SEARCH.md): its fingerprint and its fix-up estimate.
 
 use aceso_cluster::ClusterSpec;
 use aceso_config::{balanced_init, validate::validate, ParallelConfig};
-use aceso_core::primitives::{generate_with, GenOptions};
+use aceso_core::primitives::{generate_with, rc_fixup, Candidate, GenOptions};
 use aceso_core::{Primitive, Resource};
 use aceso_model::{zoo, ModelGraph};
-use aceso_perf::PerfModel;
+use aceso_perf::{CachedEvaluator, Evaluator, PerfModel};
 use aceso_profile::ProfileDb;
 use aceso_util::SplitMix64;
+use std::collections::HashMap;
 
 /// All §4.3 combination-feature settings the walk alternates between.
 const GEN_OPTIONS: [GenOptions; 4] = [
@@ -113,6 +116,151 @@ fn random_walks_hold_on_heterogeneous_models() {
     {
         for p in [2, 4] {
             walk(&model, &cluster, p, 0xBEEF + i as u64, 12);
+        }
+    }
+}
+
+/// Every combination of the three `GenOptions` toggles.
+fn every_gen_option() -> impl Iterator<Item = GenOptions> {
+    (0u8..8).map(|bits| GenOptions {
+        attach_rc: bits & 1 != 0,
+        relay_moves: bits & 2 != 0,
+        enable_zero: bits & 4 != 0,
+    })
+}
+
+/// Checks the candidates of one `attach_rc` generation step: a candidate
+/// carries an estimate exactly when the fix-up left it unchanged. The
+/// reference replays the fix-up on the raw candidates (the same step
+/// with `attach_rc` off) and compares fingerprints before and after,
+/// so it does not rely on the generator's own rewrite flag.
+fn check_rewrite_flags(
+    pm: &PerfModel<'_>,
+    input: &ParallelConfig,
+    raw: Vec<Candidate>,
+    cands: &[Candidate],
+    ctx: &str,
+) {
+    // Generation dedups by fixed fingerprint, keeping the first raw
+    // candidate that produced it; the raw list keeps generation order.
+    let mut first: HashMap<u64, bool> = HashMap::new();
+    for r in raw {
+        let (fixed, _) = rc_fixup(pm, r.config);
+        first
+            .entry(fixed.semantic_hash())
+            .or_insert(fixed.semantic_hash() != r.fingerprint);
+    }
+    // The raw list drops candidates equal to the input, which the
+    // attached generator still fixes up; where the input fixes up to a
+    // new configuration, it may be that candidate's first producer.
+    let (fixed_input, _) = rc_fixup(pm, input.clone());
+    let input_produces = fixed_input.semantic_hash();
+    for cand in cands {
+        let rewritten = match first.get(&cand.fingerprint) {
+            Some(&r) if cand.fingerprint == input_produces && !r => continue, // order unknown
+            Some(&r) => r,
+            None => {
+                assert_eq!(
+                    cand.fingerprint, input_produces,
+                    "{ctx}: candidate has no raw producer"
+                );
+                true
+            }
+        };
+        assert_eq!(
+            cand.estimate.is_none(),
+            rewritten,
+            "{ctx}: carried estimate present iff the fix-up left the candidate unchanged"
+        );
+    }
+}
+
+/// One walk checking the data candidates carry, under every `GenOptions`
+/// combination: the fingerprint is the configuration's semantic hash,
+/// and a carried estimate is bit-identical to a from-scratch
+/// evaluation. Generation scores through one long-lived memoizing
+/// evaluator, the way the search does.
+fn carried_walk(model: &ModelGraph, cluster: &ClusterSpec, p: usize, seed: u64, steps: usize) {
+    let db = ProfileDb::build(model, cluster);
+    let pm = PerfModel::new(model, cluster, &db);
+    let ev = CachedEvaluator::new(PerfModel::new(model, cluster, &db));
+    let mut rng = SplitMix64::new(seed);
+    let Ok(mut config) = balanced_init(model, cluster, p) else {
+        return; // stage count infeasible for this pair
+    };
+
+    for step in 0..steps {
+        let est = ev.evaluate_unchecked(&config);
+        let stage = rng.next_below(config.num_stages());
+        let prim = *rng.choose(&Primitive::EXTENDED).expect("nonempty");
+        let resource = *rng.choose(&Resource::ALL).expect("nonempty");
+        let mut next = Vec::new();
+        for opts in every_gen_option() {
+            let ctx = format!(
+                "{} seed {seed} step {step}: {} on stage {stage} ({opts:?})",
+                model.name,
+                prim.name()
+            );
+            let cands = generate_with(&ev, &config, &est, prim, stage, resource, opts);
+            for cand in &cands {
+                assert_eq!(
+                    cand.fingerprint,
+                    cand.config.semantic_hash(),
+                    "{ctx}: carried fingerprint is not the configuration's hash"
+                );
+                if let Some(carried) = &cand.estimate {
+                    assert!(
+                        carried.bit_identical(&pm.evaluate_unchecked(&cand.config)),
+                        "{ctx}: carried estimate differs from a fresh evaluation"
+                    );
+                }
+            }
+            if opts.attach_rc {
+                let raw_opts = GenOptions {
+                    attach_rc: false,
+                    ..opts
+                };
+                let raw = generate_with(&ev, &config, &est, prim, stage, resource, raw_opts);
+                check_rewrite_flags(&pm, &config, raw, &cands, &ctx);
+            } else {
+                assert!(
+                    cands.iter().all(|c| c.estimate.is_none()),
+                    "{ctx}: no fix-up ran, so no estimate can be carried"
+                );
+            }
+            next = cands;
+        }
+        if let Some(c) = rng.choose(&next) {
+            config = c.config.clone();
+        }
+    }
+}
+
+#[test]
+fn candidates_carry_their_fingerprint_and_fixup_estimate() {
+    let cluster = ClusterSpec::v100(1, 8);
+    let model = zoo::gpt3_custom("prop-gpt", 6, 512, 8, 256, 8192, 64);
+    for seed in 0..4 {
+        for p in [1, 2, 3] {
+            carried_walk(&model, &cluster, p, 0xCA77_0000 + seed, 16);
+        }
+    }
+    let cluster = ClusterSpec::v100(1, 4);
+    for (i, model) in [zoo::t5(zoo::T5Size::S0_77b), zoo::deepnet(8)]
+        .into_iter()
+        .enumerate()
+    {
+        for p in [2, 4] {
+            carried_walk(&model, &cluster, p, 0xCA77_BEEF + i as u64, 10);
+        }
+    }
+    // Memory-tight: many raw candidates leave a stage OOM, so the fix-up
+    // rewrites them.
+    let cluster = ClusterSpec::v100(1, 2);
+    let model = zoo::gpt3_custom("prop-gpt-tight", 32, 2048, 16, 2048, 51200, 64);
+    for seed in 0..3 {
+        for p in [1, 2] {
+            carried_walk(&model, &cluster, p, 0xCA77_0DD0 + seed, 24);
         }
     }
 }

@@ -46,6 +46,34 @@ impl StageEstimate {
     pub fn steady_per_mb(&self) -> f64 {
         self.comp_per_mb() + self.comm_per_mb()
     }
+
+    /// Whether every field equals `other`'s to the last bit (floats are
+    /// compared by bit pattern, unlike the derived `PartialEq`).
+    pub fn bit_identical(&self, other: &StageEstimate) -> bool {
+        let times = |e: &StageEstimate| {
+            [
+                e.comp_fwd,
+                e.comp_bwd,
+                e.comm_fwd,
+                e.comm_bwd,
+                e.dp_sync,
+                e.stage_time,
+            ]
+            .map(f64::to_bits)
+        };
+        let sizes = |e: &StageEstimate| {
+            [
+                e.mem_params,
+                e.mem_opt,
+                e.mem_act_per_mb,
+                e.mem_reserved,
+                e.mem_total,
+            ]
+        };
+        times(self) == times(other)
+            && sizes(self) == sizes(other)
+            && self.in_flight == other.in_flight
+    }
 }
 
 /// Whole-configuration prediction.
@@ -97,6 +125,23 @@ impl ConfigEstimate {
         } else {
             self.iteration_time
         }
+    }
+
+    /// Whether this estimate equals `other` to the last bit, stage by
+    /// stage ([`StageEstimate::bit_identical`]).
+    pub fn bit_identical(&self, other: &ConfigEstimate) -> bool {
+        self.iteration_time.to_bits() == other.iteration_time.to_bits()
+            && self.num_microbatches == other.num_microbatches
+            && self.slowest_stage == other.slowest_stage
+            && self.max_memory == other.max_memory
+            && self.max_memory_stage == other.max_memory_stage
+            && self.mem_capacity == other.mem_capacity
+            && self.stages.len() == other.stages.len()
+            && self
+                .stages
+                .iter()
+                .zip(&other.stages)
+                .all(|(a, b)| a.bit_identical(b))
     }
 }
 
@@ -167,5 +212,19 @@ mod tests {
     fn throughput_basic() {
         let e = estimate(10, 20);
         assert!((e.throughput(1024) - 1024.0 / 1.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn bit_identity_sees_signed_zero_and_memory() {
+        let a = estimate(10, 20);
+        assert!(a.bit_identical(&a.clone()));
+        // `PartialEq` calls 0.0 and -0.0 equal; bit identity does not.
+        let mut b = a.clone();
+        b.stages[0].dp_sync = -0.0;
+        assert_eq!(a, b);
+        assert!(!a.bit_identical(&b));
+        let mut c = a.clone();
+        c.stages[0].mem_reserved = 1;
+        assert!(!a.bit_identical(&c));
     }
 }

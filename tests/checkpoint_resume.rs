@@ -293,14 +293,17 @@ fn foreign_and_corrupt_checkpoints_fail_without_panicking() {
     let text = ckpt.to_json_string();
 
     // Another schema version is detected before anything else: a
-    // future one, and a v2 spool that still carries the worker-count
-    // field of the removed in-stage worker pool (a daemon degrades both
-    // to a fresh search).
-    let v3 = "\"schema_version\":3,";
-    assert!(text.starts_with(&format!("{{{v3}")));
-    let future = text.replacen(v3, "\"schema_version\":4,", 1);
-    let v2 = text.replacen(v3, "\"schema_version\":2,\"search_threads\":1,", 1);
-    for (doc, version) in [(&future, 4), (&v2, 2)] {
+    // future one, a v3 spool (same shape, but its counters include the
+    // second evaluation of fix-up-unchanged candidates that the search
+    // no longer makes), and a v2 spool that still carries the
+    // worker-count field of the removed in-stage worker pool (a daemon
+    // degrades all three to a fresh search).
+    let v4 = "\"schema_version\":4,";
+    assert!(text.starts_with(&format!("{{{v4}")));
+    let future = text.replacen(v4, "\"schema_version\":5,", 1);
+    let v3 = text.replacen(v4, "\"schema_version\":3,", 1);
+    let v2 = text.replacen(v4, "\"schema_version\":2,\"search_threads\":1,", 1);
+    for (doc, version) in [(&future, 5), (&v3, 3), (&v2, 2)] {
         match SearchCheckpoint::from_json_str(doc) {
             Err(CheckpointError::UnknownSchemaVersion(v)) => assert_eq!(v, version),
             other => panic!("expected UnknownSchemaVersion({version}), got {other:?}"),

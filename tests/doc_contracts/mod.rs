@@ -60,7 +60,7 @@ fn contracts() -> Vec<Contract> {
             doc: "docs/SEARCH.md",
             sources: &["crates/core/src"],
             owns: "",
-            anchors: &["MEMO", "MERGE-ORDER", "CANONICAL-EXPORT"],
+            anchors: &["MEMO", "MERGE-ORDER", "SCORE-ONCE", "CANONICAL-EXPORT"],
             counters: &[("search_worker_batches", Class::Deterministic)],
             all_nondeterministic: Some(""),
             events: &[],
@@ -69,6 +69,8 @@ fn contracts() -> Vec<Contract> {
                 "tests/search_golden.rs",
                 "tests/checkpoint_resume.rs",
                 "tests/search_doc.rs",
+                "tests/perf_equivalence.rs",
+                "crates/core/tests/properties.rs",
                 "parallel_matches_sequential",
                 "NONDETERMINISTIC_COUNTERS",
             ],
