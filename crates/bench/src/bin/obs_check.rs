@@ -5,13 +5,17 @@
 //! * `obs_check <metrics.json> <events.jsonl>` — validate CLI output:
 //!   both files parse with `aceso-util::json`, the metric snapshot has a
 //!   non-zero `perf_evaluations`, the candidate counters are consistent
-//!   (`accepted + rejected == generated`), and every event line carries
-//!   a `kind` known to the schema registry with a contiguous `seq`.
+//!   (`accepted + rejected == generated`), every event line carries a
+//!   `kind` known to the schema registry with a contiguous `seq`, and
+//!   the events agree with the counters (the `iteration` events'
+//!   `candidates_rejected` sum to the counter of that name; one
+//!   `candidate_accepted` event per `candidates_accepted`).
 //! * `obs_check` (no args) — run a small metrics-enabled search three
-//!   times, keep the median-latency run, refresh the snapshot from it
+//!   times, keep the median-latency run, build a fresh snapshot from it
 //!   and validate it with the same rules, then gate its *work* against
 //!   the *committed* `BENCH_search.json`: `explored` and the `best_time`
-//!   bits must be equal, and `perf_evaluations` must not grow. The
+//!   bits must be equal, and `perf_evaluations` must not grow. Only a
+//!   run that passes every check overwrites `BENCH_search.json`. The
 //!   search is deterministic under its iteration budget, so the gate
 //!   reads no host noise. Mean `eval_latency_us` and `configs_per_sec`
 //!   are printed for information only; the median run keeps the
@@ -21,7 +25,7 @@
 //! Exits non-zero with a diagnostic on the first violated rule; `ci.sh`
 //! runs both modes.
 
-use aceso_bench::harness::{write_bench_search, ExpEnv};
+use aceso_bench::harness::{bench_search_doc, write_bench_search, ExpEnv};
 use aceso_core::{SearchOptions, SearchResult};
 use aceso_obs::schema::{EVENTS, SCHEMA_VERSION};
 use aceso_obs::ObsReport;
@@ -76,9 +80,13 @@ fn check_metrics(snapshot: &Value, origin: &str) {
 }
 
 /// Validates an event stream: every line parses, carries a known kind,
-/// and is numbered contiguously.
-fn check_events(text: &str, origin: &str) {
+/// and is numbered contiguously. Then cross-checks it against the
+/// snapshot's counters: the `iteration` events' `candidates_rejected`
+/// sum to the `candidates_rejected` counter, and there is one
+/// `candidate_accepted` event per `candidates_accepted`.
+fn check_events(text: &str, origin: &str, snapshot: &Value) {
     let mut lines = 0usize;
+    let (mut rejected, mut accepted) = (0u64, 0u64);
     for (i, line) in text.lines().enumerate() {
         let v = Value::parse(line)
             .unwrap_or_else(|e| fail(&format!("{origin} line {}: unparseable: {e:?}", i + 1)));
@@ -99,12 +107,41 @@ fn check_events(text: &str, origin: &str) {
                 i + 1
             ));
         }
+        match kind {
+            "iteration" => {
+                rejected += v
+                    .field("candidates_rejected")
+                    .and_then(Value::as_u64)
+                    .unwrap_or_else(|e| {
+                        fail(&format!(
+                            "{origin} line {}: candidates_rejected: {e:?}",
+                            i + 1
+                        ))
+                    });
+            }
+            "candidate_accepted" => accepted += 1,
+            _ => {}
+        }
         lines += 1;
     }
     if lines == 0 {
         fail(&format!("{origin}: empty event stream"));
     }
-    println!("obs_check: {origin}: {lines} events -- all parse, kinds known");
+    let (want_rejected, want_accepted) = (
+        counter(snapshot, "candidates_rejected"),
+        counter(snapshot, "candidates_accepted"),
+    );
+    if rejected != want_rejected || accepted != want_accepted {
+        fail(&format!(
+            "{origin}: events disagree with the counters: iteration rejections sum to \
+             {rejected} (counter {want_rejected}), {accepted} candidate_accepted events \
+             (counter {want_accepted})"
+        ));
+    }
+    println!(
+        "obs_check: {origin}: {lines} events -- all parse, kinds known, \
+         {rejected} rejections and {accepted} accepts match the counters"
+    );
 }
 
 fn read(path: &str) -> String {
@@ -316,10 +353,10 @@ fn main() {
             let metrics = Value::parse(&read(metrics_path))
                 .unwrap_or_else(|e| fail(&format!("{metrics_path}: unparseable: {e:?}")));
             check_metrics(&metrics, metrics_path);
-            check_events(&read(events_path), events_path);
+            check_events(&read(events_path), events_path, &metrics);
         }
         [] => {
-            // Capture the committed baseline before the refresh clobbers it.
+            // The committed baseline the fresh run is gated against.
             let baseline_path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
                 .join("../..")
                 .join("BENCH_search.json");
@@ -357,20 +394,23 @@ fn main() {
             }
             runs.sort_by(|a, b| a.2.total_cmp(&b.2));
             let (result, report, _) = runs.swap_remove(runs.len() / 2);
-            let path = write_bench_search(&result, &report);
-            let doc = Value::parse(&read(&path.display().to_string()))
-                .unwrap_or_else(|e| fail(&format!("BENCH_search.json: unparseable: {e:?}")));
+            // Every check runs on the fresh document before it is
+            // written: a failing run leaves the committed baseline as it
+            // was, so a second run cannot pass against the failing
+            // figures.
+            let doc = bench_search_doc(&result, &report);
             let metrics = doc
                 .field("metrics")
-                .unwrap_or_else(|e| fail(&format!("BENCH_search.json: metrics: {e:?}")));
-            check_metrics(metrics, "BENCH_search.json");
+                .unwrap_or_else(|e| fail(&format!("fresh BENCH_search.json: metrics: {e:?}")));
+            check_metrics(metrics, "fresh BENCH_search.json");
             check_serve_fleet(&doc);
             check_serve_restart(&doc);
-            check_events(&report.events_jsonl(), "search event stream");
+            check_events(&report.events_jsonl(), "search event stream", metrics);
             match baseline {
                 Some(b) => work_gate(&b, &bench_figures(&doc, "fresh BENCH_search.json")),
                 None => println!("obs_check: no committed baseline — work gate skipped"),
             }
+            write_bench_search(&doc);
         }
         _ => {
             eprintln!("usage: obs_check [<metrics.json> <events.jsonl>]");

@@ -15,7 +15,7 @@ use aceso_cluster::ClusterSpec;
 use aceso_config::ParallelConfig;
 use aceso_core::{AcesoSearch, SearchOptions, SearchResult};
 use aceso_model::ModelGraph;
-use aceso_obs::ObsReport;
+use aceso_obs::{ObsReport, SERVER_COUNTERS};
 use aceso_profile::ProfileDb;
 use aceso_runtime::{SimReport, Simulator};
 use aceso_util::json::{obj, FromJson, JsonError, ToJson, Value};
@@ -143,18 +143,18 @@ pub fn write_csv(name: &str, table: &aceso_util::table::Table) {
     println!("[saved {}]", path.display());
 }
 
-/// Writes the `BENCH_search.json` perf-trajectory snapshot at the
-/// workspace root: the search's headline numbers plus the full
-/// observability metric snapshot (`docs/OBSERVABILITY.md` schema). One
-/// file per checkout, overwritten on each run, so the trajectory is the
-/// file's git history (field reference in `docs/BENCHMARKS.md`).
-pub fn write_bench_search(result: &SearchResult, report: &ObsReport) -> PathBuf {
-    let path = bench_search_path();
-    // Sections owned by other harnesses survive the overwrite: the
+/// Builds the `BENCH_search.json` perf-trajectory snapshot: the
+/// search's headline numbers plus its observability metric snapshot
+/// (`docs/OBSERVABILITY.md` schema) without the server-level counters,
+/// which a library search never moves. One file per checkout,
+/// overwritten on each refresh, so the trajectory is the file's git
+/// history (field reference in `docs/BENCHMARKS.md`).
+pub fn bench_search_doc(result: &SearchResult, report: &ObsReport) -> Value {
+    // Sections owned by other harnesses survive the refresh: the
     // `serve_fleet` fan-in numbers come from `serve_bench fleet` and the
     // `serve_restart` store figures from `serve_bench restart`, not from
     // the search run this function snapshots.
-    let carried: Vec<(String, Value)> = std::fs::read_to_string(&path)
+    let carried: Vec<(String, Value)> = std::fs::read_to_string(bench_search_path())
         .ok()
         .and_then(|t| Value::parse(&t).ok())
         .map(|doc| {
@@ -164,6 +164,13 @@ pub fn write_bench_search(result: &SearchResult, report: &ObsReport) -> PathBuf 
                 .collect()
         })
         .unwrap_or_default();
+    let mut metrics = report.metrics_value();
+    if let Value::Object(fields) = &mut metrics {
+        if let Some((_, Value::Object(counters))) = fields.iter_mut().find(|(k, _)| k == "counters")
+        {
+            counters.retain(|(c, _)| !SERVER_COUNTERS.contains(&c.as_str()));
+        }
+    }
     let mut doc = obj([
         ("best_time", Value::Float(result.best_time)),
         ("explored", Value::UInt(result.explored as u64)),
@@ -175,11 +182,18 @@ pub fn write_bench_search(result: &SearchResult, report: &ObsReport) -> PathBuf 
             "configs_per_sec",
             Value::Float(result.explored as f64 / result.wall_time.as_secs_f64().max(1e-9)),
         ),
-        ("metrics", report.metrics_value()),
+        ("metrics", metrics),
     ]);
     if let Value::Object(fields) = &mut doc {
         fields.extend(carried);
     }
+    doc
+}
+
+/// Writes a [`bench_search_doc`] document to the workspace-root
+/// `BENCH_search.json`.
+pub fn write_bench_search(doc: &Value) -> PathBuf {
+    let path = bench_search_path();
     let mut text = doc.to_string_pretty();
     text.push('\n');
     std::fs::write(&path, text).expect("BENCH_search.json writes");

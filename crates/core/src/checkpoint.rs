@@ -47,10 +47,16 @@ use aceso_util::FnvHasher;
 /// second evaluation of every candidate the recompute fix-up left
 /// unchanged, which the search no longer makes (INV-SCORE-ONCE in
 /// docs/SEARCH.md); resuming one would give counters matching neither
-/// version's uninterrupted run. Older spools are not migrated: they fail
-/// with [`CheckpointError::UnknownSchemaVersion`] and the daemon runs a
-/// fresh search.
-pub const CHECKPOINT_SCHEMA_VERSION: u64 = 4;
+/// version's uninterrupted run. v5 keeps v4's shape, but its saved event
+/// stream is observability schema 11: no `candidate_rejected` events,
+/// and each `iteration` event carries its rejection summary (a v4 spool
+/// would splice per-candidate events into a v11 stream). The summary is
+/// taken when the `iteration` event is emitted and slices pause only
+/// between iterations, so no field holds a half-built one. Older spools
+/// are not migrated: they fail with
+/// [`CheckpointError::UnknownSchemaVersion`] and the daemon runs a fresh
+/// search.
+pub const CHECKPOINT_SCHEMA_VERSION: u64 = 5;
 
 /// Stable fingerprint of a model's profile-relevant content: the
 /// sequence of operator signatures (order-sensitively hashed — op order

@@ -555,6 +555,7 @@ impl<'a> AcesoSearch<'a> {
             deadline,
             rng: SplitMix64::new(self.options.seed ^ (p as u64)),
             tie_counter: 0,
+            rejected: RejectSummary::default(),
         };
         let mut trace;
         let mut config;
@@ -646,12 +647,15 @@ impl<'a> AcesoSearch<'a> {
             if found.is_some() {
                 rec.count(Counter::IterationsImproved);
             }
+            let rejected = std::mem::take(&mut ctx.rejected);
             rec.emit(|| Event::Iteration {
                 stage_count: p,
                 iteration: iter,
                 bottlenecks_tried: tried,
                 hops_used: found.as_ref().map_or(0, |(_, h)| *h),
                 improved: found.is_some(),
+                candidates_rejected: rejected.count,
+                lowest_rejected: rejected.lowest,
             });
             match found {
                 Some((mut next, _)) => {
@@ -829,6 +833,28 @@ struct Ctx<'a> {
     deadline: Option<Instant>,
     rng: SplitMix64,
     tie_counter: u64,
+    /// Rejections of the running iteration, folded into its `iteration`
+    /// event. Taken when that event is emitted, so it is empty between
+    /// iterations — where slices pause — and needs no checkpoint field.
+    rejected: RejectSummary,
+}
+
+/// Per-iteration summary of rejected candidates.
+#[derive(Default)]
+struct RejectSummary {
+    count: usize,
+    /// `(fingerprint, score)` of the lowest-scoring rejection; strict `<`
+    /// keeps the first seen on a tie.
+    lowest: Option<(u64, f64)>,
+}
+
+impl RejectSummary {
+    fn note(&mut self, fingerprint: u64, score: f64) {
+        self.count += 1;
+        if self.lowest.is_none_or(|(_, low)| score < low) {
+            self.lowest = Some((fingerprint, score));
+        }
+    }
 }
 
 /// One (bottleneck, resource) generation step of a multi-hop call.
@@ -1012,15 +1038,7 @@ impl Ctx<'_> {
             return Some((cand.config, hop + cand.primitives_applied));
         }
         self.rec.count(Counter::CandidatesRejected);
-        self.rec.emit(|| Event::CandidateRejected {
-            stage_count: self.stage_count,
-            fingerprint: h,
-            score,
-            bottleneck_stage: step.bottleneck.stage,
-            primitive: cand.primitive.name(),
-            primitives_applied: cand.primitives_applied,
-            hop_depth: hop + cand.primitives_applied,
-        });
+        self.rejected.note(h, score);
         self.tie_counter += 1;
         let cfg = Arc::new(cand.config);
         self.unexplored.push(HeapEntry {

@@ -71,24 +71,6 @@ pub enum Event {
         /// Multi-hop depth at acceptance (primitives applied on the path).
         hop_depth: usize,
     },
-    /// A generated candidate did not improve on the iteration's starting
-    /// configuration; it was parked in the unexplored pool.
-    CandidateRejected {
-        /// Pipeline stage count of the sub-search.
-        stage_count: usize,
-        /// Fingerprint of the rejected configuration.
-        fingerprint: u64,
-        /// Score of the rejected configuration (seconds).
-        score: f64,
-        /// Bottleneck stage the primitive targeted.
-        bottleneck_stage: usize,
-        /// Headline primitive that produced the candidate (Table 1 name).
-        primitive: &'static str,
-        /// Table-1 primitive applications the candidate bundles.
-        primitives_applied: usize,
-        /// Multi-hop depth at rejection (primitives applied on the path).
-        hop_depth: usize,
-    },
     /// One iteration of Algorithm 1 finished.
     Iteration {
         /// Pipeline stage count of the sub-search.
@@ -101,6 +83,13 @@ pub enum Event {
         hops_used: usize,
         /// Whether the iteration improved the configuration.
         improved: bool,
+        /// Generated candidates the iteration rejected (parked in the
+        /// unexplored pool); sums to the `candidates_rejected` counter.
+        candidates_rejected: usize,
+        /// `(fingerprint, score)` of the lowest-scoring rejected
+        /// candidate, the first seen on a tie; `None` when the iteration
+        /// rejected nothing.
+        lowest_rejected: Option<(u64, f64)>,
     },
     /// The §4.2 op-level fine-tuning pass ran on an accepted
     /// configuration.
@@ -233,7 +222,6 @@ impl Event {
             Event::StageStart { .. } => "stage_start",
             Event::Bottleneck { .. } => "bottleneck",
             Event::CandidateAccepted { .. } => "candidate_accepted",
-            Event::CandidateRejected { .. } => "candidate_rejected",
             Event::Iteration { .. } => "iteration",
             Event::Finetune { .. } => "finetune",
             Event::Backtrack { .. } => "backtrack",
@@ -306,15 +294,6 @@ impl Event {
                 primitive,
                 primitives_applied,
                 hop_depth,
-            }
-            | Event::CandidateRejected {
-                stage_count,
-                fingerprint,
-                score,
-                bottleneck_stage,
-                primitive,
-                primitives_applied,
-                hop_depth,
             } => {
                 put("stage_count", Value::UInt(*stage_count as u64));
                 put("fingerprint", Value::UInt(*fingerprint));
@@ -333,12 +312,26 @@ impl Event {
                 bottlenecks_tried,
                 hops_used,
                 improved,
+                candidates_rejected,
+                lowest_rejected,
             } => {
                 put("stage_count", Value::UInt(*stage_count as u64));
                 put("iteration", Value::UInt(*iteration as u64));
                 put("bottlenecks_tried", Value::UInt(*bottlenecks_tried as u64));
                 put("hops_used", Value::UInt(*hops_used as u64));
                 put("improved", Value::Bool(*improved));
+                put(
+                    "candidates_rejected",
+                    Value::UInt(*candidates_rejected as u64),
+                );
+                put(
+                    "lowest_rejected_fingerprint",
+                    lowest_rejected.map_or(Value::Null, |(fp, _)| Value::UInt(fp)),
+                );
+                put(
+                    "lowest_rejected_score",
+                    lowest_rejected.map_or(Value::Null, |(_, score)| Value::Float(score)),
+                );
             }
             Event::Finetune {
                 stage_count,
@@ -476,42 +469,29 @@ impl Event {
                 stage: v.field("stage")?.as_usize()?,
                 resource: interned("resource")?,
             }),
-            "candidate_accepted" | "candidate_rejected" => {
-                let stage_count = v.field("stage_count")?.as_usize()?;
-                let fingerprint = v.field("fingerprint")?.as_u64()?;
-                let score = v.field("score")?.as_f64()?;
-                let bottleneck_stage = v.field("bottleneck_stage")?.as_usize()?;
-                let primitive = interned("primitive")?;
-                let primitives_applied = v.field("primitives_applied")?.as_usize()?;
-                let hop_depth = v.field("hop_depth")?.as_usize()?;
-                Ok(if kind == "candidate_accepted" {
-                    Event::CandidateAccepted {
-                        stage_count,
-                        fingerprint,
-                        score,
-                        bottleneck_stage,
-                        primitive,
-                        primitives_applied,
-                        hop_depth,
-                    }
-                } else {
-                    Event::CandidateRejected {
-                        stage_count,
-                        fingerprint,
-                        score,
-                        bottleneck_stage,
-                        primitive,
-                        primitives_applied,
-                        hop_depth,
-                    }
-                })
-            }
+            "candidate_accepted" => Ok(Event::CandidateAccepted {
+                stage_count: v.field("stage_count")?.as_usize()?,
+                fingerprint: v.field("fingerprint")?.as_u64()?,
+                score: v.field("score")?.as_f64()?,
+                bottleneck_stage: v.field("bottleneck_stage")?.as_usize()?,
+                primitive: interned("primitive")?,
+                primitives_applied: v.field("primitives_applied")?.as_usize()?,
+                hop_depth: v.field("hop_depth")?.as_usize()?,
+            }),
             "iteration" => Ok(Event::Iteration {
                 stage_count: v.field("stage_count")?.as_usize()?,
                 iteration: v.field("iteration")?.as_usize()?,
                 bottlenecks_tried: v.field("bottlenecks_tried")?.as_usize()?,
                 hops_used: v.field("hops_used")?.as_usize()?,
                 improved: v.field("improved")?.as_bool()?,
+                candidates_rejected: v.field("candidates_rejected")?.as_usize()?,
+                lowest_rejected: match (
+                    v.field("lowest_rejected_fingerprint")?,
+                    v.field("lowest_rejected_score")?,
+                ) {
+                    (Value::Null, Value::Null) => None,
+                    (fp, score) => Some((fp.as_u64()?, score.as_f64()?)),
+                },
             }),
             "finetune" => Ok(Event::Finetune {
                 stage_count: v.field("stage_count")?.as_usize()?,
@@ -604,21 +584,14 @@ impl Event {
                 primitives_applied: 1,
                 hop_depth: 1,
             },
-            Event::CandidateRejected {
-                stage_count: 2,
-                fingerprint: 3,
-                score: 1.1,
-                bottleneck_stage: 0,
-                primitive: "inc-tp",
-                primitives_applied: 1,
-                hop_depth: 1,
-            },
             Event::Iteration {
                 stage_count: 2,
                 iteration: 0,
                 bottlenecks_tried: 1,
                 hops_used: 1,
                 improved: true,
+                candidates_rejected: 2,
+                lowest_rejected: Some((3, 1.1)),
             },
             Event::Finetune {
                 stage_count: 2,
@@ -707,6 +680,38 @@ mod tests {
                 .unwrap_or_else(|err| panic!("{}: {err}", e.kind()));
             assert_eq!(back, e);
         }
+    }
+
+    #[test]
+    fn iteration_rejection_summary_round_trips() {
+        let iteration = |candidates_rejected, lowest_rejected| Event::Iteration {
+            stage_count: 4,
+            iteration: 7,
+            bottlenecks_tried: 2,
+            hops_used: 0,
+            improved: false,
+            candidates_rejected,
+            lowest_rejected,
+        };
+        let none = iteration(0, None);
+        let text = none.to_json_value().to_string_compact();
+        assert!(
+            text.ends_with(
+                "\"candidates_rejected\":0,\"lowest_rejected_fingerprint\":null,\
+                 \"lowest_rejected_score\":null}"
+            ),
+            "{text}"
+        );
+        for e in [none, iteration(31, Some((u64::MAX, 0.0412)))] {
+            let parsed = Value::parse(&e.to_json_value().to_string_compact()).unwrap();
+            assert_eq!(Event::from_json_value(&parsed, &|_| None).unwrap(), e);
+        }
+        // A half-null summary is a shape error, not a silent `None`.
+        let Value::Object(mut fields) = iteration(1, Some((9, 1.5))).to_json_value() else {
+            unreachable!()
+        };
+        fields.last_mut().unwrap().1 = Value::Null;
+        assert!(Event::from_json_value(&Value::Object(fields), &|_| None).is_err());
     }
 
     #[test]

@@ -47,4 +47,6 @@ pub use event::Event;
 pub use metrics::{Counter, HistKind, Histogram, Metrics};
 pub use recorder::Recorder;
 pub use report::ObsReport;
-pub use schema::{EventSpec, FieldSpec, NONDETERMINISTIC_COUNTERS, SCHEMA_VERSION};
+pub use schema::{
+    EventSpec, FieldSpec, NONDETERMINISTIC_COUNTERS, SCHEMA_VERSION, SERVER_COUNTERS,
+};

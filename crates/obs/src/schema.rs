@@ -65,7 +65,14 @@
 /// scheduling-dependent steal counter. `search_worker_batches` keeps its
 /// name and values and is now described as what it counts on the serial
 /// search path: per-primitive generation steps.
-pub const SCHEMA_VERSION: u64 = 10;
+///
+/// v11: the `candidate_rejected` event was removed. Each `iteration`
+/// event now summarises its rejections instead: `candidates_rejected`
+/// (the count; summed over a stream it equals the counter of the same
+/// name) and the lowest-scoring rejected candidate's
+/// `lowest_rejected_fingerprint` / `lowest_rejected_score` (both null
+/// when the iteration rejected nothing). Counters are unchanged.
+pub const SCHEMA_VERSION: u64 = 11;
 
 /// One documented field of an event kind.
 #[derive(Debug, Clone, Copy)]
@@ -73,7 +80,7 @@ pub struct FieldSpec {
     /// JSON key of the field.
     pub name: &'static str,
     /// JSON type (`uint`, `int`, `float`, `string`, `bool`,
-    /// `array[uint]`).
+    /// `array[uint]`; a `|null` suffix marks a field that may be null).
     pub ty: &'static str,
     /// Unit or value domain, `-` when dimensionless.
     pub unit: &'static str,
@@ -142,19 +149,6 @@ pub const EVENTS: &[EventSpec] = &[
         ],
     },
     EventSpec {
-        kind: "candidate_rejected",
-        doc: "a candidate did not improve and was parked in the unexplored pool",
-        fields: &[
-            f("stage_count", "uint", "pipeline stages"),
-            f("fingerprint", "uint", "semantic hash"),
-            f("score", "float", "seconds"),
-            f("bottleneck_stage", "uint", "stage index"),
-            f("primitive", "string", "Table-1 name"),
-            f("primitives_applied", "uint", "primitives"),
-            f("hop_depth", "uint", "hops"),
-        ],
-    },
-    EventSpec {
         kind: "iteration",
         doc: "one iteration of Algorithm 1 finished",
         fields: &[
@@ -163,6 +157,9 @@ pub const EVENTS: &[EventSpec] = &[
             f("bottlenecks_tried", "uint", "bottlenecks"),
             f("hops_used", "uint", "hops"),
             f("improved", "bool", "-"),
+            f("candidates_rejected", "uint", "candidates"),
+            f("lowest_rejected_fingerprint", "uint|null", "semantic hash"),
+            f("lowest_rejected_score", "float|null", "seconds"),
         ],
     },
     EventSpec {
@@ -366,6 +363,30 @@ pub const NONDETERMINISTIC_COUNTERS: &[&str] = &[
     "serve_fairness_deferrals",
 ];
 
+/// Counters recorded only at server level: by the serve daemon's own
+/// recorder (its `stats` snapshots and drain report) or, for
+/// `checkpoints_written` / `search_resumed`, on the CLI's stderr. A
+/// search's own snapshot never moves them, so a library run reports
+/// them as zero; `BENCH_search.json` leaves them out.
+pub const SERVER_COUNTERS: &[&str] = &[
+    "profile_cache_hits",
+    "profile_cache_misses",
+    "serve_requests",
+    "serve_rejected",
+    "checkpoints_written",
+    "search_resumed",
+    "client_retries",
+    "serve_connections_open",
+    "serve_pipelined_requests",
+    "serve_fairness_deferrals",
+    "store_hits",
+    "store_misses",
+    "store_writes",
+    "store_evictions",
+    "store_rejected",
+    "retention_sweep_errors",
+];
+
 /// Keyed counter *families* whose contents legitimately vary between
 /// runs: fault placement in `chaos_faults_injected` follows the seeded
 /// chaos schedule, not the workload, so bit-identity comparisons mask
@@ -416,7 +437,12 @@ mod tests {
             let specced: Vec<&str> = spec.fields.iter().map(|f| f.name).collect();
             assert_eq!(emitted, specced, "field order for {}", spec.kind);
             for (field, fspec) in fields.iter().skip(1).zip(spec.fields) {
-                let ok = match fspec.ty {
+                let ty = match fspec.ty.strip_suffix("|null") {
+                    Some(_) if field.1 == Value::Null => continue,
+                    Some(ty) => ty,
+                    None => fspec.ty,
+                };
+                let ok = match ty {
                     "uint" => matches!(field.1, Value::UInt(_)),
                     "int" => matches!(field.1, Value::Int(_) | Value::UInt(_)),
                     "float" => matches!(field.1, Value::Float(_)),
@@ -444,10 +470,10 @@ mod tests {
 
     #[test]
     fn nondeterministic_counters_are_registered_counters() {
-        for name in NONDETERMINISTIC_COUNTERS {
+        for name in NONDETERMINISTIC_COUNTERS.iter().chain(SERVER_COUNTERS) {
             assert!(
                 COUNTERS.iter().any(|(n, _)| n == name),
-                "`{name}` is listed as non-deterministic but is not a registered counter"
+                "`{name}` is listed as non-deterministic or server-level but is not a registered counter"
             );
         }
     }

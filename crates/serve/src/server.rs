@@ -143,7 +143,7 @@ pub(crate) struct Shared {
     pub(crate) cache: ProfileCache,
     pub(crate) addr: SocketAddr,
     pub(crate) draining: AtomicBool,
-    pub(crate) in_flight: Mutex<usize>,
+    pub(crate) in_flight: Mutex<Slots>,
     pub(crate) idle: Condvar,
     pub(crate) requests: AtomicU64,
     pub(crate) rejected: AtomicU64,
@@ -286,14 +286,40 @@ impl Shared {
     }
 }
 
-/// Releases one worker slot on drop, whatever path the request took.
-struct SlotGuard<'a>(&'a Shared);
+/// Request accounting of the blocking front-end.
+#[derive(Default)]
+pub(crate) struct Slots {
+    /// Admitted requests still searching; admission caps them at
+    /// [`ServeOptions::workers`].
+    searching: usize,
+    /// Admitted requests not yet done responding; the drain waits for
+    /// zero.
+    open: usize,
+}
+
+/// One admitted request's slot. Its search share is released when the
+/// result frame is about to be written, so a client that submits again
+/// as soon as it has its result never finds its own finished request
+/// holding the worker; the rest is released on drop, whatever path the
+/// request took.
+struct SlotGuard<'a> {
+    shared: &'a Shared,
+    searching: bool,
+}
+
+impl SlotGuard<'_> {
+    fn finish_search(&mut self) {
+        if std::mem::take(&mut self.searching) {
+            self.shared.in_flight.lock().expect("slot lock").searching -= 1;
+        }
+    }
+}
 
 impl Drop for SlotGuard<'_> {
     fn drop(&mut self) {
-        let mut n = self.0.in_flight.lock().expect("slot lock");
-        *n -= 1;
-        self.0.idle.notify_all();
+        self.finish_search();
+        self.shared.in_flight.lock().expect("slot lock").open -= 1;
+        self.shared.idle.notify_all();
     }
 }
 
@@ -327,7 +353,7 @@ impl Server {
             opts,
             addr,
             draining: AtomicBool::new(false),
-            in_flight: Mutex::new(0),
+            in_flight: Mutex::new(Slots::default()),
             idle: Condvar::new(),
             requests: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
@@ -374,9 +400,10 @@ impl Server {
         // blocking on the drain: a stranded cache waiter would hold its
         // worker slot and the drain below would never finish.
         self.shared.cache.shutdown();
-        // Graceful drain: wait for every in-flight search to finish.
+        // Graceful drain: wait for every admitted request to finish
+        // responding.
         let mut n = self.shared.in_flight.lock().expect("slot lock");
-        while *n > 0 {
+        while n.open > 0 {
             n = self.shared.idle.wait(n).expect("slot lock");
         }
         drop(n);
@@ -548,10 +575,13 @@ pub(crate) trait FrameSink {
 /// then goes out in a write of its own, so status frames still reach
 /// the client while the search runs. Carries the daemon's filesystem
 /// handle so the final-frame spool removal goes through the same
-/// injectable [`Fs`] as every other spool side-effect.
+/// injectable [`Fs`] as every other spool side-effect, and the
+/// request's slot, whose search share it releases before the result
+/// frame goes out.
 struct StreamSink<'a> {
     out: FrameBatcher<&'a mut TcpStream>,
     fs: &'a dyn Fs,
+    slot: SlotGuard<'a>,
 }
 
 impl FrameSink for StreamSink<'_> {
@@ -564,6 +594,7 @@ impl FrameSink for StreamSink<'_> {
     }
 
     fn send_final(&mut self, frame: &Value, spool: Option<&Path>) -> Result<(), WireError> {
+        self.slot.finish_search();
         self.out.send(frame)?;
         // The write reached the kernel; the saved work is now redundant.
         if let Some(path) = spool {
@@ -662,9 +693,9 @@ fn handle_request(shared: &Shared, stream: &mut TcpStream, frame: &Value) {
         return;
     };
     // Backpressure: try-acquire a worker slot, never queue.
-    let _slot = {
+    let slot = {
         let mut n = shared.in_flight.lock().expect("slot lock");
-        if *n >= shared.opts.workers {
+        if n.searching >= shared.opts.workers {
             drop(n);
             shared.reject(
                 stream,
@@ -673,8 +704,12 @@ fn handle_request(shared: &Shared, stream: &mut TcpStream, frame: &Value) {
             );
             return;
         }
-        *n += 1;
-        SlotGuard(shared)
+        n.searching += 1;
+        n.open += 1;
+        SlotGuard {
+            shared,
+            searching: true,
+        }
     };
     execute_request(
         shared,
@@ -683,6 +718,7 @@ fn handle_request(shared: &Shared, stream: &mut TcpStream, frame: &Value) {
         &mut StreamSink {
             out: FrameBatcher::new(stream),
             fs: shared.opts.fs.as_ref(),
+            slot,
         },
     );
 }

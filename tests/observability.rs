@@ -3,7 +3,9 @@
 //! counter consistency invariant, and equivalence of observed vs
 //! unobserved searches.
 
-use aceso::obs::{Counter, Recorder, NONDETERMINISTIC_COUNTERS, SCHEMA_VERSION};
+use aceso::obs::{
+    Counter, Event, Recorder, NONDETERMINISTIC_COUNTERS, SCHEMA_VERSION, SERVER_COUNTERS,
+};
 use aceso::prelude::*;
 use aceso::search::SearchOptions;
 use aceso::serve::{Request, ServeOptions, Server};
@@ -72,6 +74,87 @@ fn candidate_counters_are_consistent() {
         obs.counter(Counter::CandidatesGenerated),
         "accepted + rejected must equal generated"
     );
+}
+
+/// A library search moves no server-level counter, which is why
+/// `BENCH_search.json` can leave them out of its snapshot.
+#[test]
+fn library_search_leaves_server_counters_at_zero() {
+    let model = small_gpt();
+    let cluster = ClusterSpec::v100(1, 4);
+    let db = ProfileDb::build(&model, &cluster);
+    let (_, obs) = AcesoSearch::new(&model, &cluster, &db, quick_opts())
+        .run_observed(true)
+        .expect("search succeeds");
+    for c in Counter::ALL {
+        if SERVER_COUNTERS.contains(&c.name()) {
+            assert_eq!(obs.counter(c), 0, "{}", c.name());
+        }
+    }
+}
+
+/// The event stream is sized by iterations, not candidates: each
+/// `iteration` event summarises that iteration's rejections, and the
+/// per-kind counts match the counters they mirror. Per iteration the
+/// search emits at most `max_bottlenecks` `bottleneck` events, then one
+/// `iteration` event, then either an accept (`candidate_accepted`, and
+/// `finetune` when tuning is on) or a `backtrack`. Each stage count adds
+/// `stage_start` and `stage_end`; the search adds `search_start` and
+/// `search_end`.
+#[test]
+fn iteration_events_summarise_every_rejection() {
+    let opts = SearchOptions {
+        max_iterations: 6,
+        ..SearchOptions::default()
+    };
+    for key in ["gpt3-0.35b", "t5-0.77b", "wresnet-0.5b", "deepnet-8l"] {
+        let model = aceso::model::zoo::by_name(key).expect("zoo key");
+        let cluster = ClusterSpec::v100(1, 4);
+        let db = ProfileDb::build(&model, &cluster);
+        let (_, obs) = AcesoSearch::new(&model, &cluster, &db, opts.clone())
+            .run_observed(true)
+            .expect("search succeeds");
+        let count = |kind: &str| obs.events().iter().filter(|e| e.kind() == kind).count() as u64;
+        let (mut rejected, mut lowest_seen) = (0u64, 0u64);
+        for e in obs.events() {
+            if let Event::Iteration {
+                candidates_rejected,
+                lowest_rejected,
+                ..
+            } = e
+            {
+                rejected += *candidates_rejected as u64;
+                assert_eq!(
+                    lowest_rejected.is_some(),
+                    *candidates_rejected > 0,
+                    "{key}: a lowest rejection exactly when something was rejected"
+                );
+                lowest_seen += u64::from(lowest_rejected.is_some());
+            }
+        }
+        let iterations = obs.counter(Counter::IterationsTotal);
+        let stages = obs.counter(Counter::StageSearches);
+        assert!(lowest_seen > 0, "{key}: no iteration rejected anything");
+        assert_eq!(rejected, obs.counter(Counter::CandidatesRejected), "{key}");
+        assert_eq!(
+            count("candidate_accepted"),
+            obs.counter(Counter::CandidatesAccepted),
+            "{key}"
+        );
+        assert_eq!(count("iteration"), iterations, "{key}");
+        assert_eq!(
+            count("backtrack"),
+            obs.counter(Counter::Backtracks),
+            "{key}"
+        );
+        let bound = (opts.max_bottlenecks as u64 + 3) * iterations + 2 * stages + 2;
+        let events = obs.events().len() as u64;
+        assert!(
+            events <= bound,
+            "{key}: {events} events for {iterations} iterations over {stages} stage counts \
+             (bound {bound})"
+        );
+    }
 }
 
 /// Observability must not change what the search finds: the plain and

@@ -63,6 +63,21 @@ fn golden_opts() -> SearchOptions {
     }
 }
 
+/// Server-level counters the golden leaves out: the store family and
+/// `retention_sweep_errors` (schema v8 and v9). A library search never
+/// moves them, and they postdate the golden file, whose counter set —
+/// and so its bytes — a re-bless must reproduce. The older server-level
+/// counters (the serve quartet and the crash-recovery trio) stay in it
+/// as pinned zeros.
+const UNGOLDENED_COUNTERS: &[&str] = &[
+    "store_hits",
+    "store_misses",
+    "store_writes",
+    "store_evictions",
+    "store_rejected",
+    "retention_sweep_errors",
+];
+
 struct Observed {
     label: String,
     fingerprint: u64,
@@ -85,7 +100,10 @@ fn observe(label: &str, model: &ModelGraph, cluster: &ClusterSpec) -> Observed {
         // covers only values that are reproducible bit-for-bit.
         counters: Counter::ALL
             .iter()
-            .filter(|c| !NONDETERMINISTIC_COUNTERS.contains(&c.name()))
+            .filter(|c| {
+                !NONDETERMINISTIC_COUNTERS.contains(&c.name())
+                    && !UNGOLDENED_COUNTERS.contains(&c.name())
+            })
             .map(|&c| (c.name(), report.counter(c)))
             .collect(),
     }
@@ -207,13 +225,13 @@ fn golden_search_traces_match() {
 /// change worth reviewing.
 #[test]
 fn golden_counters_match() {
-    let text = match std::fs::read_to_string(GOLDEN_PATH) {
-        Ok(t) => t,
-        // The bless run of `golden_search_traces_match` creates the file;
-        // don't double-fail while it doesn't exist yet.
-        Err(_) if std::env::var("ACESO_BLESS").is_ok() => return,
-        Err(e) => panic!("cannot read {GOLDEN_PATH}: {e}"),
-    };
+    // In bless mode `golden_search_traces_match` rewrites the file, maybe
+    // on a parallel thread: comparing here would read the old golden.
+    if std::env::var("ACESO_BLESS").is_ok() {
+        return;
+    }
+    let text = std::fs::read_to_string(GOLDEN_PATH)
+        .unwrap_or_else(|e| panic!("cannot read {GOLDEN_PATH}: {e}"));
     let doc = Value::parse(&text).expect("golden file parses");
     let golden = doc.field("entries").unwrap().as_array().unwrap();
     let mut failures = Vec::new();

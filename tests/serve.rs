@@ -326,6 +326,31 @@ fn zero_workers_reject_with_busy() {
     assert_eq!(report.counter(Counter::ServeRejected), 1);
 }
 
+/// A client that submits again as soon as it has its result is never
+/// bounced by its own finished request: the worker slot is released
+/// before the result frame is written, not after, so even one worker
+/// serves back-to-back submissions.
+#[test]
+fn back_to_back_submits_fit_one_worker() {
+    let (addr, handle) = start(ServeOptions {
+        workers: 1,
+        ..ServeOptions::default()
+    });
+    let req = Request {
+        model: "deepnet-8l".into(),
+        gpus: 2,
+        max_iterations: 1,
+        ..Request::default()
+    };
+    for i in 0..500 {
+        serve::submit(&addr, &req).unwrap_or_else(|e| panic!("submit {i}: {e:?}"));
+    }
+    serve::shutdown(&addr).expect("shutdown");
+    let report = handle.join().unwrap();
+    assert_eq!(report.counter(Counter::ServeRequests), 500);
+    assert_eq!(report.counter(Counter::ServeRejected), 0);
+}
+
 /// Server-side resource caps bound what one request may ask for: an
 /// absurd deepnet depth is rejected before the operator graph is even
 /// built, and oversized gpus / iteration budgets bounce the same way,
