@@ -64,7 +64,7 @@ fn variants(
     out.push(bigger_mb);
 
     let mut recomputed = base.clone();
-    for s in &mut recomputed.stages {
+    for mut s in recomputed.stages_mut() {
         for o in &mut s.ops {
             o.recompute = true;
         }
@@ -73,7 +73,7 @@ fn variants(
 
     let mut zeroed = base.clone();
     let mut any = false;
-    for s in &mut zeroed.stages {
+    for mut s in zeroed.stages_mut() {
         for o in &mut s.ops {
             if o.dp > 1 {
                 o.zero = true;

@@ -199,7 +199,7 @@ pub fn audit_plan_safety(
 
         // --- PLAN-DEV: device assignment partitions the cluster -------
         let mut next_device = 0usize;
-        for (i, s) in config.stages.iter().enumerate() {
+        for (i, s) in config.stages().iter().enumerate() {
             let range = config.device_range(i);
             report.tick(2);
             if range.start != next_device || range.len != s.gpus || s.gpus == 0 {
@@ -267,8 +267,8 @@ pub fn audit_plan_safety(
             ));
         }
         for i in 0..p.saturating_sub(1) {
-            let produce = config.stages[i].ops.last();
-            let consume = config.stages[i + 1].ops.first();
+            let produce = config.stages()[i].ops.last();
+            let consume = config.stages()[i + 1].ops.first();
             let (Some(produce), Some(consume)) = (produce, consume) else {
                 report.push(mk("PLAN-RESHARD", loc(i), "empty stage at boundary".into()));
                 continue;

@@ -91,7 +91,8 @@ pub fn audit_signatures(sample: &CorpusSample, eps: f64, report: &mut AuditRepor
                         prim,
                         Primitive::IncDp | Primitive::IncTp | Primitive::DecDp | Primitive::DecTp
                     );
-                    let gpus_changed = cand.config.stages[stage].gpus != config.stages[stage].gpus;
+                    let gpus_changed =
+                        cand.config.stages()[stage].gpus != config.stages()[stage].gpus;
                     if concurrency_prim && !gpus_changed {
                         // In-place conversion: composite of two primitives,
                         // single-primitive arrows do not apply.

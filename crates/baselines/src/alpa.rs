@@ -429,10 +429,7 @@ impl<'a> AlpaSearch<'a> {
                 ops,
             });
         }
-        Some(ParallelConfig {
-            stages: out,
-            microbatch: mbs,
-        })
+        Some(ParallelConfig::new(out, mbs))
     }
 }
 
@@ -489,7 +486,7 @@ mod tests {
         let r = AlpaSearch::new(&m, &c, &db, opts())
             .run()
             .expect("alpa runs");
-        for s in &r.config.stages {
+        for s in r.config.stages() {
             let rc = s.num_recomputed();
             assert!(rc == 0 || rc == s.num_ops());
         }

@@ -292,10 +292,7 @@ impl<'a> DpSearch<'a> {
             i = j;
             r -= plan.mesh;
         }
-        Some(ParallelConfig {
-            stages,
-            microbatch: mbs,
-        })
+        Some(ParallelConfig::new(stages, mbs))
     }
 }
 
@@ -381,6 +378,6 @@ mod tests {
         )
         .run()
         .expect("dp runs");
-        assert!(r.config.stages.iter().all(|s| s.num_ops() <= 8));
+        assert!(r.config.stages().iter().all(|s| s.num_ops() <= 8));
     }
 }

@@ -105,7 +105,7 @@ impl<'a> MegatronSearch<'a> {
                 }
             })
             .collect();
-        Some(ParallelConfig { stages, microbatch })
+        Some(ParallelConfig::new(stages, microbatch))
     }
 
     /// Runs the grid search; `None` when no grid point is valid.
@@ -214,10 +214,10 @@ mod tests {
             .run()
             .expect("grid non-empty");
         // All stages share one device count; recompute is all-or-nothing.
-        let g0 = r.config.stages[0].gpus;
-        assert!(r.config.stages.iter().all(|s| s.gpus == g0));
-        let rc: usize = r.config.stages.iter().map(|s| s.num_recomputed()).sum();
-        let n: usize = r.config.stages.iter().map(|s| s.num_ops()).sum();
+        let g0 = r.config.stages()[0].gpus;
+        assert!(r.config.stages().iter().all(|s| s.gpus == g0));
+        let rc: usize = r.config.stages().iter().map(|s| s.num_recomputed()).sum();
+        let n: usize = r.config.stages().iter().map(|s| s.num_ops()).sum();
         assert!(rc == 0 || rc == n, "recompute must be global, got {rc}/{n}");
     }
 
@@ -292,7 +292,7 @@ mod tests {
         )
         .run()
         .expect("runs");
-        for s in &r.config.stages {
+        for s in r.config.stages() {
             assert!(s.ops.iter().all(|o| o.tp <= 2));
         }
     }

@@ -63,8 +63,11 @@ const STRUCTURAL_TOKENS: &[&str] = &[
     "clients",
     "submitted",
     "errors",
+    "draws",
     "p50_us",
+    "p50_us_range",
     "p99_us",
+    "p99_us_range",
     "serve_restart",
     "cold_us",
     "warm_us",

@@ -242,8 +242,10 @@ const GATE_RUNS: usize = 3;
 
 /// Gates the `serve_fleet` fan-in section (written by `serve_bench
 /// fleet` and carried across snapshot refreshes): the committed numbers
-/// must come from a fleet of at least 512 mixed clients in which every
-/// well-formed request completed, with sane percentiles.
+/// must come from fleets of at least 512 mixed clients in which every
+/// well-formed request completed, with sane percentiles. The
+/// percentiles are medians over several draws, and each must lie in
+/// its committed `[min, max]` range.
 fn check_serve_fleet(doc: &Value) {
     let fleet = doc.field("serve_fleet").unwrap_or_else(|e| {
         fail(&format!(
@@ -259,6 +261,19 @@ fn check_serve_fleet(doc: &Value) {
     };
     let (clients, submitted, errors) = (get("clients"), get("submitted"), get("errors"));
     let (p50, p99) = (get("p50_us"), get("p99_us"));
+    for (name, median) in [("p50_us", p50), ("p99_us", p99)] {
+        let range = fleet
+            .field(&format!("{name}_range"))
+            .and_then(Value::as_array)
+            .unwrap_or_else(|e| fail(&format!("serve_fleet.{name}_range: {e:?}")));
+        let bound = |i: usize| range.get(i).and_then(|v| v.as_u64().ok());
+        match (range.len(), bound(0), bound(1)) {
+            (2, Some(lo), Some(hi)) if lo <= median && median <= hi => {}
+            _ => fail(&format!(
+                "serve_fleet: {name} {median} must lie in its range {range:?} ([min, max])"
+            )),
+        }
+    }
     if clients < 512 {
         fail(&format!(
             "serve_fleet: {clients} clients, the committed fleet must hold >= 512"
@@ -276,7 +291,7 @@ fn check_serve_fleet(doc: &Value) {
     }
     println!(
         "obs_check: serve_fleet: {clients} clients, {submitted} requests, \
-         0 errors, p50 {p50} µs / p99 {p99} µs -- gated"
+         0 errors, median p50 {p50} µs / p99 {p99} µs, each within its range -- gated"
     );
 }
 

@@ -54,7 +54,7 @@ fn main() {
         a_run.peak_memory as f64 / 1e9,
         pm.evaluate_unchecked(&aceso.best_config).max_memory as f64 / 1e9,
     );
-    for (i, s) in aceso.best_config.stages.iter().enumerate() {
+    for (i, s) in aceso.best_config.stages().iter().enumerate() {
         let ops0 = s.ops.first().expect("nonempty");
         println!(
             "  stage {i}: ops {}..{} gpus {} tp {} dp {} rc {}/{}",

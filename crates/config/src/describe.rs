@@ -20,10 +20,10 @@ use std::fmt::Write as _;
 /// ```
 /// use aceso_config::{describe, OpParallel, ParallelConfig, StageConfig};
 ///
-/// let cfg = ParallelConfig {
-///     stages: vec![StageConfig::uniform(0, 4, OpParallel::data_parallel(2))],
-///     microbatch: 4,
-/// };
+/// let cfg = ParallelConfig::new(
+///     vec![StageConfig::uniform(0, 4, OpParallel::data_parallel(2))],
+///     4,
+/// );
 /// let text = describe(&cfg, None);
 /// assert!(text.contains("1 stage(s), microbatch 4, 2 GPUs"));
 /// ```
@@ -36,7 +36,7 @@ pub fn describe(config: &ParallelConfig, model: Option<&ModelGraph>) -> String {
         config.microbatch,
         config.total_gpus()
     );
-    for (i, s) in config.stages.iter().enumerate() {
+    for (i, s) in config.stages().iter().enumerate() {
         let mut mixes: BTreeMap<(u32, u32), usize> = BTreeMap::new();
         for o in &s.ops {
             *mixes.entry((o.tp, o.dp)).or_insert(0) += 1;
@@ -81,13 +81,13 @@ pub struct ConfigShape {
 
 /// Computes the §5.4 case-study shape flags of a configuration.
 pub fn shape(config: &ParallelConfig) -> ConfigShape {
-    let sizes: Vec<usize> = config.stages.iter().map(|s| s.num_ops()).collect();
+    let sizes: Vec<usize> = config.stages().iter().map(|s| s.num_ops()).collect();
     let uneven_stages = sizes.windows(2).any(|w| w[0] != w[1]);
-    let partial_recompute = config.stages.iter().any(|s| {
+    let partial_recompute = config.stages().iter().any(|s| {
         let rc = s.num_recomputed();
         rc > 0 && rc < s.num_ops()
     });
-    let mixed_parallelism = config.stages.iter().any(|s| {
+    let mixed_parallelism = config.stages().iter().any(|s| {
         s.ops
             .windows(2)
             .any(|w| (w[0].tp, w[0].dp) != (w[1].tp, w[1].dp))
@@ -105,13 +105,13 @@ mod tests {
     use crate::parallel::{OpParallel, StageConfig};
 
     fn cfg() -> ParallelConfig {
-        ParallelConfig {
-            stages: vec![
+        ParallelConfig::new(
+            vec![
                 StageConfig::uniform(0, 3, OpParallel::data_parallel(2)),
                 StageConfig::uniform(3, 8, OpParallel::data_parallel(2)),
             ],
-            microbatch: 4,
-        }
+            4,
+        )
     }
 
     #[test]
@@ -130,9 +130,12 @@ mod tests {
         assert!(!base.mixed_parallelism);
 
         let mut c = cfg();
-        c.stages[0].ops[1].recompute = true;
-        c.stages[1].ops[0].tp = 2;
-        c.stages[1].ops[0].dp = 1;
+        c.stage_mut(0).ops[1].recompute = true;
+        {
+            let mut s = c.stage_mut(1);
+            s.ops[0].tp = 2;
+            s.ops[0].dp = 1;
+        }
         let s = shape(&c);
         assert!(s.partial_recompute);
         assert!(s.mixed_parallelism);
@@ -140,13 +143,13 @@ mod tests {
 
     #[test]
     fn even_config_not_flagged() {
-        let c = ParallelConfig {
-            stages: vec![
+        let c = ParallelConfig::new(
+            vec![
                 StageConfig::uniform(0, 4, OpParallel::data_parallel(2)),
                 StageConfig::uniform(4, 8, OpParallel::data_parallel(2)),
             ],
-            microbatch: 4,
-        };
+            4,
+        );
         assert!(!shape(&c).uneven_stages);
     }
 }

@@ -110,7 +110,7 @@ pub fn balanced_init(
     let ranges = split_ops_weighted(model, &weights);
     let stages = stages_from(&ranges, &gpus);
     let microbatch = min_microbatch(&stages, model.global_batch);
-    let cfg = ParallelConfig { stages, microbatch };
+    let cfg = ParallelConfig::new(stages, microbatch);
     validate(&cfg, model, cluster)?;
     Ok(cfg)
 }
@@ -132,7 +132,7 @@ pub fn imbalance_op_init(
     let ranges = split_ops_weighted(model, &weights);
     let stages = stages_from(&ranges, &gpus);
     let microbatch = min_microbatch(&stages, model.global_batch);
-    let cfg = ParallelConfig { stages, microbatch };
+    let cfg = ParallelConfig::new(stages, microbatch);
     validate(&cfg, model, cluster)?;
     Ok(cfg)
 }
@@ -167,7 +167,7 @@ pub fn imbalance_gpu_init(
     let ranges = split_ops_weighted(model, &weights);
     let stages = stages_from(&ranges, &gpus);
     let microbatch = min_microbatch(&stages, model.global_batch);
-    let cfg = ParallelConfig { stages, microbatch };
+    let cfg = ParallelConfig::new(stages, microbatch);
     validate(&cfg, model, cluster)?;
     Ok(cfg)
 }
@@ -244,9 +244,9 @@ mod tests {
         assert_ne!(bal.semantic_hash(), iop.semantic_hash());
         assert_ne!(bal.semantic_hash(), igpu.semantic_hash());
         // imbalance-op loads stage 0 with more ops than balanced does.
-        assert!(iop.stages[0].num_ops() > bal.stages[0].num_ops());
+        assert!(iop.stages()[0].num_ops() > bal.stages()[0].num_ops());
         // imbalance-gpu gives stage 0 at least as many GPUs as any other.
-        assert!(igpu.stages[0].gpus >= igpu.stages[1].gpus);
+        assert!(igpu.stages()[0].gpus >= igpu.stages()[1].gpus);
     }
 
     #[test]

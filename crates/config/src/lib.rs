@@ -15,5 +15,5 @@ pub mod validate;
 
 pub use describe::{describe, shape, ConfigShape};
 pub use init::{balanced_init, imbalance_gpu_init, imbalance_op_init};
-pub use parallel::{OpParallel, ParallelConfig, StageConfig};
+pub use parallel::{OpParallel, ParallelConfig, Stage, StageConfig, StageMut};
 pub use validate::ConfigError;

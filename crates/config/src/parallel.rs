@@ -1,8 +1,16 @@
 //! The configuration data structures and their semantic hash.
+//!
+//! A [`ParallelConfig`] holds its stages as shared, hashed [`Stage`]s.
+//! Each stage's content hash is computed once, when the stage is built
+//! or edited, and a configuration's fingerprint folds those hashes
+//! (INV-STAGE-HASH in docs/SEARCH.md).
 
 use aceso_cluster::DeviceRange;
 use aceso_util::json::{obj, FromJson, JsonError, ToJson, Value};
 use aceso_util::FnvHasher;
+use std::fmt;
+use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
 
 /// Per-operator parallelism settings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -42,7 +50,11 @@ impl OpParallel {
 }
 
 /// One pipeline stage: a contiguous operator range on a device group.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A plain value: build or edit one freely, then seal it into a
+/// [`ParallelConfig`], which holds each stage as a shared, hashed
+/// [`Stage`].
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageConfig {
     /// First operator index (inclusive).
     pub op_start: usize,
@@ -84,19 +96,164 @@ impl StageConfig {
             None
         }
     }
+
+    /// The stage's content hash, computed from scratch: FNV over the op
+    /// range, the device count and the per-op settings. The settings
+    /// are run-length encoded, so the cost follows the number of
+    /// *distinct* settings runs. [`Stage::content_hash`] caches it.
+    pub fn compute_content_hash(&self) -> u64 {
+        let mut h = FnvHasher::new();
+        h.write_usize(self.op_start);
+        h.write_usize(self.op_end);
+        h.write_usize(self.gpus);
+        let mut i = 0;
+        while i < self.ops.len() {
+            let o = self.ops[i];
+            let mut run = 1;
+            while i + run < self.ops.len() && self.ops[i + run] == o {
+                run += 1;
+            }
+            h.write_usize(run);
+            h.write_u64(u64::from(o.tp));
+            h.write_u64(u64::from(o.dp));
+            h.write_u64(u64::from(o.dim_index));
+            h.write_bool(o.recompute);
+            h.write_bool(o.zero);
+            i += run;
+        }
+        h.finish()
+    }
+}
+
+/// A [`StageConfig`] sealed with its content hash (INV-STAGE-HASH in
+/// docs/SEARCH.md).
+///
+/// The fields are private and there is no `DerefMut`: a stage inside a
+/// [`ParallelConfig`] changes only through [`ParallelConfig::stage_mut`],
+/// whose guard rehashes when it drops. So the cached hash always equals
+/// [`StageConfig::compute_content_hash`] of the settings beside it.
+#[derive(Clone)]
+pub struct Stage {
+    config: StageConfig,
+    hash: u64,
+}
+
+impl Stage {
+    /// Seals `config`, hashing it once.
+    pub fn new(config: StageConfig) -> Self {
+        let hash = config.compute_content_hash();
+        Self { config, hash }
+    }
+
+    /// The cached content hash.
+    pub fn content_hash(&self) -> u64 {
+        self.hash
+    }
+}
+
+impl Deref for Stage {
+    type Target = StageConfig;
+
+    fn deref(&self) -> &StageConfig {
+        &self.config
+    }
+}
+
+impl PartialEq for Stage {
+    fn eq(&self, other: &Self) -> bool {
+        std::ptr::eq(self, other) || (self.hash == other.hash && self.config == other.config)
+    }
+}
+
+impl Eq for Stage {}
+
+// The hash is derived state: a stage prints as its settings.
+impl fmt::Debug for Stage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.config.fmt(f)
+    }
+}
+
+/// Write access to one stage of a [`ParallelConfig`], from
+/// [`ParallelConfig::stage_mut`]. The stage is rehashed when the guard
+/// drops.
+pub struct StageMut<'a> {
+    stage: &'a mut Stage,
+}
+
+impl Deref for StageMut<'_> {
+    type Target = StageConfig;
+
+    fn deref(&self) -> &StageConfig {
+        &self.stage.config
+    }
+}
+
+impl DerefMut for StageMut<'_> {
+    fn deref_mut(&mut self) -> &mut StageConfig {
+        &mut self.stage.config
+    }
+}
+
+impl Drop for StageMut<'_> {
+    fn drop(&mut self) {
+        self.stage.hash = self.stage.config.compute_content_hash();
+    }
 }
 
 /// A complete parallel configuration (paper Fig. 2).
+///
+/// Stages are shared [`Stage`]s: cloning a configuration copies one
+/// pointer per stage, and a rewrite copies only the stages it touches
+/// (copy-on-write through [`ParallelConfig::stage_mut`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParallelConfig {
     /// Pipeline stages in model order; their op ranges partition the model.
-    pub stages: Vec<StageConfig>,
+    stages: Vec<Arc<Stage>>,
     /// Global (aggregated) microbatch size; a stage replica with
     /// data-parallel degree `d` processes `microbatch / d` samples.
     pub microbatch: usize,
 }
 
 impl ParallelConfig {
+    /// A configuration of `stages` (in model order) with the global
+    /// `microbatch`. Hashes each stage once.
+    pub fn new(stages: Vec<StageConfig>, microbatch: usize) -> Self {
+        Self {
+            stages: stages
+                .into_iter()
+                .map(|s| Arc::new(Stage::new(s)))
+                .collect(),
+            microbatch,
+        }
+    }
+
+    /// The pipeline stages in model order.
+    pub fn stages(&self) -> &[Arc<Stage>] {
+        &self.stages
+    }
+
+    /// Write access to stage `i`. Copies the stage first when another
+    /// configuration shares it, and rehashes it when the guard drops:
+    /// keep one guard across a batch of edits to hash once.
+    ///
+    /// # Panics
+    ///
+    /// When `i` is out of range.
+    pub fn stage_mut(&mut self, i: usize) -> StageMut<'_> {
+        StageMut {
+            stage: Arc::make_mut(&mut self.stages[i]),
+        }
+    }
+
+    /// Write access to every stage in turn, as [`ParallelConfig::stage_mut`]
+    /// gives to one.
+    pub fn stages_mut(&mut self) -> impl Iterator<Item = StageMut<'_>> {
+        self.stages.iter_mut().map(|s| StageMut {
+            stage: Arc::make_mut(s),
+        })
+    }
+
     /// Number of pipeline stages.
     pub fn num_stages(&self) -> usize {
         self.stages.len()
@@ -129,36 +286,20 @@ impl ParallelConfig {
             .position(|s| op >= s.op_start && op < s.op_end)
     }
 
-    /// Semantic-aware stable hash for deduplication (paper §4.3).
+    /// Semantic-aware stable hash for deduplication (paper §4.3): the
+    /// configuration's fingerprint.
     ///
     /// Two configurations that define the same execution hash equally:
-    /// the hash covers stage boundaries, device counts, per-op
-    /// `(tp, dp, dim, recompute)` and the microbatch size — nothing else.
+    /// the hash covers stage boundaries, device counts, per-op settings
+    /// and the microbatch size, nothing else. It is an FNV fold of the
+    /// microbatch, the stage count and each stage's cached
+    /// [`Stage::content_hash`], so it costs O(stages), not O(ops).
     pub fn semantic_hash(&self) -> u64 {
         let mut h = FnvHasher::new();
         h.write_usize(self.microbatch);
         h.write_usize(self.stages.len());
         for s in &self.stages {
-            h.write_usize(s.op_start);
-            h.write_usize(s.op_end);
-            h.write_usize(s.gpus);
-            // Run-length encode per-op settings so the hash cost stays
-            // proportional to the number of *distinct* settings runs.
-            let mut i = 0;
-            while i < s.ops.len() {
-                let o = s.ops[i];
-                let mut run = 1;
-                while i + run < s.ops.len() && s.ops[i + run] == o {
-                    run += 1;
-                }
-                h.write_usize(run);
-                h.write_u64(u64::from(o.tp));
-                h.write_u64(u64::from(o.dp));
-                h.write_u64(u64::from(o.dim_index));
-                h.write_bool(o.recompute);
-                h.write_bool(o.zero);
-                i += run;
-            }
+            h.write_u64(s.hash);
         }
         h.finish()
     }
@@ -221,7 +362,15 @@ impl FromJson for StageConfig {
 impl ToJson for ParallelConfig {
     fn to_json_value(&self) -> Value {
         obj([
-            ("stages", self.stages.to_json_value()),
+            (
+                "stages",
+                Value::Array(
+                    self.stages
+                        .iter()
+                        .map(|s| s.config.to_json_value())
+                        .collect(),
+                ),
+            ),
             ("microbatch", Value::UInt(self.microbatch as u64)),
         ])
     }
@@ -233,10 +382,7 @@ impl FromJson for ParallelConfig {
         for s in v.field("stages")?.as_array()? {
             stages.push(StageConfig::from_json_value(s)?);
         }
-        Ok(Self {
-            stages,
-            microbatch: v.field("microbatch")?.as_usize()?,
-        })
+        Ok(Self::new(stages, v.field("microbatch")?.as_usize()?))
     }
 }
 
@@ -245,13 +391,13 @@ mod tests {
     use super::*;
 
     fn two_stage() -> ParallelConfig {
-        ParallelConfig {
-            stages: vec![
+        ParallelConfig::new(
+            vec![
                 StageConfig::uniform(0, 4, OpParallel::data_parallel(4)),
                 StageConfig::uniform(4, 8, OpParallel::data_parallel(4)),
             ],
-            microbatch: 8,
-        }
+            8,
+        )
     }
 
     #[test]
@@ -285,12 +431,43 @@ mod tests {
         c.microbatch = 4;
         assert_ne!(a.semantic_hash(), c.semantic_hash());
         let mut d = two_stage();
-        d.stages[0].ops[2].recompute = true;
+        d.stage_mut(0).ops[2].recompute = true;
         assert_ne!(a.semantic_hash(), d.semantic_hash());
         let mut e = two_stage();
-        e.stages[0].ops[1].tp = 2;
-        e.stages[0].ops[1].dp = 2;
+        {
+            let mut s = e.stage_mut(0);
+            s.ops[1].tp = 2;
+            s.ops[1].dp = 2;
+        }
         assert_ne!(a.semantic_hash(), e.semantic_hash());
+    }
+
+    #[test]
+    fn stage_mut_copies_on_write_and_rehashes() {
+        let a = two_stage();
+        let mut b = a.clone();
+        b.stage_mut(1).ops[0].recompute = true;
+        // The edited stage was copied and rehashed; the other is shared.
+        assert!(!a.stages()[1].ops[0].recompute);
+        assert!(Arc::ptr_eq(&a.stages()[0], &b.stages()[0]));
+        assert!(!Arc::ptr_eq(&a.stages()[1], &b.stages()[1]));
+        for s in b.stages() {
+            assert_eq!(s.content_hash(), s.compute_content_hash());
+        }
+        assert_ne!(a.semantic_hash(), b.semantic_hash());
+        // Undoing the edit restores the fingerprint.
+        b.stage_mut(1).ops[0].recompute = false;
+        assert_eq!(a, b);
+        assert_eq!(a.semantic_hash(), b.semantic_hash());
+    }
+
+    #[test]
+    fn json_round_trip_rehashes() {
+        let mut a = two_stage();
+        a.stage_mut(0).ops[1].tp = 2;
+        let b = ParallelConfig::from_json_value(&a.to_json_value()).expect("decodes");
+        assert_eq!(a, b);
+        assert_eq!(a.semantic_hash(), b.semantic_hash());
     }
 
     #[test]

@@ -133,12 +133,12 @@ pub fn validate(
     model: &ModelGraph,
     cluster: &ClusterSpec,
 ) -> Result<(), ConfigError> {
-    if config.stages.is_empty() {
+    if config.stages().is_empty() {
         return Err(ConfigError::NoStages);
     }
     // Op ranges must partition [0, model.len()).
     let mut expect = 0usize;
-    for (i, s) in config.stages.iter().enumerate() {
+    for (i, s) in config.stages().iter().enumerate() {
         if s.op_start != expect {
             return Err(ConfigError::BadOpPartition { stage: i });
         }
@@ -149,7 +149,7 @@ pub fn validate(
     }
     if expect != model.len() {
         return Err(ConfigError::BadOpPartition {
-            stage: config.stages.len() - 1,
+            stage: config.stages().len() - 1,
         });
     }
 
@@ -166,7 +166,7 @@ pub fn validate(
         return Err(ConfigError::BadMicrobatch { microbatch: m });
     }
 
-    for (i, s) in config.stages.iter().enumerate() {
+    for (i, s) in config.stages().iter().enumerate() {
         if s.ops.len() != s.num_ops() {
             return Err(ConfigError::OpsLenMismatch { stage: i });
         }
@@ -224,13 +224,13 @@ mod tests {
         let model = gpt3_custom("t", 2, 256, 4, 128, 1000, 64);
         let cluster = ClusterSpec::v100(1, 8);
         let n = model.len();
-        let config = ParallelConfig {
-            stages: vec![
+        let config = ParallelConfig::new(
+            vec![
                 StageConfig::uniform(0, n / 2, OpParallel::data_parallel(4)),
                 StageConfig::uniform(n / 2, n, OpParallel::data_parallel(4)),
             ],
-            microbatch: 8,
-        };
+            8,
+        );
         (model, cluster, config)
     }
 
@@ -243,8 +243,11 @@ mod tests {
     #[test]
     fn detects_partition_gap() {
         let (m, c, mut cfg) = setup();
-        cfg.stages[1].op_start += 1;
-        cfg.stages[1].ops.pop();
+        {
+            let mut s = cfg.stage_mut(1);
+            s.op_start += 1;
+            s.ops.pop();
+        }
         assert!(matches!(
             validate(&cfg, &m, &c),
             Err(ConfigError::BadOpPartition { .. })
@@ -254,8 +257,8 @@ mod tests {
     #[test]
     fn detects_cluster_mismatch() {
         let (m, c, mut cfg) = setup();
-        let (s, e) = (cfg.stages[1].op_start, cfg.stages[1].op_end);
-        cfg.stages[1] = StageConfig::uniform(s, e, OpParallel::data_parallel(2));
+        let (s, e) = (cfg.stages()[1].op_start, cfg.stages()[1].op_end);
+        *cfg.stage_mut(1) = StageConfig::uniform(s, e, OpParallel::data_parallel(2));
         assert!(matches!(
             validate(&cfg, &m, &c),
             Err(ConfigError::ClusterSizeMismatch { got: 6, want: 8 })
@@ -292,7 +295,7 @@ mod tests {
         let (m, c, mut cfg) = setup();
         // Give an op with tp_limit 4 (attention) a tp of 8.
         let mut hit = false;
-        for (j, op) in cfg.stages[0].ops.iter_mut().enumerate() {
+        for (j, op) in cfg.stage_mut(0).ops.iter_mut().enumerate() {
             if m.ops[j].tp_limit == 4 && !hit {
                 op.tp = 8;
                 op.dp = 1;
@@ -300,7 +303,7 @@ mod tests {
             }
         }
         assert!(hit, "model should contain a tp-limited op in stage 0");
-        cfg.stages[0].gpus = 8;
+        cfg.stage_mut(0).gpus = 8;
         let r = validate(&cfg, &m, &c);
         assert!(r.is_err());
     }
@@ -308,7 +311,7 @@ mod tests {
     #[test]
     fn detects_gpu_mismatch() {
         let (m, c, mut cfg) = setup();
-        cfg.stages[0].ops[0].dp = 2;
+        cfg.stage_mut(0).ops[0].dp = 2;
         assert!(matches!(
             validate(&cfg, &m, &c),
             Err(ConfigError::GpuMismatch { .. })
@@ -319,18 +322,18 @@ mod tests {
     fn detects_zero_on_singleton_dp_group() {
         let (m, c, mut cfg) = setup();
         // tp 4 × dp 1 fills the 4-GPU stage; zero over dp=1 is meaningless.
-        for op in &mut cfg.stages[0].ops {
+        for op in &mut cfg.stage_mut(0).ops {
             op.tp = 4;
             op.dp = 1;
             op.zero = true;
         }
         // Clamp tp to each operator's limit so ZeroWithoutDp is the first
         // error hit (some ops cap tp below 4 — drop them from the probe).
-        let ok_tp = cfg.stages[0]
+        let ok_tp = cfg.stages()[0]
             .ops
             .iter()
             .enumerate()
-            .all(|(j, o)| o.tp <= m.ops[cfg.stages[0].op_start + j].tp_limit);
+            .all(|(j, o)| o.tp <= m.ops[cfg.stages()[0].op_start + j].tp_limit);
         if ok_tp {
             assert!(matches!(
                 validate(&cfg, &m, &c),
@@ -344,7 +347,7 @@ mod tests {
     #[test]
     fn zero_with_real_dp_group_passes() {
         let (m, c, mut cfg) = setup();
-        for op in &mut cfg.stages[0].ops {
+        for op in &mut cfg.stage_mut(0).ops {
             op.zero = true; // dp = 4 here, so sharding is meaningful
         }
         assert_eq!(validate(&cfg, &m, &c), Ok(()));

@@ -52,11 +52,15 @@ use aceso_util::FnvHasher;
 /// and each `iteration` event carries its rejection summary (a v4 spool
 /// would splice per-candidate events into a v11 stream). The summary is
 /// taken when the `iteration` event is emitted and slices pause only
-/// between iterations, so no field holds a half-built one. Older spools
-/// are not migrated: they fail with
+/// between iterations, so no field holds a half-built one. v6 keeps v5's
+/// shape, but its visited set and saved events hold v6 fingerprints:
+/// `ParallelConfig::semantic_hash` became a fold of cached stage hashes
+/// (INV-STAGE-HASH in docs/SEARCH.md), so a v5 spool's visited set would
+/// never match a resumed search's candidates. Exported memo `content`
+/// values did not change. Older spools are not migrated: they fail with
 /// [`CheckpointError::UnknownSchemaVersion`] and the daemon runs a fresh
 /// search.
-pub const CHECKPOINT_SCHEMA_VERSION: u64 = 5;
+pub const CHECKPOINT_SCHEMA_VERSION: u64 = 6;
 
 /// Stable fingerprint of a model's profile-relevant content: the
 /// sequence of operator signatures (order-sensitively hashed — op order
@@ -398,7 +402,7 @@ impl SearchCheckpoint {
 /// Lossless, so the resume bit-identity contract is unaffected.
 fn config_to_json(c: &ParallelConfig) -> Value {
     let stages = c
-        .stages
+        .stages()
         .iter()
         .map(|s| {
             let mut runs = Vec::new();
@@ -489,10 +493,7 @@ fn config_from_json(v: &Value) -> Result<ParallelConfig, JsonError> {
             ops,
         });
     }
-    Ok(ParallelConfig {
-        stages,
-        microbatch: top[0].as_usize()?,
-    })
+    Ok(ParallelConfig::new(stages, top[0].as_usize()?))
 }
 
 fn events_to_json(events: &[Event]) -> Value {
@@ -865,10 +866,7 @@ mod tests {
         s0.ops[4] = mk(1, 4, true, false);
         let mut s1 = StageConfig::uniform(7, 12, mk(4, 1, true, false));
         s1.ops[4] = mk(4, 1, true, true);
-        let config = ParallelConfig {
-            stages: vec![s0, s1],
-            microbatch: 16,
-        };
+        let config = ParallelConfig::new(vec![s0, s1], 16);
         let encoded = config_to_json(&config);
         let text = encoded.to_string_compact();
         assert!(
@@ -888,10 +886,7 @@ mod tests {
             recompute: false,
             zero: false,
         };
-        let config = ParallelConfig {
-            stages: vec![StageConfig::uniform(0, 5, mk(1, 2))],
-            microbatch: 8,
-        };
+        let config = ParallelConfig::new(vec![StageConfig::uniform(0, 5, mk(1, 2))], 8);
         let good = config_to_json(&config).to_string_compact();
         // A run length that overflows the declared op range is rejected
         // before any expansion.

@@ -28,20 +28,20 @@ pub fn fine_tune<E: Evaluator>(pm: &E, config: ParallelConfig) -> (ParallelConfi
 
     // Pass 1: partition-dimension flips, one greedy sweep.
     let model = pm.model();
-    for si in 0..best.stages.len() {
-        for j in 0..best.stages[si].ops.len() {
-            let g = best.stages[si].op_start + j;
+    for si in 0..best.stages().len() {
+        for j in 0..best.stages()[si].ops.len() {
+            let g = best.stages()[si].op_start + j;
             let n_dims = model.ops[g].partitions.len();
-            if n_dims < 2 || best.stages[si].ops[j].tp <= 1 {
+            if n_dims < 2 || best.stages()[si].ops[j].tp <= 1 {
                 continue;
             }
-            let cur = best.stages[si].ops[j].dim_index;
+            let cur = best.stages()[si].ops[j].dim_index;
             for d in 0..n_dims as u8 {
                 if d == cur {
                     continue;
                 }
                 let mut cand = best.clone();
-                cand.stages[si].ops[j].dim_index = d;
+                cand.stage_mut(si).ops[j].dim_index = d;
                 let score = pm.evaluate_unchecked(&cand).score();
                 evals += 1;
                 if score < best_score {
@@ -53,8 +53,8 @@ pub fn fine_tune<E: Evaluator>(pm: &E, config: ParallelConfig) -> (ParallelConfi
     }
 
     // Pass 2: suffix tp/dp conversions at sampled cut points.
-    for si in 0..best.stages.len() {
-        let n = best.stages[si].ops.len();
+    for si in 0..best.stages().len() {
+        let n = best.stages()[si].ops.len();
         let step = (n / 8).max(1);
         let mut start = 0usize;
         while start < n {

@@ -41,7 +41,7 @@ pub fn assert_valid(_: &ModelGraph, _: &ClusterSpec, _: &ParallelConfig, _: &str
 #[cfg(feature = "debug-invariants")]
 pub fn assert_structure(model: &ModelGraph, config: &ParallelConfig, ctx: &str) {
     let mut expect = 0usize;
-    for (i, s) in config.stages.iter().enumerate() {
+    for (i, s) in config.stages().iter().enumerate() {
         assert_eq!(
             s.op_start, expect,
             "debug-invariants[{ctx}]: stage {i} op range breaks the partition"
@@ -101,10 +101,11 @@ pub fn assert_structure(model: &ModelGraph, config: &ParallelConfig, ctx: &str) 
 #[inline(always)]
 pub fn assert_structure(_: &ModelGraph, _: &ParallelConfig, _: &str) {}
 
-/// Checks what candidate generation hands the search (INV-SCORE-ONCE in
-/// docs/SEARCH.md): the carried fingerprint is the configuration's
-/// semantic hash, and a carried estimate equals a from-scratch
-/// evaluation to the last bit. It scores through its own
+/// Checks what candidate generation hands the search (INV-SCORE-ONCE and
+/// INV-STAGE-HASH in docs/SEARCH.md): every cached stage hash equals a
+/// from-scratch recomputation, the carried fingerprint is the
+/// configuration's semantic hash, and a carried estimate equals a
+/// from-scratch evaluation to the last bit. It scores through its own
 /// `PerfModel`, which has no recorder, so checking moves no counter.
 #[cfg(feature = "debug-invariants")]
 pub struct ScoreCheck<'a> {
@@ -120,10 +121,17 @@ impl<'a> ScoreCheck<'a> {
         }
     }
 
-    /// Panics unless `cand`'s fingerprint and carried estimate are what
-    /// the search would have computed itself.
+    /// Panics unless `cand`'s stage hashes, fingerprint and carried
+    /// estimate are what the search would have computed from scratch.
     pub fn assert_carried(&self, cand: &Candidate) {
         let name = cand.primitive.name();
+        for (i, s) in cand.config.stages().iter().enumerate() {
+            assert_eq!(
+                s.content_hash(),
+                s.compute_content_hash(),
+                "debug-invariants[{name}]: stage {i}'s cached hash is stale"
+            );
+        }
         assert_eq!(
             cand.fingerprint,
             cand.config.semantic_hash(),
@@ -219,7 +227,7 @@ mod tests {
         let model = gpt3_custom("t", 2, 256, 4, 128, 1000, 64);
         let cluster = ClusterSpec::v100(1, 4);
         let mut cfg = balanced_init(&model, &cluster, 4).expect("init");
-        cfg.stages[0].ops[0].zero = true; // dp == 1 in a 1-GPU stage
+        cfg.stage_mut(0).ops[0].zero = true; // dp == 1 in a 1-GPU stage
         assert_structure(&model, &cfg, "test");
     }
 }

@@ -11,7 +11,7 @@
 //! the attached recompute fix-up (§4.3).
 
 use crate::transform::{self, Mechanism};
-use aceso_config::ParallelConfig;
+use aceso_config::{OpParallel, ParallelConfig};
 use aceso_perf::{ConfigEstimate, Evaluator};
 
 /// The three hardware resources of the trading view.
@@ -234,8 +234,8 @@ pub struct Candidate {
     /// (relay moves chain several op moves; the attached recompute fix-up
     /// adds one more) — the unit the paper's hop counts are measured in.
     pub primitives_applied: usize,
-    /// `config.semantic_hash()`, computed once here and reused by the
-    /// search's visited set (INV-SCORE-ONCE in docs/SEARCH.md).
+    /// `config.semantic_hash()`, computed once here for generation's
+    /// dedup and reused by the search's visited set.
     pub fingerprint: u64,
     /// The estimate of `config` the recompute fix-up scored, kept when
     /// the fix-up left the configuration unchanged. `None` when the
@@ -299,34 +299,6 @@ pub fn generate_with<E: Evaluator>(
     resource: Resource,
     gen_opts: GenOptions,
 ) -> Vec<Candidate> {
-    generate_hashed(
-        pm,
-        config,
-        config.semantic_hash(),
-        est,
-        prim,
-        stage,
-        resource,
-        gen_opts,
-    )
-}
-
-/// [`generate_with`] for a caller that already holds `config`'s
-/// fingerprint: the search hashes each hop's input once, not once per
-/// primitive (INV-SCORE-ONCE).
-// The arguments are `generate_with`'s plus the fingerprint; a struct
-// would only rename them.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn generate_hashed<E: Evaluator>(
-    pm: &E,
-    config: &ParallelConfig,
-    fingerprint: u64,
-    est: &ConfigEstimate,
-    prim: Primitive,
-    stage: usize,
-    resource: Resource,
-    gen_opts: GenOptions,
-) -> Vec<Candidate> {
     let model = pm.model();
     let p = config.num_stages();
     // (candidate, primitives applied so far)
@@ -352,7 +324,7 @@ pub(crate) fn generate_hashed<E: Evaluator>(
             if stage + 1 < p && !dirs.contains(&(stage + 1)) {
                 dirs.push(stage + 1);
             }
-            let n_ops = config.stages[stage].num_ops();
+            let n_ops = config.stages()[stage].num_ops();
             for to in dirs {
                 // Power-of-two move sizes up to half the stage, so a
                 // 1000-op stage can rebalance in few iterations.
@@ -467,7 +439,7 @@ pub(crate) fn generate_hashed<E: Evaluator>(
 
     // Seed the dedup set with the input: a candidate identical to the
     // configuration it rewrites is a wasted hop, never a real move.
-    let mut seen = std::collections::HashSet::from([fingerprint]);
+    let mut seen = std::collections::HashSet::from([config.semantic_hash()]);
     let candidates: Vec<Candidate> = fixed
         .into_iter()
         .filter_map(|(config, primitives_applied, estimate)| {
@@ -491,15 +463,15 @@ pub(crate) fn generate_hashed<E: Evaluator>(
 /// ZeRO-1 extension: flips optimiser-state sharding for every op in the
 /// stage that has a non-trivial dp group. `None` when nothing changes.
 fn set_zero(config: &ParallelConfig, stage: usize, on: bool) -> Option<ParallelConfig> {
-    let mut cfg = config.clone();
-    let mut changed = false;
-    for op in &mut cfg.stages[stage].ops {
-        if op.dp > 1 && op.zero != on {
-            op.zero = on;
-            changed = true;
-        }
+    let flips = |op: &OpParallel| op.dp > 1 && op.zero != on;
+    if !config.stages()[stage].ops.iter().any(flips) {
+        return None;
     }
-    changed.then_some(cfg)
+    let mut cfg = config.clone();
+    for op in cfg.stage_mut(stage).ops.iter_mut().filter(|op| flips(op)) {
+        op.zero = on;
+    }
+    Some(cfg)
 }
 
 /// Relay form of dec-op# (§4.3): shifts `k` ops per hop along the chain of
@@ -536,7 +508,7 @@ fn greedy_recompute_to_fit<E: Evaluator>(
     }
     let overshoot = se.mem_total - capacity;
     let model = pm.model();
-    let s = &config.stages[stage];
+    let s = &config.stages()[stage];
     let in_flight = se.in_flight as u64;
     let act_bytes = model.precision.bytes();
     let mut items: Vec<(usize, u64)> = s
@@ -552,19 +524,19 @@ fn greedy_recompute_to_fit<E: Evaluator>(
         })
         .collect();
     items.sort_by_key(|&(_, saved)| std::cmp::Reverse(saved));
-    let mut cfg = config.clone();
     let mut freed = 0u64;
+    let mut flagged = Vec::new();
     for (j, saved) in items {
         if freed >= overshoot {
             break;
         }
-        cfg.stages[stage].ops[j].recompute = true;
+        flagged.push(j);
         freed += saved;
     }
     if freed == 0 {
         return None;
     }
-    Some(cfg)
+    Some(transform::with_recompute(config, stage, flagged, true))
 }
 
 /// dec-rc argument choice: clear smallest-stash flags while staying within
@@ -582,7 +554,7 @@ fn greedy_uncompute_in_headroom<E: Evaluator>(
     }
     let mut headroom = capacity - se.mem_total;
     let model = pm.model();
-    let s = &config.stages[stage];
+    let s = &config.stages()[stage];
     let in_flight = se.in_flight as u64;
     let act_bytes = model.precision.bytes();
     let mut items: Vec<(usize, u64)> = s
@@ -598,22 +570,20 @@ fn greedy_uncompute_in_headroom<E: Evaluator>(
         })
         .collect();
     items.sort_by_key(|&(_, cost)| cost);
-    let mut cfg = config.clone();
-    let mut cleared = 0usize;
+    let mut cleared = Vec::new();
     for (j, cost) in items {
         // Keep a 5% capacity margin, mirroring the deliberate
         // overestimation stance of §3.3.
         if cost + capacity / 20 > headroom {
             break;
         }
-        cfg.stages[stage].ops[j].recompute = false;
+        cleared.push(j);
         headroom -= cost;
-        cleared += 1;
     }
-    if cleared == 0 {
+    if cleared.is_empty() {
         return None;
     }
-    Some(cfg)
+    Some(transform::with_recompute(config, stage, cleared, false))
 }
 
 /// Attached recompute check (§4.3): after any primitive, re-fit recompute
@@ -630,7 +600,7 @@ pub fn rc_fixup<E: Evaluator>(
     let est = pm.evaluate_unchecked(&config);
     let mut cfg = config;
     let mut rewritten = false;
-    for stage in 0..cfg.stages.len() {
+    for stage in 0..cfg.stages().len() {
         if est.stages[stage].mem_total > pm.cluster().device.mem_bytes {
             if let Some(fixed) = greedy_recompute_to_fit(pm, &cfg, &est, stage) {
                 cfg = fixed;
@@ -735,7 +705,7 @@ mod tests {
         assert!(!cands.is_empty());
         // First candidate moves exactly one op.
         let first = &cands[0].config;
-        assert_eq!(first.stages[0].num_ops(), cfg.stages[0].num_ops() - 1);
+        assert_eq!(first.stages()[0].num_ops(), cfg.stages()[0].num_ops() - 1);
     }
 
     #[test]
@@ -747,7 +717,7 @@ mod tests {
         let est = pm.evaluate_unchecked(&cfg);
         let cands = generate(&pm, &cfg, &est, Primitive::IncTp, 0, Resource::Memory);
         assert!(!cands.is_empty(), "single-stage tp conversion must exist");
-        assert!(cands[0].config.stages[0].ops.iter().any(|o| o.tp > 1));
+        assert!(cands[0].config.stages()[0].ops.iter().any(|o| o.tp > 1));
     }
 
     #[test]

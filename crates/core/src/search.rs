@@ -9,7 +9,7 @@ use crate::checkpoint::{
 };
 use crate::finetune::fine_tune;
 use crate::invariants::ScoreCheck;
-use crate::primitives::{generate_hashed, Candidate, GenOptions, Primitive, Resource};
+use crate::primitives::{generate_with, Candidate, GenOptions, Primitive, Resource};
 use crate::trace::{AcceptedConfig, ConvergencePoint, IterationRecord, SearchTrace};
 use aceso_cluster::ClusterSpec;
 use aceso_config::{balanced_init, ConfigError, ParallelConfig};
@@ -19,7 +19,6 @@ use aceso_perf::{CachedEvaluator, ConfigEstimate, Evaluator, P2pMemo, PerfModel}
 use aceso_profile::ProfileDb;
 use aceso_util::SplitMix64;
 use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Tunable knobs of the search.
@@ -165,13 +164,13 @@ impl std::fmt::Display for ResumeError {
 
 impl std::error::Error for ResumeError {}
 
-/// Min-heap entry for the unexplored-configurations pool. The config is
-/// shared (`Arc`) with the multi-hop recursion pool so a rejected
-/// candidate is never deep-cloned just to be parked here.
+/// Min-heap entry for the unexplored-configurations pool. Its config
+/// shares every stage with the candidate's other copies
+/// (INV-STAGE-HASH), so parking one copies a pointer per stage.
 struct HeapEntry {
     score: f64,
     tie: u64,
-    config: Arc<ParallelConfig>,
+    config: ParallelConfig,
 }
 
 impl PartialEq for HeapEntry {
@@ -221,8 +220,9 @@ impl<'a> AcesoSearch<'a> {
     }
 
     /// Stage counts to explore: every count from 1 to the device count
-    /// that admits a power-of-two split, capped at the op count, thinned
-    /// to at most 10 entries.
+    /// that admits a power-of-two split, capped at the op count. Beyond
+    /// 10 counts it keeps 1–8 plus the even counts above, at most 12
+    /// entries.
     fn default_stage_counts(&self) -> Vec<usize> {
         let gpus = self.cluster.total_gpus();
         let max_p = gpus.min(self.model.len() / 2).max(1);
@@ -383,7 +383,7 @@ impl<'a> AcesoSearch<'a> {
             pause_after,
         };
         if self.options.parallel && counts.len() > 1 {
-            std::thread::scope(|scope| {
+            outcomes = std::thread::scope(|scope| {
                 let handles: Vec<_> = counts
                     .iter()
                     .map(|&p| {
@@ -392,11 +392,7 @@ impl<'a> AcesoSearch<'a> {
                         scope.spawn(move || self.stage_slice(env(p), p2p, prev))
                     })
                     .collect();
-                for h in handles {
-                    if let Ok(Some(o)) = h.join() {
-                        outcomes.push(o);
-                    }
-                }
+                join_stages(handles)
             });
         } else {
             for &p in &counts {
@@ -578,7 +574,7 @@ impl<'a> AcesoSearch<'a> {
                     ctx.unexplored.push(HeapEntry {
                         score: f64::from_bits(e.score_bits),
                         tie: e.tie,
-                        config: Arc::new(e.config.clone()),
+                        config: e.config.clone(),
                     });
                 }
                 ctx.explored = pr.explored;
@@ -705,7 +701,7 @@ impl<'a> AcesoSearch<'a> {
                             fingerprint: e.config.semantic_hash(),
                             score: e.score,
                         });
-                        config = Arc::try_unwrap(e.config).unwrap_or_else(|a| (*a).clone());
+                        config = e.config;
                     }
                     None => break,
                 },
@@ -735,7 +731,7 @@ impl<'a> AcesoSearch<'a> {
                 .map(|e| ParkedConfig {
                     score_bits: e.score.to_bits(),
                     tie: e.tie,
-                    config: Arc::try_unwrap(e.config).unwrap_or_else(|a| (*a).clone()),
+                    config: e.config,
                 })
                 .collect();
             let progress = StageProgress {
@@ -782,6 +778,20 @@ impl<'a> AcesoSearch<'a> {
         drop(ctx);
         Some(StageOutcome::Finished { tops, trace, rec })
     }
+}
+
+/// Joins stage-count threads in spawn order, keeping the outcomes of
+/// the counts that had one. A thread's panic is re-raised here, as the
+/// serial path raises it: a stage count never silently drops out of the
+/// merge.
+fn join_stages<T>(handles: Vec<std::thread::ScopedJoinHandle<'_, Option<T>>>) -> Vec<T> {
+    handles
+        .into_iter()
+        .filter_map(|h| {
+            h.join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        })
+        .collect()
 }
 
 /// Per-slice parameters of [`AcesoSearch::stage_slice`] (bundled to keep
@@ -860,8 +870,6 @@ impl RejectSummary {
 /// One (bottleneck, resource) generation step of a multi-hop call.
 struct HopStep<'h> {
     config: &'h ParallelConfig,
-    /// `config.semantic_hash()`, taken once per multi-hop call.
-    fingerprint: u64,
     est: &'h ConfigEstimate,
     hop: usize,
     bottleneck: &'h Bottleneck,
@@ -870,8 +878,8 @@ struct HopStep<'h> {
 }
 
 /// Rejected candidates pooled for the bounded multi-hop recursion:
-/// (score, primitives applied, config shared with the heap, estimate).
-type PoolEntry = (f64, usize, Arc<ParallelConfig>, ConfigEstimate);
+/// (score, primitives applied, config, estimate).
+type PoolEntry = (f64, usize, ParallelConfig, ConfigEstimate);
 
 impl Ctx<'_> {
     fn expired(&self) -> bool {
@@ -902,7 +910,6 @@ impl Ctx<'_> {
         if hop >= self.opts.max_hops || self.expired() {
             return None;
         }
-        let fingerprint = config.semantic_hash();
         let mut resources = bottleneck.resources.clone();
         if !self.opts.use_heuristic2 {
             self.rng.shuffle(&mut resources);
@@ -918,7 +925,6 @@ impl Ctx<'_> {
             }
             let step = HopStep {
                 config,
-                fingerprint,
                 est,
                 hop,
                 bottleneck,
@@ -928,8 +934,7 @@ impl Ctx<'_> {
             // Generate and score every candidate of every eligible
             // primitive (Heuristic-2's best-performance-first needs the
             // estimates anyway). Rejected candidates land in `pool` for
-            // the bounded recursion below, sharing their config with the
-            // backtracking heap via `Arc` (no deep clones on this path).
+            // the bounded recursion below.
             let mut pool: Vec<PoolEntry> = Vec::new();
             let hit = self.hop_resource_serial(&step, &prims, &mut pool);
             if hit.is_some() {
@@ -976,10 +981,9 @@ impl Ctx<'_> {
     ) -> Option<(ParallelConfig, usize)> {
         for &prim in prims {
             self.rec.count(Counter::SearchWorkerBatches);
-            for mut cand in generate_hashed(
+            for mut cand in generate_with(
                 &self.ev,
                 step.config,
-                step.fingerprint,
                 step.est,
                 prim,
                 step.bottleneck.stage,
@@ -1040,13 +1044,12 @@ impl Ctx<'_> {
         self.rec.count(Counter::CandidatesRejected);
         self.rejected.note(h, score);
         self.tie_counter += 1;
-        let cfg = Arc::new(cand.config);
         self.unexplored.push(HeapEntry {
             score,
             tie: self.tie_counter,
-            config: Arc::clone(&cfg),
+            config: cand.config.clone(),
         });
-        pool.push((score, cand.primitives_applied, cfg, cest));
+        pool.push((score, cand.primitives_applied, cand.config, cest));
         None
     }
 }
@@ -1184,7 +1187,7 @@ mod tests {
             heap.push(HeapEntry {
                 score,
                 tie,
-                config: Arc::new(cfg.clone()),
+                config: cfg.clone(),
             });
         }
         let first = heap.pop().expect("non-empty");
@@ -1193,6 +1196,29 @@ mod tests {
         assert_eq!(first.tie, 2);
         assert_eq!(heap.pop().expect("second").score, 1.0);
         assert_eq!(heap.pop().expect("third").score, 2.0);
+    }
+
+    #[test]
+    fn join_stages_keeps_outcomes_in_spawn_order() {
+        let got = std::thread::scope(|scope| {
+            join_stages(vec![
+                scope.spawn(|| Some(1)),
+                scope.spawn(|| None),
+                scope.spawn(|| Some(3)),
+            ])
+        });
+        assert_eq!(got, vec![1, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "stage thread failed")]
+    fn join_stages_reraises_a_stage_thread_panic() {
+        std::thread::scope(|scope| {
+            join_stages(vec![
+                scope.spawn(|| Some(1)),
+                scope.spawn(|| -> Option<i32> { panic!("stage thread failed") }),
+            ])
+        });
     }
 
     #[test]

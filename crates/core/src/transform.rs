@@ -86,42 +86,41 @@ pub fn move_ops(
     to: usize,
     k: usize,
 ) -> Option<ParallelConfig> {
-    if from >= config.stages.len() || to >= config.stages.len() {
+    if from >= config.stages().len() || to >= config.stages().len() {
         return None;
     }
-    if from.abs_diff(to) != 1 || k == 0 || config.stages[from].num_ops() <= k {
+    if from.abs_diff(to) != 1 || k == 0 || config.stages()[from].num_ops() <= k {
         return None;
     }
+    let (src, dst) = (&config.stages()[from], &config.stages()[to]);
+    let to_gpus = dst.gpus as u32;
+    let adopt = |ops: std::ops::Range<usize>, template: OpParallel| {
+        ops.map(|g| adopt_settings(model, g, template, to_gpus, config.microbatch))
+            .collect::<Option<Vec<_>>>()
+    };
     let mut cfg = config.clone();
-    let to_gpus = cfg.stages[to].gpus as u32;
-    let mb = cfg.microbatch;
-
     if to < from {
         // Move the first k ops of `from` to the end of `to`.
-        let template = *cfg.stages[to].ops.last()?;
-        for i in 0..k {
-            let op_idx = cfg.stages[from].op_start + i;
-            let setting = adopt_settings(model, op_idx, template, to_gpus, mb)?;
-            cfg.stages[to].ops.push(setting);
-        }
-        cfg.stages[to].op_end += k;
-        cfg.stages[from].op_start += k;
-        cfg.stages[from].ops.drain(..k);
+        let moved = adopt(src.op_start..src.op_start + k, *dst.ops.last()?)?;
+        let mut d = cfg.stage_mut(to);
+        d.ops.extend(moved);
+        d.op_end += k;
+        drop(d);
+        let mut s = cfg.stage_mut(from);
+        s.ops.drain(..k);
+        s.op_start += k;
     } else {
         // Move the last k ops of `from` to the front of `to`.
-        let template = *cfg.stages[to].ops.first()?;
-        let mut new_front = Vec::with_capacity(k);
-        for i in 0..k {
-            let op_idx = cfg.stages[from].op_end - k + i;
-            let setting = adopt_settings(model, op_idx, template, to_gpus, mb)?;
-            new_front.push(setting);
-        }
-        cfg.stages[to].op_start -= k;
-        let n = cfg.stages[from].num_ops();
-        cfg.stages[from].ops.truncate(n - k);
-        cfg.stages[from].op_end -= k;
-        new_front.append(&mut cfg.stages[to].ops);
-        cfg.stages[to].ops = new_front;
+        let mut front = adopt(src.op_end - k..src.op_end, *dst.ops.first()?)?;
+        let mut d = cfg.stage_mut(to);
+        front.extend_from_slice(&d.ops);
+        d.ops = front;
+        d.op_start -= k;
+        drop(d);
+        let mut s = cfg.stage_mut(from);
+        let n = s.ops.len();
+        s.ops.truncate(n - k);
+        s.op_end -= k;
     }
     crate::invariants::assert_structure(model, &cfg, "move_ops");
     Some(cfg)
@@ -186,18 +185,18 @@ pub fn grow_stage(
     mech: Mechanism,
     donors: &[usize],
 ) -> Option<ParallelConfig> {
-    let needed = config.stages[stage].gpus;
+    let needed = config.stages()[stage].gpus;
     let mut cfg = config.clone();
     let mut granted = 0usize;
     for &d in donors {
         if d == stage || granted >= needed {
             continue;
         }
-        let give = cfg.stages[d].gpus / 2;
+        let give = cfg.stages()[d].gpus / 2;
         if give == 0 || granted + give > needed {
             continue;
         }
-        if !halve_stage_inplace(&mut cfg.stages[d]) {
+        if !halve_stage_inplace(&mut cfg.stage_mut(d)) {
             continue;
         }
         granted += give;
@@ -205,7 +204,7 @@ pub fn grow_stage(
     if granted != needed {
         return None;
     }
-    if !double_stage_inplace(model, &mut cfg.stages[stage], mech) {
+    if !double_stage_inplace(model, &mut cfg.stage_mut(stage), mech) {
         return None;
     }
     fix_microbatch(&mut cfg, model)?;
@@ -222,12 +221,12 @@ pub fn shrink_stage(
     receivers: &[usize],
     mech: Mechanism,
 ) -> Option<ParallelConfig> {
-    let freed = config.stages[stage].gpus / 2;
+    let freed = config.stages()[stage].gpus / 2;
     if freed == 0 {
         return None;
     }
     let mut cfg = config.clone();
-    if !halve_stage_inplace(&mut cfg.stages[stage]) {
+    if !halve_stage_inplace(&mut cfg.stage_mut(stage)) {
         return None;
     }
     let mut remaining = freed;
@@ -235,11 +234,11 @@ pub fn shrink_stage(
         if r == stage || remaining == 0 {
             continue;
         }
-        let take = cfg.stages[r].gpus;
+        let take = cfg.stages()[r].gpus;
         if take > remaining {
             continue;
         }
-        if !double_stage_inplace(model, &mut cfg.stages[r], mech) {
+        if !double_stage_inplace(model, &mut cfg.stage_mut(r), mech) {
             return None;
         }
         remaining -= take;
@@ -261,7 +260,8 @@ pub fn convert_stage(
     toward: Mechanism,
 ) -> Option<ParallelConfig> {
     let mut cfg = config.clone();
-    let s = &mut cfg.stages[stage];
+    let mut guard = cfg.stage_mut(stage);
+    let s: &mut StageConfig = &mut guard;
     for (j, op) in s.ops.iter_mut().enumerate() {
         let limit = model.ops[s.op_start + j].tp_limit;
         match toward {
@@ -282,6 +282,7 @@ pub fn convert_stage(
         }
         clamp_zero(op);
     }
+    drop(guard);
     fix_microbatch(&mut cfg, model)?;
     crate::invariants::assert_structure(model, &cfg, "convert_stage");
     Some(cfg)
@@ -298,11 +299,12 @@ pub fn convert_suffix(
     start: usize,
     toward: Mechanism,
 ) -> Option<ParallelConfig> {
-    let mut cfg = config.clone();
-    let s = &mut cfg.stages[stage];
-    if start >= s.ops.len() {
+    if start >= config.stages()[stage].ops.len() {
         return None;
     }
+    let mut cfg = config.clone();
+    let mut guard = cfg.stage_mut(stage);
+    let s: &mut StageConfig = &mut guard;
     for (j, op) in s.ops.iter_mut().enumerate().skip(start) {
         let limit = model.ops[s.op_start + j].tp_limit;
         match toward {
@@ -323,6 +325,7 @@ pub fn convert_suffix(
         }
         clamp_zero(op);
     }
+    drop(guard);
     fix_microbatch(&mut cfg, model)?;
     crate::invariants::assert_structure(model, &cfg, "convert_suffix");
     Some(cfg)
@@ -345,7 +348,7 @@ pub fn scale_microbatch(
         return None;
     }
     let max_dp = cfg
-        .stages
+        .stages()
         .iter()
         .flat_map(|s| s.ops.iter().map(|o| o.dp as usize))
         .max()
@@ -365,7 +368,7 @@ pub fn scale_microbatch(
 /// concurrency change. Returns `None` when no valid microbatch exists.
 fn fix_microbatch(cfg: &mut ParallelConfig, model: &ModelGraph) -> Option<()> {
     let max_dp = cfg
-        .stages
+        .stages()
         .iter()
         .flat_map(|s| s.ops.iter().map(|o| o.dp as usize))
         .max()
@@ -393,16 +396,13 @@ pub fn recompute_largest(
     stage: usize,
     k: usize,
 ) -> Option<ParallelConfig> {
-    let mut cfg = config.clone();
-    let s = &mut cfg.stages[stage];
+    let s = &config.stages()[stage];
     let mut order: Vec<usize> = (0..s.ops.len()).filter(|&j| !s.ops[j].recompute).collect();
     if order.is_empty() {
         return None;
     }
     order.sort_by_key(|&j| std::cmp::Reverse(model.ops[s.op_start + j].stash_elems));
-    for &j in order.iter().take(k) {
-        s.ops[j].recompute = true;
-    }
+    let cfg = with_recompute(config, stage, order.into_iter().take(k), true);
     crate::invariants::assert_structure(model, &cfg, "recompute_largest");
     Some(cfg)
 }
@@ -415,18 +415,33 @@ pub fn uncompute_smallest(
     stage: usize,
     k: usize,
 ) -> Option<ParallelConfig> {
-    let mut cfg = config.clone();
-    let s = &mut cfg.stages[stage];
+    let s = &config.stages()[stage];
     let mut order: Vec<usize> = (0..s.ops.len()).filter(|&j| s.ops[j].recompute).collect();
     if order.is_empty() {
         return None;
     }
     order.sort_by_key(|&j| model.ops[s.op_start + j].stash_elems);
-    for &j in order.iter().take(k) {
-        s.ops[j].recompute = false;
-    }
+    let cfg = with_recompute(config, stage, order.into_iter().take(k), false);
     crate::invariants::assert_structure(model, &cfg, "uncompute_smallest");
     Some(cfg)
+}
+
+/// `config` with the recompute flag of the operators at local indices
+/// `ops` of `stage` set to `on`; the one stage is copied and rehashed
+/// once.
+pub(crate) fn with_recompute(
+    config: &ParallelConfig,
+    stage: usize,
+    ops: impl IntoIterator<Item = usize>,
+    on: bool,
+) -> ParallelConfig {
+    let mut cfg = config.clone();
+    let mut s = cfg.stage_mut(stage);
+    for j in ops {
+        s.ops[j].recompute = on;
+    }
+    drop(s);
+    cfg
 }
 
 #[cfg(test)]
@@ -449,8 +464,8 @@ mod tests {
         let (m, c, cfg) = setup();
         let moved = move_ops(&m, &cfg, 0, 1, 3).expect("move ok");
         assert!(validate(&moved, &m, &c).is_ok());
-        assert_eq!(moved.stages[0].num_ops(), cfg.stages[0].num_ops() - 3);
-        assert_eq!(moved.stages[1].num_ops(), cfg.stages[1].num_ops() + 3);
+        assert_eq!(moved.stages()[0].num_ops(), cfg.stages()[0].num_ops() - 3);
+        assert_eq!(moved.stages()[1].num_ops(), cfg.stages()[1].num_ops() + 3);
     }
 
     #[test]
@@ -458,13 +473,13 @@ mod tests {
         let (m, c, cfg) = setup();
         let moved = move_ops(&m, &cfg, 1, 0, 2).expect("move ok");
         assert!(validate(&moved, &m, &c).is_ok());
-        assert_eq!(moved.stages[0].op_end, cfg.stages[0].op_end + 2);
+        assert_eq!(moved.stages()[0].op_end, cfg.stages()[0].op_end + 2);
     }
 
     #[test]
     fn move_ops_rejects_emptying() {
         let (m, _, cfg) = setup();
-        let n0 = cfg.stages[0].num_ops();
+        let n0 = cfg.stages()[0].num_ops();
         assert!(move_ops(&m, &cfg, 0, 1, n0).is_none());
         assert!(move_ops(&m, &cfg, 0, 1, 0).is_none());
         assert!(move_ops(&m, &cfg, 0, 0, 1).is_none());
@@ -483,10 +498,10 @@ mod tests {
         let cfg4 = balanced_init(&m, &ClusterSpec::v100(1, 8), 4).expect("init");
         let grown = grow_stage(&m, &cfg4, 0, Mechanism::Dp, &[1, 2]).expect("grow ok");
         assert!(validate(&grown, &m, &c).is_ok());
-        assert_eq!(grown.stages[0].gpus, 4);
-        assert_eq!(grown.stages[1].gpus, 1);
-        assert_eq!(grown.stages[2].gpus, 1);
-        assert_eq!(grown.stages[3].gpus, 2);
+        assert_eq!(grown.stages()[0].gpus, 4);
+        assert_eq!(grown.stages()[1].gpus, 1);
+        assert_eq!(grown.stages()[2].gpus, 1);
+        assert_eq!(grown.stages()[3].gpus, 2);
     }
 
     #[test]
@@ -501,8 +516,8 @@ mod tests {
         let grown = grow_stage(&m, &cfg4, 0, Mechanism::Dp, &[1, 2]).expect("grow");
         let shrunk = shrink_stage(&m, &grown, 0, &[3], Mechanism::Dp).expect("shrink");
         assert!(validate(&shrunk, &m, &c).is_ok());
-        assert_eq!(shrunk.stages[0].gpus, 2);
-        assert_eq!(shrunk.stages[3].gpus, 4);
+        assert_eq!(shrunk.stages()[0].gpus, 2);
+        assert_eq!(shrunk.stages()[3].gpus, 4);
     }
 
     #[test]
@@ -510,7 +525,7 @@ mod tests {
         let (m, c, cfg) = setup();
         let tp = convert_stage(&m, &cfg, 0, Mechanism::Tp).expect("convert");
         assert!(validate(&tp, &m, &c).is_ok());
-        assert!(tp.stages[0].ops.iter().all(|o| o.tp == 2 && o.dp == 2));
+        assert!(tp.stages()[0].ops.iter().all(|o| o.tp == 2 && o.dp == 2));
         let back = convert_stage(&m, &tp, 0, Mechanism::Dp).expect("convert back");
         assert_eq!(back.semantic_hash(), cfg.semantic_hash());
     }
@@ -543,7 +558,7 @@ mod tests {
     fn recompute_flags_largest_first() {
         let (m, _, cfg) = setup();
         let rc = recompute_largest(&m, &cfg, 0, 1).expect("rc");
-        let flagged: Vec<usize> = rc.stages[0]
+        let flagged: Vec<usize> = rc.stages()[0]
             .ops
             .iter()
             .enumerate()
@@ -552,23 +567,23 @@ mod tests {
             .collect();
         assert_eq!(flagged.len(), 1);
         let j = flagged[0];
-        let max_stash = cfg.stages[0]
+        let max_stash = cfg.stages()[0]
             .ops
             .iter()
             .enumerate()
-            .map(|(i, _)| m.ops[cfg.stages[0].op_start + i].stash_elems)
+            .map(|(i, _)| m.ops[cfg.stages()[0].op_start + i].stash_elems)
             .max()
             .unwrap();
-        assert_eq!(m.ops[cfg.stages[0].op_start + j].stash_elems, max_stash);
+        assert_eq!(m.ops[cfg.stages()[0].op_start + j].stash_elems, max_stash);
     }
 
     #[test]
     fn uncompute_roundtrip() {
         let (m, _, cfg) = setup();
         let all = recompute_largest(&m, &cfg, 0, usize::MAX).expect("rc all");
-        assert_eq!(all.stages[0].num_recomputed(), all.stages[0].num_ops());
+        assert_eq!(all.stages()[0].num_recomputed(), all.stages()[0].num_ops());
         let none = uncompute_smallest(&m, &all, 0, usize::MAX).expect("unrc");
-        assert_eq!(none.stages[0].num_recomputed(), 0);
+        assert_eq!(none.stages()[0].num_recomputed(), 0);
         assert!(uncompute_smallest(&m, &cfg, 0, 1).is_none());
     }
 
@@ -576,11 +591,11 @@ mod tests {
     fn convert_suffix_creates_in_stage_mix() {
         let (m, c, _) = setup();
         let cfg = balanced_init(&m, &c, 1).expect("init");
-        let n = cfg.stages[0].num_ops();
+        let n = cfg.stages()[0].num_ops();
         let mixed = convert_suffix(&m, &cfg, 0, n / 2, Mechanism::Tp).expect("suffix converts");
         assert!(validate(&mixed, &m, &c).is_ok());
-        let first = mixed.stages[0].ops[0];
-        let last = mixed.stages[0].ops[n - 1];
+        let first = mixed.stages()[0].ops[0];
+        let last = mixed.stages()[0].ops[n - 1];
         assert_eq!(first.tp, 1);
         assert_eq!(last.tp, 2);
         assert_eq!(last.dp * last.tp, first.dp * first.tp);
@@ -606,7 +621,7 @@ mod tests {
         let (m, c, mut cfg) = setup();
         // dp=4 stages with zero on; converting toward tp repeatedly drives
         // dp to 1, and the zero flag must drop with it.
-        for s in &mut cfg.stages {
+        for mut s in cfg.stages_mut() {
             for o in &mut s.ops {
                 o.zero = true;
             }
@@ -620,12 +635,12 @@ mod tests {
             );
             cur = next;
         }
-        assert!(cur.stages[0].ops.iter().any(|o| o.dp == 1 && !o.zero));
+        assert!(cur.stages()[0].ops.iter().any(|o| o.dp == 1 && !o.zero));
 
         // halve_stage_inplace path (via shrink/grow) also clamps.
         let cfg4 = balanced_init(&m, &ClusterSpec::v100(1, 8), 4).expect("init");
         let mut zeroed = cfg4;
-        for s in &mut zeroed.stages {
+        for mut s in zeroed.stages_mut() {
             for o in &mut s.ops {
                 o.zero = o.dp > 1;
             }
@@ -652,8 +667,8 @@ mod tests {
         cfg = convert_stage(&m, &cfg, 1, Mechanism::Tp).expect("convert");
         let moved = move_ops(&m, &cfg, 0, 1, 2).expect("move");
         assert!(validate(&moved, &m, &c).is_ok());
-        let adopted = moved.stages[1].ops[0];
+        let adopted = moved.stages()[1].ops[0];
         // New front ops run at the receiving stage's gpu budget.
-        assert_eq!(adopted.gpus() as usize, moved.stages[1].gpus);
+        assert_eq!(adopted.gpus() as usize, moved.stages()[1].gpus);
     }
 }

@@ -6,16 +6,26 @@
 //! executable twin of the `aceso-audit` transform analyzer, run from
 //! random starting points instead of the fixed corpus. A second walk
 //! checks what each candidate carries into the search (INV-SCORE-ONCE in
-//! docs/SEARCH.md): its fingerprint and its fix-up estimate.
+//! docs/SEARCH.md): its fingerprint and its fix-up estimate. A third
+//! sweeps the audit corpus with primitive walks and checks INV-STAGE-HASH:
+//! after every transform, primitive, fix-up, fine-tune and JSON or
+//! checkpoint round trip, each cached stage hash equals a from-scratch
+//! recomputation, and no two different configurations share a
+//! fingerprint.
 
+use aceso_audit::corpus::{corpus, CorpusSample};
 use aceso_cluster::ClusterSpec;
 use aceso_config::{balanced_init, validate::validate, ParallelConfig};
+use aceso_core::finetune::fine_tune;
 use aceso_core::primitives::{generate_with, rc_fixup, Candidate, GenOptions};
-use aceso_core::{Primitive, Resource};
+use aceso_core::transform::{self, Mechanism};
+use aceso_core::{AcesoSearch, Primitive, Resource, SearchCheckpoint, SearchOptions, SearchStep};
 use aceso_model::{zoo, ModelGraph};
 use aceso_perf::{CachedEvaluator, Evaluator, PerfModel};
 use aceso_profile::ProfileDb;
+use aceso_util::json::{FromJson, ToJson};
 use aceso_util::SplitMix64;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// All §4.3 combination-feature settings the walk alternates between.
@@ -263,4 +273,156 @@ fn candidates_carry_their_fingerprint_and_fixup_estimate() {
             carried_walk(&model, &cluster, p, 0xCA77_0DD0 + seed, 24);
         }
     }
+}
+
+/// Fingerprints seen so far, each with the configuration that first had
+/// it.
+type Seen = HashMap<u64, ParallelConfig>;
+
+/// Panics unless every cached stage hash of `config` equals a
+/// from-scratch recomputation (INV-STAGE-HASH), or when a structurally
+/// different configuration already holds its fingerprint.
+fn check_stage_hashes(config: &ParallelConfig, seen: &mut Seen, ctx: &str) {
+    for (i, s) in config.stages().iter().enumerate() {
+        assert_eq!(
+            s.content_hash(),
+            s.compute_content_hash(),
+            "{ctx}: stage {i}'s cached hash is stale"
+        );
+    }
+    let fingerprint = config.semantic_hash();
+    match seen.entry(fingerprint) {
+        Entry::Occupied(e) => assert!(
+            e.get() == config,
+            "{ctx}: two different configurations share fingerprint {fingerprint:#x}"
+        ),
+        Entry::Vacant(e) => {
+            e.insert(config.clone());
+        }
+    }
+}
+
+/// Every public transform applied to `stage` of `config`.
+fn every_transform(
+    model: &ModelGraph,
+    config: &ParallelConfig,
+    stage: usize,
+) -> Vec<ParallelConfig> {
+    let others: Vec<usize> = (0..config.num_stages()).filter(|&s| s != stage).collect();
+    let half = config.stages()[stage].num_ops() / 2;
+    [
+        transform::move_ops(model, config, stage, stage + 1, 1),
+        stage
+            .checked_sub(1)
+            .and_then(|to| transform::move_ops(model, config, stage, to, 2)),
+        transform::grow_stage(model, config, stage, Mechanism::Dp, &others),
+        transform::grow_stage(model, config, stage, Mechanism::Tp, &others),
+        transform::shrink_stage(model, config, stage, &others, Mechanism::Dp),
+        transform::convert_stage(model, config, stage, Mechanism::Tp),
+        transform::convert_stage(model, config, stage, Mechanism::Dp),
+        transform::convert_suffix(model, config, stage, half, Mechanism::Tp),
+        transform::scale_microbatch(model, config, true),
+        transform::scale_microbatch(model, config, false),
+        transform::recompute_largest(model, config, stage, 1),
+        transform::uncompute_smallest(model, config, stage, usize::MAX),
+    ]
+    .into_iter()
+    .flatten()
+    .collect()
+}
+
+/// One primitive walk over a corpus sample, checking INV-STAGE-HASH on
+/// everything each step builds. Transforms copy on write, so the input
+/// must come out of each step with the fingerprint it went in with.
+fn stage_hash_walk(sample: &CorpusSample, start: &ParallelConfig, seed: u64, seen: &mut Seen) {
+    let model = &sample.model;
+    let pm = PerfModel::new(model, &sample.cluster, &sample.db);
+    let mut rng = SplitMix64::new(seed);
+    let mut config = start.clone();
+    check_stage_hashes(&config, seen, &sample.label);
+    for step in 0..8 {
+        let ctx = format!("{} seed {seed:#x} step {step}", sample.label);
+        let input = config.semantic_hash();
+        let stage = rng.next_below(config.num_stages());
+        for c in every_transform(model, &config, stage) {
+            check_stage_hashes(&c, seen, &format!("{ctx}: transform"));
+        }
+        let est = pm.evaluate_unchecked(&config);
+        let prim = *rng.choose(&Primitive::EXTENDED).expect("nonempty");
+        let resource = *rng.choose(&Resource::ALL).expect("nonempty");
+        let opts = *rng.choose(&GEN_OPTIONS).expect("nonempty");
+        let cands = generate_with(&pm, &config, &est, prim, stage, resource, opts);
+        for cand in &cands {
+            let ctx = format!("{ctx}: {}", prim.name());
+            check_stage_hashes(&cand.config, seen, &ctx);
+            let (fixed, _) = rc_fixup(&pm, cand.config.clone());
+            check_stage_hashes(&fixed, seen, &format!("{ctx} + fix-up"));
+            let decoded = ParallelConfig::from_json_value(&cand.config.to_json_value())
+                .expect("a configuration decodes from its own JSON");
+            assert_eq!(decoded, cand.config, "{ctx}: JSON round trip");
+            check_stage_hashes(&decoded, seen, &format!("{ctx} via JSON"));
+        }
+        if step % 4 == 3 {
+            let (tuned, _) = fine_tune(&pm, config.clone());
+            check_stage_hashes(&tuned, seen, &format!("{ctx}: fine-tune"));
+        }
+        assert_eq!(config.semantic_hash(), input, "{ctx}: the input changed");
+        check_stage_hashes(&config, seen, &ctx);
+        if let Some(next) = rng.choose(&cands) {
+            config = next.config.clone();
+        }
+    }
+}
+
+/// Every configuration a paused search's checkpoint holds, after a JSON
+/// round trip of the whole checkpoint, must keep its fingerprint and
+/// come back with fresh stage hashes.
+fn check_checkpoint_round_trip(sample: &CorpusSample, seen: &mut Seen) {
+    let opts = SearchOptions {
+        max_iterations: 4,
+        stage_counts: Some(vec![2]),
+        parallel: false,
+        ..SearchOptions::default()
+    };
+    let search = AcesoSearch::new(&sample.model, &sample.cluster, &sample.db, opts);
+    let Ok(SearchStep::Paused(ckpt)) = search.run_partial(false, 2) else {
+        return; // the search finished (or had no start) before the pause
+    };
+    let configs = |c: &SearchCheckpoint| -> Vec<ParallelConfig> {
+        let mut out = Vec::new();
+        for s in &c.stages {
+            out.extend(s.trace.accepted.iter().map(|a| a.config.clone()));
+            out.extend(s.tops.iter().map(|t| t.config.clone()));
+            if let Some(p) = &s.progress {
+                out.push(p.current.clone());
+                out.push(p.best.config.clone());
+                out.extend(p.unexplored.iter().map(|e| e.config.clone()));
+            }
+        }
+        out
+    };
+    let decoded = SearchCheckpoint::from_json_str(&ckpt.to_json_string()).expect("round trip");
+    let (before, after) = (configs(&ckpt), configs(&decoded));
+    assert_eq!(before.len(), after.len());
+    for (b, a) in before.iter().zip(&after) {
+        let ctx = format!("{}: checkpoint round trip", sample.label);
+        assert_eq!(a.semantic_hash(), b.semantic_hash(), "{ctx}: fingerprint");
+        check_stage_hashes(a, seen, &ctx);
+    }
+}
+
+#[test]
+fn stage_hashes_stay_fresh_and_fingerprints_stay_distinct() {
+    let mut seen = Seen::new();
+    for (i, sample) in corpus(false).iter().enumerate() {
+        for (j, start) in sample.configs.iter().enumerate() {
+            stage_hash_walk(sample, start, 0x57A6_E000 + (i * 16 + j) as u64, &mut seen);
+        }
+        check_checkpoint_round_trip(sample, &mut seen);
+    }
+    assert!(
+        seen.len() > 1000,
+        "only {} configurations checked",
+        seen.len()
+    );
 }

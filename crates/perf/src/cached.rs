@@ -14,8 +14,9 @@
 //!
 //! A stage's breakdown-plus-boundaries depends only on:
 //!
-//! - the stage content: op range, device count and per-op settings
-//!   (run-length hashed exactly like `ParallelConfig::semantic_hash`),
+//! - the stage content: op range, device count and per-op settings,
+//!   keyed by the stage's cached content hash (`Stage::content_hash`,
+//!   computed once when the stage was built or edited, never here),
 //! - the global microbatch size,
 //! - the stage's first global device id (collective and p2p times depend
 //!   on node crossings; device ranges are contiguous, so both boundary
@@ -36,7 +37,6 @@ use aceso_cluster::ClusterSpec;
 use aceso_config::ParallelConfig;
 use aceso_model::ModelGraph;
 use aceso_obs::{Counter, HistKind};
-use aceso_util::FnvHasher;
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -73,7 +73,7 @@ impl Evaluator for PerfModel<'_> {
 /// module docs for why exactly these fields).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 struct StageKey {
-    /// FNV over op range, device count and run-length-encoded op settings.
+    /// The stage's cached content hash (`Stage::content_hash`).
     content: u64,
     /// Global microbatch size.
     microbatch: usize,
@@ -91,7 +91,8 @@ struct StageKey {
 /// module docs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemoEntry {
-    /// FNV over op range, device count and run-length-encoded op settings.
+    /// The stage's content hash (`Stage::content_hash`): FNV over op
+    /// range, device count and run-length-encoded op settings.
     pub content: u64,
     /// Global microbatch size.
     pub microbatch: usize,
@@ -106,37 +107,17 @@ pub struct MemoEntry {
 }
 
 fn stage_key(config: &ParallelConfig, i: usize, dev_start: usize) -> StageKey {
-    let s = &config.stages[i];
-    let mut h = FnvHasher::new();
-    h.write_usize(s.op_start);
-    h.write_usize(s.op_end);
-    h.write_usize(s.gpus);
-    // Run-length encode per-op settings, mirroring `semantic_hash`.
-    let mut j = 0;
-    while j < s.ops.len() {
-        let o = s.ops[j];
-        let mut run = 1;
-        while j + run < s.ops.len() && s.ops[j + run] == o {
-            run += 1;
-        }
-        h.write_usize(run);
-        h.write_u64(u64::from(o.tp));
-        h.write_u64(u64::from(o.dp));
-        h.write_u64(u64::from(o.dim_index));
-        h.write_bool(o.recompute);
-        h.write_bool(o.zero);
-        j += run;
-    }
+    let stages = config.stages();
     StageKey {
-        content: h.finish(),
+        content: stages[i].content_hash(),
         microbatch: config.microbatch,
         dev_start,
         prev_last_dp: if i == 0 {
             0
         } else {
-            config.stages[i - 1].ops.last().map_or(0, |o| o.dp)
+            stages[i - 1].ops.last().map_or(0, |o| o.dp)
         },
-        has_next: i + 1 < config.stages.len(),
+        has_next: i + 1 < stages.len(),
     }
 }
 
@@ -240,7 +221,7 @@ impl<'a> CachedEvaluator<'a> {
                     stages.push(e);
                 }
             }
-            dev_start += config.stages[i].gpus;
+            dev_start += config.stages()[i].gpus;
         }
         (self.pm.assemble(config, stages), hits > 0)
     }
@@ -333,7 +314,7 @@ mod tests {
         // Flip recompute in the last stage: stages 0..p-2 are unchanged
         // (content, device start, boundary context all identical).
         let mut touched = cfg.clone();
-        for op in &mut touched.stages[3].ops {
+        for op in &mut touched.stage_mut(3).ops {
             op.recompute = true;
         }
         ev.evaluate_unchecked(&touched);
@@ -356,12 +337,14 @@ mod tests {
         let n = m.len();
         // Both variants use 2 GPUs per stage, so stage 1's content and
         // device start are identical — only the inbound boundary differs.
-        let mk = |para0: OpParallel| ParallelConfig {
-            stages: vec![
-                StageConfig::uniform(0, n / 2, para0),
-                StageConfig::uniform(n / 2, n, OpParallel::data_parallel(2)),
-            ],
-            microbatch: 8,
+        let mk = |para0: OpParallel| {
+            ParallelConfig::new(
+                vec![
+                    StageConfig::uniform(0, n / 2, para0),
+                    StageConfig::uniform(n / 2, n, OpParallel::data_parallel(2)),
+                ],
+                8,
+            )
         };
         let db = ProfileDb::build(&m, &c);
         let ev = CachedEvaluator::new(PerfModel::new(&m, &c, &db));

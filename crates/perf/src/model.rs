@@ -232,7 +232,7 @@ impl<'a> PerfModel<'a> {
     /// `mem_total` unassembled). The runtime simulator composes these raw
     /// ingredients with a true event-driven 1F1B schedule.
     pub fn stage_breakdown(&self, config: &ParallelConfig, stage_idx: usize) -> StageEstimate {
-        let stage = &config.stages[stage_idx];
+        let stage = &config.stages()[stage_idx];
         let range = config.device_range(stage_idx);
         let m = config.microbatch as u64;
         let act_bytes = self.model.precision.bytes();
@@ -405,7 +405,7 @@ impl<'a> PerfModel<'a> {
         from: usize,
         to: usize,
     ) -> f64 {
-        let stage = &config.stages[stage_idx];
+        let stage = &config.stages()[stage_idx];
         let last = stage.ops.last().expect("validated stage is non-empty");
         let op = &self.model.ops[stage.op_end - 1];
         let bytes = op.output_elems
@@ -459,7 +459,7 @@ mod tests {
         let (m, c) = setup(4);
         let mut cfg = balanced_init(&m, &c, 2).expect("init");
         let base = eval(&m, &c, &cfg);
-        for op in &mut cfg.stages[0].ops {
+        for op in &mut cfg.stage_mut(0).ops {
             op.recompute = true;
         }
         let rc = eval(&m, &c, &cfg);
@@ -472,12 +472,12 @@ mod tests {
     fn tensor_parallel_shrinks_params_adds_comm() {
         let (m, c) = setup(4);
         let n = m.len();
-        let dp4 = ParallelConfig {
-            stages: vec![StageConfig::uniform(0, n, OpParallel::data_parallel(4))],
-            microbatch: 4,
-        };
-        let tp4 = ParallelConfig {
-            stages: vec![StageConfig::uniform(
+        let dp4 = ParallelConfig::new(
+            vec![StageConfig::uniform(0, n, OpParallel::data_parallel(4))],
+            4,
+        );
+        let tp4 = ParallelConfig::new(
+            vec![StageConfig::uniform(
                 0,
                 n,
                 OpParallel {
@@ -488,8 +488,8 @@ mod tests {
                     zero: false,
                 },
             )],
-            microbatch: 4,
-        };
+            4,
+        );
         let a = eval(&m, &c, &dp4);
         let b = eval(&m, &c, &tp4);
         assert!(b.stages[0].mem_params < a.stages[0].mem_params);
@@ -574,8 +574,8 @@ mod tests {
         // seam; the model must charge communication for it.
         let (m, c) = setup(4);
         let n = m.len();
-        let uniform = ParallelConfig {
-            stages: vec![StageConfig::uniform(
+        let uniform = ParallelConfig::new(
+            vec![StageConfig::uniform(
                 0,
                 n,
                 OpParallel {
@@ -586,10 +586,10 @@ mod tests {
                     zero: false,
                 },
             )],
-            microbatch: 4,
-        };
+            4,
+        );
         let mut mixed = uniform.clone();
-        for op in mixed.stages[0].ops.iter_mut().skip(n / 2) {
+        for op in mixed.stage_mut(0).ops.iter_mut().skip(n / 2) {
             op.tp = 1;
             op.dp = 4;
         }
@@ -606,7 +606,7 @@ mod tests {
         let cfg2 = balanced_init(&m, &c, 2).expect("init");
         let db = ProfileDb::build(&m, &c);
         let pm = PerfModel::new(&m, &c, &db);
-        let boundary = pm.boundary_p2p(&cfg2, 0, cfg2.stages[0].gpus - 1, cfg2.stages[0].gpus);
+        let boundary = pm.boundary_p2p(&cfg2, 0, cfg2.stages()[0].gpus - 1, cfg2.stages()[0].gpus);
         assert!(boundary > 0.0);
         // Stage comm in the full evaluation includes that transfer.
         let bd = pm.stage_breakdown(&cfg2, 0);

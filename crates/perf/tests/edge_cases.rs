@@ -15,10 +15,7 @@ fn model() -> ModelGraph {
 }
 
 fn uniform(n: usize, para: OpParallel, microbatch: usize) -> ParallelConfig {
-    ParallelConfig {
-        stages: vec![StageConfig::uniform(0, n, para)],
-        microbatch,
-    }
+    ParallelConfig::new(vec![StageConfig::uniform(0, n, para)], microbatch)
 }
 
 /// A single-stage pipeline has no pipeline boundary: the assembled stage
@@ -59,7 +56,7 @@ fn dp1_everywhere_has_exactly_zero_dp_sync() {
 
     // Four single-GPU stages: tp = dp = 1 everywhere by construction.
     let cfg = balanced_init(&m, &c, 4).expect("init");
-    for s in &cfg.stages {
+    for s in cfg.stages() {
         for o in &s.ops {
             assert_eq!((o.tp, o.dp), (1, 1));
         }
@@ -142,12 +139,12 @@ fn boundary_p2p_cost_tracks_topology_and_dp() {
 
     // Doubling the last op's dp halves the per-replica payload.
     let mut dp1 = cfg.clone();
-    for o in &mut dp1.stages[0].ops {
+    for o in &mut dp1.stage_mut(0).ops {
         o.tp = 2;
         o.dp = 1;
     }
     let mut dp2 = cfg.clone();
-    for o in &mut dp2.stages[0].ops {
+    for o in &mut dp2.stage_mut(0).ops {
         o.tp = 1;
         o.dp = 2;
     }

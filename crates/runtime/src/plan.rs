@@ -98,7 +98,7 @@ impl ExecutionPlan {
         let p = config.num_stages();
         let n_mb = config.num_microbatches(model.global_batch);
         let mut ranks = Vec::with_capacity(cluster.total_gpus());
-        for (stage_idx, stage) in config.stages.iter().enumerate() {
+        for (stage_idx, stage) in config.stages().iter().enumerate() {
             let range = config.device_range(stage_idx);
             // The widest tp in the stage defines the communicator layout;
             // narrower per-op groups are sub-groups of it.
@@ -335,7 +335,7 @@ mod tests {
     fn tp_and_dp_groups_partition_each_stage() {
         let (m, c, mut cfg) = setup();
         // Force an interesting mesh: tp2 × dp2 per stage.
-        for s in &mut cfg.stages {
+        for mut s in cfg.stages_mut() {
             for o in &mut s.ops {
                 o.tp = 2;
                 o.dp = 2;

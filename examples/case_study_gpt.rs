@@ -45,13 +45,13 @@ fn main() {
     let uneven = {
         let sizes: Vec<usize> = aceso
             .best_config
-            .stages
+            .stages()
             .iter()
-            .map(aceso::config::StageConfig::num_ops)
+            .map(|s| s.num_ops())
             .collect();
         sizes.windows(2).any(|w| w[0] != w[1])
     };
-    let partial_rc = aceso.best_config.stages.iter().any(|s| {
+    let partial_rc = aceso.best_config.stages().iter().any(|s| {
         let rc = s.num_recomputed();
         rc > 0 && rc < s.num_ops()
     });

@@ -45,7 +45,7 @@ fn main() {
         "searched {} configurations in {:.2?}; best predicted iteration {:.3} s",
         result.explored, result.wall_time, result.best_time
     );
-    for (i, stage) in result.best_config.stages.iter().enumerate() {
+    for (i, stage) in result.best_config.stages().iter().enumerate() {
         let para = stage.ops.first().expect("stages are non-empty");
         println!(
             "  stage {i}: ops {:>3}..{:<3} on {} GPU(s), tp={} dp={}, {}/{} ops recomputed",

@@ -38,7 +38,7 @@
 //! println!(
 //!     "best predicted iteration time: {:.3}s over {} stages",
 //!     result.best_time,
-//!     result.best_config.stages.len()
+//!     result.best_config.num_stages()
 //! );
 //! ```
 

@@ -58,9 +58,15 @@ fn contracts() -> Vec<Contract> {
     vec![
         Contract {
             doc: "docs/SEARCH.md",
-            sources: &["crates/core/src"],
+            sources: &["crates/core/src", "crates/config/src"],
             owns: "",
-            anchors: &["MEMO", "MERGE-ORDER", "SCORE-ONCE", "CANONICAL-EXPORT"],
+            anchors: &[
+                "MEMO",
+                "MERGE-ORDER",
+                "SCORE-ONCE",
+                "STAGE-HASH",
+                "CANONICAL-EXPORT",
+            ],
             counters: &[("search_worker_batches", Class::Deterministic)],
             all_nondeterministic: Some(""),
             events: &[],

@@ -43,7 +43,7 @@ fn zero_configs_execute_on_the_simulator() {
     let cluster = ClusterSpec::v100(1, 4);
     let db = ProfileDb::build(&model, &cluster);
     let mut cfg = balanced_init(&model, &cluster, 2).expect("init");
-    for s in &mut cfg.stages {
+    for mut s in cfg.stages_mut() {
         for o in &mut s.ops {
             if o.dp > 1 {
                 o.zero = true;

@@ -204,7 +204,7 @@ fn perf_model_invariants() {
             assert!((est.iteration_time - max).abs() < 1e-9);
             // Recomputing everything reduces activation memory, grows bwd time.
             let mut rc = cfg.clone();
-            for s in &mut rc.stages {
+            for mut s in rc.stages_mut() {
                 for o in &mut s.ops {
                     o.recompute = true;
                 }
@@ -230,10 +230,10 @@ fn semantic_hashes_distinguish_mutations() {
     for _ in 0..200 {
         let mut cfg = base.clone();
         let stage = rng.next_below(2);
-        let op = rng.next_below(cfg.stages[stage].ops.len());
+        let op = rng.next_below(cfg.stages()[stage].ops.len());
         match rng.next_below(3) {
-            0 => cfg.stages[stage].ops[op].recompute = !cfg.stages[stage].ops[op].recompute,
-            1 => cfg.stages[stage].ops[op].zero = !cfg.stages[stage].ops[op].zero,
+            0 => cfg.stage_mut(stage).ops[op].recompute ^= true,
+            1 => cfg.stage_mut(stage).ops[op].zero ^= true,
             _ => cfg.microbatch *= 2,
         }
         assert_ne!(cfg.semantic_hash(), h0);
