@@ -1,6 +1,6 @@
 //! # aceso-audit — whole-system static verification for the Aceso stack
 //!
-//! Seven analyzers prove, over a deterministic corpus of (model zoo ×
+//! Six analyzers prove, over a deterministic corpus of (model zoo ×
 //! cluster preset × configuration) samples, that the moving parts the
 //! search and the serve daemon rely on are sound:
 //!
@@ -24,9 +24,6 @@
 //!    protocol is explored exhaustively under a bounded crash/resubmit
 //!    adversary — no reachable interleaving emits an out-of-order
 //!    frame, double-delivers a result, or leaks a spool on a clean path.
-//! 7. **Lock order** ([`lock_check`]): the shadow-lock layer records
-//!    the held-before graph while profile-cache scenarios run; the
-//!    graph is proven acyclic.
 //!
 //! Every analyzer carries a **mutation gate** ([`Mutation`]): a seeded
 //! bug injection that must be caught, proving the check is live. The
@@ -36,7 +33,6 @@
 #![deny(missing_docs)]
 
 pub mod corpus;
-pub mod lock_check;
 pub mod perf_check;
 pub mod plan_safety;
 pub mod protocol;
@@ -59,25 +55,17 @@ pub enum Mutation {
     /// The protocol model emits the result before the final event
     /// (caught by `PROTO-FRAME`).
     ReorderFrame,
-    /// A private lock pair is acquired in both orders (caught by
-    /// `LOCK-CYCLE`).
-    SwapLockPair,
 }
 
 impl Mutation {
     /// Every defined mutation.
-    pub const ALL: [Mutation; 3] = [
-        Mutation::MemBound,
-        Mutation::ReorderFrame,
-        Mutation::SwapLockPair,
-    ];
+    pub const ALL: [Mutation; 2] = [Mutation::MemBound, Mutation::ReorderFrame];
 
     /// Stable CLI name.
     pub fn name(self) -> &'static str {
         match self {
             Mutation::MemBound => "mem-bound",
             Mutation::ReorderFrame => "reorder-frame",
-            Mutation::SwapLockPair => "swap-lock-pair",
         }
     }
 
@@ -91,7 +79,6 @@ impl Mutation {
         match self {
             Mutation::MemBound => "PLAN-EQ1",
             Mutation::ReorderFrame => "PROTO-FRAME",
-            Mutation::SwapLockPair => "LOCK-CYCLE",
         }
     }
 }
@@ -105,7 +92,7 @@ pub struct AuditOptions {
     /// Relative tolerance for floating-point comparisons.
     pub epsilon: f64,
     /// Run the whole-system analyzers (plan safety, protocol state
-    /// machine, lock order) in addition to the original four. Smoke mode
+    /// machine) in addition to the original four. Smoke mode
     /// always includes them at reduced depth.
     pub full: bool,
     /// Seeded bug injection for the mutation gates.
@@ -138,9 +125,9 @@ pub fn audit_sample(sample: &CorpusSample, opts: &AuditOptions, report: &mut Aud
 
 /// Runs the analyzers over the full corpus and merges the findings.
 ///
-/// The corpus-independent analyzers (protocol, lock order) run once per
-/// invocation, after the corpus sweep; they are part of `--full` and
-/// smoke runs only, so the default fast path is unchanged.
+/// The corpus-independent protocol analyzer runs once per invocation,
+/// after the corpus sweep; it is part of `--full` and smoke runs only,
+/// so the default fast path is unchanged.
 pub fn run(opts: &AuditOptions) -> AuditReport {
     let mut report = AuditReport::default();
     for sample in corpus(opts.smoke) {
@@ -153,7 +140,6 @@ pub fn run(opts: &AuditOptions) -> AuditReport {
             protocol::ProtocolParams::full()
         };
         protocol::audit_protocol(&params, opts.mutation, &mut report);
-        lock_check::audit_lock_order(opts.mutation, &mut report);
     }
     report
 }

@@ -69,6 +69,10 @@ const STRUCTURAL_TOKENS: &[&str] = &[
     "p99_us",
     "p99_us_range",
     "serve_restart",
+    "restarts",
+    "store_hits",
+    "store_writes",
+    "sim_profiling_s_saved",
     "cold_us",
     "warm_us",
     "restart_us",

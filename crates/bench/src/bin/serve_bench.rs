@@ -21,14 +21,15 @@
 //! committed numbers). Every well-formed request must complete:
 //! `errors` other than zero fails the run.
 //!
-//! **Restart mode** measures what the persistent profile store
+//! **Restart mode** checks what the persistent profile store
 //! (`--store-dir`, `docs/STORE.md`) buys across a daemon restart: one
 //! daemon pays the cold build and warm cache hits, then fresh daemons
-//! sharing the same store directory serve their first request off a
-//! store decode instead of a re-profile. Merges
-//! `{cold_us, warm_us, restart_us}` into the snapshot as the
-//! `serve_restart` section; `obs_check` gates `restart_us` at 1.1×
-//! `warm_us` in the committed file.
+//! sharing the same store directory must each serve their first request
+//! off exactly one store hit with no write-back, and answer with the
+//! cold response's best time and fingerprint. Merges the counts and the
+//! simulated profiling seconds each restart saves into the snapshot as
+//! the `serve_restart` section, which `obs_check` gates exactly; the
+//! `cold_us`/`warm_us`/`restart_us` latencies are information only.
 //!
 //! ```console
 //! $ cargo run --release -p aceso-bench --bin serve_bench [model] [gpus]
@@ -36,7 +37,10 @@
 //! $ cargo run --release -p aceso-bench --bin serve_bench restart [out.json]
 //! ```
 
-use aceso_bench::harness::{bench_search_path, merge_bench_section};
+use aceso_bench::harness::{
+    bench_search_path, merge_bench_section, restart_sim_profiling_seconds, RESTART_KEY,
+};
+use aceso_obs::Counter;
 use aceso_serve::{read_frame, shutdown, submit, submit_pipelined, Request, ServeOptions, Server};
 use aceso_util::json::{obj, ToJson, Value};
 use aceso_util::table::Table;
@@ -310,100 +314,112 @@ fn fleet_draw(clients: usize) -> FleetDraw {
     }
 }
 
-/// Warm and restart submits both sample this many times and keep the
-/// minimum: the figures feed a ratio gate, so load-slow outliers on
-/// either side would make it spurious.
+/// Fresh daemons started on the warm store; warm submits sample as
+/// many times and keep the minimum.
 const RESTART_SAMPLES: usize = 3;
 
 /// Measures the store-backed restart path: cold build, warm in-memory
 /// cache hits, then fresh daemons whose first request is served off the
-/// shared `--store-dir` (cache empty, store warm). The store converts
-/// the restart's cache miss into a decode, not a re-profile, so
-/// `restart_us` lands within a whisker of `warm_us` — `obs_check` holds
-/// the committed figures to 1.1×. (The cold figure is context, not a
-/// gate: profiling is analytic and the end-to-end time is search-
-/// dominated, so cold and warm differ by the profile phase only.)
+/// shared `--store-dir` (cache empty, store warm). Each restarted daemon
+/// must count exactly one store hit and no store write, and return the
+/// cold response's best time and fingerprint bit for bit. The latencies
+/// are printed and recorded for information only: the requests are
+/// search-dominated, so their ratio measures search noise.
 fn run_restart(out: &std::path::Path) {
     let store = std::env::temp_dir().join(format!("aceso-restart-bench-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store);
-    // A model whose profile build is a visible share of the request, so
-    // the cold figure actually shows what the store saves on restart.
     let req = Request {
-        model: "gpt3-0.35b".into(),
-        gpus: 4,
+        model: RESTART_KEY.0.into(),
+        gpus: RESTART_KEY.1,
         max_iterations: 8,
         ..Request::default()
     };
-    let store_opts = || ServeOptions {
-        store_dir: Some(store.clone()),
-        ..ServeOptions::default()
+    // Starts a daemon on the store, submits `req` `submits` times and
+    // drains it: each response with its latency, plus the drain report.
+    let serve = |submits: usize| {
+        let opts = ServeOptions {
+            store_dir: Some(store.clone()),
+            ..ServeOptions::default()
+        };
+        let server = Server::bind("127.0.0.1:0", opts).expect("binds");
+        let addr = server.local_addr().to_string();
+        let daemon = std::thread::spawn(move || server.run());
+        let runs: Vec<(aceso_serve::Response, u64)> = (0..submits)
+            .map(|_| {
+                let t0 = Instant::now();
+                let resp = submit(&addr, &req).expect("submit succeeds");
+                (resp, t0.elapsed().as_micros() as u64)
+            })
+            .collect();
+        shutdown(&addr).expect("shutdown");
+        (runs, daemon.join().expect("daemon drains"))
     };
-    let submit_us = |addr: &str| {
-        let t0 = Instant::now();
-        submit(addr, &req).expect("submit succeeds");
-        t0.elapsed().as_micros() as u64
+    let outcome = |resp: &aceso_serve::Response| {
+        let field = |name| resp.result.field(name).cloned().expect("result field");
+        (field("best_time_bits"), field("best_fingerprint"))
     };
 
-    // Daemon A: the cold request profiles the model and writes the
-    // store entry; the warm requests hit the in-memory cache.
     eprintln!(
         "measuring cold/warm/restart against store dir {}...",
         store.display()
     );
-    let server = Server::bind("127.0.0.1:0", store_opts()).expect("binds");
-    let addr = server.local_addr().to_string();
-    let daemon = std::thread::spawn(move || server.run());
-    let cold_us = submit_us(&addr);
-    let warm_us = (0..RESTART_SAMPLES)
-        .map(|_| submit_us(&addr))
-        .min()
-        .unwrap();
-    shutdown(&addr).expect("shutdown");
-    daemon.join().expect("daemon drains");
-
-    // Fresh daemons sharing the store dir: each first request pays a
-    // cache miss that the store turns into a decode.
-    let restart_us = (0..RESTART_SAMPLES)
+    // Daemon A: the cold request profiles the model and writes the store
+    // entry; the warm requests hit the in-memory cache.
+    let (runs, _) = serve(1 + RESTART_SAMPLES);
+    let (cold, cold_us) = &runs[0];
+    let warm_us = runs[1..].iter().map(|r| r.1).min().unwrap();
+    // Fresh daemons sharing the store dir: each first request must turn
+    // its cache miss into one store load, with the cold answer.
+    let restarts: Vec<_> = (0..RESTART_SAMPLES)
         .map(|_| {
-            let server = Server::bind("127.0.0.1:0", store_opts()).expect("binds");
-            let addr = server.local_addr().to_string();
-            let daemon = std::thread::spawn(move || server.run());
-            let us = submit_us(&addr);
-            shutdown(&addr).expect("shutdown");
-            daemon.join().expect("daemon drains");
-            us
+            let (runs, report) = serve(1);
+            let counts = (
+                report.counter(Counter::StoreHits),
+                report.counter(Counter::StoreWrites),
+            );
+            (counts, outcome(&runs[0].0), runs[0].1)
         })
-        .min()
-        .unwrap();
+        .collect();
+    // Clean up before asserting, so a failing run leaves no store behind.
     let _ = std::fs::remove_dir_all(&store);
+    for (counts, answer, _) in &restarts {
+        assert_eq!(
+            *counts,
+            (1, 0),
+            "a restarted daemon must serve off one store hit with no write-back"
+        );
+        assert_eq!(
+            *answer,
+            outcome(cold),
+            "a restarted daemon must return the cold best time and fingerprint"
+        );
+    }
+    let restart_us = restarts.iter().map(|r| r.2).min().unwrap();
+    let saved = restart_sim_profiling_seconds();
 
     let mut table = Table::new(
         "store-backed restart: cold build vs warm cache vs fresh daemon on a warm store",
-        &["cold", "warm", "restart", "restart/warm"],
+        &["cold", "warm", "restart", "sim profiling saved"],
     );
     table.row(&[
         format!("{cold_us} µs"),
         format!("{warm_us} µs"),
         format!("{restart_us} µs"),
-        format!("{:.2}x", restart_us as f64 / warm_us.max(1) as f64),
+        format!("{saved:.1} s"),
     ]);
     print!("{}", table.render());
     merge_bench_section(
         out,
         "serve_restart",
         obj([
-            ("cold_us", Value::UInt(cold_us)),
+            ("restarts", Value::UInt(RESTART_SAMPLES as u64)),
+            ("store_hits", Value::UInt(1)),
+            ("store_writes", Value::UInt(0)),
+            ("sim_profiling_s_saved", Value::Float(saved)),
+            ("cold_us", Value::UInt(*cold_us)),
             ("warm_us", Value::UInt(warm_us)),
             ("restart_us", Value::UInt(restart_us)),
         ]),
-    );
-    // Loose smoke bound for fresh runs (ci.sh runs this binary on a
-    // possibly loaded machine); the tight 1.1x gate applies to the
-    // committed figures via `obs_check`.
-    assert!(
-        (restart_us as f64) < 1.5 * warm_us as f64,
-        "a store-backed restart must stay in the warm-hit envelope \
-         (restart {restart_us} µs vs warm {warm_us} µs)"
     );
 }
 

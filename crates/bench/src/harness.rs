@@ -230,6 +230,16 @@ pub fn merge_bench_section(path: &std::path::Path, key: &str, section: Value) {
     println!("[saved {}]", path.display());
 }
 
+/// Model and GPU count of the `serve_bench restart` request.
+pub const RESTART_KEY: (&str, usize) = ("gpt3-0.35b", 4);
+
+/// Simulated profiling seconds a store hit on [`RESTART_KEY`] saves: the
+/// cost of profiling that key from scratch.
+pub fn restart_sim_profiling_seconds() -> f64 {
+    let model = aceso_model::zoo::by_name(RESTART_KEY.0).expect("zoo model");
+    ProfileDb::build(&model, &ClusterSpec::v100_gpus(RESTART_KEY.1)).simulated_profiling_seconds()
+}
+
 /// One Exp#1 measurement row, persisted for Exp#2/8/9 and Tables 3–5.
 #[derive(Debug, Clone)]
 pub struct Exp1Row {

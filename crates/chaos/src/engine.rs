@@ -395,8 +395,8 @@ impl Engine {
     /// The worker-panic dimension: a profile build that panics mid-way
     /// must be contained by `catch_unwind`, and the cache (sharing the
     /// scenario's store directory) must recover — the next build of the
-    /// same key succeeds. Exercises the cache's `BuildGuard` unwind
-    /// path against a real store tier.
+    /// same key succeeds. Exercises the cache's poisoned-lock recovery
+    /// against a real store tier.
     fn inject_panic(&self, store_dir: &Path, violations: &mut Vec<String>) {
         // A tiny model unique to the panic step: its fingerprint can
         // never already be resident in the scenario's store, so the

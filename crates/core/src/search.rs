@@ -1079,9 +1079,13 @@ mod tests {
         let (m, c) = setup();
         let db = ProfileDb::build(&m, &c);
         let search = AcesoSearch::new(&m, &c, &db, opts());
-        let result = search.run().expect("search finds a config");
+        let (result, report) = search.run_observed(true).expect("search finds a config");
         assert!(!result.best_oom, "best config must be feasible");
         assert!(result.explored > 10);
+        // A search that accepts nothing can still tie the baseline; it
+        // must actually have moved.
+        assert!(report.counter(Counter::CandidatesAccepted) > 0);
+        assert!(report.counter(Counter::IterationsImproved) > 0);
         // Compare against the 2-stage balanced baseline.
         let pm = PerfModel::new(&m, &c, &db);
         let baseline = pm.evaluate_unchecked(&balanced_init(&m, &c, 2).expect("init"));
@@ -1091,6 +1095,23 @@ mod tests {
             result.best_time,
             baseline.score()
         );
+        // A balanced two-stage split always has operator moves. A stale
+        // stage hash fingerprints a move like its input, and generation
+        // then drops it as a duplicate, so the search explores less.
+        let init = balanced_init(&m, &c, 2).expect("init");
+        let est = pm.evaluate_unchecked(&init);
+        for prim in [Primitive::DecOp, Primitive::IncOp] {
+            let cands = generate_with(
+                &pm,
+                &init,
+                &est,
+                prim,
+                0,
+                Resource::Compute,
+                GenOptions::default(),
+            );
+            assert!(!cands.is_empty(), "{} found no move", prim.name());
+        }
     }
 
     #[test]

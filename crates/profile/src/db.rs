@@ -91,28 +91,6 @@ impl FromJson for Snapshot {
     }
 }
 
-/// Error returned by [`ProfileDb::merge`] when the databases were
-/// profiled at different numeric precisions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrecisionMismatch {
-    /// Precision of the receiving database.
-    pub ours: Precision,
-    /// Precision of the database being merged in.
-    pub theirs: Precision,
-}
-
-impl std::fmt::Display for PrecisionMismatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "cannot merge a {:?} profile database into a {:?} one",
-            self.theirs, self.ours
-        )
-    }
-}
-
-impl std::error::Error for PrecisionMismatch {}
-
 /// Profiled per-operator latencies plus collective-time queries for one
 /// cluster, reusable across searches.
 #[derive(Debug)]
@@ -380,34 +358,6 @@ impl ProfileDb {
         self.entries.read().expect("profile lock").is_empty()
     }
 
-    /// Merges another database profiled on the same cluster/precision into
-    /// this one (the §3.3 reuse property: "the profiled database can be
-    /// reused by the search for models that contain the same operators").
-    ///
-    /// Entries for identical keys are identical by construction (pure
-    /// function of the key), so the merge is conflict-free. Returns the
-    /// number of entries added, or [`PrecisionMismatch`] when the two
-    /// databases were profiled at different precisions — timings depend
-    /// on the precision but entry keys do not encode it, so such a merge
-    /// would silently mix incompatible measurements.
-    pub fn merge(&mut self, other: &ProfileDb) -> Result<usize, PrecisionMismatch> {
-        if self.precision != other.precision {
-            return Err(PrecisionMismatch {
-                ours: self.precision,
-                theirs: other.precision,
-            });
-        }
-        let mut added = 0usize;
-        let mut mine = self.entries.write().expect("profile lock");
-        let theirs = other.entries.read().expect("profile lock");
-        for (k, v) in theirs.iter() {
-            if mine.insert(*k, *v).is_none() {
-                added += 1;
-            }
-        }
-        Ok(added)
-    }
-
     /// Serialises the database to JSON.
     pub fn to_json(&self) -> String {
         let snap = Snapshot {
@@ -590,46 +540,6 @@ mod tests {
                 / serial.simulated_profiling_seconds();
             assert!(rel < 1e-9, "threads={threads} rel={rel}");
         }
-    }
-
-    #[test]
-    fn merge_reuses_shared_operators() {
-        let c = ClusterSpec::v100(1, 4);
-        // Two GPT variants sharing layer shapes (same hidden) but with
-        // different depths: their unique-op sets overlap heavily.
-        let a = gpt3_custom("a", 2, 256, 4, 128, 1000, 64);
-        let b = gpt3_custom("b", 4, 256, 4, 128, 1000, 64);
-        let mut db_a = ProfileDb::build(&a, &c);
-        let db_b = ProfileDb::build(&b, &c);
-        let before = db_a.len();
-        let added = db_a.merge(&db_b).expect("same precision");
-        // Identical layer shapes → nothing new to add.
-        assert_eq!(added, 0);
-        assert_eq!(db_a.len(), before);
-        // A different hidden size brings genuinely new entries.
-        let d = gpt3_custom("d", 2, 512, 8, 128, 1000, 64);
-        let db_d = ProfileDb::build(&d, &c);
-        let added = db_a.merge(&db_d).expect("same precision");
-        assert!(added > 0);
-        // Merged lookups match the source database exactly.
-        let op = &d.ops[1];
-        assert_eq!(db_a.op_fwd_time(op, 2, 0, 4), db_d.op_fwd_time(op, 2, 0, 4));
-    }
-
-    #[test]
-    fn merge_rejects_precision_mismatch() {
-        let c = ClusterSpec::v100(1, 4);
-        let fp16 = gpt3_custom("a", 2, 256, 4, 128, 1000, 64);
-        let mut fp32 = gpt3_custom("b", 2, 256, 4, 128, 1000, 64);
-        fp32.precision = Precision::Fp32;
-        let mut db_fp16 = ProfileDb::build(&fp16, &c);
-        let db_fp32 = ProfileDb::build(&fp32, &c);
-        let before = db_fp16.len();
-        let err = db_fp16.merge(&db_fp32).expect_err("precisions differ");
-        assert_eq!(err.ours, Precision::Fp16);
-        assert_eq!(err.theirs, Precision::Fp32);
-        // The failed merge must leave the receiver untouched.
-        assert_eq!(db_fp16.len(), before);
     }
 
     #[test]

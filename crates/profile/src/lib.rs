@@ -14,5 +14,5 @@
 pub mod db;
 pub mod device_model;
 
-pub use db::{PrecisionMismatch, ProfileDb};
+pub use db::ProfileDb;
 pub use device_model::{op_fwd_time, op_working_set};

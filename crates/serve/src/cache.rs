@@ -1,23 +1,14 @@
 //! The cross-request profile cache.
 //!
-//! Building a [`ProfileDb`] is the daemon's dominant cold-start cost —
+//! Building a [`ProfileDb`] is the daemon's cold-start profiling cost —
 //! exactly the artifact the paper's §3.3 reuse property says should be
 //! shared ("the profiled database can be reused by the search for models
 //! that contain the same operators"). [`ProfileCache`] keys built
 //! databases by *(model fingerprint, cluster fingerprint)* and shares
-//! them across concurrent requests:
+//! them across requests:
 //!
 //! * an exact-key hit returns the existing `Arc<ProfileDb>` without any
 //!   profiling work;
-//! * concurrent requests for the same key share one build — later
-//!   arrivals block on a condvar until the first finishes, then count as
-//!   hits;
-//! * a miss that shares a cluster *and precision* with resident entries
-//!   folds their entries in via [`ProfileDb::merge`] (partial-overlap
-//!   reuse: shared operator shapes are not re-measured conceptually, and
-//!   lookups stay bit-identical because every entry is a pure function
-//!   of its key; mixed-precision databases are never merged — timings
-//!   depend on the precision but entry keys do not encode it);
 //! * total resident size is bounded by an LRU byte budget over
 //!   [`ProfileDb::approx_bytes`];
 //! * optionally, a persistent second tier ([`aceso_store::Store`]): a
@@ -27,18 +18,24 @@
 //!   the cache is merely the store's client, the format contract lives
 //!   in `docs/STORE.md`.
 //!
+//! The whole cache is one map behind one mutex, held across the hit
+//! check, the store load, the build, the write-back and the eviction.
+//! Concurrent requests for one key therefore cause exactly one build or
+//! load (later arrivals find the entry and count as hits), and store
+//! I/O for a key is single-flight within a daemon. The lock costs no
+//! measurable time: a store load is ~0.2 ms and a build ~0.1 ms against
+//! a search of several milliseconds (`docs/BENCHMARKS.md`).
+//!
 //! Sharing can never change a search result: `ProfileDb` lookups return
-//! identical values on hit and miss, so a cached, merged, or freshly
+//! identical values on hit and miss, so a cached, loaded, or freshly
 //! built database scores every configuration bit-identically.
 
 use aceso_cluster::ClusterSpec;
-use aceso_model::ModelGraph;
+use aceso_model::{ModelGraph, Precision};
 use aceso_profile::ProfileDb;
 use aceso_store::Store;
-use aceso_util::lockorder::{TrackedCondvar, TrackedGuard, TrackedMutex};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 // The cache keys on the same fingerprints that bind search checkpoints
 // to their inputs; both live in `aceso_core::checkpoint` so a daemon's
@@ -49,72 +46,35 @@ pub use aceso_core::checkpoint::{cluster_fingerprint, model_fingerprint};
 /// One resident cache entry.
 struct Entry {
     db: Arc<ProfileDb>,
-    cluster_fp: u64,
     bytes: u64,
     /// Monotone LRU clock value of the last lookup.
     last_use: u64,
 }
 
-/// Slot state: either being built by some request, or resident.
-enum Slot {
-    Building,
-    Ready(Entry),
-}
-
+/// Everything the cache mutates, behind its one lock.
 #[derive(Default)]
 struct State {
-    slots: HashMap<(u64, u64), Slot>,
+    entries: HashMap<(u64, u64), Entry>,
     tick: u64,
+    /// Degraded store files as `(file, reason)` pairs, drained by the
+    /// daemon into its `store_degraded` event stream.
+    degraded: Vec<(String, String)>,
+    hits: u64,
+    misses: u64,
+    store_hits: u64,
+    store_misses: u64,
+    store_writes: u64,
+    store_evictions: u64,
+    store_rejected: u64,
 }
 
 /// Shared, byte-budgeted LRU cache of built [`ProfileDb`]s.
 pub struct ProfileCache {
     budget_bytes: u64,
-    state: TrackedMutex<State>,
-    built: TrackedCondvar,
-    /// Set by [`ProfileCache::shutdown`]. Waiters coalesced on a
-    /// concurrent build re-check this after every wakeup so a drain can
-    /// never strand them on a build that may not finish.
-    shutdown: AtomicBool,
-    /// Threads currently blocked waiting out another request's build.
-    /// Observability for tests and the deterministic-scheduler harness.
-    waiters: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    state: Mutex<State>,
     /// Optional persistent second tier, consulted on a miss before
     /// building and written back after a fresh build.
     store: Option<Store>,
-    store_hits: AtomicU64,
-    store_misses: AtomicU64,
-    store_writes: AtomicU64,
-    store_evictions: AtomicU64,
-    store_rejected: AtomicU64,
-    /// Degraded store files as `(file, reason)` pairs, drained by the
-    /// daemon into its `store_degraded` event stream. Never locked
-    /// while `state` is held.
-    degraded: TrackedMutex<Vec<(String, String)>>,
-}
-
-/// Clears a `Building` slot and wakes waiters if the build unwinds.
-///
-/// Between inserting `Slot::Building` and inserting the finished entry
-/// the cache is in a transient state; if `ProfileDb::build` or the merge
-/// panics in between, waiters on the condvar would otherwise block
-/// forever on a slot nobody is building. Disarmed on success.
-struct BuildGuard<'a> {
-    cache: &'a ProfileCache,
-    key: (u64, u64),
-    armed: bool,
-}
-
-impl Drop for BuildGuard<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            let mut state = self.cache.lock_state();
-            state.slots.remove(&self.key);
-            self.cache.built.notify_all();
-        }
-    }
 }
 
 impl ProfileCache {
@@ -124,19 +84,8 @@ impl ProfileCache {
     pub fn new(budget_bytes: u64) -> Self {
         Self {
             budget_bytes,
-            state: TrackedMutex::new("profile-cache.state", State::default()),
-            built: TrackedCondvar::new(),
-            shutdown: AtomicBool::new(false),
-            waiters: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            state: Mutex::new(State::default()),
             store: None,
-            store_hits: AtomicU64::new(0),
-            store_misses: AtomicU64::new(0),
-            store_writes: AtomicU64::new(0),
-            store_evictions: AtomicU64::new(0),
-            store_rejected: AtomicU64::new(0),
-            degraded: TrackedMutex::new("profile-cache.degraded", Vec::new()),
         }
     }
 
@@ -153,42 +102,16 @@ impl ProfileCache {
 
     /// Locks the cache state, recovering from poisoning: a panic in one
     /// request's build must not wedge every later cache call. The state
-    /// stays consistent under poisoning because mutations are either
-    /// single `insert`/`remove` calls or are rolled back by
-    /// [`BuildGuard`].
-    fn lock_state(&self) -> TrackedGuard<'_, State> {
+    /// stays consistent under poisoning because the map is only touched
+    /// by single `insert`/`remove` calls after the build has returned.
+    fn lock_state(&self) -> MutexGuard<'_, State> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Marks the cache as shutting down and wakes every coalesced
-    /// waiter. Waiters blocked on a concurrent build fall back to a
-    /// private uncached build instead of waiting on a build that may
-    /// never finish — liveness over deduplication during a drain. The
-    /// daemon calls this when it starts draining.
-    pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Take the state lock before notifying so a waiter that checked
-        // the flag just before we set it is already parked in `wait`
-        // (it held the lock while checking) and cannot miss the wakeup.
-        let _state = self.lock_state();
-        self.built.notify_all();
-    }
-
-    /// Whether [`ProfileCache::shutdown`] has been called.
-    pub fn is_shut_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
-    /// Number of threads currently blocked waiting out another
-    /// request's build of the same key.
-    pub fn waiting(&self) -> u64 {
-        self.waiters.load(Ordering::SeqCst)
-    }
-
     /// Returns the database for `(model, cluster)`, building it on first
-    /// use. The boolean is `true` on a cache hit (including waiting out a
-    /// concurrent build of the same key) and `false` when this call did
-    /// the build.
+    /// use. The boolean is `true` on a cache hit (including a request
+    /// that waited out a concurrent build of the same key) and `false`
+    /// when this call loaded or built the database.
     pub fn get_or_build(
         &self,
         model: &ModelGraph,
@@ -199,10 +122,9 @@ impl ProfileCache {
 
     /// [`ProfileCache::get_or_build`] with the build function injected.
     ///
-    /// The deterministic-scheduler harness passes closures that park on
-    /// barriers, so tests can hold the cache at any point of the
-    /// coalescing protocol and drive adversarial interleavings; the
-    /// production path passes `ProfileDb::build`.
+    /// The chaos engine passes a panicking closure to prove a failed
+    /// build leaves the cache usable; the production path passes
+    /// `ProfileDb::build`.
     pub fn get_or_build_with(
         &self,
         model: &ModelGraph,
@@ -210,131 +132,51 @@ impl ProfileCache {
         build: impl FnOnce(&ModelGraph, &ClusterSpec) -> ProfileDb,
     ) -> (Arc<ProfileDb>, bool) {
         let key = (model_fingerprint(model), cluster_fingerprint(cluster));
-        {
-            let mut state = self.lock_state();
-            loop {
-                match state.slots.get_mut(&key) {
-                    Some(Slot::Ready(_)) => {
-                        state.tick += 1;
-                        let tick = state.tick;
-                        let Some(Slot::Ready(entry)) = state.slots.get_mut(&key) else {
-                            unreachable!("slot vanished under the lock")
-                        };
-                        entry.last_use = tick;
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        return (Arc::clone(&entry.db), true);
-                    }
-                    Some(Slot::Building) => {
-                        // Re-checked on every wakeup: a drain that
-                        // arrives while we are coalesced on someone
-                        // else's build must not strand us if that build
-                        // never completes. Fall back to a private,
-                        // uncached build (a miss).
-                        if self.shutdown.load(Ordering::SeqCst) {
-                            drop(state);
-                            self.misses.fetch_add(1, Ordering::Relaxed);
-                            return (Arc::new(build(model, cluster)), false);
-                        }
-                        self.waiters.fetch_add(1, Ordering::SeqCst);
-                        let waited = self.built.wait(state);
-                        self.waiters.fetch_sub(1, Ordering::SeqCst);
-                        state = waited.unwrap_or_else(PoisonError::into_inner);
-                    }
-                    None => {
-                        state.slots.insert(key, Slot::Building);
-                        break;
-                    }
-                }
-            }
+        let mut guard = self.lock_state();
+        let state = &mut *guard;
+        state.tick += 1;
+        if let Some(entry) = state.entries.get_mut(&key) {
+            entry.last_use = state.tick;
+            state.hits += 1;
+            return (Arc::clone(&entry.db), true);
         }
-        let mut guard = BuildGuard {
-            cache: self,
-            key,
-            armed: true,
-        };
-
-        // Disk tier first, then a real build — both outside the lock:
-        // profiling and store I/O are the expensive parts and other keys
-        // must stay servable meanwhile. A fresh build is written back
-        // pre-merge, so the entry on disk is exactly what a cold build
-        // produces and a later load stays bit-identical to building.
-        let mut db = match self.load_from_store(key, model.precision) {
+        // Disk tier first, then a real build. A fresh build is written
+        // back as built, so a later load stays bit-identical to building.
+        let db = match self.load_from_store(state, key, model.precision) {
             Some(db) => db,
             None => {
                 let db = build(model, cluster);
-                self.write_back(key, &db);
+                self.write_back(state, key, &db);
                 db
             }
         };
-        // The entry's accounted cost is its own build size: entries
-        // folded in below are shared with (and already accounted by)
-        // their resident owners.
-        let bytes = db.approx_bytes();
-
-        let mut state = self.lock_state();
-        // Partial-overlap reuse: fold in every resident database built on
-        // the same cluster at the same precision. Entries are pure
-        // functions of their keys, so the merge is conflict-free and
-        // cannot change any lookup. Precision must match exactly: the
-        // zoo mixes Fp16 and Fp32 models, and their timings are not
-        // interchangeable.
-        for slot in state.slots.values() {
-            if let Slot::Ready(entry) = slot {
-                if entry.cluster_fp == key.1 && entry.db.precision() == db.precision() {
-                    db.merge(&entry.db)
-                        .expect("precision checked before merging");
-                }
-            }
-        }
         let db = Arc::new(db);
-        state.tick += 1;
-        let tick = state.tick;
-        state.slots.insert(
-            key,
-            Slot::Ready(Entry {
-                db: Arc::clone(&db),
-                cluster_fp: key.1,
-                bytes,
-                last_use: tick,
-            }),
-        );
-        guard.armed = false;
-        Self::evict_over_budget(&mut state, self.budget_bytes, key);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.built.notify_all();
+        let entry = Entry {
+            db: Arc::clone(&db),
+            bytes: db.approx_bytes(),
+            last_use: state.tick,
+        };
+        state.entries.insert(key, entry);
+        Self::evict_over_budget(state, self.budget_bytes, key);
+        state.misses += 1;
         (db, false)
     }
 
-    /// Evicts least-recently-used `Ready` entries until resident bytes
-    /// fit the budget, never evicting `keep` (the entry just inserted).
+    /// Evicts least-recently-used entries until resident bytes fit the
+    /// budget, never evicting `keep` (the entry just inserted).
     fn evict_over_budget(state: &mut State, budget: u64, keep: (u64, u64)) {
-        loop {
-            let resident: u64 = state
-                .slots
-                .values()
-                .filter_map(|s| match s {
-                    Slot::Ready(e) => Some(e.bytes),
-                    Slot::Building => None,
-                })
-                .sum();
-            if resident <= budget {
-                return;
-            }
-            let victim = state
-                .slots
+        let mut resident: u64 = state.entries.values().map(|e| e.bytes).sum();
+        while resident > budget {
+            let Some(victim) = state
+                .entries
                 .iter()
-                .filter_map(|(k, s)| match s {
-                    Slot::Ready(e) if *k != keep => Some((e.last_use, *k)),
-                    _ => None,
-                })
-                .min()
-                .map(|(_, k)| k);
-            match victim {
-                Some(k) => {
-                    state.slots.remove(&k);
-                }
-                None => return,
-            }
+                .filter(|(k, _)| **k != keep)
+                .min_by_key(|(_, e)| e.last_use)
+                .map(|(k, _)| *k)
+            else {
+                return;
+            };
+            resident -= state.entries.remove(&victim).map_or(0, |e| e.bytes);
         }
     }
 
@@ -343,33 +185,31 @@ impl ProfileCache {
     /// the daemon's event stream. `None` means "build it fresh".
     fn load_from_store(
         &self,
+        state: &mut State,
         key: (u64, u64),
-        precision: aceso_model::Precision,
+        precision: Precision,
     ) -> Option<ProfileDb> {
         let store = self.store.as_ref()?;
         match store.load(key.0, key.1) {
+            // Timings depend on the precision but entry keys do not
+            // encode it, so a decodable entry at another precision is
+            // skipped and the request builds fresh.
+            Ok(Some(db)) if db.precision() != precision => {
+                state.store_rejected += 1;
+                None
+            }
             Ok(Some(db)) => {
-                if db.precision() == precision {
-                    self.store_hits.fetch_add(1, Ordering::Relaxed);
-                    Some(db)
-                } else {
-                    // The in-memory merge path's precision-filter rule,
-                    // applied to the disk tier: mixed-precision timings
-                    // are never interchangeable, so the entry is skipped
-                    // and the request builds fresh.
-                    self.store_rejected.fetch_add(1, Ordering::Relaxed);
-                    None
-                }
+                state.store_hits += 1;
+                Some(db)
             }
             Ok(None) => {
-                self.store_misses.fetch_add(1, Ordering::Relaxed);
+                state.store_misses += 1;
                 None
             }
             Err(degraded) => {
-                self.store_misses.fetch_add(1, Ordering::Relaxed);
-                self.degraded
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
+                state.store_misses += 1;
+                state
+                    .degraded
                     .push((degraded.file, degraded.reason.to_string()));
                 None
             }
@@ -378,34 +218,29 @@ impl ProfileCache {
 
     /// Writes a freshly built database back to the persistent tier.
     /// Best-effort: a full or read-only disk must not fail the request.
-    fn write_back(&self, key: (u64, u64), db: &ProfileDb) {
+    fn write_back(&self, state: &mut State, key: (u64, u64), db: &ProfileDb) {
         let Some(store) = self.store.as_ref() else {
             return;
         };
         if let Ok(evicted) = store.save(key.0, key.1, db) {
-            self.store_writes.fetch_add(1, Ordering::Relaxed);
-            self.store_evictions
-                .fetch_add(evicted as u64, Ordering::Relaxed);
+            state.store_writes += 1;
+            state.store_evictions += evicted as u64;
         }
     }
 
-    /// Lifetime cache hits (exact-key or shared-build).
+    /// Lifetime cache hits.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.lock_state().hits
     }
 
-    /// Lifetime cache misses (builds performed).
+    /// Lifetime cache misses (loads and builds performed).
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.lock_state().misses
     }
 
     /// Number of resident databases.
     pub fn len(&self) -> usize {
-        self.lock_state()
-            .slots
-            .values()
-            .filter(|s| matches!(s, Slot::Ready(_)))
-            .count()
+        self.lock_state().entries.len()
     }
 
     /// Whether no database is resident.
@@ -415,33 +250,33 @@ impl ProfileCache {
 
     /// Lifetime misses resolved from the persistent store.
     pub fn store_hits(&self) -> u64 {
-        self.store_hits.load(Ordering::Relaxed)
+        self.lock_state().store_hits
     }
 
     /// Lifetime store consultations that found no usable entry.
     pub fn store_misses(&self) -> u64 {
-        self.store_misses.load(Ordering::Relaxed)
+        self.lock_state().store_misses
     }
 
     /// Lifetime databases written back to the persistent store.
     pub fn store_writes(&self) -> u64 {
-        self.store_writes.load(Ordering::Relaxed)
+        self.lock_state().store_writes
     }
 
     /// Lifetime store entries evicted from disk by the byte budget.
     pub fn store_evictions(&self) -> u64 {
-        self.store_evictions.load(Ordering::Relaxed)
+        self.lock_state().store_evictions
     }
 
     /// Lifetime store entries skipped for precision mismatch.
     pub fn store_rejected(&self) -> u64 {
-        self.store_rejected.load(Ordering::Relaxed)
+        self.lock_state().store_rejected
     }
 
     /// Drains queued `(file, reason)` store degradations for the
     /// daemon's event stream.
     pub fn drain_degraded(&self) -> Vec<(String, String)> {
-        std::mem::take(&mut *self.degraded.lock().unwrap_or_else(PoisonError::into_inner))
+        std::mem::take(&mut self.lock_state().degraded)
     }
 
     /// Drains the store tier's count of failed eviction-sweep removals
@@ -454,14 +289,7 @@ impl ProfileCache {
 
     /// Total approximate bytes of resident databases.
     pub fn resident_bytes(&self) -> u64 {
-        self.lock_state()
-            .slots
-            .values()
-            .filter_map(|s| match s {
-                Slot::Ready(e) => Some(e.bytes),
-                Slot::Building => None,
-            })
-            .sum()
+        self.lock_state().entries.values().map(|e| e.bytes).sum()
     }
 }
 
@@ -470,7 +298,6 @@ mod tests {
     use super::*;
     use aceso_model::zoo::gpt3_custom;
     use aceso_model::Precision;
-    use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 
     fn small(name: &str, layers: usize) -> ModelGraph {
         gpt3_custom(name, layers, 256, 4, 128, 1000, 16)
@@ -509,54 +336,6 @@ mod tests {
     }
 
     #[test]
-    fn same_cluster_miss_merges_resident_entries() {
-        let cache = ProfileCache::new(u64::MAX);
-        let c = ClusterSpec::v100(1, 2);
-        let (db_a, _) = cache.get_or_build(&small("a", 2), &c);
-        // A deeper variant with identical layer shapes: its own build
-        // would have the same unique entries, and after the merge it must
-        // contain at least everything `a` has.
-        let (db_b, _) = cache.get_or_build(&small("b", 4), &c);
-        assert!(db_b.len() >= db_a.len());
-    }
-
-    #[test]
-    fn mixed_precision_same_cluster_entries_do_not_merge() {
-        let cache = ProfileCache::new(u64::MAX);
-        let c = ClusterSpec::v100(1, 2);
-        // Disjoint operator shapes at different precisions on one
-        // cluster: without the precision filter the second build would
-        // fold the first database's Fp16 timings in (and, before that,
-        // trip `ProfileDb::merge`'s precision check).
-        let fp16 = small("a", 2);
-        let mut fp32 = gpt3_custom("b", 2, 512, 8, 128, 1000, 16);
-        fp32.precision = Precision::Fp32;
-        cache.get_or_build(&fp16, &c);
-        let (db32, _) = cache.get_or_build(&fp32, &c);
-        let direct = ProfileDb::build(&fp32, &c);
-        assert_eq!(db32.precision(), Precision::Fp32);
-        assert_eq!(db32.len(), direct.len(), "no Fp16 entries folded in");
-    }
-
-    #[test]
-    fn merged_entries_are_not_double_counted() {
-        let cache = ProfileCache::new(u64::MAX);
-        let c = ClusterSpec::v100(1, 2);
-        // Two models with disjoint shapes: the second build folds the
-        // first database in, but its accounted bytes stay its own build
-        // size — the folded entries are already accounted by their
-        // resident owner.
-        let a = small("a", 2);
-        let b = gpt3_custom("b", 2, 512, 8, 128, 1000, 16);
-        let own_a = ProfileDb::build(&a, &c).approx_bytes();
-        let own_b = ProfileDb::build(&b, &c).approx_bytes();
-        cache.get_or_build(&a, &c);
-        let (db_b, _) = cache.get_or_build(&b, &c);
-        assert!(db_b.approx_bytes() > own_b, "merge did fold entries in");
-        assert_eq!(cache.resident_bytes(), own_a + own_b);
-    }
-
-    #[test]
     fn byte_budget_evicts_lru() {
         let m1 = small("a", 2);
         let m2 = small("b", 4);
@@ -580,8 +359,8 @@ mod tests {
         let m2 = small("b", 4);
         let c = ClusterSpec::v100(1, 2);
         let one = ProfileDb::build(&m1, &c).approx_bytes();
-        // Room for two entries (the merged second entry is the same size
-        // as the first: identical unique shapes), not three.
+        // Room for two entries (the second has the same size as the
+        // first: identical unique shapes), not three.
         let cache = ProfileCache::new(2 * one + one / 2);
         cache.get_or_build(&m1, &c);
         cache.get_or_build(&m2, &c);
@@ -607,126 +386,23 @@ mod tests {
         assert_eq!(cache.hits(), 3, "the others share the build");
     }
 
-    /// Regression: a drain arriving while waiters are coalesced on a
-    /// concurrent build must release them. Before the shutdown re-check
-    /// in the wait loop, the waiter below blocked forever on a build
-    /// that (here, deliberately) never finishes until released.
+    /// A build that panics under the lock poisons it; the next call
+    /// recovers the lock, finds no half-inserted entry, and builds.
     #[test]
-    fn shutdown_during_coalesced_build_releases_waiters() {
+    fn panicking_build_leaves_the_cache_usable() {
         let cache = ProfileCache::new(u64::MAX);
         let m = small("a", 2);
         let c = ClusterSpec::v100(1, 2);
-        let gate = std::sync::Barrier::new(2);
-        // Set inside the gated closure: once true, the builder provably
-        // holds the `Building` slot, so a waiter spawned after this
-        // point *must* coalesce. (Without the handshake, the waiter can
-        // win the race, build everything itself, and leave `waiting()`
-        // at zero forever — spinning the main thread.)
-        let started = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            // Builder: parks inside the build until the main thread
-            // releases it, holding the slot in `Building`.
-            s.spawn(|| {
-                cache.get_or_build_with(&m, &c, |m, c| {
-                    started.store(true, AtomicOrdering::SeqCst);
-                    gate.wait();
-                    ProfileDb::build(m, c)
-                })
-            });
-            while !started.load(AtomicOrdering::SeqCst) {
-                std::thread::yield_now();
-            }
-            // Waiter: coalesces on the builder's slot and blocks.
-            let waiter = s.spawn(|| cache.get_or_build(&m, &c));
-            while cache.waiting() == 0 {
-                std::thread::yield_now();
-            }
-            // Drain. The waiter must come back with a private build —
-            // not hang until the builder is released.
-            cache.shutdown();
-            let (_db, hit) = waiter.join().expect("waiter returns");
-            assert!(!hit, "a shutdown fallback build is a miss");
-            // Release the builder; its entry still lands in the cache.
-            gate.wait();
-        });
-        assert_eq!(cache.misses(), 2, "builder + waiter fallback");
-        assert_eq!(cache.hits(), 0);
-        assert_eq!(cache.len(), 1);
-    }
-
-    /// Deterministic-scheduler harness: drives the coalescing protocol
-    /// through adversarial interleavings by parking the build closure on
-    /// a barrier, so each ordering below is exact, not probabilistic.
-    #[test]
-    fn coalescing_protocol_survives_adversarial_interleavings() {
-        let m = small("a", 2);
-        let c = ClusterSpec::v100(1, 2);
-
-        // Interleaving 1: waiter blocks, builder released, waiter hits.
-        // (`started` handshake: the waiter may only be spawned once the
-        // builder holds the slot, else the waiter can build first and
-        // the `waiting()` spin below never terminates.)
-        let cache = ProfileCache::new(u64::MAX);
-        let gate = std::sync::Barrier::new(2);
-        let started = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                cache.get_or_build_with(&m, &c, |m, c| {
-                    started.store(true, AtomicOrdering::SeqCst);
-                    gate.wait();
-                    ProfileDb::build(m, c)
-                })
-            });
-            while !started.load(AtomicOrdering::SeqCst) {
-                std::thread::yield_now();
-            }
-            let waiter = s.spawn(|| cache.get_or_build(&m, &c));
-            while cache.waiting() == 0 {
-                std::thread::yield_now();
-            }
-            gate.wait();
-            let (_db, hit) = waiter.join().expect("waiter returns");
-            assert!(hit, "released build is shared: the waiter hits");
-        });
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.get_or_build_with(&m, &c, |_, _| panic!("injected build panic"))
+        }));
+        assert!(unwound.is_err(), "the build panicked");
+        assert!(cache.is_empty(), "nothing inserted for the failed build");
+        let (_db, hit) = cache.get_or_build(&m, &c);
+        assert!(!hit, "the key is built after the panic");
+        let (_db, hit) = cache.get_or_build(&m, &c);
+        assert!(hit);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
-
-        // Interleaving 2: shutdown lands before any request. Requests
-        // still complete (drain must finish in-flight work).
-        let cache = ProfileCache::new(u64::MAX);
-        cache.shutdown();
-        let (_db, hit) = cache.get_or_build(&m, &c);
-        assert!(!hit);
-        let (_db, hit) = cache.get_or_build(&m, &c);
-        assert!(hit, "resident entries still hit after shutdown");
-
-        // Interleaving 3: two waiters coalesced, shutdown releases both,
-        // then the builder completes. No waiter is stranded and every
-        // call returns a usable database.
-        let cache = ProfileCache::new(u64::MAX);
-        let gate = std::sync::Barrier::new(2);
-        let started = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                cache.get_or_build_with(&m, &c, |m, c| {
-                    started.store(true, AtomicOrdering::SeqCst);
-                    gate.wait();
-                    ProfileDb::build(m, c)
-                })
-            });
-            while !started.load(AtomicOrdering::SeqCst) {
-                std::thread::yield_now();
-            }
-            let w1 = s.spawn(|| cache.get_or_build(&m, &c));
-            let w2 = s.spawn(|| cache.get_or_build(&m, &c));
-            while cache.waiting() < 2 {
-                std::thread::yield_now();
-            }
-            cache.shutdown();
-            assert!(!w1.join().expect("w1 returns").1);
-            assert!(!w2.join().expect("w2 returns").1);
-            gate.wait();
-        });
-        assert_eq!(cache.misses(), 3, "builder + two fallback builds");
     }
 
     fn store_dir(tag: &str) -> std::path::PathBuf {
@@ -766,9 +442,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The write-back precision-filter rule: a decodable store entry
-    /// whose precision mismatches the request's build is skipped and
-    /// counted, never merged. (An honest writer cannot produce one —
+    /// The store precision check: a decodable store entry whose
+    /// precision mismatches the request's build is skipped and counted,
+    /// never served. (An honest writer cannot produce one —
     /// the model fingerprint hashes the precision — so this plants a
     /// mismatched entry through the store API directly.)
     #[test]

@@ -269,7 +269,6 @@ pub(crate) fn run(listener: &TcpListener, shared: &Arc<Shared>) -> ObsReport {
     let mut global_in_flight: usize = 0;
     let mut rr: usize = 0;
     let mut idle_sweeps: u32 = 0;
-    let mut cache_released = false;
     let mut read_buf = vec![0u8; READ_CHUNK];
 
     // Spool hygiene runs inline from the event loop instead of a
@@ -298,13 +297,6 @@ pub(crate) fn run(listener: &TcpListener, shared: &Arc<Shared>) -> ObsReport {
             }
         }
         let draining = shared.draining.load(Ordering::SeqCst);
-        if draining && !cache_released {
-            // Same order as the blocking drain: release coalesced cache
-            // waiters before waiting out in-flight work, so a stranded
-            // waiter cannot wedge the drain.
-            shared.cache.shutdown();
-            cache_released = true;
-        }
 
         // --- Accept. New connections are refused during a drain.
         // (`loop`, not `while !draining`: the flag cannot change inside

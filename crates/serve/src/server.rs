@@ -396,10 +396,6 @@ impl Server {
             let shared = Arc::clone(&self.shared);
             std::thread::spawn(move || handle_connection(&shared, stream));
         }
-        // Release any request coalesced on a profile build before
-        // blocking on the drain: a stranded cache waiter would hold its
-        // worker slot and the drain below would never finish.
-        self.shared.cache.shutdown();
         // Graceful drain: wait for every admitted request to finish
         // responding.
         let mut n = self.shared.in_flight.lock().expect("slot lock");

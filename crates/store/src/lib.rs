@@ -245,9 +245,13 @@ impl Store {
             .file_name()
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_default();
-        // The pid suffix keeps concurrent daemons sharing one store from
-        // clobbering each other's in-flight temp files.
-        let tmp = path.with_file_name(format!("{file}.tmp.{}", std::process::id()));
+        // The pid keeps daemons sharing one store apart; the sequence
+        // number keeps writers within one process apart (touch-on-load
+        // rewrites an entry on every load, so concurrent loads of one
+        // key would otherwise truncate each other's temp file).
+        static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+        let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+        let tmp = path.with_file_name(format!("{file}.tmp.{}.{seq}", std::process::id()));
         fsio::write_atomic(self.fs.as_ref(), path, &tmp, bytes)
     }
 
@@ -543,6 +547,37 @@ mod tests {
         // The touch-on-load rewrite kept the entry decodable.
         let back2 = store.load(m, c).expect("no degrade").expect("hit");
         assert_eq!(back2.len(), db.len());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Concurrent loads of one key, through several handles in one
+    /// process, each rewrite the entry (touch-on-load); every one must
+    /// still decode cleanly.
+    #[test]
+    fn concurrent_same_process_loads_never_degrade() {
+        let dir = tmpdir("concurrent-loads");
+        let model = aceso_model::zoo::by_name("gpt3-0.35b").expect("zoo model");
+        let db = ProfileDb::build(&model, &ClusterSpec::v100_gpus(4));
+        let (m, c) = (1, 2);
+        let stores = [
+            Store::open(&dir, u64::MAX).expect("open"),
+            Store::open(&dir, u64::MAX).expect("open"),
+        ];
+        stores[0].save(m, c, &db).expect("save");
+        let degraded = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for t in 0..3 {
+                let (store, degraded) = (&stores[t % 2], &degraded);
+                s.spawn(move || {
+                    for _ in 0..400 {
+                        if !matches!(store.load(m, c), Ok(Some(_))) {
+                            degraded.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(degraded.load(Ordering::Relaxed), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -8,7 +8,6 @@
 pub mod fsio;
 pub mod hash;
 pub mod json;
-pub mod lockorder;
 pub mod retention;
 pub mod rng;
 pub mod stats;

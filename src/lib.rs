@@ -122,13 +122,13 @@ the model-zoo corpus; exits non-zero if any finding is reported
   --smoke           audit a single small model (fast CI check); includes
                     the whole-system analyzers at reduced depth
   --full            also run the whole-system analyzers at full depth:
-                    plan-safety proofs, protocol state-machine checking,
-                    lock-order deadlock analysis (docs/ANALYSIS.md)
+                    plan-safety proofs and protocol state-machine
+                    checking (docs/ANALYSIS.md)
   --json FILE       also write the findings report as JSON
   --epsilon E       float comparison tolerance (default 1e-9)
   --mutate M        seed a bug injection for the mutation gates; the run
                     must exit 1 with the matching finding (one of:
-                    mem-bound, reorder-frame, swap-lock-pair)
+                    mem-bound, reorder-frame)
   --metrics-out FILE  write an observability metric snapshot with the
                     per-rule `audit_findings` counter family
 
