@@ -15,7 +15,9 @@
 # whose artifacts must validate against the documented schema, a serve
 # daemon round-trip, a crash-recovery smoke (SIGKILL the daemon
 # mid-search, restart it, resubmit — the resumed event stream must be
-# byte-identical to an uninterrupted reference), a store smoke (SIGKILL
+# byte-identical to an uninterrupted reference — then shut the restarted
+# daemon down with a request in flight, which must still be answered
+# before the drain completes), a store smoke (SIGKILL
 # a --store-dir daemon mid-run — `aceso store verify` must find no torn
 # entry, and a restarted daemon must serve off the surviving store), a
 # store-backed restart gate (each restarted daemon serves off exactly
@@ -147,7 +149,7 @@ grep -q "daemon drained" "$SERVE_TMP/serve.log" || {
 trap - EXIT
 rm -rf "$SERVE_TMP"
 
-echo "==> crash-recovery smoke: SIGKILL mid-search, restart, resume"
+echo "==> crash-recovery smoke: drain under load, SIGKILL mid-search, restart, resume"
 CRASH_TMP=$(mktemp -d)
 CRASH_PID=""
 trap 'kill -9 "$CRASH_PID" 2>/dev/null || :; rm -rf "$CRASH_TMP"' EXIT
@@ -191,70 +193,25 @@ grep -q '"search_resumed": *1' "$CRASH_TMP/stats.json" || {
     echo "restarted daemon did not count the resume"; exit 1; }
 grep -q '"client_retries": *[1-9]' "$CRASH_TMP/stats.json" || {
     echo "restarted daemon did not count the client retry"; exit 1; }
-target/release/aceso submit --addr "$ADDR" --shutdown >/dev/null
-wait "$CRASH_PID"
-trap - EXIT
-rm -rf "$CRASH_TMP"
-
-echo "==> reactor smoke: drain under load, then SIGKILL-mid-pipeline recovery"
-REACT_TMP=$(mktemp -d)
-REACT_PID=""
-trap 'kill -9 "$REACT_PID" 2>/dev/null || :; rm -rf "$REACT_TMP"' EXIT
-# Drain under load: shut the reactor down while a request is in
-# flight — the daemon must finish the in-flight search, deliver its
-# result, and only then report a clean drain (docs/SERVER.md).
-start_daemon "$REACT_TMP/serve.log" --addr 127.0.0.1:0 --workers 2 --reactor
-REACT_PID=$DAEMON_PID
+# Drain under load: shut the daemon down while a request is in flight —
+# it must finish the search, deliver its result, and only then report a
+# clean drain (docs/SERVER.md).
 target/release/aceso submit --addr "$ADDR" \
     --model gpt3-0.35b --gpus 4 --iterations 24 \
-    --events-out "$REACT_TMP/drain-events.jsonl" >/dev/null &
+    --events-out "$CRASH_TMP/drain-events.jsonl" >/dev/null &
 SUBMIT_PID=$!
 sleep 0.3
 target/release/aceso submit --addr "$ADDR" --shutdown >/dev/null
 wait "$SUBMIT_PID" || { echo "in-flight request lost during drain"; exit 1; }
-[ -s "$REACT_TMP/drain-events.jsonl" ] || {
+[ -s "$CRASH_TMP/drain-events.jsonl" ] || {
     echo "drained request returned no events"; exit 1; }
-wait "$REACT_PID"
-grep -q "daemon drained" "$REACT_TMP/serve.log" || {
-    echo "reactor daemon did not drain cleanly"; exit 1; }
-# SIGKILL mid-pipeline: same crash-recovery contract as the blocking
-# front-end, but through the reactor's event loop and spool markers.
-start_daemon "$REACT_TMP/serve2.log" --addr 127.0.0.1:0 --workers 2 --reactor \
-    --spool-dir "$REACT_TMP/spool" --checkpoint-every 2
-REACT_PID=$DAEMON_PID
-target/release/aceso submit --addr "$ADDR" \
-    --model gpt3-0.35b --gpus 4 --iterations 24 \
-    --events-out "$REACT_TMP/ref-events.jsonl" >/dev/null
-target/release/aceso submit --addr "$ADDR" \
-    --model gpt3-0.35b --gpus 4 --iterations 24 --request-id ci-reactor-crash \
-    >/dev/null 2>&1 &
-SUBMIT_PID=$!
-SPOOL=""
-for _ in $(seq 1 100); do
-    SPOOL=$(find "$REACT_TMP/spool" -name 'ci-reactor-crash-*.ckpt' 2>/dev/null | head -n 1)
-    [ -n "$SPOOL" ] && break
-    sleep 0.05
-done
-[ -n "$SPOOL" ] || { echo "no checkpoint spool appeared before the search finished"; exit 1; }
-kill -9 "$REACT_PID"
-wait "$SUBMIT_PID" 2>/dev/null || :  # the client lost its daemon — expected
-start_daemon "$REACT_TMP/serve3.log" --addr 127.0.0.1:0 --workers 2 --reactor \
-    --spool-dir "$REACT_TMP/spool" --checkpoint-every 2
-REACT_PID=$DAEMON_PID
-target/release/aceso submit --addr "$ADDR" \
-    --model gpt3-0.35b --gpus 4 --iterations 24 --request-id ci-reactor-crash \
-    --retries 3 --events-out "$REACT_TMP/crash-events.jsonl" >/dev/null
-cmp "$REACT_TMP/ref-events.jsonl" "$REACT_TMP/crash-events.jsonl" || {
-    echo "reactor resumed event stream diverged from the reference"; exit 1; }
-target/release/aceso submit --addr "$ADDR" --stats >"$REACT_TMP/stats.json"
-grep -q '"search_resumed": *1' "$REACT_TMP/stats.json" || {
-    echo "restarted reactor daemon did not count the resume"; exit 1; }
-target/release/aceso submit --addr "$ADDR" --shutdown >/dev/null
-wait "$REACT_PID"
+wait "$CRASH_PID"
+grep -q "daemon drained" "$CRASH_TMP/serve2.log" || {
+    echo "restarted daemon did not drain cleanly"; exit 1; }
 trap - EXIT
-rm -rf "$REACT_TMP"
+rm -rf "$CRASH_TMP"
 
-echo "==> fleet smoke: 64 mixed clients against an in-process reactor"
+echo "==> fleet smoke: 64 mixed clients against an in-process daemon"
 FLEET_TMP=$(mktemp -d)
 cargo run --release --quiet -p aceso-bench --bin serve_bench -- \
     fleet 64 "$FLEET_TMP/fleet.json" >/dev/null

@@ -10,8 +10,8 @@
 //! (`eval_latency_us`) is untouched — so the printed overhead is purely
 //! the pause/serialise/resume cycles.
 //!
-//! **Fleet mode** drives the `--reactor` front-end with a mixed client
-//! fleet — roughly half idle connection holders, a quarter slow-loris
+//! **Fleet mode** drives the daemon with a mixed client fleet —
+//! roughly half idle connection holders, a quarter slow-loris
 //! writers that trickle a well-formed request byte by chunk, and a
 //! quarter pipelined submitters — with SplitMix64-seeded think times.
 //! It runs [`FLEET_DRAWS`] fleets one after another, then merges the
@@ -84,8 +84,8 @@ fn main() {
 }
 
 /// The shared fleet request: one small model so every client hits the
-/// same profile-cache key and the measurement isolates the reactor, not
-/// repeated profiling.
+/// same profile-cache key and the measurement isolates the front-end,
+/// not repeated profiling.
 fn fleet_request(id: Option<String>) -> Request {
     Request {
         model: "deepnet-8l".into(),
@@ -141,17 +141,10 @@ fn run_fleet(clients: usize, out: &std::path::Path) {
     assert_eq!(errors, 0, "every well-formed fleet request must complete");
 }
 
-/// Drives `clients` mixed clients at a fresh in-process reactor daemon
-/// and prints one fleet's percentile summary.
+/// Drives `clients` mixed clients at a fresh in-process daemon and
+/// prints one fleet's percentile summary.
 fn fleet_draw(clients: usize) -> FleetDraw {
-    let server = Server::bind(
-        "127.0.0.1:0",
-        ServeOptions {
-            reactor: true,
-            ..ServeOptions::default()
-        },
-    )
-    .expect("binds");
+    let server = Server::bind("127.0.0.1:0", ServeOptions::default()).expect("binds");
     let addr = server.local_addr().to_string();
     let daemon = std::thread::spawn(move || server.run());
 
@@ -159,7 +152,7 @@ fn fleet_draw(clients: usize) -> FleetDraw {
     // client paying the cold profiling cost for everyone.
     submit(&addr, &fleet_request(None)).expect("warm-up submit succeeds");
 
-    eprintln!("driving {clients} mixed clients at reactor daemon {addr}...");
+    eprintln!("driving {clients} mixed clients at daemon {addr}...");
     let t0 = Instant::now();
     let latencies: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
     let errors = Arc::new(AtomicU64::new(0));
@@ -187,9 +180,9 @@ fn fleet_draw(clients: usize) -> FleetDraw {
             .spawn(move || {
                 let mut rng = SplitMix64::new(0xF1EE7 ^ i as u64);
                 match i % 4 {
-                    // Half the fleet: idle holders. They cost the
-                    // reactor a slab slot, never a thread or a timeout —
-                    // INV-NONBLOCK holds quiet connections indefinitely.
+                    // Half the fleet: idle holders. Each costs the daemon
+                    // one connection thread parked on a read; a fleet is
+                    // over well inside the 30 s i/o deadline.
                     0 | 1 => {
                         let stream = TcpStream::connect(&addr).expect("idle connect");
                         connected.wait();
@@ -231,8 +224,8 @@ fn fleet_draw(clients: usize) -> FleetDraw {
                             errors.fetch_add(1, Ordering::Relaxed);
                         }
                     }
-                    // A quarter: pipelined submitters — two tagged
-                    // requests on one connection, written back to back.
+                    // A quarter: pipelined submitters — two requests on
+                    // one connection, written back to back.
                     _ => {
                         connected.wait();
                         std::thread::sleep(Duration::from_millis(rng.next_u64() % 20));
@@ -294,7 +287,7 @@ fn fleet_draw(clients: usize) -> FleetDraw {
     );
     let (p50, p99) = (pct(0.50), pct(0.99));
     let mut table = Table::new(
-        "reactor fleet fan-in: mixed idle / slow-loris / pipelined clients",
+        "serve fleet fan-in: mixed idle / slow-loris / pipelined clients",
         &["clients", "submitted", "errors", "p50", "p99", "wall"],
     );
     table.row(&[

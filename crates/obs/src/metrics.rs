@@ -67,21 +67,11 @@ pub enum Counter {
     /// Per-primitive generation steps: one per (primitive, bottleneck
     /// resource) candidate-generation call of the multi-hop search.
     SearchWorkerBatches,
-    /// Connections currently open on the serve reactor, sampled at
+    /// Connections currently open on the serve daemon, sampled at
     /// snapshot time (a gauge rendered through the counter machinery).
     /// **Timing-dependent** — listed in
     /// [`crate::schema::NONDETERMINISTIC_COUNTERS`]; server-level only.
     ServeConnectionsOpen,
-    /// Request frames that joined a connection already carrying queued
-    /// or in-flight work (pipelining). **Timing-dependent** — whether a
-    /// follow-up request counts as pipelined depends on when its
-    /// predecessor finished; server-level only.
-    ServePipelinedRequests,
-    /// Dispatch decisions where the reactor's round-robin preferred a
-    /// connection with no work in flight while another connection's
-    /// pipelined request waited (one per waiting connection).
-    /// **Scheduling-dependent**; server-level only.
-    ServeFairnessDeferrals,
     /// Cache misses resolved from the persistent on-disk profile store
     /// instead of a fresh build; server-level only.
     StoreHits,
@@ -108,7 +98,7 @@ pub enum Counter {
 
 impl Counter {
     /// All counters, in snapshot order.
-    pub const ALL: [Counter; 32] = [
+    pub const ALL: [Counter; 30] = [
         Counter::PerfEvaluations,
         Counter::PerfIncrementalHits,
         Counter::PerfFullEvals,
@@ -133,8 +123,6 @@ impl Counter {
         Counter::ClientRetries,
         Counter::SearchWorkerBatches,
         Counter::ServeConnectionsOpen,
-        Counter::ServePipelinedRequests,
-        Counter::ServeFairnessDeferrals,
         Counter::StoreHits,
         Counter::StoreMisses,
         Counter::StoreWrites,
@@ -170,8 +158,6 @@ impl Counter {
             Counter::ClientRetries => "client_retries",
             Counter::SearchWorkerBatches => "search_worker_batches",
             Counter::ServeConnectionsOpen => "serve_connections_open",
-            Counter::ServePipelinedRequests => "serve_pipelined_requests",
-            Counter::ServeFairnessDeferrals => "serve_fairness_deferrals",
             Counter::StoreHits => "store_hits",
             Counter::StoreMisses => "store_misses",
             Counter::StoreWrites => "store_writes",

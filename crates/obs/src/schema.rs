@@ -72,7 +72,12 @@
 /// name) and the lowest-scoring rejected candidate's
 /// `lowest_rejected_fingerprint` / `lowest_rejected_score` (both null
 /// when the iteration rejected nothing). Counters are unchanged.
-pub const SCHEMA_VERSION: u64 = 11;
+///
+/// v12: the serve reactor was removed, and with it the
+/// `serve_pipelined_requests` and `serve_fairness_deferrals` counters.
+/// `serve_connections_open` keeps its name and meaning: the connections
+/// open on the daemon's one front-end, sampled at snapshot time.
+pub const SCHEMA_VERSION: u64 = 12;
 
 /// One documented field of an event kind.
 #[derive(Debug, Clone, Copy)]
@@ -315,15 +320,7 @@ pub const COUNTERS: &[(&str, &str)] = &[
     ("search_worker_batches", "per-primitive generation steps"),
     (
         "serve_connections_open",
-        "connections open on the serve reactor, sampled at snapshot time",
-    ),
-    (
-        "serve_pipelined_requests",
-        "requests that joined a connection already carrying queued or in-flight work",
-    ),
-    (
-        "serve_fairness_deferrals",
-        "round-robin dispatches that preferred an idle connection while a pipelined request waited",
+        "connections open on the serve daemon, sampled at snapshot time",
     ),
     (
         "store_hits",
@@ -352,16 +349,12 @@ pub const COUNTERS: &[(&str, &str)] = &[
 ];
 
 /// Counters whose values legitimately vary between runs with identical
-/// seeds and options: the serve-reactor counters (connection timing and
-/// dispatch order). Every bit-identity comparison (goldens,
+/// seeds and options: the serve daemon's open-connection gauge
+/// (connection timing). Every bit-identity comparison (goldens,
 /// checkpoint-resume equality) masks these names; they are server-level
 /// only, so a search never moves them. Everything else in
 /// [`COUNTERS`] is covered by the determinism contract.
-pub const NONDETERMINISTIC_COUNTERS: &[&str] = &[
-    "serve_connections_open",
-    "serve_pipelined_requests",
-    "serve_fairness_deferrals",
-];
+pub const NONDETERMINISTIC_COUNTERS: &[&str] = &["serve_connections_open"];
 
 /// Counters recorded only at server level: by the serve daemon's own
 /// recorder (its `stats` snapshots and drain report) or, for
@@ -377,8 +370,6 @@ pub const SERVER_COUNTERS: &[&str] = &[
     "search_resumed",
     "client_retries",
     "serve_connections_open",
-    "serve_pipelined_requests",
-    "serve_fairness_deferrals",
     "store_hits",
     "store_misses",
     "store_writes",

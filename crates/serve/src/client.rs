@@ -217,48 +217,34 @@ struct PipelineSlot {
     outcome: Option<Result<Response, ClientError>>,
 }
 
-/// Routes the interleaved response frames of pipelined requests back to
-/// their owners by `request_id` tag.
+/// Splits the response stream of pipelined requests back into one
+/// response per request.
 ///
-/// A reactor daemon may interleave the frames of concurrently running
-/// requests on one connection, tagging every frame with its request's
-/// id (INV-PIPELINE-ORDER, `docs/SERVER.md`); the blocking daemon
-/// serves pipelined requests sequentially and untagged. The collector
-/// handles both: tagged frames route by id, untagged frames route to
-/// the earliest unfinished request. Per-request frame order is
-/// enforced the same way [`submit`] enforces it (contiguous event
-/// `seq`); cross-request order is deliberately unconstrained.
+/// The daemon answers requests written ahead on one connection whole
+/// and in request order (INV-PIPELINE-ORDER, `docs/SERVER.md`), so each
+/// frame belongs to the earliest request that has not finished yet.
+/// Per-request frame order is enforced the same way [`submit`] enforces
+/// it (contiguous event `seq`).
 pub struct PipelineCollector {
     slots: Vec<PipelineSlot>,
 }
 
 impl PipelineCollector {
     /// A collector expecting one response per id, in submission order.
-    /// Ids must be non-empty and pairwise distinct — they are the only
-    /// routing key a tagged stream offers.
+    /// The ids only label the outcomes.
     pub fn new<I>(ids: I) -> Result<Self, ClientError>
     where
         I: IntoIterator<Item = String>,
     {
-        let mut slots: Vec<PipelineSlot> = Vec::new();
-        for id in ids {
-            if id.is_empty() {
-                return Err(ClientError::Protocol(
-                    "pipelined requests need non-empty request ids".into(),
-                ));
-            }
-            if slots.iter().any(|s| s.id == id) {
-                return Err(ClientError::Protocol(format!(
-                    "duplicate request id `{id}` cannot be routed"
-                )));
-            }
-            slots.push(PipelineSlot {
+        let slots: Vec<PipelineSlot> = ids
+            .into_iter()
+            .map(|id| PipelineSlot {
                 id,
                 statuses: Vec::new(),
                 events: Vec::new(),
                 outcome: None,
-            });
-        }
+            })
+            .collect();
         if slots.is_empty() {
             return Err(ClientError::Protocol(
                 "a pipeline needs at least one request".into(),
@@ -272,29 +258,19 @@ impl PipelineCollector {
         self.slots.iter().all(|s| s.outcome.is_some())
     }
 
-    /// Accepts one inbound frame, routing it to its request. Errors are
-    /// protocol violations (unroutable frame, out-of-order event `seq`,
-    /// unknown frame type); a typed server `error` frame is *not* an
-    /// error here — it completes its own request's outcome.
+    /// Accepts one inbound frame for the earliest unfinished request.
+    /// Errors are protocol violations (a frame after every request
+    /// finished, out-of-order event `seq`, unknown frame type); a typed
+    /// server `error` frame is *not* an error here — it completes its
+    /// own request's outcome.
     pub fn accept(&mut self, frame: &Value) -> Result<(), ClientError> {
-        let slot = match frame.get("request_id").and_then(|v| v.as_str().ok()) {
-            Some(id) => self
-                .slots
-                .iter_mut()
-                .find(|s| s.id == id && s.outcome.is_none())
-                .ok_or_else(|| {
-                    ClientError::Protocol(format!(
-                        "frame tagged for unknown or already-finished request id `{id}`"
-                    ))
-                })?,
-            None => self
-                .slots
-                .iter_mut()
-                .find(|s| s.outcome.is_none())
-                .ok_or_else(|| {
-                    ClientError::Protocol("frame arrived after every request finished".into())
-                })?,
-        };
+        let slot = self
+            .slots
+            .iter_mut()
+            .find(|s| s.outcome.is_none())
+            .ok_or_else(|| {
+                ClientError::Protocol("frame arrived after every request finished".into())
+            })?;
         match frame.get("type").and_then(|t| t.as_str().ok()) {
             Some("status") => {
                 let phase = frame
@@ -361,10 +337,9 @@ pub type PipelineOutcomes = Vec<(String, Result<Response, ClientError>)>;
 
 /// Submits several requests on **one** connection without waiting for
 /// responses in between (pipelining), then collects every response.
-/// Requires each request to carry a distinct non-empty `request_id` —
-/// that tag is how a reactor daemon's interleaved responses route back.
-/// Returns per-request outcomes in submission order: a typed server
-/// rejection of one request does not disturb the others (the
+/// Requires each request to carry a `request_id`, which labels its
+/// outcome. Returns per-request outcomes in submission order: a typed
+/// server rejection of one request does not disturb the others (the
 /// fault-injection tests rely on exactly that isolation).
 pub fn submit_pipelined(addr: &str, reqs: &[Request]) -> Result<PipelineOutcomes, ClientError> {
     let ids: Vec<String> = reqs
@@ -394,9 +369,8 @@ pub fn submit_pipelined(addr: &str, reqs: &[Request]) -> Result<PipelineOutcomes
 /// this request, so hammering it again quickly is cheap and correct; a
 /// **down** server (connection refused, reset, dropped mid-response)
 /// may be restarting, and patience is what lets it come back.
-/// Collapsing the two — the pre-reactor behaviour — made a client of an
-/// accepts-then-defers reactor wait seconds for a slot that frees in
-/// milliseconds.
+/// Collapsing the two would make a client of a busy daemon wait seconds
+/// for an answer that comes in milliseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RetryClass {
     /// The server answered with a transient rejection (`rejected-busy`,
@@ -564,7 +538,7 @@ fn server_error(frame: &Value) -> ClientError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{error_frame, event_frame, status_frame, tag_request_id};
+    use crate::proto::{error_frame, status_frame};
 
     fn server_err(code: &str) -> ClientError {
         ClientError::Server {
@@ -573,9 +547,8 @@ mod tests {
         }
     }
 
-    /// The regression the reactor exposed: rejected-busy (server up,
-    /// deferring) and connection failures (server down) must land in
-    /// different backoff classes.
+    /// Rejected-busy (server up, deferring) and connection failures
+    /// (server down) must land in different backoff classes.
     #[test]
     fn retry_classes_split_busy_from_down() {
         assert_eq!(retry_class(&server_err("rejected-busy")), RetryClass::Busy);
@@ -692,91 +665,13 @@ mod tests {
         );
     }
 
-    /// One request's canonical four-frame response, tagged with its id.
-    fn tagged_response(id: &str, explored: u64) -> Vec<Value> {
-        let result = obj([
-            ("type", Value::Str("result".into())),
-            ("cache", Value::Str("hit".into())),
-            ("explored", Value::UInt(explored)),
-            ("metrics", obj([("schema_version", Value::UInt(7))])),
-            ("plan", Value::Null),
-        ]);
-        vec![
-            tag_request_id(status_frame("profiling", None), id),
-            tag_request_id(status_frame("searching", Some("hit")), id),
-            tag_request_id(
-                event_frame(0, obj([("kind", Value::Str("accept".into()))])),
-                id,
-            ),
-            tag_request_id(result, id),
-        ]
-    }
-
-    /// Exhaustive two-request reorder matrix: every one of the
-    /// C(8,4) = 70 order-preserving interleavings of two tagged
-    /// four-frame responses must route identically — same statuses,
-    /// same events, same results, for both requests, regardless of how
-    /// the reactor interleaved them on the wire.
+    /// Frames of pipelined requests, answered one after another, route
+    /// to the earliest unfinished request.
     #[test]
-    fn every_two_request_interleaving_routes_identically() {
-        let a = tagged_response("req-a", 11);
-        let b = tagged_response("req-b", 22);
-        let mut checked = 0usize;
-        // Each interleaving is a choice of which 4 of the 8 positions
-        // carry A's frames, encoded as an 8-bit mask with 4 set bits.
-        for mask in 0u32..256 {
-            if mask.count_ones() != 4 {
-                continue;
-            }
-            let (mut ai, mut bi) = (0usize, 0usize);
-            let mut collector = PipelineCollector::new(["req-a".to_string(), "req-b".to_string()])
-                .expect("distinct ids");
-            for pos in 0..8 {
-                let frame = if mask & (1 << pos) != 0 {
-                    let f = &a[ai];
-                    ai += 1;
-                    f
-                } else {
-                    let f = &b[bi];
-                    bi += 1;
-                    f
-                };
-                collector
-                    .accept(frame)
-                    .unwrap_or_else(|e| panic!("mask {mask:08b}: routing failed: {e}"));
-            }
-            assert!(collector.is_complete(), "mask {mask:08b}: incomplete");
-            let outcomes = collector.into_outcomes();
-            assert_eq!(outcomes[0].0, "req-a");
-            assert_eq!(outcomes[1].0, "req-b");
-            let ra = outcomes[0].1.as_ref().expect("req-a succeeds");
-            let rb = outcomes[1].1.as_ref().expect("req-b succeeds");
-            assert_eq!(ra.statuses, vec!["profiling", "searching"]);
-            assert_eq!(rb.statuses, vec!["profiling", "searching"]);
-            assert_eq!(ra.events.len(), 1);
-            assert_eq!(rb.events.len(), 1);
-            assert_eq!(
-                ra.result.field("explored").unwrap().as_u64().unwrap(),
-                11,
-                "mask {mask:08b}: req-a got req-b's result"
-            );
-            assert_eq!(
-                rb.result.field("explored").unwrap().as_u64().unwrap(),
-                22,
-                "mask {mask:08b}: req-b got req-a's result"
-            );
-            checked += 1;
-        }
-        assert_eq!(checked, 70, "the matrix must be exhaustive");
-    }
-
-    /// Untagged frames (a blocking daemon serving pipelined requests
-    /// sequentially) route to the earliest unfinished request.
-    #[test]
-    fn untagged_frames_route_to_the_earliest_unfinished_request() {
+    fn frames_route_to_the_earliest_unfinished_request() {
         let mut collector =
             PipelineCollector::new(["first".to_string(), "second".to_string()]).expect("ids");
-        let untagged_result = |explored: u64| {
+        let result_frame = |explored: u64| {
             obj([
                 ("type", Value::Str("result".into())),
                 ("cache", Value::Str("miss".into())),
@@ -787,15 +682,11 @@ mod tests {
         collector
             .accept(&status_frame("profiling", None))
             .expect("routes to first");
-        collector
-            .accept(&untagged_result(1))
-            .expect("finishes first");
+        collector.accept(&result_frame(1)).expect("finishes first");
         collector
             .accept(&status_frame("profiling", None))
             .expect("routes to second");
-        collector
-            .accept(&untagged_result(2))
-            .expect("finishes second");
+        collector.accept(&result_frame(2)).expect("finishes second");
         let outcomes = collector.into_outcomes();
         let first = outcomes[0].1.as_ref().expect("first succeeds");
         let second = outcomes[1].1.as_ref().expect("second succeeds");
@@ -807,30 +698,39 @@ mod tests {
     }
 
     /// A typed server error completes its own request without
-    /// disturbing the others, and frames for finished or unknown ids
-    /// are protocol violations.
+    /// disturbing the next, and a frame past the last request, or an
+    /// empty pipeline, is a protocol violation.
     #[test]
-    fn error_frames_complete_one_request_and_bad_routing_is_typed() {
+    fn error_frames_complete_one_request_and_stray_frames_are_typed() {
         let mut collector =
-            PipelineCollector::new(["ok".to_string(), "doomed".to_string()]).expect("ids");
+            PipelineCollector::new(["doomed".to_string(), "ok".to_string()]).expect("ids");
         collector
-            .accept(&tag_request_id(
-                error_frame("rejected-busy", "pipeline full"),
-                "doomed",
-            ))
-            .expect("error frame routes");
+            .accept(&error_frame("bad-request", "gpus must be at least 1"))
+            .expect("error frame completes the first request");
         assert!(!collector.is_complete());
+        collector
+            .accept(&status_frame("profiling", None))
+            .expect("routes to the second request");
+        collector
+            .accept(&obj([
+                ("type", Value::Str("result".into())),
+                ("metrics", obj([("schema_version", Value::UInt(7))])),
+            ]))
+            .expect("finishes the second request");
+        assert!(collector.is_complete());
         let err = collector
-            .accept(&tag_request_id(status_frame("profiling", None), "doomed"))
-            .expect_err("finished id cannot take more frames");
+            .accept(&status_frame("profiling", None))
+            .expect_err("no request is left to take the frame");
         assert!(matches!(err, ClientError::Protocol(_)));
-        let err = collector
-            .accept(&tag_request_id(status_frame("profiling", None), "nobody"))
-            .expect_err("unknown id is a protocol violation");
-        assert!(matches!(err, ClientError::Protocol(_)));
-        // Duplicate and empty ids are rejected up front.
-        assert!(PipelineCollector::new(["x".to_string(), "x".to_string()]).is_err());
-        assert!(PipelineCollector::new([String::new()]).is_err());
+        let outcomes = collector.into_outcomes();
+        assert!(matches!(
+            &outcomes[0].1,
+            Err(ClientError::Server { code, .. }) if code == "bad-request"
+        ));
+        assert_eq!(
+            outcomes[1].1.as_ref().expect("second succeeds").statuses,
+            ["profiling"]
+        );
         assert!(PipelineCollector::new(std::iter::empty::<String>()).is_err());
     }
 }

@@ -32,8 +32,8 @@ pub enum FaultMode {
     CutAfterFrames(usize),
     /// Forward the client→server stream one byte at a time with this
     /// delay between bytes — a slow-loris peer that keeps a frame torn
-    /// open indefinitely. Drives the server's mid-frame stall deadline
-    /// (the reactor's INV-NONBLOCK timeout, `docs/SERVER.md`).
+    /// open indefinitely. Drives the server's per-read deadline
+    /// (`--io-timeout-secs`, `docs/SERVER.md`).
     SlowLoris {
         /// Pause inserted before each forwarded client→server byte.
         byte_delay: Duration,

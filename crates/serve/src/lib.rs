@@ -12,13 +12,12 @@
 //!   event frame builders);
 //! * [`cache`] — [`ProfileCache`], the cross-request LRU profile-db
 //!   cache keyed by (model fingerprint, cluster fingerprint);
-//! * [`server`] — [`Server`], the bounded-worker accept loop with
-//!   graceful drain, per-connection i/o deadlines, and (with
-//!   `--spool-dir`) crash-recovery checkpoint spooling;
-//! * [`reactor`] — the readiness-driven front-end (`--reactor`): every
-//!   connection on one nonblocking event-loop thread, incremental
-//!   framing, request pipelining with `request_id`-tagged responses,
-//!   and round-robin fair dispatch into the worker pool;
+//! * [`server`] — [`Server`], the daemon's one front-end: an accept
+//!   loop with a thread per connection (bounded by `--max-connections`),
+//!   admission that queues a request until one of the bounded worker
+//!   slots frees, in-order answers to pipelined requests, graceful
+//!   drain, per-connection i/o deadlines, and (with `--spool-dir`)
+//!   crash-recovery checkpoint spooling;
 //! * [`client`] — blocking [`submit`]/[`shutdown`]/[`server_stats`]
 //!   helpers, the collected [`Response`], and [`submit_with_retries`]
 //!   (bounded backoff with deterministic jitter);
@@ -39,7 +38,6 @@ pub mod cache;
 pub mod client;
 pub mod fault;
 pub mod proto;
-pub mod reactor;
 pub mod server;
 pub mod wire;
 
@@ -49,9 +47,6 @@ pub use client::{
     submit_with_retries_deadline, ClientError, PipelineCollector, Response,
 };
 pub use fault::{FaultMode, FaultProxy};
-pub use proto::{error_frame, event_frame, status_frame, tag_request_id, Request};
-pub use reactor::PIPELINE_DEPTH;
+pub use proto::{error_frame, event_frame, status_frame, Request};
 pub use server::{spool_path, sweep_spools, sweep_spools_with, ServeOptions, Server};
-pub use wire::{
-    read_frame, write_frame, FrameDecoder, WireError, MAX_FRAME_BYTES, PROTOCOL_VERSION,
-};
+pub use wire::{read_frame, write_frame, WireError, MAX_FRAME_BYTES, PROTOCOL_VERSION};

@@ -148,20 +148,6 @@ pub fn error_frame(code: &str, message: &str) -> Value {
     ])
 }
 
-/// Appends a `request_id` field to a response frame so a pipelining
-/// client can route it to the right in-flight request. The field is
-/// *appended* — never inserted — so a tagged frame's other bytes are
-/// identical to the untagged frame the blocking server writes, and
-/// `Response::events_jsonl` (which reads only the `event` payload)
-/// reconstructs the same bytes either way (INV-PIPELINE-ORDER,
-/// `docs/SERVER.md`). Non-object frames pass through untouched.
-pub fn tag_request_id(mut frame: Value, request_id: &str) -> Value {
-    if let Value::Object(fields) = &mut frame {
-        fields.push(("request_id".to_string(), Value::Str(request_id.into())));
-    }
-    frame
-}
-
 /// Builds a progress/status frame; `cache` is `Some("hit"|"miss")` once
 /// the profile-cache outcome is known.
 pub fn status_frame(phase: &str, cache: Option<&str>) -> Value {
@@ -276,23 +262,5 @@ mod tests {
         assert!(status_frame("profiling", None).get("cache").is_none());
         let e = event_frame(3, Value::Null);
         assert_eq!(e.field("seq").unwrap().as_u64().unwrap(), 3);
-    }
-
-    #[test]
-    fn tagging_appends_request_id_without_touching_other_fields() {
-        let plain = status_frame("searching", Some("hit"));
-        let tagged = tag_request_id(plain.clone(), "job-1");
-        assert_eq!(
-            tagged.field("request_id").unwrap().as_str().unwrap(),
-            "job-1"
-        );
-        // Stripping the appended field restores the untagged bytes.
-        let mut stripped = tagged;
-        if let Value::Object(fields) = &mut stripped {
-            fields.retain(|(k, _)| k != "request_id");
-        }
-        assert_eq!(stripped.to_string_compact(), plain.to_string_compact());
-        // Non-objects pass through.
-        assert_eq!(tag_request_id(Value::UInt(4), "x").as_u64().unwrap(), 4);
     }
 }

@@ -1,10 +1,12 @@
 //! The TCP search daemon.
 //!
 //! One [`Server`] owns a listener, a [`ProfileCache`], and a bounded
-//! worker pool. Connections are handled on spawned threads; each
-//! well-formed request runs an `AcesoSearch` and streams back status
+//! number of worker slots. Each connection is served on its own thread;
+//! each well-formed request waits for a worker slot, runs an
+//! `AcesoSearch` on the connection's thread, and streams back status
 //! frames, the structured event feed, and a final result frame (see
-//! `docs/SERVER.md` for the wire contract).
+//! `docs/SERVER.md` for the wire contract). Requests written ahead on
+//! one connection are read and answered one after another, in order.
 //!
 //! Determinism note: per-request responses carry the *same* metric
 //! snapshot a direct `AcesoSearch::run_observed` produces — the server's
@@ -34,9 +36,9 @@ use std::time::Duration;
 /// Daemon configuration knobs.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Maximum concurrently running search requests; further requests
-    /// are rejected with `rejected-busy` (no queueing). `0` rejects
-    /// every search — useful for drills and tests.
+    /// Maximum concurrently running search requests; a further request
+    /// waits on its connection until a slot frees. `0` rejects every
+    /// search with `rejected-busy` — useful for drills and tests.
     pub workers: usize,
     /// LRU byte budget of the profile cache.
     pub cache_bytes: u64,
@@ -76,17 +78,10 @@ pub struct ServeOptions {
     /// later, so the TTL should comfortably exceed any plausible retry
     /// horizon. `None` (the default) never prunes.
     pub spool_ttl_secs: Option<u64>,
-    /// Serve connections through the readiness-driven reactor
-    /// (`crates/serve/src/reactor.rs`, `--reactor`) instead of a thread
-    /// per connection. The reactor holds thousands of idle clients on
-    /// one thread, supports request pipelining (responses tagged by
-    /// `request_id`), and dispatches round-robin into the bounded worker
-    /// pool; see the reactor section of `docs/SERVER.md`.
-    pub reactor: bool,
-    /// Reactor-only cap on simultaneously open connections; a connection
-    /// accepted past the cap receives a typed `connection-limit` error
-    /// and is closed. `0` (the default) means unlimited. The blocking
-    /// front-end ignores this knob — its natural cap is thread count.
+    /// Cap on simultaneously open connections, each of which holds one
+    /// thread; a connection accepted past the cap receives a typed
+    /// `connection-limit` error and is closed. `0` (the default) means
+    /// unlimited.
     pub max_connections: usize,
     /// Directory of the persistent profile store — the disk tier under
     /// the [`ProfileCache`]. When set, cache misses consult the store
@@ -127,7 +122,6 @@ impl Default for ServeOptions {
             spool_dir: None,
             checkpoint_every: 8,
             spool_ttl_secs: None,
-            reactor: false,
             max_connections: 0,
             store_dir: None,
             store_budget_bytes: 256 << 20,
@@ -137,45 +131,44 @@ impl Default for ServeOptions {
     }
 }
 
-/// State shared by the accept loop (or reactor) and every worker.
-pub(crate) struct Shared {
-    pub(crate) opts: ServeOptions,
-    pub(crate) cache: ProfileCache,
-    pub(crate) addr: SocketAddr,
-    pub(crate) draining: AtomicBool,
-    pub(crate) in_flight: Mutex<Slots>,
-    pub(crate) idle: Condvar,
-    pub(crate) requests: AtomicU64,
-    pub(crate) rejected: AtomicU64,
-    pub(crate) checkpoints_written: AtomicU64,
-    pub(crate) searches_resumed: AtomicU64,
-    pub(crate) client_retries: AtomicU64,
-    /// Open-connection gauge maintained by the reactor (accepted minus
-    /// closed); stays zero under the blocking front-end.
-    pub(crate) connections_open: AtomicU64,
-    /// Requests that arrived on a connection already carrying queued or
-    /// in-flight work (reactor pipelining).
-    pub(crate) pipelined_requests: AtomicU64,
-    /// Round-robin dispatches that preferred a connection with nothing
-    /// in flight while another connection's pipelined request waited.
-    pub(crate) fairness_deferrals: AtomicU64,
+/// State shared by the accept loop and every connection thread.
+struct Shared {
+    opts: ServeOptions,
+    cache: ProfileCache,
+    addr: SocketAddr,
+    draining: AtomicBool,
+    in_flight: Mutex<Slots>,
+    /// Signalled when a request finishes; the drain waits on it.
+    idle: Condvar,
+    /// Signalled once per freed worker slot, waking one queued
+    /// admission: waking them all would spend the CPU the searches need.
+    slot_freed: Condvar,
+    requests: AtomicU64,
+    rejected: AtomicU64,
+    checkpoints_written: AtomicU64,
+    searches_resumed: AtomicU64,
+    client_retries: AtomicU64,
+    /// Open-connection gauge: raised by the accept loop before a
+    /// connection's thread starts, lowered when the thread ends.
+    /// [`ServeOptions::max_connections`] is enforced against it.
+    connections_open: AtomicU64,
     /// Server-level resume/restart events (`search_resumed`,
     /// `search_restarted`). Like the serve counters they never enter a
     /// request's own event stream — that stream must stay bit-identical
     /// to an uninterrupted direct run — so they surface only through the
     /// drain report.
-    pub(crate) server_events: Mutex<Vec<Event>>,
+    server_events: Mutex<Vec<Event>>,
     /// Retention-sweep removals that failed (spool TTL sweeps; the
     /// store tier's eviction errors are drained from the cache at
     /// snapshot time). Feeds `retention_sweep_errors` (INV-CHAOS-SWEEP).
-    pub(crate) sweep_errors: AtomicU64,
+    sweep_errors: AtomicU64,
 }
 
 impl Shared {
     /// Snapshot of the server-level counters and resume/restart/degrade
     /// events as an [`ObsReport`] (the serve counter group of
     /// `docs/OBSERVABILITY.md`, schema v8).
-    pub(crate) fn report(&self) -> ObsReport {
+    fn report(&self) -> ObsReport {
         // Fold the store tier's eviction-sweep errors into the daemon
         // total (with a typed event) before snapshotting, so the counter
         // is monotone across snapshots.
@@ -228,14 +221,6 @@ impl Shared {
             Counter::ServeConnectionsOpen,
             self.connections_open.load(Ordering::Relaxed),
         );
-        rec.add(
-            Counter::ServePipelinedRequests,
-            self.pipelined_requests.load(Ordering::Relaxed),
-        );
-        rec.add(
-            Counter::ServeFairnessDeferrals,
-            self.fairness_deferrals.load(Ordering::Relaxed),
-        );
         rec.add(Counter::StoreHits, self.cache.store_hits());
         rec.add(Counter::StoreMisses, self.cache.store_misses());
         rec.add(Counter::StoreWrites, self.cache.store_writes());
@@ -259,7 +244,7 @@ impl Shared {
     /// `dir`: counts them into `retention_sweep_errors` and surfaces a
     /// typed `sweep_degraded` event instead of dropping the failures on
     /// the floor (INV-CHAOS-SWEEP).
-    pub(crate) fn note_sweep_errors(&self, dir: &str, errors: u64) {
+    fn note_sweep_errors(&self, dir: &str, errors: u64) {
         if errors == 0 {
             return;
         }
@@ -275,7 +260,7 @@ impl Shared {
 
     /// Records that a spooled checkpoint could not be used and the
     /// search restarted fresh — graceful degradation, never an error.
-    pub(crate) fn record_restart(&self, request_id: &str, reason: String) {
+    fn record_restart(&self, request_id: &str, reason: String) {
         self.server_events
             .lock()
             .expect("event lock")
@@ -286,14 +271,14 @@ impl Shared {
     }
 }
 
-/// Request accounting of the blocking front-end.
+/// Request accounting of admission and drain.
 #[derive(Default)]
-pub(crate) struct Slots {
+struct Slots {
     /// Admitted requests still searching; admission caps them at
     /// [`ServeOptions::workers`].
     searching: usize,
-    /// Admitted requests not yet done responding; the drain waits for
-    /// zero.
+    /// Requests queued for a slot or not yet done responding; the drain
+    /// waits for zero.
     open: usize,
 }
 
@@ -308,9 +293,11 @@ struct SlotGuard<'a> {
 }
 
 impl SlotGuard<'_> {
+    /// Releases the search share and wakes one request queued for it.
     fn finish_search(&mut self) {
         if std::mem::take(&mut self.searching) {
             self.shared.in_flight.lock().expect("slot lock").searching -= 1;
+            self.shared.slot_freed.notify_one();
         }
     }
 }
@@ -355,14 +342,13 @@ impl Server {
             draining: AtomicBool::new(false),
             in_flight: Mutex::new(Slots::default()),
             idle: Condvar::new(),
+            slot_freed: Condvar::new(),
             requests: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             checkpoints_written: AtomicU64::new(0),
             searches_resumed: AtomicU64::new(0),
             client_retries: AtomicU64::new(0),
             connections_open: AtomicU64::new(0),
-            pipelined_requests: AtomicU64::new(0),
-            fairness_deferrals: AtomicU64::new(0),
             sweep_errors: AtomicU64::new(0),
             server_events: Mutex::new(Vec::new()),
         });
@@ -375,29 +361,32 @@ impl Server {
     }
 
     /// Runs the accept loop until a `shutdown` frame arrives, then
-    /// drains in-flight requests and returns the server-level
+    /// drains in-flight and queued requests and returns the server-level
     /// observability report (the serve counter quartet).
-    ///
-    /// With [`ServeOptions::reactor`] set, connections are served by the
-    /// readiness-driven reactor ([`crate::reactor`]) instead of a thread
-    /// per connection; the drain-and-report contract is identical.
     pub fn run(self) -> ObsReport {
-        if self.shared.opts.reactor {
-            // The reactor sweeps spools from its own event loop (no
-            // dedicated thread): one sweep at startup, then one per TTL.
-            return crate::reactor::run(&self.listener, &self.shared);
-        }
         let sweeper = self.spawn_spool_sweeper();
         for conn in self.listener.incoming() {
             if self.shared.draining.load(Ordering::SeqCst) {
                 break;
             }
-            let Ok(stream) = conn else { continue };
-            let shared = Arc::clone(&self.shared);
-            std::thread::spawn(move || handle_connection(&shared, stream));
+            let Ok(mut stream) = conn else { continue };
+            let limit = self.shared.opts.max_connections;
+            if limit > 0 && self.shared.connections_open.load(Ordering::SeqCst) >= limit as u64 {
+                // Typed refusal; a fresh socket's buffer always has room
+                // for one small frame. Dropping the stream closes it.
+                self.shared.reject(
+                    &mut stream,
+                    "connection-limit",
+                    &format!("server holds {limit} connections already"),
+                );
+                continue;
+            }
+            self.shared.connections_open.fetch_add(1, Ordering::SeqCst);
+            let conn = ConnGuard(Arc::clone(&self.shared));
+            std::thread::spawn(move || handle_connection(&conn.0, stream));
         }
-        // Graceful drain: wait for every admitted request to finish
-        // responding.
+        // Graceful drain: wait for every admitted or queued request to
+        // finish responding.
         let mut n = self.shared.in_flight.lock().expect("slot lock");
         while n.open > 0 {
             n = self.shared.idle.wait(n).expect("slot lock");
@@ -460,6 +449,16 @@ pub fn sweep_spools_with(fs: &dyn Fs, dir: &Path, ttl: Duration) -> SweepOutcome
     aceso_util::retention::remove_all_with(fs, &expired)
 }
 
+/// Holds one slot of the open-connection gauge for its connection
+/// thread and releases it when the thread ends, however it ends.
+struct ConnGuard(Arc<Shared>);
+
+impl Drop for ConnGuard {
+    fn drop(&mut self) {
+        self.0.connections_open.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 /// True when an i/o error is a socket deadline expiring. Both kinds
 /// appear in the wild: Unix reports `WouldBlock`, Windows `TimedOut`.
 fn is_timeout(e: &std::io::Error) -> bool {
@@ -470,6 +469,10 @@ fn is_timeout(e: &std::io::Error) -> bool {
 }
 
 /// Serves one connection: a sequence of frames until the peer closes.
+/// Each request is read, run and answered before the next frame is
+/// read, so requests written ahead are answered whole and in order
+/// (INV-PIPELINE-ORDER), and a connection never holds more than one
+/// worker slot (INV-FAIRNESS).
 fn handle_connection(shared: &Shared, mut stream: TcpStream) {
     if let Some(deadline) = shared.opts.io_timeout {
         // Best-effort: a socket that cannot take a deadline still works,
@@ -548,30 +551,13 @@ fn deepnet_layers(model: &str) -> Option<usize> {
         .ok()
 }
 
-/// Where a request's response frames go: straight down the socket in
-/// blocking mode ([`StreamSink`]), or into the reactor's tagged
-/// outbound queue. The abstraction keeps [`execute_request`] — and
-/// therefore the bytes of every response frame — identical across both
-/// front-ends.
-pub(crate) trait FrameSink {
-    /// Sends one frame. An error means the client is unreachable and
-    /// the request should stop streaming.
-    fn send(&mut self, frame: &Value) -> Result<(), WireError>;
-
-    /// Sends the final result frame and, once it has actually reached
-    /// the peer, removes the request's spool file. The spool outlives
-    /// the request until the client has the result in hand, so a
-    /// connection lost at the last moment still resumes on resubmit.
-    fn send_final(&mut self, frame: &Value, spool: Option<&Path>) -> Result<(), WireError>;
-}
-
-/// Blocking sink: frames go down the connection's socket through a
-/// [`FrameBatcher`]. Event frames collect in its bounded buffer; every
-/// other frame (status, error, result) writes the buffer out first and
-/// then goes out in a write of its own, so status frames still reach
-/// the client while the search runs. Carries the daemon's filesystem
-/// handle so the final-frame spool removal goes through the same
-/// injectable [`Fs`] as every other spool side-effect, and the
+/// Where a request's response frames go: down the connection's socket
+/// through a [`FrameBatcher`]. Event frames collect in its bounded
+/// buffer; every other frame (status, error, result) writes the buffer
+/// out first and then goes out in a write of its own, so status frames
+/// still reach the client while the search runs. Carries the daemon's
+/// filesystem handle so the final-frame spool removal goes through the
+/// same injectable [`Fs`] as every other spool side-effect, and the
 /// request's slot, whose search share it releases before the result
 /// frame goes out.
 struct StreamSink<'a> {
@@ -580,7 +566,9 @@ struct StreamSink<'a> {
     slot: SlotGuard<'a>,
 }
 
-impl FrameSink for StreamSink<'_> {
+impl StreamSink<'_> {
+    /// Sends one frame. An error means the client is unreachable and
+    /// the request should stop streaming.
     fn send(&mut self, frame: &Value) -> Result<(), WireError> {
         if frame.get("type").and_then(|t| t.as_str().ok()) == Some("event") {
             self.out.batch(frame)
@@ -589,6 +577,10 @@ impl FrameSink for StreamSink<'_> {
         }
     }
 
+    /// Sends the final result frame and, once it has reached the
+    /// kernel, removes the request's spool file. The spool outlives the
+    /// request until the client has the result in hand, so a connection
+    /// lost at the last moment still resumes on resubmit.
     fn send_final(&mut self, frame: &Value, spool: Option<&Path>) -> Result<(), WireError> {
         self.slot.finish_search();
         self.out.send(frame)?;
@@ -603,14 +595,8 @@ impl FrameSink for StreamSink<'_> {
 /// The cheap admission checks every request passes before it is allowed
 /// anywhere near a worker: protocol version, frame shape, drain state,
 /// and the resource caps. Returns the parsed request or a typed
-/// `(code, message)` rejection. Deliberately excludes `zoo::by_name` —
-/// the one validation that builds a graph — so the reactor can run this
-/// on its event-loop thread without stalling other connections
-/// (INV-NONBLOCK, `docs/SERVER.md`).
-pub(crate) fn validate_request(
-    shared: &Shared,
-    frame: &Value,
-) -> Result<Request, (&'static str, String)> {
+/// `(code, message)` rejection.
+fn validate_request(shared: &Shared, frame: &Value) -> Result<Request, (&'static str, String)> {
     match frame.get("protocol_version").and_then(|v| v.as_u64().ok()) {
         Some(PROTOCOL_VERSION) => {}
         got => {
@@ -670,8 +656,7 @@ pub(crate) fn validate_request(
     Ok(req)
 }
 
-/// Validates, admits, runs, and streams one search request (blocking
-/// front-end).
+/// Validates, admits, runs, and streams one search request.
 fn handle_request(shared: &Shared, stream: &mut TcpStream, frame: &Value) {
     let req = match validate_request(shared, frame) {
         Ok(r) => r,
@@ -688,20 +673,20 @@ fn handle_request(shared: &Shared, stream: &mut TcpStream, frame: &Value) {
         );
         return;
     };
-    // Backpressure: try-acquire a worker slot, never queue.
+    if shared.opts.workers == 0 {
+        shared.reject(stream, "rejected-busy", "the server runs no search workers");
+        return;
+    }
+    // Admission queues: the request waits on this connection until a
+    // worker slot frees. It counts as open before it waits, so a drain
+    // that starts meanwhile still answers it.
     let slot = {
         let mut n = shared.in_flight.lock().expect("slot lock");
-        if n.searching >= shared.opts.workers {
-            drop(n);
-            shared.reject(
-                stream,
-                "rejected-busy",
-                &format!("{} requests already in flight", shared.opts.workers),
-            );
-            return;
+        n.open += 1;
+        while n.searching >= shared.opts.workers {
+            n = shared.slot_freed.wait(n).expect("slot lock");
         }
         n.searching += 1;
-        n.open += 1;
         SlotGuard {
             shared,
             searching: true,
@@ -720,15 +705,13 @@ fn handle_request(shared: &Shared, stream: &mut TcpStream, frame: &Value) {
 }
 
 /// Runs one admitted request and streams its response frames into
-/// `sink`. Both front-ends funnel through here, which is what keeps a
-/// reactor-served response bit-identical to a blocking one (and both
-/// identical to a direct `run_observed` run): the frames are built
-/// once, in one place, in one order.
-pub(crate) fn execute_request(
+/// `sink`. The frames are built once, in one place, in one order, which
+/// keeps a served response identical to a direct `run_observed` run.
+fn execute_request(
     shared: &Shared,
     req: &Request,
     model: &aceso_model::ModelGraph,
-    sink: &mut dyn FrameSink,
+    sink: &mut StreamSink<'_>,
 ) {
     shared.requests.fetch_add(1, Ordering::Relaxed);
 

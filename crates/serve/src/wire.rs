@@ -167,68 +167,6 @@ pub fn read_frame(r: &mut impl Read) -> Result<Value, WireError> {
     Value::parse(&text).map_err(|e| WireError::BadJson(e.to_string()))
 }
 
-/// Incremental frame decoder for nonblocking readers.
-///
-/// The blocking [`read_frame`] owns its stream and can wait for a whole
-/// frame; the reactor cannot. [`FrameDecoder`] accepts whatever bytes a
-/// nonblocking read produced ([`FrameDecoder::extend`]) and yields
-/// complete frames as they materialise ([`FrameDecoder::next_frame`]),
-/// buffering partial prefixes and payloads across calls. The framing
-/// rules are identical to [`read_frame`]: an oversize length prefix is
-/// rejected before the payload is buffered, and a garbled payload
-/// poisons only its own frame — the decoder stays aligned on the next
-/// length prefix (INV-NONBLOCK's framing half; see `docs/SERVER.md`).
-#[derive(Debug, Default)]
-pub struct FrameDecoder {
-    buf: Vec<u8>,
-}
-
-impl FrameDecoder {
-    /// An empty decoder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends bytes read from the peer.
-    pub fn extend(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Bytes buffered but not yet consumed by a complete frame.
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when the buffer holds part of an unfinished frame (a torn
-    /// length prefix or payload). A peer that stalls while this is true
-    /// is mid-frame — the reactor's read-stall timeout applies; an idle
-    /// peer (empty buffer) is not subject to it.
-    pub fn mid_frame(&self) -> bool {
-        !self.buf.is_empty()
-    }
-
-    /// Yields the next complete frame, `Ok(None)` when more bytes are
-    /// needed. [`WireError::Oversize`] is returned without buffering the
-    /// payload; [`WireError::BadJson`] consumes the offending frame's
-    /// bytes so the following frame still parses.
-    pub fn next_frame(&mut self) -> Result<Option<Value>, WireError> {
-        if self.buf.len() < 4 {
-            return Ok(None);
-        }
-        let len = u32::from_be_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]) as usize;
-        if len > MAX_FRAME_BYTES {
-            return Err(WireError::Oversize(len));
-        }
-        if self.buf.len() < 4 + len {
-            return Ok(None);
-        }
-        let payload: Vec<u8> = self.buf.drain(..4 + len).skip(4).collect();
-        let text = String::from_utf8(payload).map_err(|e| WireError::BadJson(e.to_string()))?;
-        let v = Value::parse(&text).map_err(|e| WireError::BadJson(e.to_string()))?;
-        Ok(Some(v))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -547,163 +485,6 @@ mod tests {
 
     fn sentinel_len(v: &Value) -> usize {
         v.to_string_compact().len() + 4
-    }
-
-    /// The incremental decoder agrees with the blocking reader no
-    /// matter how the bytes are chunked: feeding the whole corpus one
-    /// byte at a time yields exactly the frames [`read_frame`] yields.
-    #[test]
-    fn decoder_byte_at_a_time_matches_blocking_reader() {
-        let mut stream = Vec::new();
-        for (_, frame) in frame_corpus() {
-            write_frame(&mut stream, &frame).expect("writes");
-        }
-        let mut dec = FrameDecoder::new();
-        let mut decoded = Vec::new();
-        for b in &stream {
-            dec.extend(std::slice::from_ref(b));
-            while let Some(v) = dec.next_frame().expect("valid corpus") {
-                decoded.push(v.to_string_compact());
-            }
-        }
-        assert!(!dec.mid_frame(), "corpus ends on a frame boundary");
-        let expected: Vec<String> = frame_corpus()
-            .into_iter()
-            .map(|(_, f)| f.to_string_compact())
-            .collect();
-        assert_eq!(decoded, expected);
-    }
-
-    /// Oversize prefixes and garbled payloads surface as the same typed
-    /// errors the blocking reader produces, and a bad payload never
-    /// breaks alignment: the next frame still decodes.
-    #[test]
-    fn decoder_errors_are_typed_and_framing_survives_bad_json() {
-        let mut dec = FrameDecoder::new();
-        dec.extend(&((MAX_FRAME_BYTES + 1) as u32).to_be_bytes());
-        match dec.next_frame() {
-            Err(WireError::Oversize(n)) => assert_eq!(n, MAX_FRAME_BYTES + 1),
-            other => panic!("expected oversize, got {other:?}"),
-        }
-
-        let mut dec = FrameDecoder::new();
-        dec.extend(&3u32.to_be_bytes());
-        dec.extend(b"{{{");
-        let sentinel = obj([("type", Value::Str("ok".into()))]);
-        let mut tail = Vec::new();
-        write_frame(&mut tail, &sentinel).expect("writes");
-        dec.extend(&tail);
-        assert!(matches!(dec.next_frame(), Err(WireError::BadJson(_))));
-        let next = dec.next_frame().expect("aligned").expect("sentinel");
-        assert_eq!(next.to_string_compact(), sentinel.to_string_compact());
-        assert!(!dec.mid_frame());
-    }
-
-    /// `mid_frame` tracks exactly whether an unfinished frame is
-    /// buffered — the reactor's read-stall timeout keys off it.
-    #[test]
-    fn decoder_mid_frame_tracks_partial_frames() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &Value::UInt(7)).expect("writes");
-        let mut dec = FrameDecoder::new();
-        assert!(!dec.mid_frame());
-        for cut in 1..buf.len() {
-            let mut d = FrameDecoder::new();
-            d.extend(&buf[..cut]);
-            assert!(d.next_frame().expect("incomplete").is_none());
-            assert!(d.mid_frame(), "cut at {cut} leaves a partial frame");
-        }
-        dec.extend(&buf);
-        assert!(dec.next_frame().expect("ok").is_some());
-        assert!(!dec.mid_frame());
-    }
-
-    /// Pipelining fuzz: several responses' frame sequences (status,
-    /// events, result — each tagged with its `request_id`) are merged
-    /// into one stream in a random order that preserves each response's
-    /// own frame order, then delivered through the decoder in random
-    /// chunk sizes. 200 seeded rounds must recover every frame exactly,
-    /// in the merged order, with each response's subsequence intact —
-    /// the wire half of INV-PIPELINE-ORDER (`docs/SERVER.md`).
-    #[test]
-    fn interleaved_pipelined_responses_survive_chunked_decoding() {
-        let mut rng = aceso_util::SplitMix64::new(0x91_9E_11_4E);
-        for round in 0..200 {
-            let requests = 2 + rng.next_below(3); // 2..=4 pipelined requests
-            let mut sequences: Vec<Vec<Value>> = Vec::new();
-            for r in 0..requests {
-                let id = format!("req-{round}-{r}");
-                let tag = |mut v: Value| {
-                    if let Value::Object(fields) = &mut v {
-                        fields.push(("request_id".into(), Value::Str(id.clone())));
-                    }
-                    v
-                };
-                let mut seq = vec![tag(crate::proto::status_frame("profiling", None))];
-                for s in 0..rng.next_below(4) {
-                    seq.push(tag(crate::proto::event_frame(
-                        s,
-                        obj([("kind", Value::Str("accept".into()))]),
-                    )));
-                }
-                seq.push(tag(obj([
-                    ("type", Value::Str("result".into())),
-                    ("explored", Value::UInt(r as u64)),
-                ])));
-                sequences.push(seq);
-            }
-
-            // Random order-preserving merge of the per-request sequences.
-            let mut cursors = vec![0usize; sequences.len()];
-            let mut merged: Vec<Value> = Vec::new();
-            loop {
-                let live: Vec<usize> = (0..sequences.len())
-                    .filter(|&i| cursors[i] < sequences[i].len())
-                    .collect();
-                if live.is_empty() {
-                    break;
-                }
-                let pick = live[rng.next_below(live.len())];
-                merged.push(sequences[pick][cursors[pick]].clone());
-                cursors[pick] += 1;
-            }
-
-            let mut stream = Vec::new();
-            for frame in &merged {
-                write_frame(&mut stream, frame).expect("writes");
-            }
-
-            // Deliver in random chunks (1..=17 bytes) through the decoder.
-            let mut dec = FrameDecoder::new();
-            let mut decoded: Vec<String> = Vec::new();
-            let mut at = 0;
-            while at < stream.len() {
-                let n = (1 + rng.next_below(17)).min(stream.len() - at);
-                dec.extend(&stream[at..at + n]);
-                at += n;
-                while let Some(v) = dec.next_frame().expect("valid frames") {
-                    decoded.push(v.to_string_compact());
-                }
-            }
-            assert!(!dec.mid_frame(), "round {round}: trailing bytes");
-            let expected: Vec<String> = merged.iter().map(|v| v.to_string_compact()).collect();
-            assert_eq!(decoded, expected, "round {round}: frame drift");
-
-            // Each response's own frames stayed in order within the merge.
-            for (r, seq) in sequences.iter().enumerate() {
-                let id = format!("\"req-{round}-{r}\"");
-                let mine: Vec<&String> = decoded.iter().filter(|s| s.contains(&id)).collect();
-                let want: Vec<String> = seq.iter().map(|v| v.to_string_compact()).collect();
-                assert_eq!(
-                    mine.len(),
-                    want.len(),
-                    "round {round}: request {r} lost frames"
-                );
-                for (got, want) in mine.iter().zip(&want) {
-                    assert_eq!(*got, want, "round {round}: request {r} frames reordered");
-                }
-            }
-        }
     }
 
     /// Truncating every frame kind at every byte boundary (not just the

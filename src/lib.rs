@@ -84,7 +84,7 @@ usage: aceso [search] --model <name> [--gpus N] [--budget-secs S] [--stages P]
              [--max-budget-secs S] [--max-gpus N] [--max-iterations I]
              [--max-deepnet-layers L] [--io-timeout-secs S]
              [--spool-dir DIR] [--checkpoint-every I]
-             [--spool-ttl-secs S] [--reactor] [--max-connections N]
+             [--spool-ttl-secs S] [--max-connections N]
              [--store-dir DIR] [--store-budget-bytes N]
        aceso store (ls | verify | prune) --dir DIR
        aceso submit --addr HOST:PORT (--model <name> [--gpus N] [--stages P]
@@ -135,7 +135,8 @@ the model-zoo corpus; exits non-zero if any finding is reported
 serve: run the search daemon (wire contract in docs/SERVER.md)
   --addr HOST:PORT  listen address (default 127.0.0.1:7100; port 0 picks
                     an ephemeral port, printed as `listening on ...`)
-  --workers N       max concurrent searches, excess rejected (default 4)
+  --workers N       max concurrent searches; further requests queue for
+                    a free worker (default 4; 0 rejects every search)
   --cache-mb M      profile-cache byte budget in MiB (default 256)
   --max-budget-secs S  reject requests with a larger wall-clock budget
                     (default 600; 0 = unlimited)
@@ -155,15 +156,9 @@ serve: run the search daemon (wire contract in docs/SERVER.md)
                     startup and periodically while serving (default: no
                     pruning; reclaims spools abandoned by crashed or
                     never-resubmitted requests)
-  --reactor         serve every connection from one readiness-driven
-                    event-loop thread instead of thread-per-connection:
-                    idle clients cost no thread, requests may be
-                    pipelined (responses tagged by request_id), and
-                    dispatch into the worker pool is round-robin fair
-                    (docs/SERVER.md)
-  --max-connections N  reactor only: reject further connections with a
-                    typed `connection-limit` error while N are open
-                    (default 0 = unlimited)
+  --max-connections N  reject further connections with a typed
+                    `connection-limit` error while N are open; each open
+                    connection holds one thread (default 0 = unlimited)
   --store-dir DIR   persist built profile databases here and reload them
                     across restarts; a corrupt, truncated, foreign or
                     future-version entry degrades to a fresh build and a

@@ -25,11 +25,8 @@ use std::time::Duration;
 
 /// Parsed command-line options.
 struct Args {
-    model: String,
-    gpus: usize,
-    budget_secs: u64,
-    stages: Option<usize>,
-    zero: bool,
+    /// The search itself: model, GPUs, stages, ZeRO and budgets.
+    req: Request,
     plan_out: Option<String>,
     metrics: bool,
     metrics_out: Option<String>,
@@ -37,6 +34,36 @@ struct Args {
     checkpoint: Option<String>,
     resume: Option<String>,
     checkpoint_every: usize,
+}
+
+/// Parses `flag` when it is one of the search flags `aceso search` and
+/// `aceso submit` share (`--model`, `--gpus`, `--stages`, `--zero`,
+/// `--budget-secs`) into `req`, taking its value from `value`. Returns
+/// `None` for any other flag, which the subcommand then handles itself.
+fn parse_search_flag(
+    req: &mut Request,
+    flag: &str,
+    value: &mut dyn FnMut(&str) -> Result<String, String>,
+) -> Option<Result<(), String>> {
+    fn number<T: std::str::FromStr>(flag: &str, v: String) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        v.parse().map_err(|e| format!("{flag}: {e}"))
+    }
+    Some(match flag {
+        "--model" => value(flag).map(|v| req.model = v),
+        "--gpus" => value(flag).and_then(|v| number(flag, v).map(|n| req.gpus = n)),
+        "--stages" => value(flag).and_then(|v| number(flag, v).map(|p| req.stages = Some(p))),
+        "--zero" => {
+            req.zero = true;
+            Ok(())
+        }
+        "--budget-secs" => {
+            value(flag).and_then(|v| number(flag, v).map(|s| req.budget_secs = Some(s)))
+        }
+        _ => return None,
+    })
 }
 
 /// Runs `aceso audit` and exits: 0 when clean, 1 on findings, 2 on bad
@@ -263,10 +290,6 @@ fn run_serve(mut it: impl Iterator<Item = String>) -> ! {
                     .map(|s| opts.spool_ttl_secs = (s > 0).then_some(s))
                     .map_err(|e| format!("--spool-ttl-secs: {e}"))
             }),
-            "--reactor" => {
-                opts.reactor = true;
-                Ok(())
-            }
             "--max-connections" => value("--max-connections").and_then(|v| {
                 v.parse::<usize>()
                     .map(|n| opts.max_connections = n)
@@ -309,6 +332,7 @@ fn run_serve(mut it: impl Iterator<Item = String>) -> ! {
 /// failure, 2 on bad usage.
 fn run_submit(mut it: impl Iterator<Item = String>) -> ! {
     let mut addr: Option<String> = None;
+    // Submit's defaults: the wire's 48 iterations, no wall-clock budget.
     let mut req = Request::default();
     let mut plan_out: Option<String> = None;
     let mut metrics_out: Option<String> = None;
@@ -321,30 +345,10 @@ fn run_submit(mut it: impl Iterator<Item = String>) -> ! {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
         let parsed = match flag.as_str() {
             "--addr" => value("--addr").map(|v| addr = Some(v)),
-            "--model" => value("--model").map(|v| req.model = v),
-            "--gpus" => value("--gpus").and_then(|v| {
-                v.parse()
-                    .map(|n| req.gpus = n)
-                    .map_err(|e| format!("--gpus: {e}"))
-            }),
-            "--stages" => value("--stages").and_then(|v| {
-                v.parse()
-                    .map(|p| req.stages = Some(p))
-                    .map_err(|e| format!("--stages: {e}"))
-            }),
-            "--zero" => {
-                req.zero = true;
-                Ok(())
-            }
             "--iterations" => value("--iterations").and_then(|v| {
                 v.parse()
                     .map(|i| req.max_iterations = i)
                     .map_err(|e| format!("--iterations: {e}"))
-            }),
-            "--budget-secs" => value("--budget-secs").and_then(|v| {
-                v.parse()
-                    .map(|s| req.budget_secs = Some(s))
-                    .map_err(|e| format!("--budget-secs: {e}"))
             }),
             "--seed" => value("--seed").and_then(|v| {
                 v.parse()
@@ -380,7 +384,8 @@ fn run_submit(mut it: impl Iterator<Item = String>) -> ! {
                 eprintln!("{USAGE}");
                 std::process::exit(0);
             }
-            other => Err(format!("unknown submit flag `{other}`")),
+            other => parse_search_flag(&mut req, other, &mut value)
+                .unwrap_or_else(|| Err(format!("unknown submit flag `{other}`"))),
         };
         if let Err(msg) = parsed {
             eprintln!("error: {msg}\n\n{USAGE}");
@@ -510,11 +515,13 @@ fn run_obs_diff(mut it: impl Iterator<Item = String>) -> ! {
 
 fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
-        model: String::new(),
-        gpus: 8,
-        budget_secs: 30,
-        stages: None,
-        zero: false,
+        // Search's defaults: a 30 s wall-clock budget over up to 10,000
+        // iterations per stage count.
+        req: Request {
+            max_iterations: 10_000,
+            budget_secs: Some(30),
+            ..Request::default()
+        },
         plan_out: None,
         metrics: true,
         metrics_out: None,
@@ -525,26 +532,11 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     };
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
+        if let Some(parsed) = parse_search_flag(&mut args.req, &flag, &mut value) {
+            parsed?;
+            continue;
+        }
         match flag.as_str() {
-            "--model" => args.model = value("--model")?,
-            "--gpus" => {
-                args.gpus = value("--gpus")?
-                    .parse()
-                    .map_err(|e| format!("--gpus: {e}"))?
-            }
-            "--budget-secs" => {
-                args.budget_secs = value("--budget-secs")?
-                    .parse()
-                    .map_err(|e| format!("--budget-secs: {e}"))?
-            }
-            "--stages" => {
-                args.stages = Some(
-                    value("--stages")?
-                        .parse()
-                        .map_err(|e| format!("--stages: {e}"))?,
-                )
-            }
-            "--zero" => args.zero = true,
             "--plan-out" => args.plan_out = Some(value("--plan-out")?),
             "--metrics-out" => args.metrics_out = Some(value("--metrics-out")?),
             "--events-out" => args.events_out = Some(value("--events-out")?),
@@ -561,7 +553,7 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    if args.model.is_empty() {
+    if args.req.model.is_empty() {
         return Err("missing --model".into());
     }
     if !args.metrics && (args.metrics_out.is_some() || args.events_out.is_some()) {
@@ -874,12 +866,12 @@ fn main() {
             std::process::exit(if msg.is_empty() { 0 } else { 2 });
         }
     };
-    let Some(model) = zoo::by_name(&args.model) else {
-        eprintln!("error: unknown model `{}`\n\n{USAGE}", args.model);
+    let Some(model) = zoo::by_name(&args.req.model) else {
+        eprintln!("error: unknown model `{}`\n\n{USAGE}", args.req.model);
         std::process::exit(2);
     };
 
-    let cluster = ClusterSpec::v100_gpus(args.gpus);
+    let cluster = ClusterSpec::v100_gpus(args.req.gpus);
     eprintln!(
         "model {} ({} ops, {:.2} B params) on {} simulated V100-32GB",
         model.name,
@@ -890,16 +882,11 @@ fn main() {
     eprintln!("profiling operators...");
     let db = ProfileDb::build(&model, &cluster);
 
-    let mut options = SearchOptions {
-        max_iterations: 10_000,
-        time_budget: Some(Duration::from_secs(args.budget_secs)),
-        stage_counts: args.stages.map(|p| vec![p]),
-        ..SearchOptions::default()
-    };
-    options.gen_options.enable_zero = args.zero;
-
-    eprintln!("searching ({} s budget)...", args.budget_secs);
-    let search = AcesoSearch::new(&model, &cluster, &db, options);
+    match args.req.budget_secs {
+        Some(secs) => eprintln!("searching ({secs} s budget)..."),
+        None => eprintln!("searching..."),
+    }
+    let search = AcesoSearch::new(&model, &cluster, &db, args.req.search_options());
     let (result, mut obs) = match run_checkpointed(&search, &args) {
         Ok(r) => r,
         Err(e) => {

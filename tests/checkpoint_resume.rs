@@ -8,8 +8,8 @@
 //! fingerprint, and the predicted time's exact `f64` bits. The only
 //! masked fields are `wall_time_secs` and the `eval_latency_us`
 //! histogram, which measure the host clock, and the counters the obs
-//! schema registers as `NONDETERMINISTIC_COUNTERS` (serve-reactor
-//! timing, which a library search never moves).
+//! schema registers as `NONDETERMINISTIC_COUNTERS` (the serve daemon's
+//! connection gauge, which a library search never moves).
 
 use aceso::cluster::ClusterSpec;
 use aceso::model::{zoo, ModelGraph};

@@ -61,10 +61,20 @@ fn unknown_model_is_a_usage_error() {
     assert!(String::from_utf8_lossy(&output.stderr).contains("unknown model"));
 }
 
-fn write_snapshot(name: &str, version: u64, evals: u64) -> std::path::PathBuf {
-    let path = temp_path(name);
+/// A file under the system temp dir, removed when dropped — also when
+/// an assertion panics first.
+struct TempFile(std::path::PathBuf);
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+fn write_snapshot(name: &str, version: u64, evals: u64) -> TempFile {
+    let path = TempFile(temp_path(name));
     std::fs::write(
-        &path,
+        &path.0,
         format!(
             "{{\"schema_version\": {version}, \"counters\": {{\"perf_evaluations\": {evals}}}, \
              \"primitives_applied\": {{}}, \"histograms\": {{}}}}\n"
@@ -82,7 +92,7 @@ fn obs_diff_diffs_and_refuses_schema_mismatch() {
     let b = write_snapshot("diff-b.json", 3, 14);
     let output = aceso()
         .arg("obs-diff")
-        .args([&a, &b])
+        .args([&a.0, &b.0])
         .output()
         .expect("binary runs");
     assert_eq!(output.status.code(), Some(0), "same-schema diff succeeds");
@@ -95,7 +105,7 @@ fn obs_diff_diffs_and_refuses_schema_mismatch() {
     let old = write_snapshot("diff-old.json", 2, 10);
     let output = aceso()
         .arg("obs-diff")
-        .args([&a, &old])
+        .args([&a.0, &old.0])
         .output()
         .expect("binary runs");
     assert_eq!(

@@ -13,7 +13,7 @@ use aceso::cli::USAGE;
 use aceso::obs::schema::{COUNTERS, EVENTS, NONDETERMINISTIC_FAMILIES};
 use aceso::obs::{NONDETERMINISTIC_COUNTERS, SCHEMA_VERSION};
 use aceso::search::CHECKPOINT_SCHEMA_VERSION;
-use aceso::serve::{PIPELINE_DEPTH, PROTOCOL_VERSION};
+use aceso::serve::PROTOCOL_VERSION;
 use aceso::store::STORE_SCHEMA_VERSION;
 
 /// How the schema registry must classify a documented counter.
@@ -88,36 +88,25 @@ fn contracts() -> Vec<Contract> {
             doc: "docs/SERVER.md",
             sources: &["crates/serve/src"],
             owns: "",
-            anchors: &["NONBLOCK", "PIPELINE-ORDER", "FAIRNESS"],
-            counters: &[
-                ("serve_connections_open", Class::Timing),
-                ("serve_pipelined_requests", Class::Timing),
-                ("serve_fairness_deferrals", Class::Timing),
-            ],
+            anchors: &["PIPELINE-ORDER", "FAIRNESS"],
+            counters: &[("serve_connections_open", Class::Timing)],
             all_nondeterministic: Some("serve_"),
             events: &[],
-            cli: &[
-                "--reactor",
-                "--max-connections",
-                "--io-timeout-secs",
-                "--workers",
-            ],
+            cli: &["--max-connections", "--io-timeout-secs", "--workers"],
             tokens: &[
                 "tests/serve_doc.rs",
                 "tests/serve.rs",
-                "reactor_responses_are_bit_identical_to_direct_runs",
-                "reactor_counts_fairness_deferrals_and_pipelined_requests",
+                "pipelined_responses_are_bit_identical_to_direct_runs",
+                "queued_requests_wait_for_a_busy_worker",
                 "busy_rejections_back_off_on_the_short_clock",
                 "serve_bench fleet",
                 "serve_fleet",
                 "NONDETERMINISTIC_COUNTERS",
-                "FrameDecoder",
                 "submit_pipelined",
             ],
             versions: vec![
                 format!("`protocol_version` (currently **{PROTOCOL_VERSION}**)"),
                 format!("currently {SCHEMA_VERSION})"),
-                format!("**{PIPELINE_DEPTH}** (`PIPELINE_DEPTH`"),
             ],
         },
         Contract {
@@ -232,7 +221,7 @@ fn doc_flat(c: &Contract) -> String {
 
 /// Every `INV-<NAME>` token in `text`, deduplicated. Names are
 /// uppercase words joined by single dashes (`INV-PIPELINE-ORDER`), so
-/// the scan accepts dashes but trims a trailing one (`INV-NONBLOCK's`
+/// the scan accepts dashes but trims a trailing one (`INV-FAIRNESS's`
 /// possessive, end of parenthesis, etc. stay out of the name).
 fn inv_tokens(text: &str) -> Vec<String> {
     let mut out: Vec<String> = Vec::new();

@@ -43,8 +43,8 @@ fn identical_searches_emit_byte_identical_event_streams() {
     assert_eq!(res_a.best_time, res_b.best_time);
     assert_eq!(obs_a.events_jsonl(), obs_b.events_jsonl());
     for c in Counter::ALL {
-        // Counters in NONDETERMINISTIC_COUNTERS (the serve-reactor
-        // timing counters) are exempt from the determinism contract.
+        // Counters in NONDETERMINISTIC_COUNTERS (the serve daemon's
+        // open-connection gauge) are exempt from the determinism contract.
         if NONDETERMINISTIC_COUNTERS.contains(&c.name()) {
             continue;
         }
@@ -452,9 +452,10 @@ fn no_counter_is_silently_dead() {
             + sweep_report.counter(c)
     };
     for c in Counter::ALL {
-        // Timing-dependent reactor counters only move under concurrent
-        // connections, which this scenario suite does not open; the
-        // reactor tests in `tests/serve.rs` exercise them.
+        // The open-connection gauge is sampled at snapshot time, so
+        // whether a drain report sees a connection still open is a
+        // matter of timing; the connection-limit test in
+        // `tests/serve.rs` exercises it.
         if NONDETERMINISTIC_COUNTERS.contains(&c.name()) {
             continue;
         }

@@ -13,9 +13,7 @@ use aceso::search::{SearchStep, CHECKPOINT_SCHEMA_VERSION};
 use aceso::serve::{
     self, ClientError, FaultMode, FaultProxy, Request, Response, ServeOptions, Server,
 };
-use aceso::serve::{
-    read_frame, spool_path, write_frame, WireError, MAX_FRAME_BYTES, PIPELINE_DEPTH,
-};
+use aceso::serve::{read_frame, spool_path, write_frame, WireError, MAX_FRAME_BYTES};
 use aceso::util::json::{obj, Value};
 use std::io::Write as _;
 use std::net::TcpStream;
@@ -300,7 +298,7 @@ fn malformed_frames_are_rejected_with_typed_errors() {
 }
 
 /// With zero workers every well-formed request bounces with
-/// `rejected-busy` — the backpressure path, deterministically.
+/// `rejected-busy`: nothing could ever free a slot for it to wait on.
 #[test]
 fn zero_workers_reject_with_busy() {
     let (addr, handle) = start(ServeOptions {
@@ -324,6 +322,45 @@ fn zero_workers_reject_with_busy() {
     let report = handle.join().unwrap();
     assert_eq!(report.counter(Counter::ServeRequests), 0);
     assert_eq!(report.counter(Counter::ServeRejected), 1);
+}
+
+/// With one worker, three clients submitting at once on separate
+/// connections all get their answers: the requests queue for the worker
+/// instead of bouncing with `rejected-busy`, and each response is
+/// bit-identical to its direct run.
+#[test]
+fn queued_requests_wait_for_a_busy_worker() {
+    let (addr, handle) = start(ServeOptions {
+        workers: 1,
+        ..ServeOptions::default()
+    });
+    let requests: Vec<Request> = [31u64, 32, 33]
+        .into_iter()
+        .map(|seed| Request {
+            model: "deepnet-8l".into(),
+            gpus: 2,
+            max_iterations: 8,
+            seed,
+            ..Request::default()
+        })
+        .collect();
+    let responses: Vec<Response> = std::thread::scope(|s| {
+        let handles: Vec<_> = requests
+            .iter()
+            .map(|req| {
+                let addr = addr.clone();
+                s.spawn(move || serve::submit(&addr, req).expect("queued submit succeeds"))
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for (resp, req) in responses.iter().zip(&requests) {
+        assert_matches_direct(resp, req, &format!("queued request seed {}", req.seed));
+    }
+    serve::shutdown(&addr).expect("shutdown");
+    let report = handle.join().unwrap();
+    assert_eq!(report.counter(Counter::ServeRequests), 3);
+    assert_eq!(report.counter(Counter::ServeRejected), 0);
 }
 
 /// A client that submits again as soon as it has its result is never
@@ -477,9 +514,10 @@ fn idle_connections_time_out_with_a_typed_error() {
 }
 
 /// The full crash-recovery loop: a connection severed mid-response loses
-/// the client but not the work. The retry (bounded backoff riding out
-/// the still-occupied worker slot) resumes from the spooled checkpoint
-/// and gets a response bit-identical to a never-interrupted direct run.
+/// the client but not the work. The retry (queued behind the severed
+/// search, which still holds the only worker slot) resumes from the
+/// spooled checkpoint and gets a response bit-identical to a
+/// never-interrupted direct run.
 #[test]
 fn severed_connection_resumes_from_spool_on_retry() {
     let spool = temp_spool("sever");
@@ -508,13 +546,13 @@ fn severed_connection_resumes_from_spool_on_retry() {
     );
 
     // Retry directly at the daemon. The severed request still occupies
-    // the only worker slot until its search finishes, so the retry
-    // bounces on `rejected-busy` and backs off — exactly the loop
-    // `submit_with_retries` exists for.
+    // the only worker slot until its search finishes, so the retry waits
+    // in the admission queue, then finds the spool the severed search
+    // left behind.
     let resp = serve::submit_with_retries(&addr, &req, 12).expect("retry succeeds");
     assert_matches_direct(&resp, &req, "resumed after a severed connection");
     // Success deletes the spool: the id is safe to reuse.
-    assert_spool_removed(&spool_path(&spool, "sever-job"), "blocking sever");
+    assert_spool_removed(&spool_path(&spool, "sever-job"), "sever");
 
     serve::shutdown(&addr).expect("shutdown");
     let report = handle.join().unwrap();
@@ -673,20 +711,15 @@ fn spool_ttl_sweep_prunes_aged_spools_and_keeps_live_ones() {
     let _ = std::fs::remove_dir_all(&spool);
 }
 
-/// Reactor options with sane test defaults.
-fn reactor_opts() -> ServeOptions {
-    ServeOptions {
-        reactor: true,
-        ..ServeOptions::default()
-    }
-}
-
-/// The reactor front-end changes connection handling, never results:
-/// sequential submissions and a pipelined batch are all bit-identical
-/// to direct library runs (`docs/SERVER.md`, Determinism).
+/// Requests written ahead on one connection change nothing about the
+/// results: a sequential submission and a pipelined batch are all
+/// bit-identical to direct library runs (`docs/SERVER.md`,
+/// Determinism). The batch's seeds differ, so the per-request checks
+/// also prove the answers came back whole and in request order
+/// (INV-PIPELINE-ORDER), untagged.
 #[test]
-fn reactor_responses_are_bit_identical_to_direct_runs() {
-    let (addr, handle) = start(reactor_opts());
+fn pipelined_responses_are_bit_identical_to_direct_runs() {
+    let (addr, handle) = start(ServeOptions::default());
     let base = Request {
         model: "deepnet-8l".into(),
         gpus: 2,
@@ -694,16 +727,14 @@ fn reactor_responses_are_bit_identical_to_direct_runs() {
         ..Request::default()
     };
 
-    // Sequential, untagged — the classic blocking-client shape.
     let seq = Request {
         seed: 11,
         ..base.clone()
     };
     let resp = serve::submit(&addr, &seq).expect("sequential submit");
-    assert_matches_direct(&resp, &seq, "reactor sequential");
+    assert_matches_direct(&resp, &seq, "sequential");
 
-    // Pipelined, tagged — three requests written back to back on one
-    // connection, responses routed by their request_id tags.
+    // Three requests written back to back on one connection.
     let reqs: Vec<Request> = [21u64, 22, 23]
         .into_iter()
         .map(|seed| Request {
@@ -717,137 +748,27 @@ fn reactor_responses_are_bit_identical_to_direct_runs() {
     for ((id, outcome), req) in outcomes.iter().zip(&reqs) {
         assert_eq!(id, req.request_id.as_ref().unwrap());
         let resp = outcome.as_ref().unwrap_or_else(|e| panic!("{id}: {e}"));
-        assert_matches_direct(resp, req, &format!("reactor pipelined {id}"));
+        assert_matches_direct(resp, req, &format!("pipelined {id}"));
+        assert!(
+            resp.result.get("request_id").is_none(),
+            "{id}: answers are untagged"
+        );
     }
 
     serve::shutdown(&addr).expect("shutdown");
     let report = handle.join().unwrap();
     assert_eq!(report.counter(Counter::ServeRequests), 4);
     assert_eq!(report.counter(Counter::ServeRejected), 0);
-    // The 2nd/3rd pipelined requests joined a connection already
-    // carrying work. (Timing-dependent, so >= 1, not an exact value.)
-    assert!(report.counter(Counter::ServePipelinedRequests) >= 1);
 }
 
-/// Polls the daemon's `stats` until its `serve_requests` counter — the
-/// requests that have entered a worker slot — reaches `n`.
-fn wait_for_serve_requests(addr: &str, n: u64) {
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    loop {
-        let stats = serve::server_stats(addr).expect("stats");
-        let started = stats
-            .field("counters")
-            .and_then(|c| c.field("serve_requests"))
-            .and_then(Value::as_u64)
-            .expect("serve_requests counter");
-        if started >= n {
-            return;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "serve_requests stuck at {started}, waiting for {n}"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
-}
-
-/// INV-FAIRNESS, observably: while one connection pipelines a deep
-/// queue, a fresh request on another connection is dispatched first and
-/// each such preference is counted as a fairness deferral.
+/// A slow-loris writer, trickling its request one byte per 300 ms past a
+/// 100 ms deadline, gets a typed `timeout` and is cut loose.
 #[test]
-fn reactor_counts_fairness_deferrals_and_pipelined_requests() {
-    let (addr, handle) = start(ServeOptions {
-        workers: 2,
-        ..reactor_opts()
-    });
-    let base = Request {
-        model: "deepnet-8l".into(),
-        gpus: 2,
-        max_iterations: 24,
-        seed: 7,
-        ..Request::default()
-    };
-
-    // `a2` carries a strictly larger iteration budget than its batch
-    // mates, so it provably outlives `a1`: when `a1`'s worker slot
-    // frees, the pipeliner connection still holds `a2` in flight with
-    // `a3` queued behind it — the exact state INV-FAIRNESS defers.
-    // (Equal budgets flake: both workers can finish inside one sweep,
-    // leaving the connection momentarily idle and nothing to defer.)
-    let long = Request {
-        max_iterations: 128,
-        ..base.clone()
-    };
-    let (pipelined, fresh) = std::thread::scope(|s| {
-        let pipeliner = {
-            let (addr, base, long) = (addr.clone(), base.clone(), long.clone());
-            s.spawn(move || {
-                let reqs: Vec<Request> = [("a1", &base), ("a2", &long), ("a3", &base)]
-                    .into_iter()
-                    .map(|(id, req)| Request {
-                        request_id: Some(id.into()),
-                        ..req.clone()
-                    })
-                    .collect();
-                serve::submit_pipelined(&addr, &reqs).expect("pipelined batch")
-            })
-        };
-        // Send the fresh request on a second connection only once `a1`
-        // and `a2` both hold worker slots, so `a3` is queued behind them
-        // when it arrives. (A fixed head start raced `a1` finishing
-        // inside it, which left nothing to defer.)
-        wait_for_serve_requests(&addr, 2);
-        let fresh = serve::submit(&addr, &base).expect("fresh submit");
-        (pipeliner.join().unwrap(), fresh)
-    });
-
-    // The fresh response is bit-identical to a direct run; so are the
-    // pipelined ones to it (`a1`/`a3` are the identical request, `a2`
-    // to its own direct run).
-    assert_matches_direct(&fresh, &base, "fresh request beside a pipeliner");
-    for (id, outcome) in &pipelined {
-        let resp = outcome.as_ref().unwrap_or_else(|e| panic!("{id}: {e}"));
-        if *id == "a2" {
-            assert_matches_direct(resp, &long, "long pipelined request");
-        } else {
-            assert_eq!(
-                resp.events_jsonl(),
-                fresh.events_jsonl(),
-                "{id}: identical request must produce identical bytes"
-            );
-        }
-    }
-
-    serve::shutdown(&addr).expect("shutdown");
-    let report = handle.join().unwrap();
-    assert_eq!(report.counter(Counter::ServeRequests), 4);
-    assert!(
-        report.counter(Counter::ServePipelinedRequests) >= 1,
-        "a2/a3 joined a busy connection"
-    );
-    assert!(
-        report.counter(Counter::ServeFairnessDeferrals) >= 1,
-        "dispatching the fresh request while a pipelined one waited \
-         must be recorded as a deferral"
-    );
-}
-
-/// INV-NONBLOCK's two halves, against an adversarial peer: a slow-loris
-/// writer stalled mid-frame gets a typed `timeout` and is cut loose,
-/// while a merely idle connection — quiet far past the same deadline —
-/// is held and still served.
-#[test]
-fn reactor_times_out_slow_loris_but_holds_idle_connections() {
+fn slow_loris_times_out_with_a_typed_error() {
     let (addr, handle) = start(ServeOptions {
         io_timeout: Some(Duration::from_millis(100)),
-        ..reactor_opts()
+        ..ServeOptions::default()
     });
-
-    // The idle connection opens first and outlives everything below.
-    let mut idle = TcpStream::connect(&addr).unwrap();
-
-    // Slow loris: the proxy trickles the request one byte per 300 ms —
-    // every inter-byte gap overshoots the 100 ms deadline mid-frame.
     let proxy = FaultProxy::start_with(
         &addr,
         FaultMode::SlowLoris {
@@ -865,13 +786,6 @@ fn reactor_times_out_slow_loris_but_holds_idle_connections() {
         other => panic!("expected a typed timeout, got {other:?}"),
     }
 
-    // The idle connection has now been quiet for several deadlines; in
-    // blocking mode it would be dead. The reactor still answers it.
-    write_frame(&mut idle, &obj([("type", Value::Str("stats".into()))])).unwrap();
-    let stats = read_frame(&mut idle).expect("idle connection must survive");
-    assert_eq!(stats.field("type").unwrap().as_str().unwrap(), "stats");
-    drop(idle);
-
     serve::shutdown(&addr).expect("shutdown");
     let report = handle.join().unwrap();
     assert_eq!(report.counter(Counter::ServeRequests), 0);
@@ -882,8 +796,8 @@ fn reactor_times_out_slow_loris_but_holds_idle_connections() {
 /// the admitted request is answered bit-identically down the still-open
 /// write side, then the server closes cleanly.
 #[test]
-fn reactor_half_close_completes_the_admitted_request() {
-    let (addr, handle) = start(reactor_opts());
+fn half_close_completes_the_admitted_request() {
+    let (addr, handle) = start(ServeOptions::default());
     let proxy = FaultProxy::start_with(&addr, FaultMode::HalfCloseAfter(1)).expect("proxy starts");
     let req = Request {
         model: "deepnet-8l".into(),
@@ -928,10 +842,10 @@ fn reactor_half_close_completes_the_admitted_request() {
 /// neighbours: a concurrent request on another connection completes
 /// bit-identically and the daemon drains cleanly.
 #[test]
-fn reactor_mid_pipeline_cut_leaves_other_connections_intact() {
+fn mid_pipeline_cut_leaves_other_connections_intact() {
     let (addr, handle) = start(ServeOptions {
         workers: 2,
-        ..reactor_opts()
+        ..ServeOptions::default()
     });
     let base = Request {
         model: "deepnet-8l".into(),
@@ -969,55 +883,17 @@ fn reactor_mid_pipeline_cut_leaves_other_connections_intact() {
     handle.join().unwrap();
 }
 
-/// The reactor honours the spool contract under connection loss: a
-/// spooled request severed before its result frame drains leaves the
-/// checkpoint on disk, and a retry resumes instead of restarting.
-#[test]
-fn reactor_severed_connection_resumes_from_spool() {
-    let spool = temp_spool("reactor-sever");
-    let (addr, handle) = start(ServeOptions {
-        workers: 1,
-        spool_dir: Some(spool.clone()),
-        checkpoint_every: 1,
-        ..reactor_opts()
-    });
-    let req = Request {
-        model: "deepnet-8l".into(),
-        gpus: 2,
-        max_iterations: 8,
-        seed: 21,
-        request_id: Some("reactor-sever-job".into()),
-        ..Request::default()
-    };
-
-    let proxy = FaultProxy::start(&addr, 2).expect("proxy starts");
-    assert!(
-        serve::submit(&proxy.addr(), &req).is_err(),
-        "a severed submission must fail client-side"
-    );
-    let resp = serve::submit_with_retries(&addr, &req, 12).expect("retry succeeds");
-    assert_matches_direct(&resp, &req, "reactor resume after severed connection");
-    assert_spool_removed(&spool_path(&spool, "reactor-sever-job"), "reactor sever");
-
-    serve::shutdown(&addr).expect("shutdown");
-    let report = handle.join().unwrap();
-    assert_eq!(report.counter(Counter::ServeRequests), 2);
-    assert_eq!(report.counter(Counter::SearchResumed), 1);
-    assert!(report.counter(Counter::CheckpointsWritten) >= 1);
-    let _ = std::fs::remove_dir_all(&spool);
-}
-
 /// `--max-connections` refuses connection N+1 with a typed
 /// `connection-limit` error and closes it; freeing a slot re-admits.
 #[test]
-fn reactor_connection_limit_rejects_excess_connections() {
+fn connection_limit_rejects_excess_connections() {
     let (addr, handle) = start(ServeOptions {
         max_connections: 2,
-        ..reactor_opts()
+        ..ServeOptions::default()
     });
     let held_one = TcpStream::connect(&addr).unwrap();
     let held_two = TcpStream::connect(&addr).unwrap();
-    // Let the reactor accept both holders before the third arrives.
+    // Let the accept loop take both holders before the third arrives.
     std::thread::sleep(Duration::from_millis(50));
 
     let mut excess = TcpStream::connect(&addr).unwrap();
@@ -1028,8 +904,8 @@ fn reactor_connection_limit_rejects_excess_connections() {
         "refused connection closes"
     );
 
-    // Dropping a holder frees its slot; a new connection is admitted
-    // (poll briefly — the reactor notices the EOF on its next sweeps).
+    // Dropping a holder frees its slot once its thread reads the EOF; a
+    // new connection is then admitted (poll briefly).
     drop(held_one);
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     let stats = loop {
@@ -1046,8 +922,8 @@ fn reactor_connection_limit_rejects_excess_connections() {
     assert_eq!(stats.field("type").unwrap().as_str().unwrap(), "stats");
     drop(held_two);
 
-    // The dropped holders free their slots on the reactor's next
-    // sweeps; poll past any `connection-limit` refusal in the interim.
+    // The dropped connections free their slots as their threads end;
+    // poll past any `connection-limit` refusal in the interim.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     loop {
         match serve::shutdown(&addr) {
@@ -1062,53 +938,14 @@ fn reactor_connection_limit_rejects_excess_connections() {
     assert!(report.counter(Counter::ServeRejected) >= 1);
 }
 
-/// The per-connection pipeline depth is a typed bound, not a hangup:
-/// request `PIPELINE_DEPTH + 1` bounces with `rejected-busy` while the
-/// first `PIPELINE_DEPTH` all complete on the same connection.
-#[test]
-fn reactor_pipeline_depth_rejects_excess_without_closing() {
-    let (addr, handle) = start(ServeOptions {
-        workers: 1,
-        ..reactor_opts()
-    });
-    let reqs: Vec<Request> = (0..=PIPELINE_DEPTH)
-        .map(|i| Request {
-            model: "deepnet-8l".into(),
-            gpus: 2,
-            // The first request is deliberately slower than the time it
-            // takes the remaining frames to arrive, so the connection's
-            // queue really reaches the depth bound.
-            max_iterations: if i == 0 { 16 } else { 1 },
-            request_id: Some(format!("depth-{i}")),
-            ..Request::default()
-        })
-        .collect();
-    let outcomes = serve::submit_pipelined(&addr, &reqs).expect("pipelined batch");
-    assert_eq!(outcomes.len(), PIPELINE_DEPTH + 1);
-    for (id, outcome) in &outcomes[..PIPELINE_DEPTH] {
-        assert!(outcome.is_ok(), "{id} must complete: {outcome:?}");
-    }
-    match &outcomes[PIPELINE_DEPTH].1 {
-        Err(ClientError::Server { code, .. }) => assert_eq!(code, "rejected-busy"),
-        other => panic!("request past the depth bound must bounce, got {other:?}"),
-    }
-
-    serve::shutdown(&addr).expect("shutdown");
-    let report = handle.join().unwrap();
-    assert_eq!(
-        report.counter(Counter::ServeRequests),
-        PIPELINE_DEPTH as u64
-    );
-    assert_eq!(report.counter(Counter::ServeRejected), 1);
-}
-
 /// Fleet smoke: 64 concurrent mixed connections — idle holders plus
-/// single-shot submitters — against one reactor daemon, zero errors.
-/// (`serve_bench fleet` scales the same shape to 512+ clients with
-/// latency percentiles; `obs_check` gates the committed numbers.)
+/// single-shot submitters queued for the default four workers — against
+/// one daemon, zero errors. (`serve_bench fleet` scales the same shape
+/// to 512+ clients with latency percentiles; `obs_check` gates the
+/// committed numbers.)
 #[test]
-fn reactor_fleet_smoke_sixty_four_clients() {
-    let (addr, handle) = start(reactor_opts());
+fn fleet_smoke_sixty_four_clients() {
+    let (addr, handle) = start(ServeOptions::default());
     // One warm-up so the fleet shares a built profile cache entry.
     let req = Request {
         model: "deepnet-8l".into(),

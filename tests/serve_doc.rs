@@ -5,21 +5,21 @@ mod doc_contracts;
 
 const DOC: &str = "docs/SERVER.md";
 
-/// Every reactor counter is registered as non-deterministic and named,
-/// and no `serve_` timing counter goes undocumented.
+/// Every serve counter the document names is registered with its
+/// determinism class, and no `serve_` timing counter goes undocumented.
 #[test]
 fn doc_names_every_reactor_counter() {
     doc_contracts::names_its_observability_surface(DOC);
 }
 
-/// The stated protocol, schema, and pipeline-depth constants must be
-/// the code's.
+/// The stated protocol and schema versions must be the code's.
 #[test]
 fn doc_states_current_versions_and_limits() {
     doc_contracts::states_current_versions(DOC);
 }
 
-/// The reactor flags are documented in both the doc and the usage text.
+/// The connection-handling flags are documented in both the doc and the
+/// usage text.
 #[test]
 fn doc_covers_the_reactor_flags() {
     doc_contracts::covers_its_cli(DOC);
