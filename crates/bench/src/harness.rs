@@ -209,8 +209,9 @@ pub fn bench_search_path() -> PathBuf {
 }
 
 /// Replaces one named top-level section of a bench snapshot in place,
-/// preserving every other field (and creating the file with only that
-/// section when it does not exist yet). `serve_bench fleet` uses this to
+/// preserving every other field and the key order (a new section is
+/// appended; the file is created with only that section when it does
+/// not exist yet). `serve_bench fleet` uses this to
 /// record its fan-in percentiles beside the search trajectory that
 /// [`write_bench_search`] owns.
 pub fn merge_bench_section(path: &std::path::Path, key: &str, section: Value) {
@@ -222,8 +223,10 @@ pub fn merge_bench_section(path: &std::path::Path, key: &str, section: Value) {
             _ => None,
         })
         .unwrap_or_default();
-    fields.retain(|(k, _)| k != key);
-    fields.push((key.to_string(), section));
+    match fields.iter_mut().find(|(k, _)| k == key) {
+        Some((_, value)) => *value = section,
+        None => fields.push((key.to_string(), section)),
+    }
     let mut text = Value::Object(fields).to_string_pretty();
     text.push('\n');
     std::fs::write(path, text).expect("bench snapshot writes");
@@ -376,7 +379,8 @@ mod tests {
         let path = std::env::temp_dir().join(format!("aceso-merge-{}.json", std::process::id()));
         std::fs::write(
             &path,
-            "{\n  \"best_time\": 1.5,\n  \"serve_fleet\": {\"clients\": 1}\n}\n",
+            "{\n  \"best_time\": 1.5,\n  \"serve_fleet\": {\"clients\": 1},\n  \
+             \"serve_restart\": {\"store_hits\": 1}\n}\n",
         )
         .unwrap();
         merge_bench_section(&path, "serve_fleet", obj([("clients", Value::UInt(512))]));
@@ -390,6 +394,9 @@ mod tests {
             panic!("object doc")
         };
         assert_eq!(fields.iter().filter(|(k, _)| k == "serve_fleet").count(), 1);
+        // The section keeps its place: a re-run moves no section.
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["best_time", "serve_fleet", "serve_restart"]);
         let _ = std::fs::remove_file(&path);
     }
 }

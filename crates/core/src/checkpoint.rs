@@ -40,26 +40,10 @@ use aceso_util::FnvHasher;
 /// JSON shape; a daemon that finds a checkpoint with an unknown version
 /// runs a fresh search instead of guessing.
 ///
-/// History: v1 was the original format; v2 added an informational
-/// worker-count field for an in-stage search pool and the
-/// `search_worker_batches` counter; v3 removes that field together with
-/// the pool. v4 keeps v3's shape, but a v3 spool's counters include a
-/// second evaluation of every candidate the recompute fix-up left
-/// unchanged, which the search no longer makes (INV-SCORE-ONCE in
-/// docs/SEARCH.md); resuming one would give counters matching neither
-/// version's uninterrupted run. v5 keeps v4's shape, but its saved event
-/// stream is observability schema 11: no `candidate_rejected` events,
-/// and each `iteration` event carries its rejection summary (a v4 spool
-/// would splice per-candidate events into a v11 stream). The summary is
-/// taken when the `iteration` event is emitted and slices pause only
-/// between iterations, so no field holds a half-built one. v6 keeps v5's
-/// shape, but its visited set and saved events hold v6 fingerprints:
-/// `ParallelConfig::semantic_hash` became a fold of cached stage hashes
-/// (INV-STAGE-HASH in docs/SEARCH.md), so a v5 spool's visited set would
-/// never match a resumed search's candidates. Exported memo `content`
-/// values did not change. Older spools are not migrated: they fail with
+/// Older spools are not migrated: they fail with
 /// [`CheckpointError::UnknownSchemaVersion`] and the daemon runs a fresh
-/// search.
+/// search. docs/SEARCH.md ("Checkpoints") records what each version
+/// changed.
 pub const CHECKPOINT_SCHEMA_VERSION: u64 = 6;
 
 /// Stable fingerprint of a model's profile-relevant content: the
@@ -285,10 +269,10 @@ pub struct StageCheckpoint {
 
 /// A complete, versioned search checkpoint.
 ///
-/// Produced by [`AcesoSearch::run_partial`](crate::search::AcesoSearch::run_partial)
-/// and consumed by
-/// [`AcesoSearch::resume_partial`](crate::search::AcesoSearch::resume_partial);
-/// serialises to a single JSON document via [`SearchCheckpoint::to_json_string`].
+/// Taken between rounds by
+/// [`AcesoSearch::run_rounds`](crate::search::AcesoSearch::run_rounds),
+/// which also resumes it; serialises to a single JSON document via
+/// [`SearchCheckpoint::to_json_string`].
 #[derive(Debug, Clone)]
 pub struct SearchCheckpoint {
     /// Wire-format version ([`CHECKPOINT_SCHEMA_VERSION`]).
@@ -302,8 +286,9 @@ pub struct SearchCheckpoint {
     /// Whether the run records observability (must match on resume —
     /// half-recorded streams cannot be spliced).
     pub metrics: bool,
-    /// Wall-clock seconds consumed by previous slices, as `f64::to_bits`
-    /// (accumulated into the final `wall_time`).
+    /// Wall-clock seconds the search had run when the snapshot was
+    /// taken, as `f64::to_bits` (a resume adds them to its own clock and
+    /// its time budget).
     pub elapsed_secs_bits: u64,
     /// Events emitted before any stage ran (the `search_start` record).
     pub head_events: Vec<Event>,
@@ -312,7 +297,7 @@ pub struct SearchCheckpoint {
 }
 
 impl SearchCheckpoint {
-    /// Wall-clock seconds consumed by previous slices.
+    /// Wall-clock seconds the search had run when the snapshot was taken.
     pub fn elapsed_secs(&self) -> f64 {
         f64::from_bits(self.elapsed_secs_bits)
     }
@@ -326,19 +311,6 @@ impl SearchCheckpoint {
     /// result without any further search work).
     pub fn is_complete(&self) -> bool {
         self.stages.iter().all(|s| s.done)
-    }
-
-    /// The pause bound this checkpoint was taken under: the highest
-    /// per-stage iteration index any open stage will resume at. Callers
-    /// slicing a search (`resume_partial` with a fresh `pause_after`)
-    /// add their step to this to schedule the next pause; `0` when every
-    /// stage already finished.
-    pub fn resume_bound(&self) -> usize {
-        self.stages
-            .iter()
-            .filter_map(|s| s.progress.as_ref().map(|p| p.next_iter))
-            .max()
-            .unwrap_or(0)
     }
 
     /// Serialises to a compact single-line JSON document.

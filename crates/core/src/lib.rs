@@ -29,6 +29,7 @@ pub use checkpoint::{
 };
 pub use primitives::{Candidate, Primitive, Resource, Trend};
 pub use search::{
-    AcesoSearch, ResumeError, ScoredConfig, SearchError, SearchOptions, SearchResult, SearchStep,
+    AcesoSearch, AfterRound, ResumeError, ScoredConfig, SearchError, SearchOptions, SearchResult,
+    SearchStep,
 };
 pub use trace::{AcceptedConfig, ConvergencePoint, IterationRecord, SearchTrace};

@@ -15,10 +15,10 @@ use aceso_cluster::ClusterSpec;
 use aceso_config::{balanced_init, ConfigError, ParallelConfig};
 use aceso_model::ModelGraph;
 use aceso_obs::{Counter, Event, HistKind, Metrics, ObsReport, Recorder};
-use aceso_perf::{CachedEvaluator, ConfigEstimate, Evaluator, P2pMemo, PerfModel};
+use aceso_perf::{CachedEvaluator, ConfigEstimate, Evaluator, P2pMemo, PerfModel, StageMemo};
 use aceso_profile::ProfileDb;
 use aceso_util::SplitMix64;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashSet};
 use std::time::{Duration, Instant};
 
 /// Tunable knobs of the search.
@@ -128,8 +128,8 @@ pub struct SearchResult {
     pub traces: Vec<SearchTrace>,
 }
 
-/// Outcome of a pausable search slice ([`AcesoSearch::run_partial`] /
-/// [`AcesoSearch::resume_partial`]).
+/// Outcome of a round-driven search ([`AcesoSearch::run_rounds`],
+/// [`AcesoSearch::run_partial`]).
 #[derive(Debug)]
 // `Done` is the one-shot terminal value; boxing it would add an allocation
 // to every completed search to shrink a type that is never stored in bulk.
@@ -138,9 +138,33 @@ pub enum SearchStep {
     /// Every stage count ran to completion; the result and report are
     /// bit-identical to an uninterrupted [`AcesoSearch::run_observed`].
     Done(SearchResult, ObsReport),
-    /// At least one stage count hit the pause bound; the checkpoint
+    /// The hook paused the search at a round boundary; the checkpoint
     /// captures the complete search state.
     Paused(Box<SearchCheckpoint>),
+}
+
+impl SearchStep {
+    /// The finished search, or `None` when the hook paused it.
+    pub fn done(self) -> Option<(SearchResult, ObsReport)> {
+        match self {
+            SearchStep::Done(result, report) => Some((result, report)),
+            SearchStep::Paused(_) => None,
+        }
+    }
+}
+
+/// What the round driver does after a round that left a stage count
+/// open: the answer of [`AcesoSearch::run_rounds`]'s hook.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AfterRound {
+    /// Run the next round, `every` iterations further.
+    Next,
+    /// Run every open stage count to its end in one last round, without
+    /// asking the hook again.
+    Finish,
+    /// Stop, and return the snapshot the hook was shown as
+    /// [`SearchStep::Paused`].
+    Pause,
 }
 
 /// Why a checkpoint resume failed.
@@ -149,7 +173,7 @@ pub enum ResumeError {
     /// The checkpoint does not belong to this search (wrong model,
     /// cluster, options, metrics flag, or schema version).
     Incompatible(CheckpointError),
-    /// The resumed search itself failed.
+    /// The search itself failed (fresh or resumed alike).
     Search(SearchError),
 }
 
@@ -157,7 +181,7 @@ impl std::fmt::Display for ResumeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ResumeError::Incompatible(e) => write!(f, "cannot resume: {e}"),
-            ResumeError::Search(e) => write!(f, "resumed search failed: {e}"),
+            ResumeError::Search(e) => write!(f, "{e}"),
         }
     }
 }
@@ -248,24 +272,19 @@ impl<'a> AcesoSearch<'a> {
     /// When `metrics` is off the instrumentation compiles down to a
     /// branch per site and the report comes back empty.
     pub fn run_observed(&self, metrics: bool) -> Result<(SearchResult, ObsReport), SearchError> {
-        match self.drive(metrics, None, None)? {
-            SearchStep::Done(result, report) => Ok((result, report)),
-            SearchStep::Paused(_) => unreachable!("no pause bound was set"),
-        }
+        self.drive(metrics, None, None, &mut |_| AfterRound::Next)
+            .map(|step| step.done().expect("no round pauses"))
     }
 
     /// Runs the search until every stage count finishes or reaches
-    /// iteration `pause_after`, whichever comes first. On pause the
-    /// returned [`SearchCheckpoint`] captures the complete state;
-    /// feeding it to [`AcesoSearch::resume_partial`] continues exactly
-    /// where the slice stopped, and running resumed slices to completion
-    /// yields results bit-identical to an uninterrupted run.
+    /// iteration `pause_after`: [`AcesoSearch::run_rounds`] with a hook
+    /// that pauses.
     pub fn run_partial(
         &self,
         metrics: bool,
         pause_after: usize,
     ) -> Result<SearchStep, SearchError> {
-        self.drive(metrics, None, Some(pause_after))
+        self.drive(metrics, None, Some(pause_after), &mut |_| AfterRound::Pause)
     }
 
     /// Checks that `ckpt` was produced by a search over the same model,
@@ -293,20 +312,26 @@ impl<'a> AcesoSearch<'a> {
         Ok(())
     }
 
-    /// Resumes from a checkpoint, running until every stage finishes or
-    /// reaches the (absolute) iteration bound `pause_after`; `None`
-    /// runs to completion. Fails with [`ResumeError::Incompatible`]
-    /// before doing any work when the checkpoint belongs to a different
-    /// search.
-    pub fn resume_partial(
+    /// Runs the search fresh or from `resume`, in rounds that end at the
+    /// resume point (0 when fresh) plus k × `every` iterations (`None`:
+    /// one round to the end). After each round that leaves a stage count
+    /// open, `hook` is shown a snapshot of the live search and answers
+    /// what happens next. The result is bit-identical to
+    /// [`AcesoSearch::run_observed`]'s. Fails with
+    /// [`ResumeError::Incompatible`] before any work when `resume`
+    /// belongs to a different search.
+    pub fn run_rounds(
         &self,
         metrics: bool,
-        ckpt: &SearchCheckpoint,
-        pause_after: Option<usize>,
+        resume: Option<&SearchCheckpoint>,
+        every: Option<usize>,
+        mut hook: impl FnMut(&SearchCheckpoint) -> AfterRound,
     ) -> Result<SearchStep, ResumeError> {
-        self.checkpoint_compatible(ckpt, metrics)
-            .map_err(ResumeError::Incompatible)?;
-        self.drive(metrics, Some(ckpt), pause_after)
+        if let Some(ckpt) = resume {
+            self.checkpoint_compatible(ckpt, metrics)
+                .map_err(ResumeError::Incompatible)?;
+        }
+        self.drive(metrics, resume, every, &mut hook)
             .map_err(ResumeError::Search)
     }
 
@@ -318,25 +343,24 @@ impl<'a> AcesoSearch<'a> {
         metrics: bool,
         ckpt: &SearchCheckpoint,
     ) -> Result<(SearchResult, ObsReport), ResumeError> {
-        match self.resume_partial(metrics, ckpt, None)? {
-            SearchStep::Done(result, report) => Ok((result, report)),
-            SearchStep::Paused(_) => unreachable!("no pause bound was set"),
-        }
+        self.run_rounds(metrics, Some(ckpt), None, |_| AfterRound::Next)
+            .map(|step| step.done().expect("no round pauses"))
     }
 
-    /// The engine behind [`AcesoSearch::run_observed`] and the partial
-    /// variants: drives every stage count either fresh or from its
-    /// checkpointed state, to completion or to the pause bound.
+    /// The round driver behind every entry point (docs/SEARCH.md, "One
+    /// round driver").
     fn drive(
         &self,
         metrics: bool,
         restore: Option<&SearchCheckpoint>,
-        pause_after: Option<usize>,
+        every: Option<usize>,
+        hook: &mut dyn FnMut(&SearchCheckpoint) -> AfterRound,
     ) -> Result<SearchStep, SearchError> {
+        // One clock for the whole call: the wall time and the budget
+        // cover every round and the hook's work between rounds. Only a
+        // resume adds time, the checkpoint's banked seconds.
         let start = Instant::now();
         let prior_elapsed = restore.map_or(0.0, SearchCheckpoint::elapsed_secs);
-        // A resumed search gets the *remaining* budget: previous slices'
-        // wall time already counted against it.
         let deadline = self.options.time_budget.map(|b| {
             let remaining = (b.as_secs_f64() - prior_elapsed).max(0.0);
             start + Duration::from_secs_f64(remaining)
@@ -362,11 +386,15 @@ impl<'a> AcesoSearch<'a> {
                 head.into_parts().0
             }
         };
-        let restored: HashMap<usize, &StageCheckpoint> = restore
-            .map(|c| c.stages.iter().map(|s| (s.stage_count, s)).collect())
-            .unwrap_or_default();
-
-        let mut outcomes: Vec<StageOutcome> = Vec::new();
+        // The furthest iteration an open restored stage count resumes at.
+        let resume_point = restore
+            .and_then(|c| {
+                c.stages
+                    .iter()
+                    .filter_map(|s| s.progress.as_ref().map(|p| p.next_iter))
+                    .max()
+            })
+            .unwrap_or(0);
         // One boundary-p2p memo for the whole search: sub-searches at
         // different stage counts cut the model at many of the same device
         // boundaries, so whichever thread computes a (bytes, from, to)
@@ -376,69 +404,50 @@ impl<'a> AcesoSearch<'a> {
         // recomputes identical values and touches no counter; INV-MEMO in
         // docs/SEARCH.md).
         let p2p = P2pMemo::new();
-        let env = |p| SliceEnv {
-            p,
-            deadline,
-            metrics,
-            pause_after,
-        };
-        if self.options.parallel && counts.len() > 1 {
-            outcomes = std::thread::scope(|scope| {
-                let handles: Vec<_> = counts
-                    .iter()
-                    .map(|&p| {
-                        let p2p = &p2p;
-                        let prev = restored.get(&p).copied();
-                        scope.spawn(move || self.stage_slice(env(p), p2p, prev))
-                    })
-                    .collect();
-                join_stages(handles)
-            });
-        } else {
-            for &p in &counts {
-                let prev = restored.get(&p).copied();
-                if let Some(o) = self.stage_slice(env(p), &p2p, prev) {
-                    outcomes.push(o);
-                }
-            }
-        }
-        // Deterministic merge order regardless of thread completion order
-        // (INV-MERGE-ORDER).
-        outcomes.sort_by_key(StageOutcome::stage_count);
+        // The round's iteration bound; `None` runs to the end.
+        let mut bound = every.map(|e| resume_point.saturating_add(e));
 
-        if outcomes
-            .iter()
-            .any(|o| matches!(o, StageOutcome::Paused(_)))
-        {
-            let elapsed = prior_elapsed + start.elapsed().as_secs_f64();
-            let stages = outcomes
-                .into_iter()
-                .map(|o| match o {
-                    StageOutcome::Finished { tops, trace, rec } => {
-                        let (events, mets) = rec.into_parts();
-                        StageCheckpoint {
-                            stage_count: trace.stage_count,
-                            done: true,
-                            events,
-                            metrics: mets,
-                            trace,
-                            progress: None,
-                            tops: tops.iter().map(CheckpointedScore::from_scored).collect(),
-                        }
-                    }
-                    StageOutcome::Paused(sc) => sc,
-                })
-                .collect();
-            return Ok(SearchStep::Paused(Box::new(SearchCheckpoint {
+        // Each stage count's step builds its own performance model: the
+        // model is not `Sync`, as it counts into the step's recorder.
+        let pm = || PerfModel::new(self.model, self.cluster, self.db).with_p2p_memo(&p2p);
+        let mut stages = self.on_stage_threads(counts, |p| {
+            let pm = pm();
+            let saved = restore.and_then(|c| c.stages.iter().find(|s| s.stage_count == p));
+            let mut stage = match saved {
+                Some(sc) => StageSearch::from_checkpoint(sc, metrics),
+                None => StageSearch::new(self, p, metrics, pm.clone())?,
+            };
+            stage.step(self, bound, deadline, pm);
+            Some(stage)
+        });
+        // Deterministic merge order regardless of thread completion order
+        // (INV-MERGE-ORDER); later rounds keep it.
+        stages.sort_by_key(|s| s.stage_count);
+        while stages.iter().any(StageSearch::is_open) {
+            let ckpt = SearchCheckpoint {
                 schema_version: CHECKPOINT_SCHEMA_VERSION,
                 model_fingerprint: model_fingerprint(self.model),
                 cluster_fingerprint: cluster_fingerprint(self.cluster),
                 options_fingerprint: options_fingerprint(&self.options),
                 metrics,
-                elapsed_secs_bits: elapsed.to_bits(),
-                head_events,
-                stages,
-            })));
+                elapsed_secs_bits: (prior_elapsed + start.elapsed().as_secs_f64()).to_bits(),
+                head_events: head_events.clone(),
+                stages: stages.iter().map(StageSearch::snapshot).collect(),
+            };
+            match hook(&ckpt) {
+                // A round advances at least one iteration, so a zero
+                // `every` (a pause before the first iteration) cannot spin.
+                AfterRound::Next => {
+                    bound = bound.zip(every).map(|(b, e)| b.saturating_add(e.max(1)))
+                }
+                AfterRound::Finish => bound = None,
+                AfterRound::Pause => return Ok(SearchStep::Paused(Box::new(ckpt))),
+            }
+            let open: Vec<&mut StageSearch> = stages.iter_mut().filter(|s| s.is_open()).collect();
+            self.on_stage_threads(open, |stage| {
+                stage.step(self, bound, deadline, pm());
+                Some(())
+            });
         }
 
         let mut report = ObsReport::new();
@@ -446,10 +455,8 @@ impl<'a> AcesoSearch<'a> {
         let mut all: Vec<ScoredConfig> = Vec::new();
         let mut traces = Vec::new();
         let mut explored = 0usize;
-        for o in outcomes {
-            let StageOutcome::Finished { tops, trace, rec } = o else {
-                unreachable!("paused outcomes already returned a checkpoint")
-            };
+        for stage in stages {
+            let (tops, trace, rec) = stage.finish();
             explored += trace.explored;
             traces.push(trace);
             all.extend(tops);
@@ -487,141 +494,213 @@ impl<'a> AcesoSearch<'a> {
         ))
     }
 
-    /// One stage-count search slice (Algorithm 1): fresh or restored
-    /// from `prev`, running to completion or to the `pause_after`
-    /// iteration bound.
-    fn stage_slice(
+    /// Runs `f` over `items`, one scoped thread each when the search is
+    /// parallel, keeping the results that had one in `items` order.
+    fn on_stage_threads<T: Send, R: Send>(
         &self,
-        env: SliceEnv,
-        p2p: &P2pMemo,
-        prev: Option<&StageCheckpoint>,
-    ) -> Option<StageOutcome> {
-        let SliceEnv {
-            p,
-            deadline,
-            metrics,
-            pause_after,
-        } = env;
-        // A stage that already finished in a previous slice replays its
-        // saved outcome verbatim — its events, metrics, trace, and
-        // bit-exact top-k pool re-enter the merge unchanged.
-        if let Some(sc) = prev {
-            if sc.done {
-                return Some(StageOutcome::Finished {
-                    tops: sc.tops.iter().map(CheckpointedScore::to_scored).collect(),
-                    trace: sc.trace.clone(),
-                    rec: Recorder::from_parts(sc.events.clone(), sc.metrics.clone()),
-                });
-            }
+        items: Vec<T>,
+        f: impl Fn(T) -> Option<R> + Sync,
+    ) -> Vec<R> {
+        if !(self.options.parallel && items.len() > 1) {
+            return items.into_iter().filter_map(f).collect();
         }
-        let progress = prev.and_then(|sc| sc.progress.as_ref());
-        // The recorder outlives everything that borrows it (`ev`, `ctx`);
-        // it is returned by value to the parent for deterministic merging.
-        // Resuming splices the restored slice onto the saved stream: the
-        // events and metrics recorded so far are pre-loaded, so the merged
-        // output equals an uninterrupted run's. (With metrics off the
-        // saved parts are empty by construction — the checkpoint's
-        // `metrics` flag is enforced before resuming.)
-        let rec = match (progress.is_some(), metrics) {
-            (true, true) => {
-                let sc = prev.expect("progress implies a previous checkpoint");
-                Recorder::from_parts(sc.events.clone(), sc.metrics.clone())
-            }
-            _ => Recorder::new(metrics),
+        std::thread::scope(|scope| {
+            let f = &f;
+            let handles: Vec<_> = items
+                .into_iter()
+                .map(|item| scope.spawn(move || f(item)))
+                .collect();
+            join_stages(handles)
+        })
+    }
+}
+
+/// Joins stage-count threads in spawn order, keeping the outcomes of
+/// the counts that had one. A thread's panic is re-raised here, as the
+/// serial path raises it: a stage count never silently drops out of the
+/// merge.
+fn join_stages<T>(handles: Vec<std::thread::ScopedJoinHandle<'_, Option<T>>>) -> Vec<T> {
+    handles
+        .into_iter()
+        .filter_map(|h| {
+            h.join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        })
+        .collect()
+}
+
+/// One stage count's search (Algorithm 1) as a value the round driver
+/// steps. It owns its recorder and its evaluator's memo table; each
+/// step builds the evaluator over them.
+struct StageSearch {
+    stage_count: usize,
+    rec: Recorder,
+    trace: SearchTrace,
+    /// Origin of the convergence timestamps. A live search keeps it
+    /// across rounds; a resume restarts it.
+    started: Instant,
+    state: StageState,
+}
+
+enum StageState {
+    Open(Box<OpenStage>),
+    /// Ran to its end; its top-k pool.
+    Done(Vec<ScoredConfig>),
+}
+
+/// The in-flight state of an open stage count.
+struct OpenStage {
+    /// The next iteration index to run.
+    next_iter: usize,
+    /// The configuration the loop is currently improving.
+    current: ParallelConfig,
+    best: ScoredConfig,
+    memo: StageMemo,
+    /// Fingerprints of every configuration generated so far.
+    visited: HashSet<u64>,
+    unexplored: BinaryHeap<HeapEntry>,
+    explored: usize,
+    rng: SplitMix64,
+    tie_counter: u64,
+}
+
+impl StageSearch {
+    /// A fresh search from the stage count's initial configuration;
+    /// `None` when the stage count admits none.
+    fn new(search: &AcesoSearch<'_>, p: usize, metrics: bool, pm: PerfModel<'_>) -> Option<Self> {
+        let opts = &search.options;
+        let init = match &opts.initial {
+            Some(c) if c.num_stages() == p => c.clone(),
+            _ => balanced_init(search.model, search.cluster, p).ok()?,
         };
-        // Per-thread memoizing evaluator: primitives touch at most two
-        // stages, so most candidate scores reuse cached stage estimates
-        // (bit-identical to scoring from scratch). Boundary p2p estimates
-        // additionally go through the search-wide shared memo.
-        let ev = CachedEvaluator::new(
-            PerfModel::new(self.model, self.cluster, self.db)
-                .with_obs(&rec)
-                .with_p2p_memo(p2p),
-        );
-        let start = Instant::now();
-        let mut ctx = Ctx {
-            ev,
-            check: ScoreCheck::new(self.model, self.cluster, self.db),
-            opts: &self.options,
-            rec: &rec,
+        let rec = Recorder::new(metrics);
+        let ev = CachedEvaluator::new(pm.with_obs(&rec));
+        let best = scored(&ev, &init);
+        let memo = ev.into_memo();
+        rec.count(Counter::StageSearches);
+        rec.emit(|| Event::StageStart {
             stage_count: p,
-            visited: HashSet::new(),
-            unexplored: BinaryHeap::new(),
-            explored: 0,
-            deadline,
-            rng: SplitMix64::new(self.options.seed ^ (p as u64)),
-            tie_counter: 0,
-            rejected: RejectSummary::default(),
+            init_fingerprint: init.semantic_hash(),
+            init_score: best.score,
+        });
+        let trace = SearchTrace {
+            stage_count: p,
+            max_hops: opts.max_hops,
+            initial_score: best.score,
+            ..SearchTrace::default()
         };
-        let mut trace;
-        let mut config;
-        let mut best;
-        let mut iter;
-        match progress {
-            Some(pr) => {
-                // Restore every piece of mutable sub-search state
-                // bit-exactly; nothing is re-evaluated here, so no
-                // counter moves until the loop resumes.
-                trace = prev
-                    .expect("progress implies a previous checkpoint")
-                    .trace
-                    .clone();
-                config = pr.current.clone();
-                best = pr.best.to_scored();
-                iter = pr.next_iter;
-                ctx.visited.extend(pr.visited.iter().copied());
-                for e in &pr.unexplored {
-                    ctx.unexplored.push(HeapEntry {
+        Some(Self {
+            stage_count: p,
+            rec,
+            trace,
+            started: Instant::now(),
+            state: StageState::Open(Box::new(OpenStage {
+                next_iter: 0,
+                visited: HashSet::from([init.semantic_hash()]),
+                current: init,
+                best,
+                memo,
+                unexplored: BinaryHeap::new(),
+                explored: 1,
+                rng: SplitMix64::new(opts.seed ^ (p as u64)),
+                tie_counter: 0,
+            })),
+        })
+    }
+
+    /// The search `sc` captured, restored bit-exactly: nothing is
+    /// re-evaluated, and it appends to the saved events and metrics (with
+    /// metrics off they are empty). The one place a checkpoint is
+    /// imported.
+    fn from_checkpoint(sc: &StageCheckpoint, metrics: bool) -> Self {
+        let rec = if metrics {
+            Recorder::from_parts(sc.events.clone(), sc.metrics.clone())
+        } else {
+            Recorder::new(false)
+        };
+        let state = match &sc.progress {
+            None => StageState::Done(sc.tops.iter().map(CheckpointedScore::to_scored).collect()),
+            Some(pr) => StageState::Open(Box::new(OpenStage {
+                next_iter: pr.next_iter,
+                current: pr.current.clone(),
+                best: pr.best.to_scored(),
+                memo: StageMemo::from_entries(pr.memo.clone()),
+                visited: pr.visited.iter().copied().collect(),
+                // Pop order depends only on the unique `(score, tie)`
+                // pairs, not on the heap's arrangement.
+                unexplored: pr
+                    .unexplored
+                    .iter()
+                    .map(|e| HeapEntry {
                         score: f64::from_bits(e.score_bits),
                         tie: e.tie,
                         config: e.config.clone(),
-                    });
-                }
-                ctx.explored = pr.explored;
-                ctx.rng = SplitMix64::from_state(pr.rng_state);
-                ctx.tie_counter = pr.tie_counter;
-                ctx.ev.import_memo(pr.memo.clone());
-            }
-            None => {
-                let init = match &self.options.initial {
-                    Some(c) if c.num_stages() == p => c.clone(),
-                    _ => balanced_init(self.model, self.cluster, p).ok()?,
-                };
-                trace = SearchTrace {
-                    stage_count: p,
-                    max_hops: self.options.max_hops,
-                    ..SearchTrace::default()
-                };
-                config = init;
-                ctx.visited.insert(config.semantic_hash());
-                best = ctx.scored(&config);
-                trace.initial_score = best.score;
-                ctx.explored += 1;
-                rec.count(Counter::StageSearches);
-                rec.emit(|| Event::StageStart {
-                    stage_count: p,
-                    init_fingerprint: config.semantic_hash(),
-                    init_score: best.score,
-                });
-                iter = 0;
-            }
+                    })
+                    .collect(),
+                explored: pr.explored,
+                rng: SplitMix64::from_state(pr.rng_state),
+                tie_counter: pr.tie_counter,
+            })),
+        };
+        Self {
+            stage_count: sc.stage_count,
+            rec,
+            trace: sc.trace.clone(),
+            started: Instant::now(),
+            state,
         }
+    }
 
-        let mut paused = false;
-        while iter < self.options.max_iterations {
-            if pause_after.is_some_and(|bound| iter >= bound) {
-                paused = true;
-                break;
+    fn is_open(&self) -> bool {
+        matches!(self.state, StageState::Open(_))
+    }
+
+    /// Advances an open search to `bound`, or to its end (the iteration
+    /// budget, the deadline, or an empty backtrack heap), where it emits
+    /// its `stage_end` and takes its top-k pool.
+    fn step(
+        &mut self,
+        search: &AcesoSearch<'_>,
+        bound: Option<usize>,
+        deadline: Option<Instant>,
+        pm: PerfModel<'_>,
+    ) {
+        let StageState::Open(open) = &mut self.state else {
+            return;
+        };
+        let p = self.stage_count;
+        let rec = &self.rec;
+        let trace = &mut self.trace;
+        let opts = &search.options;
+        // Primitives touch at most two stages, so most candidate scores
+        // reuse the memo table's stage estimates (bit-identical to scoring
+        // from scratch).
+        let mut ctx = Ctx {
+            ev: CachedEvaluator::with_memo(pm.with_obs(rec), std::mem::take(&mut open.memo)),
+            check: ScoreCheck::new(search.model, search.cluster, search.db),
+            opts,
+            rec,
+            stage_count: p,
+            st: open,
+            deadline,
+            rejected: RejectSummary::default(),
+        };
+        while ctx.st.next_iter < opts.max_iterations {
+            let iter = ctx.st.next_iter;
+            if bound.is_some_and(|bound| iter >= bound) {
+                ctx.st.memo = ctx.ev.into_memo();
+                return;
             }
             if ctx.expired() {
                 break;
             }
-            let est = ctx.ev.evaluate_unchecked(&config);
+            let current = ctx.st.current.clone();
+            let est = ctx.ev.evaluate_unchecked(&current);
             let init_score = est.score();
             let bottlenecks = ranked_bottlenecks(&est);
             let mut found: Option<(ParallelConfig, usize)> = None;
             let mut tried = 0usize;
-            for b in bottlenecks.iter().take(self.options.max_bottlenecks) {
+            for b in bottlenecks.iter().take(opts.max_bottlenecks) {
                 tried += 1;
                 rec.emit(|| Event::Bottleneck {
                     stage_count: p,
@@ -629,7 +708,7 @@ impl<'a> AcesoSearch<'a> {
                     stage: b.stage,
                     resource: b.resources.first().map_or("-", |r| r.name()),
                 });
-                if let Some(hit) = ctx.multi_hop(&config, &est, 0, b, init_score) {
+                if let Some(hit) = ctx.multi_hop(&current, &est, 0, b, init_score) {
                     found = Some(hit);
                     break;
                 }
@@ -655,17 +734,17 @@ impl<'a> AcesoSearch<'a> {
             });
             match found {
                 Some((mut next, _)) => {
-                    if self.options.fine_tune {
+                    if opts.fine_tune {
                         let pre_hash = next.semantic_hash();
                         let (tuned, evals) = fine_tune(&ctx.ev, next.clone());
-                        ctx.explored += evals;
+                        ctx.st.explored += evals;
                         rec.add(Counter::FinetuneEvals, evals as u64);
                         // Only adopt the tuned configuration when it is new
                         // (or a no-op): tuning two different configurations
                         // to the same optimum must not make the search
                         // accept one fingerprint twice.
                         let tuned_hash = tuned.semantic_hash();
-                        let adopted = tuned_hash == pre_hash || ctx.visited.insert(tuned_hash);
+                        let adopted = tuned_hash == pre_hash || ctx.st.visited.insert(tuned_hash);
                         rec.emit(|| Event::Finetune {
                             stage_count: p,
                             evaluations: evals,
@@ -677,23 +756,23 @@ impl<'a> AcesoSearch<'a> {
                         }
                     }
                     crate::invariants::assert_valid(
-                        self.model,
-                        self.cluster,
+                        search.model,
+                        search.cluster,
                         &next,
                         "search accept",
                     );
-                    let scored = ctx.scored(&next);
+                    let next_scored = scored(&ctx.ev, &next);
                     trace.accepted.push(AcceptedConfig {
                         fingerprint: next.semantic_hash(),
-                        score: scored.score,
+                        score: next_scored.score,
                         config: next.clone(),
                     });
-                    if scored.score < best.score {
-                        best = scored;
+                    if next_scored.score < ctx.st.best.score {
+                        ctx.st.best = next_scored;
                     }
-                    config = next;
+                    ctx.st.current = next;
                 }
-                None => match ctx.unexplored.pop() {
+                None => match ctx.st.unexplored.pop() {
                     Some(e) => {
                         rec.count(Counter::Backtracks);
                         rec.emit(|| Event::Backtrack {
@@ -701,134 +780,115 @@ impl<'a> AcesoSearch<'a> {
                             fingerprint: e.config.semantic_hash(),
                             score: e.score,
                         });
-                        config = e.config;
+                        ctx.st.current = e.config;
                     }
                     None => break,
                 },
             }
-            // Wall-clock only (never part of bit-identity): on a resumed
-            // slice the clock restarts, so convergence timestamps are
-            // per-slice, not cumulative.
+            // Wall-clock only (never part of bit-identity): measured from
+            // when this value was built, so a live search's timestamps
+            // run on across rounds and only a resume restarts them.
             trace.convergence.push(ConvergencePoint {
-                elapsed: start.elapsed().as_secs_f64(),
-                explored: ctx.explored,
-                best_score: best.score,
+                elapsed: self.started.elapsed().as_secs_f64(),
+                explored: ctx.st.explored,
+                best_score: ctx.st.best.score,
             });
-            iter += 1;
+            ctx.st.next_iter += 1;
         }
 
-        if paused {
-            let memo = ctx.ev.export_memo();
-            // Canonical orders: hash-set iteration order and the heap's
-            // internal arrangement both depend on insertion history, so
-            // both are sorted — a checkpoint serialises to the same bytes
-            // however the slice got here (INV-CANONICAL-EXPORT).
-            let mut parked_visited: Vec<u64> = ctx.visited.iter().copied().collect();
-            parked_visited.sort_unstable();
-            let unexplored: Vec<ParkedConfig> = std::mem::take(&mut ctx.unexplored)
-                .into_sorted_vec()
-                .into_iter()
-                .map(|e| ParkedConfig {
-                    score_bits: e.score.to_bits(),
-                    tie: e.tie,
-                    config: e.config,
-                })
-                .collect();
-            let progress = StageProgress {
-                next_iter: iter,
-                current: config,
-                best: CheckpointedScore::from_scored(&best),
-                visited: parked_visited,
-                unexplored,
-                explored: ctx.explored,
-                tie_counter: ctx.tie_counter,
-                rng_state: ctx.rng.state(),
-                memo,
-            };
-            drop(ctx);
-            let (events, mets) = rec.into_parts();
-            return Some(StageOutcome::Paused(StageCheckpoint {
-                stage_count: p,
-                done: false,
-                events,
-                metrics: mets,
-                trace,
-                progress: Some(progress),
-                tops: Vec::new(),
-            }));
-        }
-
-        trace.explored = ctx.explored;
+        let best = ctx.st.best.clone();
+        trace.explored = ctx.st.explored;
         rec.emit(|| Event::StageEnd {
             stage_count: p,
             iterations: trace.iterations.len(),
-            explored: ctx.explored,
+            explored: trace.explored,
             best_score: best.score,
             best_fingerprint: best.config.semantic_hash(),
         });
-        // Return the best plus the best few unexplored leftovers as the
-        // top-k pool for this stage count.
+        // The best plus the best few unexplored leftovers form the top-k
+        // pool for this stage count.
         let mut tops = vec![best];
-        for _ in 0..self.options.top_k {
-            match ctx.unexplored.pop() {
-                Some(e) => tops.push(ctx.scored(&e.config)),
+        for _ in 0..opts.top_k {
+            match ctx.st.unexplored.pop() {
+                Some(e) => tops.push(scored(&ctx.ev, &e.config)),
                 None => break,
             }
         }
         drop(ctx);
-        Some(StageOutcome::Finished { tops, trace, rec })
+        self.state = StageState::Done(tops);
     }
-}
 
-/// Joins stage-count threads in spawn order, keeping the outcomes of
-/// the counts that had one. A thread's panic is re-raised here, as the
-/// serial path raises it: a stage count never silently drops out of the
-/// merge.
-fn join_stages<T>(handles: Vec<std::thread::ScopedJoinHandle<'_, Option<T>>>) -> Vec<T> {
-    handles
-        .into_iter()
-        .filter_map(|h| {
-            h.join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-        })
-        .collect()
-}
-
-/// Per-slice parameters of [`AcesoSearch::stage_slice`] (bundled to keep
-/// the signature small).
-#[derive(Clone, Copy)]
-struct SliceEnv {
-    p: usize,
-    deadline: Option<Instant>,
-    metrics: bool,
-    pause_after: Option<usize>,
-}
-
-/// Outcome of one stage-count slice.
-enum StageOutcome {
-    /// The sub-search ran to its natural end this slice (or had already
-    /// finished in a previous one).
-    Finished {
-        tops: Vec<ScoredConfig>,
-        trace: SearchTrace,
-        rec: Recorder,
-    },
-    /// The sub-search hit the pause bound.
-    Paused(StageCheckpoint),
-}
-
-impl StageOutcome {
-    fn stage_count(&self) -> usize {
-        match self {
-            StageOutcome::Finished { trace, .. } => trace.stage_count,
-            StageOutcome::Paused(sc) => sc.stage_count,
+    /// The search's state as a checkpoint, leaving the search as it is.
+    /// Hash-set iteration order and the heap's internal arrangement
+    /// both depend on insertion history, so both are sorted: a snapshot
+    /// serialises to the same bytes however the search got here
+    /// (INV-CANONICAL-EXPORT).
+    fn snapshot(&self) -> StageCheckpoint {
+        let (events, metrics) = self.rec.parts();
+        let (progress, tops) = match &self.state {
+            StageState::Done(t) => (None, t.iter().map(CheckpointedScore::from_scored).collect()),
+            StageState::Open(open) => {
+                let mut visited: Vec<u64> = open.visited.iter().copied().collect();
+                visited.sort_unstable();
+                let mut parked: Vec<&HeapEntry> = open.unexplored.iter().collect();
+                parked.sort_unstable();
+                let progress = StageProgress {
+                    next_iter: open.next_iter,
+                    current: open.current.clone(),
+                    best: CheckpointedScore::from_scored(&open.best),
+                    visited,
+                    unexplored: parked
+                        .into_iter()
+                        .map(|e| ParkedConfig {
+                            score_bits: e.score.to_bits(),
+                            tie: e.tie,
+                            config: e.config.clone(),
+                        })
+                        .collect(),
+                    explored: open.explored,
+                    tie_counter: open.tie_counter,
+                    rng_state: open.rng.state(),
+                    memo: open.memo.entries(),
+                };
+                (Some(progress), Vec::new())
+            }
+        };
+        StageCheckpoint {
+            stage_count: self.stage_count,
+            done: progress.is_none(),
+            events,
+            metrics,
+            trace: self.trace.clone(),
+            progress,
+            tops,
         }
     }
+
+    /// The finished search's top-k pool, trace and recorder.
+    fn finish(self) -> (Vec<ScoredConfig>, SearchTrace, Recorder) {
+        let StageState::Done(tops) = self.state else {
+            unreachable!("the driver merges only finished stage counts")
+        };
+        (tops, self.trace, self.rec)
+    }
 }
 
-/// Mutable state of one stage-count search.
+/// `config` with its predicted quality.
+fn scored(ev: &CachedEvaluator<'_>, config: &ParallelConfig) -> ScoredConfig {
+    let est = ev.evaluate_unchecked(config);
+    ScoredConfig {
+        config: config.clone(),
+        score: est.score(),
+        iteration_time: est.iteration_time,
+        oom: est.oom(),
+    }
+}
+
+/// One step's view of an open stage count: the round's evaluator over
+/// its memo table, and its state borrowed in place.
 struct Ctx<'a> {
-    /// The slice's memoizing evaluator; its memo state is checkpointed.
+    /// The round's memoizing evaluator; its memo table goes back to the
+    /// stage count when the step pauses.
     ev: CachedEvaluator<'a>,
     /// `debug-invariants` check of what generation carries (a no-op
     /// stub otherwise).
@@ -836,16 +896,11 @@ struct Ctx<'a> {
     opts: &'a SearchOptions,
     rec: &'a Recorder,
     stage_count: usize,
-    /// Fingerprints of every configuration generated so far.
-    visited: HashSet<u64>,
-    unexplored: BinaryHeap<HeapEntry>,
-    explored: usize,
+    st: &'a mut OpenStage,
     deadline: Option<Instant>,
-    rng: SplitMix64,
-    tie_counter: u64,
     /// Rejections of the running iteration, folded into its `iteration`
     /// event. Taken when that event is emitted, so it is empty between
-    /// iterations — where slices pause — and needs no checkpoint field.
+    /// iterations — where rounds end — and needs no checkpoint field.
     rejected: RejectSummary,
 }
 
@@ -886,16 +941,6 @@ impl Ctx<'_> {
         self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
-    fn scored(&self, config: &ParallelConfig) -> ScoredConfig {
-        let est = self.ev.evaluate_unchecked(config);
-        ScoredConfig {
-            config: config.clone(),
-            score: est.score(),
-            iteration_time: est.iteration_time,
-            oom: est.oom(),
-        }
-    }
-
     /// Algorithm 2: multi-hop search from `config` toward any configuration
     /// scoring better than `init_score`. Returns the configuration and the
     /// hop depth that reached it.
@@ -912,7 +957,7 @@ impl Ctx<'_> {
         }
         let mut resources = bottleneck.resources.clone();
         if !self.opts.use_heuristic2 {
-            self.rng.shuffle(&mut resources);
+            self.st.rng.shuffle(&mut resources);
         }
         for resource in resources {
             let mut prims: Vec<Primitive> = if self.opts.gen_options.enable_zero {
@@ -921,7 +966,7 @@ impl Ctx<'_> {
                 Primitive::eligible_for(resource)
             };
             if !self.opts.use_heuristic2 {
-                self.rng.shuffle(&mut prims);
+                self.st.rng.shuffle(&mut prims);
             }
             let step = HopStep {
                 config,
@@ -948,7 +993,7 @@ impl Ctx<'_> {
                 // bit-identity contract), permuting by moving entries
                 // instead of cloning them.
                 let mut idx: Vec<usize> = (0..pool.len()).collect();
-                self.rng.shuffle(&mut idx);
+                self.st.rng.shuffle(&mut idx);
                 let mut slots: Vec<Option<PoolEntry>> = pool.into_iter().map(Some).collect();
                 pool = idx
                     .into_iter()
@@ -990,7 +1035,7 @@ impl Ctx<'_> {
                 step.resource,
                 self.opts.gen_options,
             ) {
-                if !self.visited.insert(cand.fingerprint) {
+                if !self.st.visited.insert(cand.fingerprint) {
                     self.rec.count(Counter::CandidatesDeduped);
                     continue;
                 }
@@ -1017,7 +1062,7 @@ impl Ctx<'_> {
         pool: &mut Vec<PoolEntry>,
     ) -> Option<(ParallelConfig, usize)> {
         let h = cand.fingerprint;
-        self.explored += 1;
+        self.st.explored += 1;
         self.rec.count(Counter::CandidatesGenerated);
         let score = cest.score();
         let hop = step.hop;
@@ -1043,10 +1088,10 @@ impl Ctx<'_> {
         }
         self.rec.count(Counter::CandidatesRejected);
         self.rejected.note(h, score);
-        self.tie_counter += 1;
-        self.unexplored.push(HeapEntry {
+        self.st.tie_counter += 1;
+        self.st.unexplored.push(HeapEntry {
             score,
-            tie: self.tie_counter,
+            tie: self.st.tie_counter,
             config: cand.config.clone(),
         });
         pool.push((score, cand.primitives_applied, cand.config, cest));

@@ -114,6 +114,12 @@ impl Recorder {
         }
     }
 
+    /// A copy of everything recorded so far, leaving the recorder as it
+    /// is.
+    pub fn parts(&self) -> (Vec<Event>, Metrics) {
+        (self.events.borrow().clone(), self.metrics.borrow().clone())
+    }
+
     /// Consumes the recorder, returning everything it recorded.
     pub fn into_parts(self) -> (Vec<Event>, Metrics) {
         (self.events.into_inner(), self.metrics.into_inner())

@@ -121,49 +121,22 @@ fn stage_key(config: &ParallelConfig, i: usize, dev_start: usize) -> StageKey {
     }
 }
 
-/// A [`PerfModel`] wrapper that serves per-stage estimates from a memo
-/// table. Single-threaded by design (interior mutability via `RefCell`):
-/// each stage-count search thread owns its own evaluator, exactly like it
-/// owns its own [`aceso_obs::Recorder`].
-pub struct CachedEvaluator<'a> {
-    pm: PerfModel<'a>,
-    memo: RefCell<HashMap<StageKey, StageEstimate>>,
-}
+/// A [`CachedEvaluator`]'s memo table on its own. A search that
+/// outlives one evaluator keeps its table here between evaluators:
+/// [`CachedEvaluator::with_memo`] takes it by move and
+/// [`CachedEvaluator::into_memo`] gives it back, neither copying it.
+#[derive(Debug, Default)]
+pub struct StageMemo(HashMap<StageKey, StageEstimate>);
 
-impl<'a> CachedEvaluator<'a> {
-    /// Wraps a performance model (taking over its observability recorder,
-    /// if attached).
-    pub fn new(pm: PerfModel<'a>) -> Self {
-        Self {
-            pm,
-            memo: RefCell::new(HashMap::new()),
-        }
-    }
-
-    /// The wrapped performance model.
-    pub fn inner(&self) -> &PerfModel<'a> {
-        &self.pm
-    }
-
-    /// Number of memoized per-stage estimates.
-    pub fn memo_len(&self) -> usize {
-        self.memo.borrow().len()
-    }
-
-    /// Drops every memoized estimate.
-    pub fn clear(&self) {
-        self.memo.borrow_mut().clear();
-    }
-
-    /// Exports the memo table as [`MemoEntry`] values in a deterministic
-    /// (key-sorted) order, for checkpointing. Restoring the export with
-    /// [`CachedEvaluator::import_memo`] reproduces the table exactly, so a
-    /// resumed search sees the same hit/miss sequence — and therefore the
-    /// same counter splits — as an uninterrupted one.
-    pub fn export_memo(&self) -> Vec<MemoEntry> {
-        let memo = self.memo.borrow();
+impl StageMemo {
+    /// The table as [`MemoEntry`] values in a deterministic (key-sorted)
+    /// order, for checkpointing. [`StageMemo::from_entries`] rebuilds the
+    /// table exactly, so a resumed search sees the same hit/miss
+    /// sequence — and therefore the same counter splits — as an
+    /// uninterrupted one.
+    pub fn entries(&self) -> Vec<MemoEntry> {
         let mut entries: Vec<(StageKey, StageEstimate)> =
-            memo.iter().map(|(k, v)| (*k, v.clone())).collect();
+            self.0.iter().map(|(k, v)| (*k, v.clone())).collect();
         entries.sort_by_key(|(k, _)| *k);
         entries
             .into_iter()
@@ -178,22 +151,74 @@ impl<'a> CachedEvaluator<'a> {
             .collect()
     }
 
-    /// Replaces the memo table with previously exported entries.
-    pub fn import_memo(&self, entries: Vec<MemoEntry>) {
-        let mut memo = self.memo.borrow_mut();
-        memo.clear();
-        for e in entries {
-            memo.insert(
-                StageKey {
-                    content: e.content,
-                    microbatch: e.microbatch,
-                    dev_start: e.dev_start,
-                    prev_last_dp: e.prev_last_dp,
-                    has_next: e.has_next,
-                },
-                e.estimate,
-            );
+    /// Rebuilds a table from exported entries.
+    pub fn from_entries(entries: Vec<MemoEntry>) -> Self {
+        Self(
+            entries
+                .into_iter()
+                .map(|e| {
+                    let key = StageKey {
+                        content: e.content,
+                        microbatch: e.microbatch,
+                        dev_start: e.dev_start,
+                        prev_last_dp: e.prev_last_dp,
+                        has_next: e.has_next,
+                    };
+                    (key, e.estimate)
+                })
+                .collect(),
+        )
+    }
+}
+
+/// A [`PerfModel`] wrapper that serves per-stage estimates from a memo
+/// table. Single-threaded by design (interior mutability via `RefCell`):
+/// each stage-count search thread owns its own evaluator, exactly like it
+/// owns its own [`aceso_obs::Recorder`].
+pub struct CachedEvaluator<'a> {
+    pm: PerfModel<'a>,
+    memo: RefCell<StageMemo>,
+}
+
+impl<'a> CachedEvaluator<'a> {
+    /// Wraps a performance model (taking over its observability recorder,
+    /// if attached).
+    pub fn new(pm: PerfModel<'a>) -> Self {
+        Self::with_memo(pm, StageMemo::default())
+    }
+
+    /// Wraps a performance model over an existing memo table.
+    pub fn with_memo(pm: PerfModel<'a>, memo: StageMemo) -> Self {
+        Self {
+            pm,
+            memo: RefCell::new(memo),
         }
+    }
+
+    /// Gives the memo table back, ending the evaluator.
+    pub fn into_memo(self) -> StageMemo {
+        self.memo.into_inner()
+    }
+
+    /// Number of memoized per-stage estimates.
+    pub fn memo_len(&self) -> usize {
+        self.memo.borrow().0.len()
+    }
+
+    /// Drops every memoized estimate.
+    pub fn clear(&self) {
+        self.memo.borrow_mut().0.clear();
+    }
+
+    /// Exports the memo table ([`StageMemo::entries`]).
+    pub fn export_memo(&self) -> Vec<MemoEntry> {
+        self.memo.borrow().entries()
+    }
+
+    /// Replaces the memo table with previously exported entries
+    /// ([`StageMemo::from_entries`]).
+    pub fn import_memo(&self, entries: Vec<MemoEntry>) {
+        *self.memo.borrow_mut() = StageMemo::from_entries(entries);
     }
 
     /// The evaluation body; returns the estimate and whether at least one
@@ -205,7 +230,7 @@ impl<'a> CachedEvaluator<'a> {
         let mut dev_start = 0usize;
         for i in 0..p {
             let key = stage_key(config, i, dev_start);
-            let cached = self.memo.borrow().get(&key).cloned();
+            let cached = self.memo.borrow().0.get(&key).cloned();
             match cached {
                 Some(e) => {
                     hits += 1;
@@ -214,6 +239,7 @@ impl<'a> CachedEvaluator<'a> {
                 None => {
                     let e = self.pm.stage_with_boundaries(config, i);
                     let mut memo = self.memo.borrow_mut();
+                    let memo = &mut memo.0;
                     if memo.len() >= MEMO_CAP {
                         memo.clear();
                     }

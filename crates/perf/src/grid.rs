@@ -21,7 +21,7 @@ use std::collections::HashMap;
 /// Rows are deduplicated by profile signature, exactly like the database
 /// prefill: a 40-layer GPT with identical layers contributes a handful of
 /// rows, each shared by every operator index with that signature.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct LatencyGrid {
     /// Row index per global operator index (`model.ops` order).
     row_of: Vec<u32>,

@@ -19,6 +19,7 @@ const RESERVED_MULTIPLIER: u64 = 3;
 const CONTEXT_BYTES: u64 = 1 << 30;
 
 /// Profile-driven analytic performance model for one (model, cluster) pair.
+#[derive(Clone)]
 pub struct PerfModel<'a> {
     model: &'a ModelGraph,
     cluster: &'a ClusterSpec,

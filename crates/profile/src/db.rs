@@ -151,75 +151,6 @@ impl ProfileDb {
         }
     }
 
-    /// Parallelised profiling run (the paper's §5.3 future-work item:
-    /// "the profiling overhead can be highly improved with good
-    /// parallelization"). Distinct operators are profiled on worker
-    /// threads; results are bit-identical to [`Self::build`] because each
-    /// measurement is a pure function of its key.
-    pub fn build_parallel(model: &ModelGraph, cluster: &ClusterSpec, threads: usize) -> Self {
-        let threads = threads.max(1);
-        let max_tp = cluster.total_gpus() as u32;
-        let max_batch = model.global_batch as u64;
-        // Unique operators in first-seen order (determinism of the
-        // profiling-cost sum does not depend on order: it's a sum).
-        let mut seen = std::collections::HashSet::new();
-        let unique: Vec<&Operator> = model
-            .ops
-            .iter()
-            .filter(|op| seen.insert(Self::op_signature(op)))
-            .collect();
-
-        let chunks: Vec<&[&Operator]> = unique.chunks(unique.len().div_ceil(threads)).collect();
-        let mut entries: HashMap<Key, f64> = HashMap::new();
-        let mut profiling = 0.0f64;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|chunk| {
-                    let cluster = &cluster;
-                    scope.spawn(move || {
-                        let mut local: Vec<(Key, f64)> = Vec::new();
-                        let mut cost = 0.0f64;
-                        for op in chunk {
-                            let sig = Self::op_signature(op);
-                            for dim in 0..op.partitions.len() {
-                                let mut tp = 1u32;
-                                while tp <= max_tp.min(op.tp_limit) {
-                                    let mut batch = 1u64;
-                                    while batch <= max_batch {
-                                        let key = Key {
-                                            sig,
-                                            tp,
-                                            dim: dim as u8,
-                                            batch,
-                                        };
-                                        let t = Self::measure(cluster, model.precision, op, key);
-                                        cost += t * f64::from(PROFILE_REPS);
-                                        local.push((key, t));
-                                        batch *= 2;
-                                    }
-                                    tp *= 2;
-                                }
-                            }
-                        }
-                        (local, cost)
-                    })
-                })
-                .collect();
-            for h in handles {
-                let (local, cost) = h.join().expect("profiling workers do not panic");
-                entries.extend(local);
-                profiling += cost;
-            }
-        });
-        Self {
-            cluster: cluster.clone(),
-            precision: model.precision,
-            profiling_seconds: profiling,
-            entries: RwLock::new(entries),
-        }
-    }
-
     /// Stable signature of an operator's cost-relevant fields.
     ///
     /// Two operators with equal signatures profile identically, so a
@@ -515,31 +446,6 @@ mod tests {
         assert_eq!(db.collective_time(Collective::AllReduce, 0, &g), 0.0);
         assert!(db.p2p_time(1 << 20, 0, 1) > 0.0);
         assert_eq!(db.p2p_time(1 << 20, 2, 2), 0.0);
-    }
-
-    #[test]
-    fn parallel_build_matches_serial() {
-        let (m, c) = setup();
-        let serial = ProfileDb::build(&m, &c);
-        for threads in [1usize, 2, 4] {
-            let par = ProfileDb::build_parallel(&m, &c, threads);
-            assert_eq!(par.len(), serial.len(), "threads={threads}");
-            for op in &m.ops {
-                for tp in [1u32, 2] {
-                    assert_eq!(
-                        par.op_fwd_time(op, tp, 0, 4),
-                        serial.op_fwd_time(op, tp, 0, 4),
-                        "threads={threads}"
-                    );
-                }
-            }
-            // Cost sums are order-sensitive floating point; require only
-            // near-equality.
-            let rel = (par.simulated_profiling_seconds() - serial.simulated_profiling_seconds())
-                .abs()
-                / serial.simulated_profiling_seconds();
-            assert!(rel < 1e-9, "threads={threads} rel={rel}");
-        }
     }
 
     #[test]

@@ -365,45 +365,42 @@ pub fn submit_pipelined(addr: &str, reqs: &[Request]) -> Result<PipelineOutcomes
 
 /// How a failed submission should be retried. The two retryable classes
 /// back off on different clocks because they mean different things: a
-/// **busy** server answered — it is up, admitting, and merely deferring
-/// this request, so hammering it again quickly is cheap and correct; a
-/// **down** server (connection refused, reset, dropped mid-response)
-/// may be restarting, and patience is what lets it come back.
-/// Collapsing the two would make a client of a busy daemon wait seconds
-/// for an answer that comes in milliseconds.
+/// server that answered with a `timeout` idle cut is **up**, so trying
+/// again quickly is cheap and correct; a **down** server (connection
+/// refused, reset, dropped mid-response) may be restarting, and patience
+/// is what lets it come back. Collapsing the two would make a client of
+/// a live daemon wait seconds for an answer that comes in milliseconds.
+/// `rejected-busy` is fatal: only a daemon that runs no search workers
+/// sends it, and that daemon never frees a slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RetryClass {
-    /// The server answered with a transient rejection (`rejected-busy`,
-    /// a `timeout` idle cut): short backoff.
-    Busy,
+    /// The server answered with a transient cut (`timeout`): short
+    /// backoff.
+    Up,
     /// The transport failed — the daemon may be down or restarting:
     /// long backoff.
     Down,
     /// Typed rejections of the request itself (`bad-request`,
-    /// `unknown-model`, …) fail identically on every attempt: surface
-    /// immediately.
+    /// `unknown-model`, `rejected-busy`, …) fail identically on every
+    /// attempt: surface immediately.
     Fatal,
 }
 
 fn retry_class(e: &ClientError) -> RetryClass {
     match e {
         ClientError::Wire(_) => RetryClass::Down,
-        ClientError::Server { code, .. }
-            if matches!(code.as_str(), "rejected-busy" | "timeout") =>
-        {
-            RetryClass::Busy
-        }
+        ClientError::Server { code, .. } if code == "timeout" => RetryClass::Up,
         ClientError::Server { .. }
         | ClientError::Protocol(_)
         | ClientError::RetryDeadline { .. } => RetryClass::Fatal,
     }
 }
 
-/// First retry delay after a busy rejection; doubles up to
-/// [`RETRY_BUSY_CAP`].
-const RETRY_BUSY_BASE: Duration = Duration::from_millis(10);
-/// Ceiling on the busy-rejection backoff delay.
-const RETRY_BUSY_CAP: Duration = Duration::from_millis(250);
+/// First retry delay after a `timeout` answer; doubles up to
+/// [`RETRY_UP_CAP`].
+const RETRY_UP_BASE: Duration = Duration::from_millis(10);
+/// Ceiling on the `timeout` backoff delay.
+const RETRY_UP_CAP: Duration = Duration::from_millis(250);
 /// First retry delay after a transport failure; doubles per attempt up
 /// to [`RETRY_DELAY_CAP`].
 const RETRY_DELAY_BASE: Duration = Duration::from_millis(50);
@@ -411,10 +408,9 @@ const RETRY_DELAY_BASE: Duration = Duration::from_millis(50);
 const RETRY_DELAY_CAP: Duration = Duration::from_secs(2);
 
 /// [`submit`] with bounded, class-aware exponential backoff: up to
-/// `retries` extra attempts after the first. A `rejected-busy` or
-/// `timeout` answer backs off on the short clock (10 ms doubling to a
-/// 250 ms cap — the server is up and will free a slot soon); a
-/// transport failure backs off on the long clock (50 ms doubling to a
+/// `retries` extra attempts after the first. A `timeout` answer backs
+/// off on the short clock (10 ms doubling to a 250 ms cap — the server
+/// is up); a transport failure backs off on the long clock (50 ms doubling to a
 /// 2 s cap — the daemon may be restarting). The two clocks advance
 /// independently, so alternating failures cannot inflate each other.
 /// Every delay gains up to 50 % jitter drawn from a [`SplitMix64`]
@@ -439,7 +435,7 @@ pub fn submit_with_retries(
 /// further attempt is made and the typed
 /// [`ClientError::RetryDeadline`] surfaces (wrapping the last failure).
 /// The deadline spans *both* backoff clocks — a client alternating
-/// between busy rejections and transport failures is still bounded —
+/// between `timeout` answers and transport failures is still bounded —
 /// and is checked before each sleep, so the client never parks past its
 /// own budget waiting to discover it expired.
 pub fn submit_with_retries_deadline(
@@ -450,7 +446,7 @@ pub fn submit_with_retries_deadline(
 ) -> Result<Response, ClientError> {
     let start = std::time::Instant::now();
     let mut rng = SplitMix64::new(req.seed ^ 0x5EED_BACC_0FF5);
-    let mut busy_delay = RETRY_BUSY_BASE;
+    let mut up_delay = RETRY_UP_BASE;
     let mut down_delay = RETRY_DELAY_BASE;
     let mut attempt = 0usize;
     loop {
@@ -459,9 +455,9 @@ pub fn submit_with_retries_deadline(
             Err(e) if attempt < retries && retry_class(&e) != RetryClass::Fatal => {
                 attempt += 1;
                 let delay = match retry_class(&e) {
-                    RetryClass::Busy => {
-                        let d = busy_delay;
-                        busy_delay = (busy_delay * 2).min(RETRY_BUSY_CAP);
+                    RetryClass::Up => {
+                        let d = up_delay;
+                        up_delay = (up_delay * 2).min(RETRY_UP_CAP);
                         d
                     }
                     RetryClass::Down => {
@@ -547,12 +543,11 @@ mod tests {
         }
     }
 
-    /// Rejected-busy (server up, deferring) and connection failures
-    /// (server down) must land in different backoff classes.
+    /// A `timeout` answer (server up) and connection failures (server
+    /// down) must land in different backoff classes.
     #[test]
-    fn retry_classes_split_busy_from_down() {
-        assert_eq!(retry_class(&server_err("rejected-busy")), RetryClass::Busy);
-        assert_eq!(retry_class(&server_err("timeout")), RetryClass::Busy);
+    fn retry_classes_split_up_from_down() {
+        assert_eq!(retry_class(&server_err("timeout")), RetryClass::Up);
         assert_eq!(
             retry_class(&ClientError::Wire(WireError::Closed)),
             RetryClass::Down
@@ -569,6 +564,7 @@ mod tests {
             "unknown-model",
             "budget-too-large",
             "shutting-down",
+            "rejected-busy",
         ] {
             assert_eq!(
                 retry_class(&server_err(fatal)),
@@ -582,13 +578,11 @@ mod tests {
         );
     }
 
-    /// Regression test for the backoff split: a daemon that answers
-    /// `rejected-busy` (workers = 0) is *up*, so retries must ride the
-    /// short busy clock. Four busy retries cost at worst
-    /// 150 ms + 50 % jitter; the old unified clock cost at least 750 ms
-    /// before jitter. The 500 ms assertion cleanly separates the two.
+    /// A daemon that answers `rejected-busy` runs no search workers and
+    /// never frees a slot, so the client surfaces the rejection after one
+    /// attempt instead of spending its retries on it.
     #[test]
-    fn busy_rejections_back_off_on_the_short_clock() {
+    fn busy_rejections_are_not_retried() {
         let server = crate::server::Server::bind(
             "127.0.0.1:0",
             crate::server::ServeOptions {
@@ -605,19 +599,17 @@ mod tests {
             max_iterations: 1,
             ..Request::default()
         };
-        let start = std::time::Instant::now();
-        let outcome = submit_with_retries(&addr, &req, 4);
-        let elapsed = start.elapsed();
-        match outcome {
+        match submit_with_retries(&addr, &req, 4) {
             Err(ClientError::Server { code, .. }) => assert_eq!(code, "rejected-busy"),
-            other => panic!("expected rejected-busy after retries, got {other:?}"),
+            other => panic!("expected rejected-busy, got {other:?}"),
         }
-        assert!(
-            elapsed < Duration::from_millis(500),
-            "busy retries took {elapsed:?} — they are on the long (down) clock"
-        );
         shutdown(&addr).expect("drains");
-        let _ = handle.join();
+        let report = handle.join().expect("server thread");
+        assert_eq!(
+            report.counter(aceso_obs::Counter::ServeRejected),
+            1,
+            "one attempt, not one per retry"
+        );
     }
 
     /// Regression: the wall-clock deadline cuts retries off even when

@@ -19,7 +19,7 @@ use crate::cache::ProfileCache;
 use crate::proto::{error_frame, event_frame, status_frame, Request};
 use crate::wire::{read_frame, write_frame, FrameBatcher, WireError, PROTOCOL_VERSION};
 use aceso_cluster::ClusterSpec;
-use aceso_core::{AcesoSearch, ResumeError, SearchCheckpoint, SearchResult, SearchStep};
+use aceso_core::{AcesoSearch, AfterRound, SearchCheckpoint, SearchResult};
 use aceso_model::zoo;
 use aceso_obs::{Counter, Event, Metrics, ObsReport, Recorder};
 use aceso_runtime::ExecutionPlan;
@@ -874,57 +874,32 @@ fn load_spool(
     Some(ckpt)
 }
 
-/// Runs one search in checkpointed slices, spooling a [`SearchCheckpoint`]
-/// to `path` at every pause and resuming any compatible spool that is
-/// already there. The result is bit-identical to an uninterrupted
-/// `run_observed` — that is the core contract `tests/checkpoint_resume.rs`
-/// enforces — so spooling is invisible to the response.
+/// Runs one search in rounds of `checkpoint_every` iterations, spooling
+/// a snapshot of the live search to `path` after every round and
+/// resuming any compatible spool that is already there. The result is
+/// bit-identical to an uninterrupted `run_observed` — that is the core
+/// contract `tests/checkpoint_resume.rs` enforces — so spooling is
+/// invisible to the response.
 fn run_spooled(
     shared: &Shared,
     search: &AcesoSearch<'_>,
     path: &Path,
     request_id: &str,
 ) -> Result<(SearchResult, ObsReport), String> {
-    let every = shared.opts.checkpoint_every.max(1);
-    let mut bound;
-    let mut step = match load_spool(shared, search, path, request_id) {
-        Some(ckpt) => {
-            bound = ckpt.resume_bound() + every;
-            match search.resume_partial(true, &ckpt, Some(bound)) {
-                Ok(s) => s,
-                // `load_spool` already validated compatibility, so only
-                // genuine search errors can surface here.
-                Err(ResumeError::Incompatible(e)) => return Err(e.to_string()),
-                Err(ResumeError::Search(e)) => return Err(e.to_string()),
+    let every = Some(shared.opts.checkpoint_every.max(1));
+    let resumed = load_spool(shared, search, path, request_id);
+    search
+        .run_rounds(true, resumed.as_ref(), every, |ckpt| {
+            if write_spool(shared.opts.fs.as_ref(), path, ckpt).is_ok() {
+                shared.checkpoints_written.fetch_add(1, Ordering::Relaxed);
+                AfterRound::Next
+            } else {
+                // The spool directory went bad (full disk, perms…).
+                // Checkpointing is an availability feature, not a
+                // correctness one: finish the search in one go.
+                AfterRound::Finish
             }
-        }
-        None => {
-            bound = every;
-            search.run_partial(true, bound).map_err(|e| e.to_string())?
-        }
-    };
-    loop {
-        match step {
-            SearchStep::Done(result, report) => return Ok((result, report)),
-            SearchStep::Paused(ckpt) => {
-                if write_spool(shared.opts.fs.as_ref(), path, &ckpt).is_ok() {
-                    shared.checkpoints_written.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    // The spool directory went bad (full disk, perms…).
-                    // Checkpointing is an availability feature, not a
-                    // correctness one: finish the search in one go.
-                    let (result, report) = match search.resume_from(true, &ckpt) {
-                        Ok(r) => r,
-                        Err(e) => return Err(e.to_string()),
-                    };
-                    return Ok((result, report));
-                }
-                bound += every;
-                step = match search.resume_partial(true, &ckpt, Some(bound)) {
-                    Ok(s) => s,
-                    Err(e) => return Err(e.to_string()),
-                };
-            }
-        }
-    }
+        })
+        .map(|step| step.done().expect("the spool hook never pauses"))
+        .map_err(|e| e.to_string())
 }

@@ -7,9 +7,9 @@
 //! allocation back and **warm-starts** from the checkpoint the preempted
 //! 8-GPU search left behind instead of paying for the search again:
 //!
-//! * phase 1 (8 GPUs) runs the search in checkpointed slices, exactly as
-//!   a `--spool-dir` daemon would, and keeps the snapshot taken at the
-//!   preemption point;
+//! * phase 1 (8 GPUs) runs the search in rounds, snapshotting it after
+//!   each one exactly as a `--spool-dir` daemon would, and keeps the
+//!   snapshot taken at the preemption point;
 //! * phase 2 (4 GPUs) cannot bit-resume an 8-GPU checkpoint (the cluster
 //!   fingerprint differs), but it warm-starts from the previous search's
 //!   *trace*: pinning the stage count the 8-GPU search converged on
@@ -23,7 +23,7 @@
 //! Run with: `cargo run --release --example elastic_reconfigure`
 
 use aceso::prelude::*;
-use aceso::search::{SearchCheckpoint, SearchResult, SearchStep};
+use aceso::search::{AfterRound, SearchCheckpoint, SearchResult};
 use std::time::Duration;
 
 fn options() -> SearchOptions {
@@ -52,7 +52,7 @@ fn main() {
         model.total_params() as f64 / 1e9
     );
 
-    // Phase 1: full allocation, searched in checkpointed slices. The
+    // Phase 1: full allocation, searched in checkpointed rounds. The
     // profile databases are per-(model, cluster) but cheap to rebuild; a
     // real deployment would persist them with `ProfileDb::to_json`.
     println!("phase 1: full allocation (checkpointing every 8 iterations)");
@@ -60,26 +60,19 @@ fn main() {
     let db8 = ProfileDb::build(&model, &cluster8);
     let search8 = AcesoSearch::new(&model, &cluster8, &db8, options());
     let t0 = std::time::Instant::now();
-    let mut preemption_snapshot: Option<Box<SearchCheckpoint>> = None;
-    let mut bound = 8;
-    let mut step = search8.run_partial(true, bound).expect("search starts");
-    let (full8, _) = loop {
-        match step {
-            SearchStep::Done(result, report) => break (result, report),
-            SearchStep::Paused(ckpt) => {
-                bound += 8;
-                step = search8
-                    .resume_partial(true, &ckpt, Some(bound))
-                    .expect("resume");
-                // This is the state a preemption at this instant would
-                // have left on disk.
-                preemption_snapshot = Some(ckpt);
-            }
-        }
-    };
+    let mut preemption_snapshot: Option<SearchCheckpoint> = None;
+    let step = search8
+        .run_rounds(true, None, Some(8), |ckpt| {
+            // This is the state a preemption at this instant would have
+            // left on disk.
+            preemption_snapshot = Some(ckpt.clone());
+            AfterRound::Next
+        })
+        .expect("search runs");
+    let (full8, _) = step.done().expect("the hook never pauses");
     let full8_elapsed = t0.elapsed();
     report_line(8, "cold search", full8_elapsed, &full8);
-    let snapshot = *preemption_snapshot.expect("a 32-iteration search pauses at least once");
+    let snapshot = preemption_snapshot.expect("a 32-iteration search pauses at least once");
     println!(
         "  preemption snapshot: {} iterations ({:.2} s of search) banked",
         snapshot.iterations_done(),

@@ -17,7 +17,7 @@ use aceso::model::zoo;
 use aceso::obs::{ObsReport, Recorder};
 use aceso::prelude::*;
 use aceso::runtime::ExecutionPlan;
-use aceso::search::{SearchCheckpoint, SearchResult, SearchStep};
+use aceso::search::{AfterRound, SearchCheckpoint, SearchResult};
 use aceso::serve::{self, Request, ServeOptions, Server};
 use aceso::util::json::Value;
 use aceso_audit::AuditOptions;
@@ -610,10 +610,10 @@ fn load_resume(search: &AcesoSearch<'_>, path: &str, metrics: bool) -> Option<Se
 
 /// Runs the search honouring `--resume` / `--checkpoint`: resume state
 /// is loaded first (if any), and when `--checkpoint FILE` is given the
-/// search runs in slices of `--checkpoint-every` iterations, spooling an
-/// atomic snapshot at each pause. Checkpointing never changes the result
-/// — a resumed or sliced run is bit-identical to an uninterrupted one
-/// (`tests/checkpoint_resume.rs`).
+/// search runs in rounds of `--checkpoint-every` iterations, spooling an
+/// atomic snapshot after each round. Checkpointing never changes the
+/// result — a resumed or spooled run is bit-identical to an
+/// uninterrupted one (`tests/checkpoint_resume.rs`).
 fn run_checkpointed(
     search: &AcesoSearch<'_>,
     args: &Args,
@@ -622,55 +622,32 @@ fn run_checkpointed(
         .resume
         .as_deref()
         .and_then(|path| load_resume(search, path, args.metrics));
-    let Some(out_path) = args.checkpoint.as_deref() else {
-        // No spooling requested: run (or finish) in one go.
-        return match resumed {
-            Some(ckpt) => search
-                .resume_from(args.metrics, &ckpt)
-                .map_err(|e| e.to_string()),
-            None => search.run_observed(args.metrics).map_err(|e| e.to_string()),
-        };
-    };
-    let every = args.checkpoint_every;
-    let mut bound;
-    let mut step = match resumed {
-        Some(ckpt) => {
-            bound = ckpt.resume_bound() + every;
-            search
-                .resume_partial(args.metrics, &ckpt, Some(bound))
-                .map_err(|e| e.to_string())?
-        }
-        None => {
-            bound = every;
-            search
-                .run_partial(args.metrics, bound)
-                .map_err(|e| e.to_string())?
-        }
-    };
+    let out_path = args.checkpoint.as_deref();
     let mut written = 0usize;
-    loop {
-        match step {
-            SearchStep::Done(result, report) => {
-                // The run completed; the spool has served its purpose.
-                let _ = std::fs::remove_file(out_path);
-                if written > 0 {
-                    eprintln!("wrote {written} checkpoints to {out_path} (removed on completion)");
+    let step = search
+        .run_rounds(
+            args.metrics,
+            resumed.as_ref(),
+            out_path.map(|_| args.checkpoint_every),
+            |ckpt| {
+                let path = out_path.expect("rounds end early only with --checkpoint");
+                match write_checkpoint(path, ckpt) {
+                    Ok(()) => written += 1,
+                    Err(e) => eprintln!("warning: cannot write checkpoint {path}: {e}"),
                 }
-                return Ok((result, report));
-            }
-            SearchStep::Paused(ckpt) => {
-                if let Err(e) = write_checkpoint(out_path, &ckpt) {
-                    eprintln!("warning: cannot write checkpoint {out_path}: {e}");
-                } else {
-                    written += 1;
-                }
-                bound += every;
-                step = search
-                    .resume_partial(args.metrics, &ckpt, Some(bound))
-                    .map_err(|e| e.to_string())?;
-            }
+                AfterRound::Next
+            },
+        )
+        .map_err(|e| e.to_string())?;
+    let (result, report) = step.done().expect("the checkpoint hook never pauses");
+    if let Some(path) = out_path {
+        // The run completed; the spool has served its purpose.
+        let _ = std::fs::remove_file(path);
+        if written > 0 {
+            eprintln!("wrote {written} checkpoints to {path} (removed on completion)");
         }
     }
+    Ok((result, report))
 }
 
 /// Runs `aceso chaos (run|replay)` and exits: 0 when every scenario

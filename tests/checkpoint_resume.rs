@@ -7,7 +7,8 @@
 //! every deterministic counter and histogram, the best configuration's
 //! fingerprint, and the predicted time's exact `f64` bits. The only
 //! masked fields are `wall_time_secs` and the `eval_latency_us`
-//! histogram, which measure the host clock, and the counters the obs
+//! histogram, which measure the host clock (in a checkpoint also its
+//! elapsed seconds and convergence timestamps), and the counters the obs
 //! schema registers as `NONDETERMINISTIC_COUNTERS` (the serve daemon's
 //! connection gauge, which a library search never moves).
 
@@ -16,8 +17,8 @@ use aceso::model::{zoo, ModelGraph};
 use aceso::obs::{ObsReport, NONDETERMINISTIC_COUNTERS};
 use aceso::profile::ProfileDb;
 use aceso::search::{
-    AcesoSearch, CheckpointError, ResumeError, SearchCheckpoint, SearchOptions, SearchResult,
-    SearchStep,
+    AcesoSearch, AfterRound, CheckpointError, ResumeError, SearchCheckpoint, SearchOptions,
+    SearchResult, SearchStep,
 };
 use aceso::util::json::Value;
 
@@ -52,57 +53,49 @@ fn opts() -> SearchOptions {
     }
 }
 
-/// Drops the only nondeterministic parts of a metric snapshot: the
-/// wall-clock field, the latency histogram, and the scheduling-dependent
-/// counters the obs schema registers as nondeterministic.
-fn masked(snapshot: &Value) -> Value {
-    let Value::Object(fields) = snapshot else {
-        return snapshot.clone();
-    };
-    let fields = fields
-        .iter()
-        .filter(|(k, _)| k != "wall_time_secs")
-        .map(|(k, v)| {
-            if k == "histograms" {
-                if let Value::Object(hists) = v {
-                    let kept = hists
-                        .iter()
-                        .filter(|(name, _)| name != "eval_latency_us")
-                        .cloned()
-                        .collect();
-                    return (k.clone(), Value::Object(kept));
-                }
-            }
-            if k == "counters" {
-                if let Value::Object(counters) = v {
-                    let kept = counters
-                        .iter()
-                        .filter(|(name, _)| !NONDETERMINISTIC_COUNTERS.contains(&name.as_str()))
-                        .cloned()
-                        .collect();
-                    return (k.clone(), Value::Object(kept));
-                }
-            }
-            (k.clone(), v.clone())
-        })
-        .collect();
-    Value::Object(fields)
+/// A metric snapshot's or a checkpoint's JSON without its only
+/// nondeterministic parts, wherever they sit: the wall-clock fields (a
+/// snapshot's `wall_time_secs`, a checkpoint's `elapsed_secs_bits` and
+/// convergence `elapsed_bits`), the `eval_latency_us` histogram, and the
+/// scheduling-dependent counters the obs schema registers as
+/// nondeterministic.
+fn masked(json: &str) -> String {
+    fn walk(v: &Value) -> Value {
+        let clock = ["wall_time_secs", "elapsed_secs_bits", "elapsed_bits"];
+        let kept = |k: &str| {
+            !clock.contains(&k) && k != "eval_latency_us" && !NONDETERMINISTIC_COUNTERS.contains(&k)
+        };
+        match v {
+            Value::Object(fields) => Value::Object(
+                fields
+                    .iter()
+                    .filter(|(k, _)| kept(k))
+                    .map(|(k, v)| (k.clone(), walk(v)))
+                    .collect(),
+            ),
+            Value::Array(items) => Value::Array(items.iter().map(walk).collect()),
+            other => other.clone(),
+        }
+    }
+    walk(&Value::parse(json).expect("valid JSON")).to_string_compact()
 }
 
 /// Runs the search pausing every `step` iterations, putting each
 /// checkpoint through a full JSON round-trip before resuming from the
-/// parsed copy. Returns the final result plus how many checkpoints were
-/// taken (so callers can assert the run really was interrupted).
-fn run_interrupted(search: &AcesoSearch<'_>, step: usize) -> (SearchResult, ObsReport, usize) {
-    let mut bound = step;
-    let mut state = search.run_partial(true, bound).expect("first slice");
-    let mut pauses = 0usize;
+/// parsed copy. Returns the final result plus the JSON of every
+/// checkpoint the chain paused at (so callers can assert the run really
+/// was interrupted, and where).
+fn run_interrupted(
+    search: &AcesoSearch<'_>,
+    step: usize,
+) -> (SearchResult, ObsReport, Vec<String>) {
+    let mut state = search.run_partial(true, step).expect("first round");
+    let mut pauses = Vec::new();
     let mut last_done = 0usize;
     loop {
         match state {
             SearchStep::Done(result, report) => return (result, report, pauses),
             SearchStep::Paused(ckpt) => {
-                pauses += 1;
                 assert!(!ckpt.is_complete(), "paused checkpoint has open stages");
                 let done = ckpt.iterations_done();
                 assert!(
@@ -113,9 +106,9 @@ fn run_interrupted(search: &AcesoSearch<'_>, step: usize) -> (SearchResult, ObsR
                 let text = ckpt.to_json_string();
                 let parsed = SearchCheckpoint::from_json_str(&text)
                     .expect("checkpoint survives a JSON round-trip");
-                bound += step;
+                pauses.push(text);
                 state = search
-                    .resume_partial(true, &parsed, Some(bound))
+                    .run_rounds(true, Some(&parsed), Some(step), |_| AfterRound::Pause)
                     .expect("resume from round-tripped checkpoint");
             }
         }
@@ -134,8 +127,8 @@ fn assert_bit_identical(
         "{name}: event streams must be byte-identical"
     );
     assert_eq!(
-        masked(&Value::parse(&pa.metrics_json()).unwrap()).to_string_compact(),
-        masked(&Value::parse(&pb.metrics_json()).unwrap()).to_string_compact(),
+        masked(&pa.metrics_json()),
+        masked(&pb.metrics_json()),
         "{name}: masked metric snapshots must match"
     );
     assert_eq!(
@@ -170,8 +163,48 @@ fn interrupted_runs_are_bit_identical_across_the_zoo() {
         let search = AcesoSearch::new(&model, &cluster, &db, opts());
         let (want, want_report) = search.run_observed(true).expect("reference run");
         let (got, got_report, pauses) = run_interrupted(&search, step);
-        assert!(pauses > 0, "{name}: the run must actually be interrupted");
+        assert!(
+            !pauses.is_empty(),
+            "{name}: the run must actually be interrupted"
+        );
         assert_bit_identical(name, (&want, &want_report), (&got, &got_report));
+    }
+}
+
+#[test]
+fn live_snapshots_equal_the_round_tripped_chain() {
+    // The hook's snapshots of a live search must be the very checkpoints
+    // a chain of JSON round-trips and resumes pauses at: the live search
+    // never re-imports, so this keeps its export honest.
+    for (name, model, cluster, step) in cases() {
+        let db = ProfileDb::build(&model, &cluster);
+        let search = AcesoSearch::new(&model, &cluster, &db, opts());
+        let mut snapshots = Vec::new();
+        let live = search
+            .run_rounds(true, None, Some(step), |ckpt| {
+                snapshots.push(ckpt.to_json_string());
+                AfterRound::Next
+            })
+            .expect("live run");
+        let (live, live_report) = live.done().expect("a hook that never pauses finishes");
+        let (chain, chain_report, pauses) = run_interrupted(&search, step);
+        assert!(
+            !pauses.is_empty(),
+            "{name}: the run must actually be interrupted"
+        );
+        assert_eq!(
+            snapshots.len(),
+            pauses.len(),
+            "{name}: one snapshot per pause"
+        );
+        for (k, (live_ckpt, chain_ckpt)) in snapshots.iter().zip(&pauses).enumerate() {
+            assert_eq!(
+                masked(live_ckpt),
+                masked(chain_ckpt),
+                "{name}: snapshot {k} must equal the chain's checkpoint byte for byte"
+            );
+        }
+        assert_bit_identical(name, (&live, &live_report), (&chain, &chain_report));
     }
 }
 
@@ -183,7 +216,7 @@ fn single_pause_then_run_to_completion_is_bit_identical() {
     let search = AcesoSearch::new(&model, &cluster, &db, opts());
     let (want, want_report) = search.run_observed(true).expect("reference run");
 
-    let SearchStep::Paused(ckpt) = search.run_partial(true, 3).expect("slice") else {
+    let SearchStep::Paused(ckpt) = search.run_partial(true, 3).expect("round") else {
         panic!("an 8-iteration search must not finish in 3 iterations");
     };
     let parsed = SearchCheckpoint::from_json_str(&ckpt.to_json_string()).expect("round-trip");
@@ -195,14 +228,14 @@ fn single_pause_then_run_to_completion_is_bit_identical() {
 
 #[test]
 fn resuming_a_finished_checkpoint_replays_the_result() {
-    // Pausing past max_iterations never fires, so drive the search to
-    // completion in slices, then resume the final pre-completion
-    // checkpoint twice: both resumes must agree bit-for-bit.
+    // Pausing past max_iterations never fires, so pause the search late,
+    // then resume that pre-completion checkpoint twice: both resumes must
+    // agree bit-for-bit.
     let model = zoo::gpt3_custom("ckpt-replay", 4, 512, 8, 256, 8192, 64);
     let cluster = ClusterSpec::v100(1, 4);
     let db = ProfileDb::build(&model, &cluster);
     let search = AcesoSearch::new(&model, &cluster, &db, opts());
-    let SearchStep::Paused(ckpt) = search.run_partial(true, 6).expect("slice") else {
+    let SearchStep::Paused(ckpt) = search.run_partial(true, 6).expect("round") else {
         panic!("must pause before completion");
     };
     let (a, pa) = search.resume_from(true, &ckpt).expect("first resume");
@@ -217,7 +250,7 @@ fn metrics_off_checkpoints_resume_bit_identically() {
     let db = ProfileDb::build(&model, &cluster);
     let search = AcesoSearch::new(&model, &cluster, &db, opts());
     let want = search.run().expect("reference");
-    let SearchStep::Paused(ckpt) = search.run_partial(false, 4).expect("slice") else {
+    let SearchStep::Paused(ckpt) = search.run_partial(false, 4).expect("round") else {
         panic!("must pause");
     };
     let parsed = SearchCheckpoint::from_json_str(&ckpt.to_json_string()).expect("round-trip");
@@ -237,7 +270,7 @@ fn incompatible_checkpoints_are_rejected_before_any_work() {
     let cluster = ClusterSpec::v100(1, 4);
     let db = ProfileDb::build(&model, &cluster);
     let search = AcesoSearch::new(&model, &cluster, &db, opts());
-    let SearchStep::Paused(ckpt) = search.run_partial(true, 2).expect("slice") else {
+    let SearchStep::Paused(ckpt) = search.run_partial(true, 2).expect("round") else {
         panic!("must pause");
     };
 
@@ -245,7 +278,7 @@ fn incompatible_checkpoints_are_rejected_before_any_work() {
     let other_cluster = ClusterSpec::v100(1, 2);
     let other_db = ProfileDb::build(&model, &other_cluster);
     let other = AcesoSearch::new(&model, &other_cluster, &other_db, opts());
-    match other.resume_partial(true, &ckpt, None) {
+    match other.resume_from(true, &ckpt) {
         Err(ResumeError::Incompatible(CheckpointError::Mismatch(what))) => {
             assert_eq!(what, "cluster fingerprint")
         }
@@ -257,7 +290,7 @@ fn incompatible_checkpoints_are_rejected_before_any_work() {
     let other_db = ProfileDb::build(&other_model, &cluster);
     let other = AcesoSearch::new(&other_model, &cluster, &other_db, opts());
     assert!(matches!(
-        other.resume_partial(true, &ckpt, None),
+        other.resume_from(true, &ckpt),
         Err(ResumeError::Incompatible(CheckpointError::Mismatch(
             "model fingerprint"
         )))
@@ -266,7 +299,7 @@ fn incompatible_checkpoints_are_rejected_before_any_work() {
     // Different result-affecting options.
     let other = AcesoSearch::new(&model, &cluster, &db, SearchOptions { seed: 99, ..opts() });
     assert!(matches!(
-        other.resume_partial(true, &ckpt, None),
+        other.resume_from(true, &ckpt),
         Err(ResumeError::Incompatible(CheckpointError::Mismatch(
             "options fingerprint"
         )))
@@ -274,7 +307,7 @@ fn incompatible_checkpoints_are_rejected_before_any_work() {
 
     // Different metrics flag.
     assert!(matches!(
-        search.resume_partial(false, &ckpt, None),
+        search.resume_from(false, &ckpt),
         Err(ResumeError::Incompatible(CheckpointError::Mismatch(
             "metrics flag"
         )))
@@ -287,7 +320,7 @@ fn foreign_and_corrupt_checkpoints_fail_without_panicking() {
     let cluster = ClusterSpec::v100(1, 4);
     let db = ProfileDb::build(&model, &cluster);
     let search = AcesoSearch::new(&model, &cluster, &db, opts());
-    let SearchStep::Paused(ckpt) = search.run_partial(true, 2).expect("slice") else {
+    let SearchStep::Paused(ckpt) = search.run_partial(true, 2).expect("round") else {
         panic!("must pause");
     };
     let text = ckpt.to_json_string();

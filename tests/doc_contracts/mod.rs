@@ -74,6 +74,7 @@ fn contracts() -> Vec<Contract> {
             tokens: &[
                 "tests/search_golden.rs",
                 "tests/checkpoint_resume.rs",
+                "live_snapshots_equal_the_round_tripped_chain",
                 "tests/search_doc.rs",
                 "tests/perf_equivalence.rs",
                 "crates/core/tests/properties.rs",
@@ -98,7 +99,7 @@ fn contracts() -> Vec<Contract> {
                 "tests/serve.rs",
                 "pipelined_responses_are_bit_identical_to_direct_runs",
                 "queued_requests_wait_for_a_busy_worker",
-                "busy_rejections_back_off_on_the_short_clock",
+                "busy_rejections_are_not_retried",
                 "serve_bench fleet",
                 "serve_fleet",
                 "NONDETERMINISTIC_COUNTERS",

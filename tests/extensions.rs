@@ -1,6 +1,5 @@
 //! Integration tests for the beyond-the-paper extensions: ZeRO-1
-//! primitives, execution-plan export, tracing timelines, GPipe schedule,
-//! parallel profiling.
+//! primitives, execution-plan export, tracing timelines, GPipe schedule.
 
 use aceso::config::balanced_init;
 use aceso::model::zoo;
@@ -125,25 +124,4 @@ fn gpipe_vs_1f1b_memory_crossover() {
     .execute(&cfg)
     .expect("gpipe");
     assert!(gp.peak_memory > f1b.peak_memory);
-}
-
-#[test]
-fn parallel_profiling_supports_search_identically() {
-    let model = zoo::gpt3_custom("ppx", 4, 512, 8, 256, 8192, 64);
-    let cluster = ClusterSpec::v100(1, 4);
-    let serial = ProfileDb::build(&model, &cluster);
-    let parallel = ProfileDb::build_parallel(&model, &cluster, 4);
-    let opts = SearchOptions {
-        max_iterations: 8,
-        parallel: false,
-        stage_counts: Some(vec![2]),
-        ..SearchOptions::default()
-    };
-    let a = AcesoSearch::new(&model, &cluster, &serial, opts.clone())
-        .run()
-        .expect("serial-profiled search");
-    let b = AcesoSearch::new(&model, &cluster, &parallel, opts)
-        .run()
-        .expect("parallel-profiled search");
-    assert_eq!(a.best_config.semantic_hash(), b.best_config.semantic_hash());
 }
