@@ -10,7 +10,7 @@ use crate::primitives::Candidate;
 use aceso_cluster::ClusterSpec;
 use aceso_config::ParallelConfig;
 use aceso_model::ModelGraph;
-use aceso_profile::ProfileDb;
+use aceso_perf::PerfModel;
 
 /// Panics unless `config` passes full validation against the model and
 /// the cluster. Used where both are in scope (candidate generation, the
@@ -105,20 +105,19 @@ pub fn assert_structure(_: &ModelGraph, _: &ParallelConfig, _: &str) {}
 /// INV-STAGE-HASH in docs/SEARCH.md): every cached stage hash equals a
 /// from-scratch recomputation, the carried fingerprint is the
 /// configuration's semantic hash, and a carried estimate equals a
-/// from-scratch evaluation to the last bit. It scores through its own
-/// `PerfModel`, which has no recorder, so checking moves no counter.
+/// from-scratch evaluation to the last bit. It scores through the
+/// stage's own `PerfModel`, which counts nothing, so checking moves no
+/// counter.
 #[cfg(feature = "debug-invariants")]
 pub struct ScoreCheck<'a> {
-    pm: aceso_perf::PerfModel<'a>,
+    pm: &'a PerfModel<'a>,
 }
 
 #[cfg(feature = "debug-invariants")]
 impl<'a> ScoreCheck<'a> {
-    /// A checker for candidates of `model` on `cluster`.
-    pub fn new(model: &'a ModelGraph, cluster: &'a ClusterSpec, db: &'a ProfileDb) -> Self {
-        Self {
-            pm: aceso_perf::PerfModel::new(model, cluster, db),
-        }
+    /// A checker scoring through `pm`.
+    pub fn new(pm: &'a PerfModel<'a>) -> Self {
+        Self { pm }
     }
 
     /// Panics unless `cand`'s stage hashes, fingerprint and carried
@@ -154,7 +153,7 @@ pub struct ScoreCheck<'a>(std::marker::PhantomData<&'a ()>);
 impl<'a> ScoreCheck<'a> {
     /// No-op stub (feature off).
     #[inline(always)]
-    pub fn new(_: &'a ModelGraph, _: &'a ClusterSpec, _: &'a ProfileDb) -> Self {
+    pub fn new(_: &'a PerfModel<'a>) -> Self {
         Self(std::marker::PhantomData)
     }
 
@@ -169,6 +168,7 @@ mod tests {
     use aceso_cluster::ClusterSpec;
     use aceso_config::balanced_init;
     use aceso_model::zoo::gpt3_custom;
+    use aceso_profile::ProfileDb;
 
     #[test]
     fn accepts_valid_config() {
@@ -186,14 +186,14 @@ mod tests {
         let model = gpt3_custom("t", 2, 256, 4, 128, 1000, 64);
         let cluster = ClusterSpec::v100(1, 4);
         let db = ProfileDb::build(&model, &cluster);
-        let pm = aceso_perf::PerfModel::new(&model, &cluster, &db);
+        let pm = PerfModel::new(&model, &cluster, &db);
         let cfg = balanced_init(&model, &cluster, 2).expect("init");
         let est = pm.evaluate_unchecked(&cfg);
         let cand = generate(&pm, &cfg, &est, Primitive::DecOp, 0, Resource::Compute)
             .into_iter()
             .find(|c| c.estimate.is_some())
             .expect("an unchanged fix-up carries its estimate");
-        f(&ScoreCheck::new(&model, &cluster, &db), cand);
+        f(&ScoreCheck::new(&pm), cand);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use aceso_cluster::ClusterSpec;
 use aceso_config::{balanced_init, ConfigError, ParallelConfig};
 use aceso_model::ModelGraph;
 use aceso_obs::{Counter, Event, HistKind, Metrics, ObsReport, Recorder};
-use aceso_perf::{CachedEvaluator, ConfigEstimate, Evaluator, P2pMemo, PerfModel, StageMemo};
+use aceso_perf::{CachedEvaluator, ConfigEstimate, Evaluator, PerfModel};
 use aceso_profile::ProfileDb;
 use aceso_util::SplitMix64;
 use std::collections::{BinaryHeap, HashSet};
@@ -395,29 +395,19 @@ impl<'a> AcesoSearch<'a> {
                     .max()
             })
             .unwrap_or(0);
-        // One boundary-p2p memo for the whole search: sub-searches at
-        // different stage counts cut the model at many of the same device
-        // boundaries, so whichever thread computes a (bytes, from, to)
-        // triple first serves every other thread. Values are exact
-        // `ProfileDb::p2p_time` results — sharing cannot change any score,
-        // so it is deliberately *not* checkpointed (a cold memo on resume
-        // recomputes identical values and touches no counter; INV-MEMO in
-        // docs/SEARCH.md).
-        let p2p = P2pMemo::new();
         // The round's iteration bound; `None` runs to the end.
         let mut bound = every.map(|e| resume_point.saturating_add(e));
 
-        // Each stage count's step builds its own performance model: the
-        // model is not `Sync`, as it counts into the step's recorder.
-        let pm = || PerfModel::new(self.model, self.cluster, self.db).with_p2p_memo(&p2p);
+        // One performance model for the whole search; each stage count's
+        // evaluator holds a clone of it (INV-MEMO in docs/SEARCH.md).
+        let pm = PerfModel::new(self.model, self.cluster, self.db);
         let mut stages = self.on_stage_threads(counts, |p| {
-            let pm = pm();
             let saved = restore.and_then(|c| c.stages.iter().find(|s| s.stage_count == p));
             let mut stage = match saved {
-                Some(sc) => StageSearch::from_checkpoint(sc, metrics),
-                None => StageSearch::new(self, p, metrics, pm.clone())?,
+                Some(sc) => StageSearch::from_checkpoint(sc, metrics, &pm),
+                None => StageSearch::new(self, p, metrics, &pm)?,
             };
-            stage.step(self, bound, deadline, pm);
+            stage.step(self, bound, deadline);
             Some(stage)
         });
         // Deterministic merge order regardless of thread completion order
@@ -445,7 +435,7 @@ impl<'a> AcesoSearch<'a> {
             }
             let open: Vec<&mut StageSearch> = stages.iter_mut().filter(|s| s.is_open()).collect();
             self.on_stage_threads(open, |stage| {
-                stage.step(self, bound, deadline, pm());
+                stage.step(self, bound, deadline);
                 Some(())
             });
         }
@@ -530,22 +520,24 @@ fn join_stages<T>(handles: Vec<std::thread::ScopedJoinHandle<'_, Option<T>>>) ->
 }
 
 /// One stage count's search (Algorithm 1) as a value the round driver
-/// steps. It owns its recorder and its evaluator's memo table; each
-/// step builds the evaluator over them.
-struct StageSearch {
+/// steps.
+struct StageSearch<'a> {
     stage_count: usize,
-    rec: Recorder,
     trace: SearchTrace,
     /// Origin of the convergence timestamps. A live search keeps it
     /// across rounds; a resume restarts it.
     started: Instant,
-    state: StageState,
+    state: StageState<'a>,
 }
 
-enum StageState {
-    Open(Box<OpenStage>),
-    /// Ran to its end; its top-k pool.
-    Done(Vec<ScoredConfig>),
+enum StageState<'a> {
+    /// Still searching. The evaluator holds a clone of the search's one
+    /// model, the memo table and the recorder, and lives from `new` or
+    /// `from_checkpoint` to the end of the search (INV-MEMO).
+    Open(CachedEvaluator<'a>, Box<OpenStage>),
+    /// Ran to its end: its top-k pool and its recorder. The evaluator,
+    /// memo table included, is already gone.
+    Done(Vec<ScoredConfig>, Recorder),
 }
 
 /// The in-flight state of an open stage count.
@@ -555,7 +547,6 @@ struct OpenStage {
     /// The configuration the loop is currently improving.
     current: ParallelConfig,
     best: ScoredConfig,
-    memo: StageMemo,
     /// Fingerprints of every configuration generated so far.
     visited: HashSet<u64>,
     unexplored: BinaryHeap<HeapEntry>,
@@ -564,19 +555,18 @@ struct OpenStage {
     tie_counter: u64,
 }
 
-impl StageSearch {
+impl<'a> StageSearch<'a> {
     /// A fresh search from the stage count's initial configuration;
     /// `None` when the stage count admits none.
-    fn new(search: &AcesoSearch<'_>, p: usize, metrics: bool, pm: PerfModel<'_>) -> Option<Self> {
+    fn new(search: &AcesoSearch<'_>, p: usize, metrics: bool, pm: &PerfModel<'a>) -> Option<Self> {
         let opts = &search.options;
         let init = match &opts.initial {
             Some(c) if c.num_stages() == p => c.clone(),
             _ => balanced_init(search.model, search.cluster, p).ok()?,
         };
-        let rec = Recorder::new(metrics);
-        let ev = CachedEvaluator::new(pm.with_obs(&rec));
+        let ev = CachedEvaluator::with_recorder(pm.clone(), Recorder::new(metrics));
         let best = scored(&ev, &init);
-        let memo = ev.into_memo();
+        let rec = ev.recorder();
         rec.count(Counter::StageSearches);
         rec.emit(|| Event::StageStart {
             stage_count: p,
@@ -591,20 +581,21 @@ impl StageSearch {
         };
         Some(Self {
             stage_count: p,
-            rec,
             trace,
             started: Instant::now(),
-            state: StageState::Open(Box::new(OpenStage {
-                next_iter: 0,
-                visited: HashSet::from([init.semantic_hash()]),
-                current: init,
-                best,
-                memo,
-                unexplored: BinaryHeap::new(),
-                explored: 1,
-                rng: SplitMix64::new(opts.seed ^ (p as u64)),
-                tie_counter: 0,
-            })),
+            state: StageState::Open(
+                ev,
+                Box::new(OpenStage {
+                    next_iter: 0,
+                    visited: HashSet::from([init.semantic_hash()]),
+                    current: init,
+                    best,
+                    unexplored: BinaryHeap::new(),
+                    explored: 1,
+                    rng: SplitMix64::new(opts.seed ^ (p as u64)),
+                    tie_counter: 0,
+                }),
+            ),
         })
     }
 
@@ -612,39 +603,45 @@ impl StageSearch {
     /// re-evaluated, and it appends to the saved events and metrics (with
     /// metrics off they are empty). The one place a checkpoint is
     /// imported.
-    fn from_checkpoint(sc: &StageCheckpoint, metrics: bool) -> Self {
+    fn from_checkpoint(sc: &StageCheckpoint, metrics: bool, pm: &PerfModel<'a>) -> Self {
         let rec = if metrics {
             Recorder::from_parts(sc.events.clone(), sc.metrics.clone())
         } else {
             Recorder::new(false)
         };
         let state = match &sc.progress {
-            None => StageState::Done(sc.tops.iter().map(CheckpointedScore::to_scored).collect()),
-            Some(pr) => StageState::Open(Box::new(OpenStage {
-                next_iter: pr.next_iter,
-                current: pr.current.clone(),
-                best: pr.best.to_scored(),
-                memo: StageMemo::from_entries(pr.memo.clone()),
-                visited: pr.visited.iter().copied().collect(),
-                // Pop order depends only on the unique `(score, tie)`
-                // pairs, not on the heap's arrangement.
-                unexplored: pr
-                    .unexplored
-                    .iter()
-                    .map(|e| HeapEntry {
-                        score: f64::from_bits(e.score_bits),
-                        tie: e.tie,
-                        config: e.config.clone(),
-                    })
-                    .collect(),
-                explored: pr.explored,
-                rng: SplitMix64::from_state(pr.rng_state),
-                tie_counter: pr.tie_counter,
-            })),
+            None => StageState::Done(
+                sc.tops.iter().map(CheckpointedScore::to_scored).collect(),
+                rec,
+            ),
+            Some(pr) => {
+                let ev = CachedEvaluator::with_recorder(pm.clone(), rec);
+                ev.import_memo(pr.memo.clone());
+                let open = OpenStage {
+                    next_iter: pr.next_iter,
+                    current: pr.current.clone(),
+                    best: pr.best.to_scored(),
+                    visited: pr.visited.iter().copied().collect(),
+                    // Pop order depends only on the unique `(score, tie)`
+                    // pairs, not on the heap's arrangement.
+                    unexplored: pr
+                        .unexplored
+                        .iter()
+                        .map(|e| HeapEntry {
+                            score: f64::from_bits(e.score_bits),
+                            tie: e.tie,
+                            config: e.config.clone(),
+                        })
+                        .collect(),
+                    explored: pr.explored,
+                    rng: SplitMix64::from_state(pr.rng_state),
+                    tie_counter: pr.tie_counter,
+                };
+                StageState::Open(ev, Box::new(open))
+            }
         };
         Self {
             stage_count: sc.stage_count,
-            rec,
             trace: sc.trace.clone(),
             started: Instant::now(),
             state,
@@ -652,32 +649,26 @@ impl StageSearch {
     }
 
     fn is_open(&self) -> bool {
-        matches!(self.state, StageState::Open(_))
+        matches!(self.state, StageState::Open(..))
     }
 
     /// Advances an open search to `bound`, or to its end (the iteration
     /// budget, the deadline, or an empty backtrack heap), where it emits
     /// its `stage_end` and takes its top-k pool.
-    fn step(
-        &mut self,
-        search: &AcesoSearch<'_>,
-        bound: Option<usize>,
-        deadline: Option<Instant>,
-        pm: PerfModel<'_>,
-    ) {
-        let StageState::Open(open) = &mut self.state else {
+    fn step(&mut self, search: &AcesoSearch<'_>, bound: Option<usize>, deadline: Option<Instant>) {
+        let StageState::Open(ev, open) = &mut self.state else {
             return;
         };
         let p = self.stage_count;
-        let rec = &self.rec;
+        let rec = ev.recorder();
         let trace = &mut self.trace;
         let opts = &search.options;
         // Primitives touch at most two stages, so most candidate scores
         // reuse the memo table's stage estimates (bit-identical to scoring
         // from scratch).
         let mut ctx = Ctx {
-            ev: CachedEvaluator::with_memo(pm.with_obs(rec), std::mem::take(&mut open.memo)),
-            check: ScoreCheck::new(search.model, search.cluster, search.db),
+            ev,
+            check: ScoreCheck::new(ev.perf_model()),
             opts,
             rec,
             stage_count: p,
@@ -688,7 +679,6 @@ impl StageSearch {
         while ctx.st.next_iter < opts.max_iterations {
             let iter = ctx.st.next_iter;
             if bound.is_some_and(|bound| iter >= bound) {
-                ctx.st.memo = ctx.ev.into_memo();
                 return;
             }
             if ctx.expired() {
@@ -736,7 +726,7 @@ impl StageSearch {
                 Some((mut next, _)) => {
                     if opts.fine_tune {
                         let pre_hash = next.semantic_hash();
-                        let (tuned, evals) = fine_tune(&ctx.ev, next.clone());
+                        let (tuned, evals) = fine_tune(ctx.ev, next.clone());
                         ctx.st.explored += evals;
                         rec.add(Counter::FinetuneEvals, evals as u64);
                         // Only adopt the tuned configuration when it is new
@@ -761,7 +751,7 @@ impl StageSearch {
                         &next,
                         "search accept",
                     );
-                    let next_scored = scored(&ctx.ev, &next);
+                    let next_scored = scored(ctx.ev, &next);
                     trace.accepted.push(AcceptedConfig {
                         fingerprint: next.semantic_hash(),
                         score: next_scored.score,
@@ -810,12 +800,17 @@ impl StageSearch {
         let mut tops = vec![best];
         for _ in 0..opts.top_k {
             match ctx.st.unexplored.pop() {
-                Some(e) => tops.push(scored(&ctx.ev, &e.config)),
+                Some(e) => tops.push(scored(ctx.ev, &e.config)),
                 None => break,
             }
         }
-        drop(ctx);
-        self.state = StageState::Done(tops);
+        // The evaluator ends here, not at the merge: its memo table and
+        // model clone are freed as soon as the stage count finishes.
+        let placeholder = StageState::Done(Vec::new(), Recorder::default());
+        let StageState::Open(ev, _) = std::mem::replace(&mut self.state, placeholder) else {
+            unreachable!("only an open stage count steps")
+        };
+        self.state = StageState::Done(tops, ev.into_recorder());
     }
 
     /// The search's state as a checkpoint, leaving the search as it is.
@@ -824,10 +819,13 @@ impl StageSearch {
     /// serialises to the same bytes however the search got here
     /// (INV-CANONICAL-EXPORT).
     fn snapshot(&self) -> StageCheckpoint {
-        let (events, metrics) = self.rec.parts();
-        let (progress, tops) = match &self.state {
-            StageState::Done(t) => (None, t.iter().map(CheckpointedScore::from_scored).collect()),
-            StageState::Open(open) => {
+        let ((events, metrics), progress, tops) = match &self.state {
+            StageState::Done(t, rec) => (
+                rec.parts(),
+                None,
+                t.iter().map(CheckpointedScore::from_scored).collect(),
+            ),
+            StageState::Open(ev, open) => {
                 let mut visited: Vec<u64> = open.visited.iter().copied().collect();
                 visited.sort_unstable();
                 let mut parked: Vec<&HeapEntry> = open.unexplored.iter().collect();
@@ -848,9 +846,9 @@ impl StageSearch {
                     explored: open.explored,
                     tie_counter: open.tie_counter,
                     rng_state: open.rng.state(),
-                    memo: open.memo.entries(),
+                    memo: ev.export_memo(),
                 };
-                (Some(progress), Vec::new())
+                (ev.recorder().parts(), Some(progress), Vec::new())
             }
         };
         StageCheckpoint {
@@ -866,10 +864,10 @@ impl StageSearch {
 
     /// The finished search's top-k pool, trace and recorder.
     fn finish(self) -> (Vec<ScoredConfig>, SearchTrace, Recorder) {
-        let StageState::Done(tops) = self.state else {
+        let StageState::Done(tops, rec) = self.state else {
             unreachable!("the driver merges only finished stage counts")
         };
-        (tops, self.trace, self.rec)
+        (tops, self.trace, rec)
     }
 }
 
@@ -884,12 +882,10 @@ fn scored(ev: &CachedEvaluator<'_>, config: &ParallelConfig) -> ScoredConfig {
     }
 }
 
-/// One step's view of an open stage count: the round's evaluator over
-/// its memo table, and its state borrowed in place.
+/// One step's view of an open stage count: its evaluator and its state,
+/// borrowed in place.
 struct Ctx<'a> {
-    /// The round's memoizing evaluator; its memo table goes back to the
-    /// stage count when the step pauses.
-    ev: CachedEvaluator<'a>,
+    ev: &'a CachedEvaluator<'a>,
     /// `debug-invariants` check of what generation carries (a no-op
     /// stub otherwise).
     check: ScoreCheck<'a>,
@@ -1027,7 +1023,7 @@ impl Ctx<'_> {
         for &prim in prims {
             self.rec.count(Counter::SearchWorkerBatches);
             for mut cand in generate_with(
-                &self.ev,
+                self.ev,
                 step.config,
                 step.est,
                 prim,

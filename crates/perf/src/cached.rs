@@ -36,7 +36,7 @@ use crate::model::PerfModel;
 use aceso_cluster::ClusterSpec;
 use aceso_config::ParallelConfig;
 use aceso_model::ModelGraph;
-use aceso_obs::{Counter, HistKind};
+use aceso_obs::{Counter, HistKind, Recorder};
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -121,22 +121,74 @@ fn stage_key(config: &ParallelConfig, i: usize, dev_start: usize) -> StageKey {
     }
 }
 
-/// A [`CachedEvaluator`]'s memo table on its own. A search that
-/// outlives one evaluator keeps its table here between evaluators:
-/// [`CachedEvaluator::with_memo`] takes it by move and
-/// [`CachedEvaluator::into_memo`] gives it back, neither copying it.
-#[derive(Debug, Default)]
-pub struct StageMemo(HashMap<StageKey, StageEstimate>);
+/// A [`PerfModel`] wrapper that serves per-stage estimates from a memo
+/// table and counts every evaluation into the [`Recorder`] it owns.
+/// Single-threaded by design (interior mutability via `RefCell`) but
+/// `Send`: each stage-count search owns one for the whole search, over
+/// a clone of the search's one model (INV-MEMO in docs/SEARCH.md).
+pub struct CachedEvaluator<'a> {
+    pm: PerfModel<'a>,
+    memo: RefCell<HashMap<StageKey, StageEstimate>>,
+    rec: Recorder,
+}
 
-impl StageMemo {
-    /// The table as [`MemoEntry`] values in a deterministic (key-sorted)
-    /// order, for checkpointing. [`StageMemo::from_entries`] rebuilds the
-    /// table exactly, so a resumed search sees the same hit/miss
-    /// sequence — and therefore the same counter splits — as an
+impl<'a> CachedEvaluator<'a> {
+    /// Wraps a performance model; evaluations are counted nowhere.
+    pub fn new(pm: PerfModel<'a>) -> Self {
+        Self::with_recorder(pm, Recorder::disabled())
+    }
+
+    /// Wraps a performance model, counting every evaluation into `rec`
+    /// ([`Counter::PerfEvaluations`], split into
+    /// [`Counter::PerfIncrementalHits`] and [`Counter::PerfFullEvals`],
+    /// plus [`Counter::OomPredictions`]) and sampling its wall-clock
+    /// latency into [`HistKind::EvalLatencyUs`].
+    pub fn with_recorder(pm: PerfModel<'a>, rec: Recorder) -> Self {
+        Self {
+            pm,
+            memo: RefCell::new(HashMap::new()),
+            rec,
+        }
+    }
+
+    /// The wrapped model, which neither memoizes nor counts.
+    pub fn perf_model(&self) -> &PerfModel<'a> {
+        &self.pm
+    }
+
+    /// The recorder evaluations count into.
+    pub fn recorder(&self) -> &Recorder {
+        &self.rec
+    }
+
+    /// Gives the recorder back, ending the evaluator and freeing its
+    /// memo table.
+    pub fn into_recorder(self) -> Recorder {
+        self.rec
+    }
+
+    /// Number of memoized per-stage estimates.
+    pub fn memo_len(&self) -> usize {
+        self.memo.borrow().len()
+    }
+
+    /// Drops every memoized estimate.
+    pub fn clear(&self) {
+        self.memo.borrow_mut().clear();
+    }
+
+    /// The memo table as [`MemoEntry`] values in a deterministic
+    /// (key-sorted) order, for checkpointing. [`Self::import_memo`]
+    /// rebuilds the table exactly, so a resumed search sees the same
+    /// hit/miss sequence — and therefore the same counter splits — as an
     /// uninterrupted one.
-    pub fn entries(&self) -> Vec<MemoEntry> {
-        let mut entries: Vec<(StageKey, StageEstimate)> =
-            self.0.iter().map(|(k, v)| (*k, v.clone())).collect();
+    pub fn export_memo(&self) -> Vec<MemoEntry> {
+        let mut entries: Vec<(StageKey, StageEstimate)> = self
+            .memo
+            .borrow()
+            .iter()
+            .map(|(k, v)| (*k, v.clone()))
+            .collect();
         entries.sort_by_key(|(k, _)| *k);
         entries
             .into_iter()
@@ -151,74 +203,21 @@ impl StageMemo {
             .collect()
     }
 
-    /// Rebuilds a table from exported entries.
-    pub fn from_entries(entries: Vec<MemoEntry>) -> Self {
-        Self(
-            entries
-                .into_iter()
-                .map(|e| {
-                    let key = StageKey {
-                        content: e.content,
-                        microbatch: e.microbatch,
-                        dev_start: e.dev_start,
-                        prev_last_dp: e.prev_last_dp,
-                        has_next: e.has_next,
-                    };
-                    (key, e.estimate)
-                })
-                .collect(),
-        )
-    }
-}
-
-/// A [`PerfModel`] wrapper that serves per-stage estimates from a memo
-/// table. Single-threaded by design (interior mutability via `RefCell`):
-/// each stage-count search thread owns its own evaluator, exactly like it
-/// owns its own [`aceso_obs::Recorder`].
-pub struct CachedEvaluator<'a> {
-    pm: PerfModel<'a>,
-    memo: RefCell<StageMemo>,
-}
-
-impl<'a> CachedEvaluator<'a> {
-    /// Wraps a performance model (taking over its observability recorder,
-    /// if attached).
-    pub fn new(pm: PerfModel<'a>) -> Self {
-        Self::with_memo(pm, StageMemo::default())
-    }
-
-    /// Wraps a performance model over an existing memo table.
-    pub fn with_memo(pm: PerfModel<'a>, memo: StageMemo) -> Self {
-        Self {
-            pm,
-            memo: RefCell::new(memo),
-        }
-    }
-
-    /// Gives the memo table back, ending the evaluator.
-    pub fn into_memo(self) -> StageMemo {
-        self.memo.into_inner()
-    }
-
-    /// Number of memoized per-stage estimates.
-    pub fn memo_len(&self) -> usize {
-        self.memo.borrow().0.len()
-    }
-
-    /// Drops every memoized estimate.
-    pub fn clear(&self) {
-        self.memo.borrow_mut().0.clear();
-    }
-
-    /// Exports the memo table ([`StageMemo::entries`]).
-    pub fn export_memo(&self) -> Vec<MemoEntry> {
-        self.memo.borrow().entries()
-    }
-
-    /// Replaces the memo table with previously exported entries
-    /// ([`StageMemo::from_entries`]).
+    /// Replaces the memo table with previously exported entries.
     pub fn import_memo(&self, entries: Vec<MemoEntry>) {
-        *self.memo.borrow_mut() = StageMemo::from_entries(entries);
+        *self.memo.borrow_mut() = entries
+            .into_iter()
+            .map(|e| {
+                let key = StageKey {
+                    content: e.content,
+                    microbatch: e.microbatch,
+                    dev_start: e.dev_start,
+                    prev_last_dp: e.prev_last_dp,
+                    has_next: e.has_next,
+                };
+                (key, e.estimate)
+            })
+            .collect();
     }
 
     /// The evaluation body; returns the estimate and whether at least one
@@ -230,7 +229,7 @@ impl<'a> CachedEvaluator<'a> {
         let mut dev_start = 0usize;
         for i in 0..p {
             let key = stage_key(config, i, dev_start);
-            let cached = self.memo.borrow().0.get(&key).cloned();
+            let cached = self.memo.borrow().get(&key).cloned();
             match cached {
                 Some(e) => {
                     hits += 1;
@@ -239,7 +238,6 @@ impl<'a> CachedEvaluator<'a> {
                 None => {
                     let e = self.pm.stage_with_boundaries(config, i);
                     let mut memo = self.memo.borrow_mut();
-                    let memo = &mut memo.0;
                     if memo.len() >= MEMO_CAP {
                         memo.clear();
                     }
@@ -261,24 +259,23 @@ impl Evaluator for CachedEvaluator<'_> {
         self.pm.cluster()
     }
     fn evaluate_unchecked(&self, config: &ParallelConfig) -> ConfigEstimate {
-        match self.pm.recorder() {
-            Some(rec) if rec.enabled() => {
-                let start = std::time::Instant::now();
-                let (est, hit) = self.evaluate_cached(config);
-                rec.observe(HistKind::EvalLatencyUs, start.elapsed().as_secs_f64() * 1e6);
-                rec.count(Counter::PerfEvaluations);
-                rec.count(if hit {
-                    Counter::PerfIncrementalHits
-                } else {
-                    Counter::PerfFullEvals
-                });
-                if est.oom() {
-                    rec.count(Counter::OomPredictions);
-                }
-                est
-            }
-            _ => self.evaluate_cached(config).0,
+        let rec = &self.rec;
+        if !rec.enabled() {
+            return self.evaluate_cached(config).0;
         }
+        let start = std::time::Instant::now();
+        let (est, hit) = self.evaluate_cached(config);
+        rec.observe(HistKind::EvalLatencyUs, start.elapsed().as_secs_f64() * 1e6);
+        rec.count(Counter::PerfEvaluations);
+        rec.count(if hit {
+            Counter::PerfIncrementalHits
+        } else {
+            Counter::PerfFullEvals
+        });
+        if est.oom() {
+            rec.count(Counter::OomPredictions);
+        }
+        est
     }
 }
 
@@ -417,6 +414,16 @@ mod tests {
         // configuration adds no new entries.
         other.evaluate_unchecked(&balanced_init(&m, &c, 2).expect("init"));
         assert_eq!(other.memo_len(), exported.len());
+    }
+
+    /// One model is shared by every stage-count thread of a search, and
+    /// each thread's evaluator moves between rounds' threads.
+    #[test]
+    fn model_is_shareable_and_evaluator_sendable() {
+        fn shared<T: Send + Sync>() {}
+        fn sendable<T: Send>() {}
+        shared::<PerfModel<'static>>();
+        sendable::<CachedEvaluator<'static>>();
     }
 
     #[test]

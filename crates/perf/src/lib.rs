@@ -17,10 +17,8 @@ pub mod cached;
 pub mod estimate;
 pub mod grid;
 pub mod model;
-pub mod p2p;
 
-pub use cached::{CachedEvaluator, Evaluator, MemoEntry, StageMemo};
+pub use cached::{CachedEvaluator, Evaluator, MemoEntry};
 pub use estimate::{ConfigEstimate, StageEstimate};
 pub use grid::LatencyGrid;
 pub use model::PerfModel;
-pub use p2p::P2pMemo;

@@ -6,7 +6,6 @@ use aceso_cluster::{ClusterSpec, Collective, CommGroup};
 use aceso_config::validate::validate;
 use aceso_config::{ConfigError, OpParallel, ParallelConfig};
 use aceso_model::{Layout, ModelGraph, Operator, PartitionSpec, Scaling};
-use aceso_obs::{Counter, HistKind, Recorder};
 use aceso_profile::ProfileDb;
 use std::collections::BTreeMap;
 
@@ -19,6 +18,10 @@ const RESERVED_MULTIPLIER: u64 = 3;
 const CONTEXT_BYTES: u64 = 1 << 30;
 
 /// Profile-driven analytic performance model for one (model, cluster) pair.
+///
+/// A plain value: it borrows its inputs, owns only derived lookup
+/// tables, and counts nothing, so one model is built per search and
+/// shared (by reference or by clone) across its stage-count threads.
 #[derive(Clone)]
 pub struct PerfModel<'a> {
     model: &'a ModelGraph,
@@ -28,12 +31,6 @@ pub struct PerfModel<'a> {
     sigs: Vec<u64>,
     /// SoA forward-latency grid (bit-identical fast path over `db`).
     grid: LatencyGrid,
-    /// Optional observability recorder; evaluation counters and latency
-    /// samples flow here when attached.
-    obs: Option<&'a Recorder>,
-    /// Optional shared boundary-p2p memo (one per search, shared across
-    /// the stage-count sub-search threads).
-    p2p: Option<&'a crate::p2p::P2pMemo>,
 }
 
 /// Effective layout of a tensor: sharding only exists when `tp > 1`.
@@ -64,33 +61,7 @@ impl<'a> PerfModel<'a> {
             db,
             sigs,
             grid,
-            obs: None,
-            p2p: None,
         }
-    }
-
-    /// Attaches an observability recorder: every evaluation then counts
-    /// itself ([`Counter::PerfEvaluations`], [`Counter::PerfFullEvals`],
-    /// [`Counter::OomPredictions`]) and samples its wall-clock latency
-    /// into [`HistKind::EvalLatencyUs`].
-    pub fn with_obs(mut self, rec: &'a Recorder) -> Self {
-        self.obs = Some(rec);
-        self
-    }
-
-    /// Attaches a shared [`crate::P2pMemo`]: boundary p2p estimates are
-    /// then looked up there first and stored on first computation. The
-    /// memo stores exact `ProfileDb::p2p_time` values, so attaching it
-    /// never changes an estimate (bit-equality is test-enforced).
-    pub fn with_p2p_memo(mut self, memo: &'a crate::p2p::P2pMemo) -> Self {
-        self.p2p = Some(memo);
-        self
-    }
-
-    /// The attached recorder, if any (shared with [`crate::CachedEvaluator`]
-    /// so the incremental path counts into the same sink).
-    pub(crate) fn recorder(&self) -> Option<&'a Recorder> {
-        self.obs
     }
 
     /// The model being evaluated.
@@ -117,26 +88,10 @@ impl<'a> PerfModel<'a> {
     /// Evaluates a configuration assumed to be structurally valid.
     ///
     /// The multi-hop search validates once per primitive application and
-    /// then scores many neighbours through this entry point.
+    /// then scores many neighbours through this entry point. Every stage
+    /// is estimated from scratch, and nothing is counted: counted
+    /// evaluations go through [`crate::CachedEvaluator`].
     pub fn evaluate_unchecked(&self, config: &ParallelConfig) -> ConfigEstimate {
-        match self.obs {
-            Some(rec) if rec.enabled() => {
-                let start = std::time::Instant::now();
-                let est = self.evaluate_inner(config);
-                rec.observe(HistKind::EvalLatencyUs, start.elapsed().as_secs_f64() * 1e6);
-                rec.count(Counter::PerfEvaluations);
-                rec.count(Counter::PerfFullEvals);
-                if est.oom() {
-                    rec.count(Counter::OomPredictions);
-                }
-                est
-            }
-            _ => self.evaluate_inner(config),
-        }
-    }
-
-    /// The uninstrumented evaluation body: every stage from scratch.
-    fn evaluate_inner(&self, config: &ParallelConfig) -> ConfigEstimate {
         let p = config.num_stages();
         let mut stages: Vec<StageEstimate> = Vec::with_capacity(p);
         for i in 0..p {
@@ -412,12 +367,7 @@ impl<'a> PerfModel<'a> {
         let bytes = op.output_elems
             * (config.microbatch as u64 / u64::from(last.dp))
             * self.model.precision.bytes();
-        match self.p2p {
-            Some(memo) => {
-                memo.get_or_insert_with(bytes, from, to, || self.db.p2p_time(bytes, from, to))
-            }
-            None => self.db.p2p_time(bytes, from, to),
-        }
+        self.db.p2p_time(bytes, from, to)
     }
 }
 

@@ -153,11 +153,10 @@ impl Store {
     }
 
     /// Mutation-gate hook (`aceso chaos run --mutate store-direct-write`):
-    /// when enabled, [`Store::save`] and touch-on-load write entries
-    /// *directly* to their final path instead of via temp+rename —
-    /// deliberately breaking INV-STORE-ATOMIC so the chaos engine can
-    /// prove its oracles catch torn entries. Never enabled in
-    /// production paths.
+    /// when enabled, [`Store::save`] writes entries *directly* to their
+    /// final path instead of via temp+rename — deliberately breaking
+    /// INV-STORE-ATOMIC so the chaos engine can prove its oracles catch
+    /// torn entries. Never enabled in production paths.
     pub fn set_direct_writes(&mut self, on: bool) {
         self.direct_writes = on;
     }
@@ -184,7 +183,7 @@ impl Store {
     /// present but unusable; per INV-STORE-DEGRADE the caller must
     /// treat this exactly like a miss, plus report the typed reason.
     /// A successful load refreshes the entry's modification time (the
-    /// disk-LRU clock) by atomically rewriting it.
+    /// disk-LRU clock) in place.
     pub fn load(&self, model_fp: u64, cluster_fp: u64) -> Result<Option<ProfileDb>, Degraded> {
         let path = self.entry_path(model_fp, cluster_fp);
         let file = entry_name(model_fp, cluster_fp);
@@ -201,12 +200,11 @@ impl Store {
         let text = String::from_utf8_lossy(&bytes);
         let db = decode(&text, Some((model_fp, cluster_fp)))
             .map_err(|reason| Degraded { file, reason })?;
-        // Touch-on-load: std cannot set mtimes, so the LRU clock is
-        // refreshed by rewriting the (identical) bytes atomically. Losing
-        // the race against an eviction or a concurrent writer is fine —
-        // the rename either lands or the file was replaced with equally
+        // Touch-on-load: only the mtime changes, never the bytes. A touch
+        // that loses the race against an eviction fails and is ignored;
+        // one that lands on a concurrent writer's rename refreshes equally
         // valid contents (INV-STORE-ATOMIC).
-        let _ = self.write_entry(&path, &bytes);
+        let _ = self.fs.touch(&path);
         Ok(Some(db))
     }
 
@@ -246,9 +244,8 @@ impl Store {
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_default();
         // The pid keeps daemons sharing one store apart; the sequence
-        // number keeps writers within one process apart (touch-on-load
-        // rewrites an entry on every load, so concurrent loads of one
-        // key would otherwise truncate each other's temp file).
+        // number keeps writers within one process apart (concurrent saves
+        // of one key would otherwise truncate each other's temp file).
         static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
         let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
         let tmp = path.with_file_name(format!("{file}.tmp.{}.{seq}", std::process::id()));
@@ -544,15 +541,15 @@ mod tests {
         store.save(m, c, &db).expect("save");
         let back = store.load(m, c).expect("no degrade").expect("hit");
         assert_eq!(back.canonical_entries(), db.canonical_entries());
-        // The touch-on-load rewrite kept the entry decodable.
+        // Touch-on-load kept the entry decodable.
         let back2 = store.load(m, c).expect("no degrade").expect("hit");
         assert_eq!(back2.len(), db.len());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Concurrent loads of one key, through several handles in one
-    /// process, each rewrite the entry (touch-on-load); every one must
-    /// still decode cleanly.
+    /// process, each touch the entry; every one must still decode
+    /// cleanly.
     #[test]
     fn concurrent_same_process_loads_never_degrade() {
         let dir = tmpdir("concurrent-loads");
@@ -578,6 +575,34 @@ mod tests {
             }
         });
         assert_eq!(degraded.load(Ordering::Relaxed), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Touch-on-load refreshes the disk-LRU clock in place: the entry
+    /// keeps its bytes and its inode, and only its mtime moves.
+    #[cfg(unix)]
+    #[test]
+    fn load_touches_the_entry_in_place() {
+        use std::os::unix::fs::MetadataExt;
+        use std::time::{Duration, SystemTime};
+        let dir = tmpdir("touch");
+        let store = Store::open(&dir, u64::MAX).expect("open");
+        let (db, m, c) = setup();
+        store.save(m, c, &db).expect("save");
+        let path = store.entry_path(m, c);
+        let an_hour_ago = SystemTime::now() - Duration::from_secs(3600);
+        std::fs::File::options()
+            .write(true)
+            .open(&path)
+            .and_then(|f| f.set_modified(an_hour_ago))
+            .expect("age the entry");
+        let bytes = std::fs::read(&path).expect("read");
+        let ino = std::fs::metadata(&path).expect("stat").ino();
+        assert!(store.load(m, c).expect("no degrade").is_some());
+        let after = std::fs::metadata(&path).expect("stat");
+        assert_eq!(std::fs::read(&path).expect("read"), bytes);
+        assert_eq!(after.ino(), ino, "the entry was rewritten, not touched");
+        assert!(after.modified().expect("mtime") > an_hour_ago + Duration::from_secs(60));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

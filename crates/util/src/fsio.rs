@@ -57,6 +57,9 @@ pub trait Fs: Send + Sync + std::fmt::Debug {
     fn scan_dir(&self, dir: &Path) -> io::Result<Vec<ScanEntry>>;
     /// Flushes any buffered state for `path` to durable storage.
     fn sync(&self, path: &Path) -> io::Result<()>;
+    /// Sets the modification time of the file at `path` to now, leaving
+    /// its bytes and its inode as they are.
+    fn touch(&self, path: &Path) -> io::Result<()>;
 }
 
 /// Passthrough to `std::fs` — the production implementation. Behaviour
@@ -102,6 +105,13 @@ impl Fs for RealFs {
 
     fn sync(&self, path: &Path) -> io::Result<()> {
         std::fs::File::open(path)?.sync_all()
+    }
+
+    fn touch(&self, path: &Path) -> io::Result<()> {
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(path)?
+            .set_modified(SystemTime::now())
     }
 }
 
@@ -412,6 +422,17 @@ impl Fs for ChaosFs {
             Some(_) => Err(injected_err("EIO")),
             None if frozen => Ok(()),
             None => self.inner.sync(path),
+        }
+    }
+
+    fn touch(&self, path: &Path) -> io::Result<()> {
+        let (fault, frozen) = self.step(path);
+        match fault {
+            Some(FaultKind::Enospc) => Err(injected_err("ENOSPC")),
+            Some(FaultKind::Crash) => Ok(()),
+            Some(_) => Err(injected_err("EIO")),
+            None if frozen => Ok(()),
+            None => self.inner.touch(path),
         }
     }
 }

@@ -153,30 +153,31 @@ mod tests {
         dir
     }
 
+    /// Writes `len` bytes to `dir/name`, last modified `age` ago.
     fn touch(dir: &Path, name: &str, len: usize, age: Duration) -> PathBuf {
         let path = dir.join(name);
         std::fs::write(&path, vec![b'x'; len]).expect("write");
-        // Ages are simulated by passing `now` forward instead of mutating
-        // mtimes (std cannot set them); this helper just records intent.
-        let _ = age;
+        std::fs::File::options()
+            .write(true)
+            .open(&path)
+            .and_then(|f| f.set_modified(SystemTime::now() - age))
+            .expect("set mtime");
         path
     }
 
     #[test]
     fn scan_filters_by_suffix_and_sorts() {
         let dir = tmpdir("scan");
-        touch(&dir, "a.ckpt", 10, Duration::ZERO);
-        touch(&dir, "b.adb", 20, Duration::ZERO);
+        touch(&dir, "a.ckpt", 10, Duration::from_secs(10));
+        touch(&dir, "b.adb", 20, Duration::from_secs(20));
         touch(&dir, "c.tmp", 30, Duration::ZERO);
         let files = scan_dir(&dir, &[".ckpt", ".adb"]);
         let names: Vec<_> = files
             .iter()
             .map(|f| f.path.file_name().unwrap().to_str().unwrap().to_string())
             .collect();
-        assert_eq!(files.len(), 2);
-        assert!(names.contains(&"a.ckpt".to_string()));
-        assert!(names.contains(&"b.adb".to_string()));
-        assert!(files.windows(2).all(|w| w[0].modified <= w[1].modified));
+        // Oldest first, whatever the names say.
+        assert_eq!(names, ["b.adb", "a.ckpt"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -189,11 +190,16 @@ mod tests {
     #[test]
     fn ttl_policy_selects_only_old_files() {
         let dir = tmpdir("ttl");
-        touch(&dir, "old.ckpt", 1, Duration::ZERO);
+        touch(&dir, "old.ckpt", 1, Duration::from_secs(120));
+        touch(&dir, "new.ckpt", 1, Duration::ZERO);
         let files = scan_dir(&dir, &[".ckpt"]);
-        // With `now` far in the future everything is expired …
+        // Only the file older than the TTL has expired …
+        let old = expired(&files, Duration::from_secs(60), SystemTime::now());
+        assert_eq!(old.len(), 1);
+        assert!(old[0].path.ends_with("old.ckpt"));
+        // … with `now` far in the future everything has …
         let future = SystemTime::now() + Duration::from_secs(3600);
-        assert_eq!(expired(&files, Duration::from_secs(60), future).len(), 1);
+        assert_eq!(expired(&files, Duration::from_secs(60), future).len(), 2);
         // … with `now` at the modification time nothing is.
         assert!(expired(&files, Duration::from_secs(60), files[0].modified).is_empty());
         // Future mtimes (clock skew) never expire.
@@ -205,25 +211,25 @@ mod tests {
     #[test]
     fn lru_policy_evicts_oldest_until_within_budget() {
         let dir = tmpdir("lru");
-        // Equal mtimes tie-break on path, so names give a stable order.
-        let a = touch(&dir, "a.adb", 100, Duration::ZERO);
-        touch(&dir, "b.adb", 100, Duration::ZERO);
-        touch(&dir, "c.adb", 100, Duration::ZERO);
+        // Ages disagree with name order: b is oldest, then c, then a.
+        touch(&dir, "a.adb", 100, Duration::from_secs(10));
+        touch(&dir, "b.adb", 100, Duration::from_secs(30));
+        touch(&dir, "c.adb", 100, Duration::from_secs(20));
         let files = scan_dir(&dir, &[".adb"]);
+        let name = |f: &FileMeta| f.path.file_name().unwrap().to_str().unwrap().to_string();
         // Budget for two files → one victim, the oldest.
         let victims = over_budget_lru(&files, 200, &[]);
         assert_eq!(victims.len(), 1);
-        assert_eq!(victims[0].path, files[0].path);
+        assert_eq!(name(victims[0]), "b.adb");
         // Under budget → no victims.
         assert!(over_budget_lru(&files, 300, &[]).is_empty());
         // A kept file is skipped; the next-oldest goes instead.
         let victims = over_budget_lru(&files, 200, &[files[0].path.as_path()]);
         assert_eq!(victims.len(), 1);
-        assert_eq!(victims[0].path, files[1].path);
+        assert_eq!(name(victims[0]), "c.adb");
         // Zero budget with everything kept → nothing to remove.
         let keep: Vec<&Path> = files.iter().map(|f| f.path.as_path()).collect();
         assert!(over_budget_lru(&files, 0, &keep).is_empty());
-        let _ = a;
         let removed = remove_all(&over_budget_lru(&files, 0, &[]));
         assert_eq!(removed, 3);
         let _ = std::fs::remove_dir_all(&dir);

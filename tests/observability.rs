@@ -6,6 +6,7 @@
 use aceso::obs::{
     Counter, Event, Recorder, NONDETERMINISTIC_COUNTERS, SCHEMA_VERSION, SERVER_COUNTERS,
 };
+use aceso::perf::{CachedEvaluator, Evaluator};
 use aceso::prelude::*;
 use aceso::search::SearchOptions;
 use aceso::serve::{Request, ServeOptions, Server};
@@ -244,17 +245,19 @@ fn no_counter_is_silently_dead() {
         .execute_observed(&result.best_config, &rec)
         .expect("executes");
 
-    // Scenario 3: grow the microbatch until the perf model predicts an
-    // out-of-memory configuration — oom_predictions.
-    let pm = PerfModel::new(&model, &cluster, &db).with_obs(&rec);
+    // Scenario 3: grow the microbatch until the evaluator predicts an
+    // out-of-memory configuration — oom_predictions. Only a
+    // `CachedEvaluator` counts; a plain `PerfModel` counts nothing.
+    let ev = CachedEvaluator::with_recorder(PerfModel::new(&model, &cluster, &db), rec);
     let mut oversized = aceso::config::balanced_init(&model, &cluster, 2).expect("balanced init");
-    while !pm.evaluate_unchecked(&oversized).oom() {
+    while !ev.evaluate_unchecked(&oversized).oom() {
         oversized.microbatch *= 2;
         assert!(
             oversized.microbatch < 1 << 30,
             "could not construct an OOM-predicted configuration"
         );
     }
+    let rec = ev.into_recorder();
 
     // Scenario 4: a loopback serve session with checkpoint spooling —
     // the serve counters (v3 quartet plus the v4 crash-recovery trio)
@@ -404,6 +407,9 @@ fn no_counter_is_silently_dead() {
         }
         fn sync(&self, path: &std::path::Path) -> std::io::Result<()> {
             aceso::util::fsio::RealFs.sync(path)
+        }
+        fn touch(&self, path: &std::path::Path) -> std::io::Result<()> {
+            aceso::util::fsio::RealFs.touch(path)
         }
     }
     let sweep_dir = std::env::temp_dir().join(format!("aceso-obs-sweep-{}", std::process::id()));

@@ -101,45 +101,6 @@ fn smoke_walks_are_bit_identical() {
     run_walks(true, &[1, 2, 3, 4], 16);
 }
 
-/// A [`P2pMemo`] shared across evaluations (as the search shares one
-/// across its stage-count threads) must not perturb a single bit: the
-/// memo returns exactly `ProfileDb::p2p_time`, so a memo-attached model
-/// and a plain one agree at every step, even when the memo is pre-warmed
-/// by other samples' walks.
-///
-/// [`P2pMemo`]: aceso::perf::P2pMemo
-#[test]
-fn shared_p2p_memo_is_bit_identical() {
-    use aceso::perf::P2pMemo;
-    let samples = corpus(true);
-    assert!(!samples.is_empty());
-    let mut populated = false;
-    for sample in &samples {
-        // One memo per (model, cluster, db) sample, shared across all of
-        // its walks and starting configs — the same scope at which the
-        // search shares one memo across its stage-count threads. (Keys
-        // are (bytes, from, to), so a memo must never outlive its
-        // cluster topology.)
-        let memo = P2pMemo::new();
-        let plain = PerfModel::new(&sample.model, &sample.cluster, &sample.db);
-        let memoized =
-            PerfModel::new(&sample.model, &sample.cluster, &sample.db).with_p2p_memo(&memo);
-        for start in &sample.configs {
-            for seed in [5u64, 6] {
-                let walk = primitive_walk(sample, start, seed, 12);
-                for (step, config) in walk.iter().enumerate() {
-                    let want = plain.evaluate_unchecked(config);
-                    let got = memoized.evaluate_unchecked(config);
-                    let ctx = format!("{} p2p-memo seed {seed} step {step}", sample.label);
-                    assert_bit_identical(&want, &got, &ctx);
-                }
-            }
-        }
-        populated |= !memo.is_empty();
-    }
-    assert!(populated, "walks never exercised a boundary p2p transfer");
-}
-
 #[test]
 #[ignore = "full corpus sweep; run with --ignored (ci.sh does)"]
 fn full_corpus_walks_are_bit_identical() {
