@@ -50,6 +50,13 @@ fn cases() -> Vec<(&'static str, ModelGraph, ClusterSpec)> {
             zoo::deepnet(12),
             ClusterSpec::v100(1, 8),
         ),
+        // Two nodes: the only case whose stages and tp groups can span a
+        // node, so it pins the cross-node collective path.
+        (
+            "gpt3-custom/v100-2x4",
+            zoo::gpt3_custom("golden-gpt", 4, 512, 8, 256, 8192, 64),
+            ClusterSpec::v100(2, 4),
+        ),
     ]
 }
 
