@@ -7,7 +7,7 @@
 //! * point-to-point: `bytes / bw + α`
 //!
 //! where `bw` is the bottleneck per-member bandwidth of the group
-//! ([`CommGroup::ring_bandwidth`]) — NVLink when the group fits a node, a
+//! ([`CommGroup::ring_link`]) — NVLink when the group fits a node, a
 //! NIC share when it spans nodes.
 
 use crate::spec::ClusterSpec;
@@ -48,8 +48,7 @@ pub fn collective_time(
         return 0.0;
     }
     let n = group.size as f64;
-    let bw = group.ring_bandwidth(cluster);
-    let alpha = group.hop_latency(cluster);
+    let (bw, alpha) = group.ring_link(cluster);
     let b = bytes as f64;
     match kind {
         Collective::AllReduce => 2.0 * (n - 1.0) / n * b / bw + 2.0 * (n - 1.0) * alpha,

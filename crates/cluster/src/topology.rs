@@ -71,41 +71,42 @@ impl CommGroup {
     }
 
     /// Whether any two members live on different nodes.
+    ///
+    /// Members increase and [`ClusterSpec::node_of`] is monotone, so the
+    /// group spans nodes exactly when its first and last members do.
     pub fn crosses_nodes(&self, cluster: &ClusterSpec) -> bool {
-        if self.size <= 1 {
-            return false;
-        }
-        let first = cluster.node_of(self.start);
-        self.members().any(|g| cluster.node_of(g) != first)
+        self.size > 1
+            && cluster.node_of(self.start)
+                != cluster.node_of(self.start + (self.size - 1) * self.stride)
     }
 
     /// Maximum number of group members that share one node.
     ///
     /// When a ring collective crosses nodes, all those members' ring links
-    /// funnel through the node's single NIC, dividing its bandwidth.
+    /// funnel through the node's single NIC, dividing its bandwidth. A
+    /// node's members are one run of consecutive members (see
+    /// [`Self::crosses_nodes`]), so one pass counts the longest run.
     pub fn max_members_per_node(&self, cluster: &ClusterSpec) -> usize {
-        let mut counts = std::collections::HashMap::new();
+        let (mut longest, mut run, mut node) = (0, 0, usize::MAX);
         for g in self.members() {
-            *counts.entry(cluster.node_of(g)).or_insert(0usize) += 1;
+            let n = cluster.node_of(g);
+            run = if n == node { run + 1 } else { 1 };
+            node = n;
+            longest = longest.max(run);
         }
-        counts.values().copied().max().unwrap_or(0)
+        longest
     }
 
-    /// Effective per-member ring bandwidth (bytes/s) for this group.
-    pub fn ring_bandwidth(&self, cluster: &ClusterSpec) -> f64 {
+    /// Effective per-member ring bandwidth (bytes/s) and per-hop latency
+    /// for this group, deciding once whether it crosses nodes.
+    pub fn ring_link(&self, cluster: &ClusterSpec) -> (f64, f64) {
         if self.crosses_nodes(cluster) {
-            cluster.ib_bw / self.max_members_per_node(cluster) as f64
+            (
+                cluster.ib_bw / self.max_members_per_node(cluster) as f64,
+                cluster.lat_inter,
+            )
         } else {
-            cluster.nvlink_bw
-        }
-    }
-
-    /// Per-hop latency for this group.
-    pub fn hop_latency(&self, cluster: &ClusterSpec) -> f64 {
-        if self.crosses_nodes(cluster) {
-            cluster.lat_inter
-        } else {
-            cluster.lat_intra
+            (cluster.nvlink_bw, cluster.lat_intra)
         }
     }
 }
@@ -142,7 +143,7 @@ mod tests {
         // tp=8 within node 1.
         let tp = CommGroup::contiguous(8, 8);
         assert!(!tp.crosses_nodes(&c));
-        assert_eq!(tp.ring_bandwidth(&c), c.nvlink_bw);
+        assert_eq!(tp.ring_link(&c).0, c.nvlink_bw);
     }
 
     #[test]
@@ -152,7 +153,7 @@ mod tests {
         let dp = CommGroup::strided(0, 4, 8);
         assert!(dp.crosses_nodes(&c));
         assert_eq!(dp.max_members_per_node(&c), 1);
-        assert_eq!(dp.ring_bandwidth(&c), c.ib_bw);
+        assert_eq!(dp.ring_link(&c).0, c.ib_bw);
     }
 
     #[test]
@@ -161,7 +162,7 @@ mod tests {
         // 16 contiguous GPUs: 8 per node all in one ring.
         let g = CommGroup::contiguous(0, 16);
         assert_eq!(g.max_members_per_node(&c), 8);
-        assert!((g.ring_bandwidth(&c) - c.ib_bw / 8.0).abs() < 1.0);
+        assert!((g.ring_link(&c).0 - c.ib_bw / 8.0).abs() < 1.0);
     }
 
     #[test]
@@ -169,8 +170,22 @@ mod tests {
         let c = ClusterSpec::v100(2, 8);
         let intra = CommGroup::contiguous(0, 4);
         let inter = CommGroup::contiguous(6, 4);
-        assert_eq!(intra.hop_latency(&c), c.lat_intra);
-        assert_eq!(inter.hop_latency(&c), c.lat_inter);
+        assert_eq!(intra.ring_link(&c).1, c.lat_intra);
+        assert_eq!(inter.ring_link(&c).1, c.lat_inter);
+    }
+
+    #[test]
+    fn uneven_cross_node_group_counts_its_longest_run() {
+        let c = ClusterSpec::v100(3, 4);
+        // GPUs 2..=8: two on node 0, four on node 1, one on node 2.
+        let g = CommGroup::contiguous(2, 7);
+        assert!(g.crosses_nodes(&c));
+        assert_eq!(g.max_members_per_node(&c), 4);
+        // Strided: 1, 4, 7, 10 sit on nodes 0, 1, 1, 2.
+        let s = CommGroup::strided(1, 4, 3);
+        assert!(s.crosses_nodes(&c));
+        assert_eq!(s.max_members_per_node(&c), 2);
+        assert!(!CommGroup::strided(4, 2, 2).crosses_nodes(&c));
     }
 
     #[test]

@@ -217,6 +217,37 @@ impl ProfileDb {
         t
     }
 
+    /// [`Self::op_fwd_time_sig`] over many `(sig, op, tp, dim_index,
+    /// per_dev_batch)` keys under one read guard. Keys the guard misses are
+    /// then measured and memoised through `op_fwd_time_sig` itself, in key
+    /// order, so each value is the one that call returns.
+    pub fn op_fwd_times_sig(&self, keys: &[(u64, &Operator, u32, usize, u64)]) -> Vec<f64> {
+        let mut missed = Vec::new();
+        let mut out: Vec<f64> = {
+            let entries = self.entries.read().expect("profile lock");
+            keys.iter()
+                .enumerate()
+                .map(|(i, &(sig, _, tp, dim, batch))| {
+                    let key = Key {
+                        sig,
+                        tp,
+                        dim: dim as u8,
+                        batch: batch.max(1),
+                    };
+                    entries.get(&key).copied().unwrap_or_else(|| {
+                        missed.push(i);
+                        f64::NAN
+                    })
+                })
+                .collect()
+        };
+        for i in missed {
+            let (sig, op, tp, dim, batch) = keys[i];
+            out[i] = self.op_fwd_time_sig(sig, op, tp, dim, batch);
+        }
+        out
+    }
+
     /// Working-set bytes of one execution (no jitter; memory is exact).
     pub fn op_working_set(
         &self,
@@ -412,6 +443,25 @@ mod tests {
         };
         let miss = db2.op_fwd_time(op, 2, 0, 4);
         assert_eq!(hit, miss);
+    }
+
+    #[test]
+    fn batched_lookup_matches_single_lookups_and_memoises_misses() {
+        let (m, c) = setup();
+        let db = ProfileDb::build(&m, &c);
+        let op = &m.ops[1];
+        let sig = ProfileDb::op_signature(op);
+        // Batch 3 is off the prefilled power-of-two grid: a miss.
+        let keys = [(sig, op, 2, 0, 4), (sig, op, 1, 0, 3), (sig, op, 1, 0, 0)];
+        let before = db.len();
+        let got = db.op_fwd_times_sig(&keys);
+        assert_eq!(db.len(), before + 1, "the miss is memoised");
+        for (&(sig, op, tp, dim, b), t) in keys.iter().zip(&got) {
+            assert_eq!(
+                t.to_bits(),
+                db.op_fwd_time_sig(sig, op, tp, dim, b).to_bits()
+            );
+        }
     }
 
     #[test]

@@ -342,6 +342,15 @@ pub type PipelineOutcomes = Vec<(String, Result<Response, ClientError>)>;
 /// server rejection of one request does not disturb the others (the
 /// fault-injection tests rely on exactly that isolation).
 pub fn submit_pipelined(addr: &str, reqs: &[Request]) -> Result<PipelineOutcomes, ClientError> {
+    submit_pipelined_on(TcpStream::connect(addr)?, reqs)
+}
+
+/// [`submit_pipelined`] over an already-connected stream, so a caller
+/// can connect ahead of time and time the requests alone.
+pub fn submit_pipelined_on(
+    mut stream: TcpStream,
+    reqs: &[Request],
+) -> Result<PipelineOutcomes, ClientError> {
     let ids: Vec<String> = reqs
         .iter()
         .map(|r| {
@@ -351,7 +360,6 @@ pub fn submit_pipelined(addr: &str, reqs: &[Request]) -> Result<PipelineOutcomes
         })
         .collect::<Result<_, _>>()?;
     let mut collector = PipelineCollector::new(ids)?;
-    let mut stream = TcpStream::connect(addr)?;
     for req in reqs {
         write_frame(&mut stream, &req.to_json_value())?;
     }

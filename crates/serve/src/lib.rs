@@ -43,7 +43,7 @@ pub mod wire;
 
 pub use cache::{cluster_fingerprint, model_fingerprint, ProfileCache};
 pub use client::{
-    server_stats, shutdown, submit, submit_pipelined, submit_with_retries,
+    server_stats, shutdown, submit, submit_pipelined, submit_pipelined_on, submit_with_retries,
     submit_with_retries_deadline, ClientError, PipelineCollector, Response,
 };
 pub use fault::{FaultMode, FaultProxy};
