@@ -15,9 +15,10 @@
 //!   heap pop order is arrangement-independent because every entry's
 //!   `(score, tie)` pair is unique;
 //! * the per-thread RNG is snapshotted by internal state, not by seed;
-//! * the [`CachedEvaluator`](aceso_perf::CachedEvaluator) stage memo is
-//!   exported and re-imported so the incremental-vs-full evaluation
-//!   counter split does not diverge on resume.
+//! * the [`CachedEvaluator`](aceso_perf::CachedEvaluator) stage memo's
+//!   keys are exported and re-imported so the incremental-vs-full
+//!   evaluation counter split does not diverge on resume (the estimates
+//!   are not: each is recomputed bit for bit from its key on first use).
 //!
 //! A checkpoint is bound to its search by three fingerprints (model,
 //! cluster, options) plus the metrics flag; resuming against anything
@@ -25,16 +26,18 @@
 //! fresh search, they never resume across incompatible inputs.
 
 use crate::primitives::{Primitive, Resource};
-use crate::search::{ScoredConfig, SearchOptions};
+use crate::search::{AcesoSearch, ScoredConfig, SearchOptions};
 use crate::trace::{AcceptedConfig, ConvergencePoint, IterationRecord, SearchTrace};
 use aceso_cluster::ClusterSpec;
 use aceso_config::{OpParallel, ParallelConfig, StageConfig};
 use aceso_model::ModelGraph;
 use aceso_obs::{Event, Metrics};
-use aceso_perf::MemoEntry;
+use aceso_perf::StageKey;
 use aceso_profile::ProfileDb;
+use aceso_util::fsio::{self, Fs};
 use aceso_util::json::{obj, JsonError, ToJson, Value};
 use aceso_util::FnvHasher;
+use std::path::Path;
 
 /// Version of the checkpoint wire format. Bumped on any change to the
 /// JSON shape; a daemon that finds a checkpoint with an unknown version
@@ -44,7 +47,7 @@ use aceso_util::FnvHasher;
 /// [`CheckpointError::UnknownSchemaVersion`] and the daemon runs a fresh
 /// search. docs/SEARCH.md ("Checkpoints") records what each version
 /// changed.
-pub const CHECKPOINT_SCHEMA_VERSION: u64 = 6;
+pub const CHECKPOINT_SCHEMA_VERSION: u64 = 7;
 
 /// Stable fingerprint of a model's profile-relevant content: the
 /// sequence of operator signatures (order-sensitively hashed — op order
@@ -130,6 +133,8 @@ pub fn intern_obs_str(s: &str) -> Option<&'static str> {
 /// Why a checkpoint could not be loaded or resumed.
 #[derive(Debug)]
 pub enum CheckpointError {
+    /// The checkpoint file could not be read ([`read_checkpoint`]).
+    Io(std::io::Error),
     /// Malformed JSON, or JSON of the wrong shape (including truncation).
     Json(JsonError),
     /// The checkpoint was written by an unknown (likely newer) format.
@@ -142,6 +147,7 @@ pub enum CheckpointError {
 impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            CheckpointError::Io(e) => write!(f, "unreadable checkpoint: {e}"),
             CheckpointError::Json(e) => write!(f, "malformed checkpoint: {e}"),
             CheckpointError::UnknownSchemaVersion(v) => {
                 write!(
@@ -166,6 +172,36 @@ impl From<JsonError> for CheckpointError {
     fn from(e: JsonError) -> Self {
         CheckpointError::Json(e)
     }
+}
+
+/// Reads the checkpoint file at `path` through `fs`, decodes it, and
+/// checks that it belongs to `search` run with `metrics`
+/// ([`AcesoSearch::checkpoint_compatible`]). A missing or unreadable file
+/// is [`CheckpointError::Io`]; callers degrade every error to a fresh
+/// search.
+pub fn read_checkpoint(
+    fs: &dyn Fs,
+    path: &Path,
+    search: &AcesoSearch<'_>,
+    metrics: bool,
+) -> Result<SearchCheckpoint, CheckpointError> {
+    let bytes = fs.read(path).map_err(CheckpointError::Io)?;
+    let ckpt = SearchCheckpoint::from_json_str(&String::from_utf8_lossy(&bytes))?;
+    search.checkpoint_compatible(&ckpt, metrics)?;
+    Ok(ckpt)
+}
+
+/// Atomically replaces the file at `path` with `ckpt`: creates the parent
+/// directory, writes the sibling `{path}.tmp`, then renames it over
+/// `path`, so a kill mid-write leaves the previous complete checkpoint or
+/// the new one, never a torn file.
+pub fn write_checkpoint(fs: &dyn Fs, path: &Path, ckpt: &SearchCheckpoint) -> std::io::Result<()> {
+    if let Some(parent) = path.parent() {
+        fs.create_dir_all(parent)?;
+    }
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    fsio::write_atomic(fs, path, Path::new(&tmp), ckpt.to_json_string().as_bytes())
 }
 
 /// A configuration plus its exact score bits — the serialised form of
@@ -240,10 +276,10 @@ pub struct StageProgress {
     pub tie_counter: u64,
     /// Internal RNG state (not the seed — the stream must continue).
     pub rng_state: u64,
-    /// The cached evaluator's stage memo, exported in canonical key
-    /// order. Re-imported on resume so the incremental-hit/full-eval
-    /// counter split matches an uninterrupted run.
-    pub memo: Vec<MemoEntry>,
+    /// The cached evaluator's stage-memo keys, in canonical order.
+    /// Re-imported on resume so the incremental-hit/full-eval counter
+    /// split matches an uninterrupted run.
+    pub memo: Vec<StageKey>,
 }
 
 /// Checkpoint of one stage-count sub-search: its recorded events and
@@ -588,64 +624,35 @@ fn trace_from_json(v: &Value) -> Result<SearchTrace, JsonError> {
     })
 }
 
-/// Memo entries are the second-largest checkpoint component (a mature
-/// stage memo holds ~10k entries), so they serialise as one flat
-/// 17-element array — `[content, microbatch, dev_start, prev_last_dp,
-/// has_next, <6 time fields as f64 bits>, <5 memory fields>,
-/// in_flight]` — instead of nested field-named objects.
-fn memo_entry_to_json(e: &MemoEntry) -> Value {
-    let est = &e.estimate;
+/// A memo entry is its key alone, one flat 5-element array
+/// `[content, microbatch, dev_start, prev_last_dp, has_next]`: the
+/// estimate is recomputed from the key on first use after a resume.
+fn memo_key_to_json(k: &StageKey) -> Value {
     Value::Array(vec![
-        Value::UInt(e.content),
-        Value::UInt(e.microbatch as u64),
-        Value::UInt(e.dev_start as u64),
-        Value::UInt(u64::from(e.prev_last_dp)),
-        Value::UInt(u64::from(e.has_next)),
-        Value::UInt(est.comp_fwd.to_bits()),
-        Value::UInt(est.comp_bwd.to_bits()),
-        Value::UInt(est.comm_fwd.to_bits()),
-        Value::UInt(est.comm_bwd.to_bits()),
-        Value::UInt(est.dp_sync.to_bits()),
-        Value::UInt(est.stage_time.to_bits()),
-        Value::UInt(est.mem_params),
-        Value::UInt(est.mem_opt),
-        Value::UInt(est.mem_act_per_mb),
-        Value::UInt(est.mem_reserved),
-        Value::UInt(est.mem_total),
-        Value::UInt(est.in_flight as u64),
+        Value::UInt(k.content),
+        Value::UInt(k.microbatch as u64),
+        Value::UInt(k.dev_start as u64),
+        Value::UInt(u64::from(k.prev_last_dp)),
+        Value::UInt(u64::from(k.has_next)),
     ])
 }
 
-fn memo_entry_from_json(v: &Value) -> Result<MemoEntry, JsonError> {
+fn memo_key_from_json(v: &Value) -> Result<StageKey, JsonError> {
     let a = v.as_array()?;
-    if a.len() != 17 {
-        return Err(JsonError::shape("memo entry must be a 17-element array"));
+    if a.len() != 5 {
+        return Err(JsonError::shape("memo entry must be a 5-element array"));
     }
     let has_next = match a[4].as_u64()? {
         0 => false,
         1 => true,
         _ => return Err(JsonError::shape("memo has_next flag out of range")),
     };
-    Ok(MemoEntry {
+    Ok(StageKey {
         content: a[0].as_u64()?,
         microbatch: a[1].as_usize()?,
         dev_start: a[2].as_usize()?,
         prev_last_dp: a[3].as_u32()?,
         has_next,
-        estimate: aceso_perf::StageEstimate {
-            comp_fwd: f64::from_bits(a[5].as_u64()?),
-            comp_bwd: f64::from_bits(a[6].as_u64()?),
-            comm_fwd: f64::from_bits(a[7].as_u64()?),
-            comm_bwd: f64::from_bits(a[8].as_u64()?),
-            dp_sync: f64::from_bits(a[9].as_u64()?),
-            stage_time: f64::from_bits(a[10].as_u64()?),
-            mem_params: a[11].as_u64()?,
-            mem_opt: a[12].as_u64()?,
-            mem_act_per_mb: a[13].as_u64()?,
-            mem_reserved: a[14].as_u64()?,
-            mem_total: a[15].as_u64()?,
-            in_flight: a[16].as_usize()?,
-        },
     })
 }
 
@@ -680,7 +687,7 @@ fn progress_to_json(p: &StageProgress) -> Value {
         ("rng_state", Value::UInt(p.rng_state)),
         (
             "memo",
-            Value::Array(p.memo.iter().map(memo_entry_to_json).collect()),
+            Value::Array(p.memo.iter().map(memo_key_to_json).collect()),
         ),
     ])
 }
@@ -706,7 +713,7 @@ fn progress_from_json(v: &Value) -> Result<StageProgress, JsonError> {
     }
     let mut memo = Vec::new();
     for e in v.field("memo")?.as_array()? {
-        memo.push(memo_entry_from_json(e)?);
+        memo.push(memo_key_from_json(e)?);
     }
     Ok(StageProgress {
         next_iter: v.field("next_iter")?.as_usize()?,
@@ -875,12 +882,14 @@ mod tests {
 
     #[test]
     fn unknown_schema_version_is_detected_before_shape_errors() {
-        // A document with a future version and an otherwise-garbage body
-        // must fail on the version, not the body.
-        let text = r#"{"schema_version":99,"nonsense":true}"#;
-        match SearchCheckpoint::from_json_str(text) {
-            Err(CheckpointError::UnknownSchemaVersion(99)) => {}
-            other => panic!("expected UnknownSchemaVersion, got {other:?}"),
+        // A document with the previous or a future version and an
+        // otherwise-garbage body must fail on the version, not the body.
+        for version in [CHECKPOINT_SCHEMA_VERSION - 1, CHECKPOINT_SCHEMA_VERSION + 1] {
+            let text = format!(r#"{{"schema_version":{version},"nonsense":true}}"#);
+            match SearchCheckpoint::from_json_str(&text) {
+                Err(CheckpointError::UnknownSchemaVersion(v)) => assert_eq!(v, version),
+                other => panic!("expected UnknownSchemaVersion({version}), got {other:?}"),
+            }
         }
     }
 

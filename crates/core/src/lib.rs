@@ -24,8 +24,9 @@ pub mod transform;
 
 pub use bottleneck::{ranked_bottlenecks, Bottleneck};
 pub use checkpoint::{
-    cluster_fingerprint, intern_obs_str, model_fingerprint, options_fingerprint, CheckpointError,
-    SearchCheckpoint, StageCheckpoint, CHECKPOINT_SCHEMA_VERSION,
+    cluster_fingerprint, intern_obs_str, model_fingerprint, options_fingerprint, read_checkpoint,
+    write_checkpoint, CheckpointError, SearchCheckpoint, StageCheckpoint,
+    CHECKPOINT_SCHEMA_VERSION,
 };
 pub use primitives::{Candidate, Primitive, Resource, Trend};
 pub use search::{

@@ -616,7 +616,7 @@ impl<'a> StageSearch<'a> {
             ),
             Some(pr) => {
                 let ev = CachedEvaluator::with_recorder(pm.clone(), rec);
-                ev.import_memo(pr.memo.clone());
+                ev.import_memo(&pr.memo);
                 let open = OpenStage {
                     next_iter: pr.next_iter,
                     current: pr.current.clone(),

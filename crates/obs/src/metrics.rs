@@ -542,33 +542,23 @@ impl Metrics {
                 .ok_or_else(|| JsonError::shape(format!("unknown primitive `{name}`")))?;
             m.add_primitive(interned, value.as_u64()?);
         }
-        // `audit_findings` joined the snapshot in schema v5; a missing
-        // field is an older (pre-v5) checkpoint with an empty family,
-        // not a shape error. Search checkpoints never carry findings,
-        // so in practice this object is empty either way.
-        if let Some(findings) = v.get("audit_findings") {
-            let Value::Object(finding_fields) = findings else {
-                return Err(JsonError::shape("`audit_findings` must be an object"));
-            };
-            for (name, value) in finding_fields {
-                let interned = intern(name)
-                    .ok_or_else(|| JsonError::shape(format!("unknown audit rule `{name}`")))?;
-                m.add_audit_finding(interned, value.as_u64()?);
-            }
+        let Value::Object(finding_fields) = v.field("audit_findings")? else {
+            return Err(JsonError::shape("`audit_findings` must be an object"));
+        };
+        for (name, value) in finding_fields {
+            let interned = intern(name)
+                .ok_or_else(|| JsonError::shape(format!("unknown audit rule `{name}`")))?;
+            m.add_audit_finding(interned, value.as_u64()?);
         }
-        // `chaos_faults_injected` joined in schema v9; same pre-version
-        // tolerance as `audit_findings` above.
-        if let Some(faults) = v.get("chaos_faults_injected") {
-            let Value::Object(fault_fields) = faults else {
-                return Err(JsonError::shape(
-                    "`chaos_faults_injected` must be an object",
-                ));
-            };
-            for (name, value) in fault_fields {
-                let interned = intern(name)
-                    .ok_or_else(|| JsonError::shape(format!("unknown fault kind `{name}`")))?;
-                m.add_chaos_fault(interned, value.as_u64()?);
-            }
+        let Value::Object(fault_fields) = v.field("chaos_faults_injected")? else {
+            return Err(JsonError::shape(
+                "`chaos_faults_injected` must be an object",
+            ));
+        };
+        for (name, value) in fault_fields {
+            let interned = intern(name)
+                .ok_or_else(|| JsonError::shape(format!("unknown fault kind `{name}`")))?;
+            m.add_chaos_fault(interned, value.as_u64()?);
         }
         let histograms = v.field("histograms")?;
         for kind in HistKind::ALL {
@@ -712,8 +702,16 @@ mod tests {
         assert_eq!(back, m);
     }
 
+    /// Drops the named family from a checkpoint snapshot.
+    fn without(mut v: Value, family: &str) -> Value {
+        if let Value::Object(fields) = &mut v {
+            fields.retain(|(k, _)| k != family);
+        }
+        v
+    }
+
     #[test]
-    fn audit_findings_round_trip_and_tolerate_pre_v5_checkpoints() {
+    fn audit_findings_round_trip_and_are_required() {
         let mut m = Metrics::default();
         m.add_audit_finding("PLAN-MEM", 2);
         let intern = |s: &str| (s == "PLAN-MEM").then_some("PLAN-MEM");
@@ -721,14 +719,13 @@ mod tests {
             Metrics::from_checkpoint_value(&m.to_checkpoint_value(), &intern).expect("round trip");
         assert_eq!(back.audit_findings()["PLAN-MEM"], 2);
         assert_eq!(back, m);
-        // A pre-v5 checkpoint has no `audit_findings` field at all:
-        // restore must treat it as an empty family, not a shape error.
-        let mut old = Metrics::default().to_checkpoint_value();
-        if let Value::Object(fields) = &mut old {
-            fields.retain(|(k, _)| k != "audit_findings");
-        }
-        let restored = Metrics::from_checkpoint_value(&old, &|_| None).expect("pre-v5 restores");
-        assert!(restored.audit_findings().is_empty());
+        // Every checkpoint of the current schema carries the family, so
+        // a snapshot without it is a shape error.
+        let old = without(Metrics::default().to_checkpoint_value(), "audit_findings");
+        assert_eq!(
+            Metrics::from_checkpoint_value(&old, &|_| None),
+            Err(JsonError::shape("missing field `audit_findings`"))
+        );
         // Unknown rule names still fail strictly.
         let mut bad = m.to_checkpoint_value();
         if let Value::Object(fields) = &mut bad {
@@ -744,7 +741,7 @@ mod tests {
     }
 
     #[test]
-    fn chaos_faults_round_trip_and_tolerate_pre_v9_checkpoints() {
+    fn chaos_faults_round_trip_and_are_required() {
         let mut m = Metrics::default();
         m.add_chaos_fault("short_write", 3);
         let intern = |s: &str| (s == "short_write").then_some("short_write");
@@ -752,13 +749,14 @@ mod tests {
             Metrics::from_checkpoint_value(&m.to_checkpoint_value(), &intern).expect("round trip");
         assert_eq!(back.chaos_faults()["short_write"], 3);
         assert_eq!(back, m);
-        // A pre-v9 checkpoint has no `chaos_faults_injected` field.
-        let mut old = Metrics::default().to_checkpoint_value();
-        if let Value::Object(fields) = &mut old {
-            fields.retain(|(k, _)| k != "chaos_faults_injected");
-        }
-        let restored = Metrics::from_checkpoint_value(&old, &|_| None).expect("pre-v9 restores");
-        assert!(restored.chaos_faults().is_empty());
+        let old = without(
+            Metrics::default().to_checkpoint_value(),
+            "chaos_faults_injected",
+        );
+        assert_eq!(
+            Metrics::from_checkpoint_value(&old, &|_| None),
+            Err(JsonError::shape("missing field `chaos_faults_injected`"))
+        );
     }
 
     #[test]

@@ -70,27 +70,12 @@ impl Evaluator for PerfModel<'_> {
 }
 
 /// Memoization key of one stage's breakdown-plus-boundaries (see the
-/// module docs for why exactly these fields).
+/// module docs for why exactly these fields). Checkpoints export the
+/// memo as these keys alone: an estimate is a pure function of its key
+/// and the model, so an importing evaluator recomputes it bit for bit on
+/// first use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-struct StageKey {
-    /// The stage's cached content hash (`Stage::content_hash`).
-    content: u64,
-    /// Global microbatch size.
-    microbatch: usize,
-    /// First global device id of the stage.
-    dev_start: usize,
-    /// Trailing op's `dp` of the predecessor stage; `0` = first stage.
-    prev_last_dp: u32,
-    /// Whether a successor stage exists.
-    has_next: bool,
-}
-
-/// One exported memo-table entry: the internal stage-key fields
-/// (flattened, so callers never depend on the private key type) plus the
-/// estimate. Field meanings match the cache-key description in the
-/// module docs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MemoEntry {
+pub struct StageKey {
     /// The stage's content hash (`Stage::content_hash`): FNV over op
     /// range, device count and run-length-encoded op settings.
     pub content: u64,
@@ -102,8 +87,6 @@ pub struct MemoEntry {
     pub prev_last_dp: u32,
     /// Whether a successor stage exists.
     pub has_next: bool,
-    /// The memoized per-stage estimate.
-    pub estimate: StageEstimate,
 }
 
 fn stage_key(config: &ParallelConfig, i: usize, dev_start: usize) -> StageKey {
@@ -126,9 +109,13 @@ fn stage_key(config: &ParallelConfig, i: usize, dev_start: usize) -> StageKey {
 /// Single-threaded by design (interior mutability via `RefCell`) but
 /// `Send`: each stage-count search owns one for the whole search, over
 /// a clone of the search's one model (INV-MEMO in docs/SEARCH.md).
+///
+/// A key maps to `None` when it was imported ([`Self::import_memo`]) and
+/// not used since: the key is known, so its first use counts as a memo
+/// hit, but its estimate is computed then.
 pub struct CachedEvaluator<'a> {
     pm: PerfModel<'a>,
-    memo: RefCell<HashMap<StageKey, StageEstimate>>,
+    memo: RefCell<HashMap<StageKey, Option<StageEstimate>>>,
     rec: Recorder,
 }
 
@@ -177,77 +164,51 @@ impl<'a> CachedEvaluator<'a> {
         self.memo.borrow_mut().clear();
     }
 
-    /// The memo table as [`MemoEntry`] values in a deterministic
-    /// (key-sorted) order, for checkpointing. [`Self::import_memo`]
-    /// rebuilds the table exactly, so a resumed search sees the same
-    /// hit/miss sequence — and therefore the same counter splits — as an
-    /// uninterrupted one.
-    pub fn export_memo(&self) -> Vec<MemoEntry> {
-        let mut entries: Vec<(StageKey, StageEstimate)> = self
-            .memo
-            .borrow()
-            .iter()
-            .map(|(k, v)| (*k, v.clone()))
-            .collect();
-        entries.sort_by_key(|(k, _)| *k);
-        entries
-            .into_iter()
-            .map(|(k, estimate)| MemoEntry {
-                content: k.content,
-                microbatch: k.microbatch,
-                dev_start: k.dev_start,
-                prev_last_dp: k.prev_last_dp,
-                has_next: k.has_next,
-                estimate,
-            })
-            .collect()
+    /// The memo table's keys in sorted (deterministic) order, for
+    /// checkpointing. [`Self::import_memo`] rebuilds the same key set, so
+    /// a resumed search sees the same hit/miss sequence — and therefore
+    /// the same counter splits — as an uninterrupted one.
+    pub fn export_memo(&self) -> Vec<StageKey> {
+        let mut keys: Vec<StageKey> = self.memo.borrow().keys().copied().collect();
+        keys.sort_unstable();
+        keys
     }
 
-    /// Replaces the memo table with previously exported entries.
-    pub fn import_memo(&self, entries: Vec<MemoEntry>) {
-        *self.memo.borrow_mut() = entries
-            .into_iter()
-            .map(|e| {
-                let key = StageKey {
-                    content: e.content,
-                    microbatch: e.microbatch,
-                    dev_start: e.dev_start,
-                    prev_last_dp: e.prev_last_dp,
-                    has_next: e.has_next,
-                };
-                (key, e.estimate)
-            })
-            .collect();
+    /// Replaces the memo table with previously exported keys, each known
+    /// but without its estimate until first used.
+    pub fn import_memo(&self, keys: &[StageKey]) {
+        *self.memo.borrow_mut() = keys.iter().map(|&k| (k, None)).collect();
     }
 
     /// The evaluation body; returns the estimate and whether at least one
-    /// stage was served from the memo table.
+    /// stage's key was in the memo table.
     fn evaluate_cached(&self, config: &ParallelConfig) -> (ConfigEstimate, bool) {
         let p = config.num_stages();
         let mut stages: Vec<StageEstimate> = Vec::with_capacity(p);
-        let mut hits = 0usize;
+        let mut hit = false;
         let mut dev_start = 0usize;
         for i in 0..p {
             let key = stage_key(config, i, dev_start);
             let cached = self.memo.borrow().get(&key).cloned();
-            match cached {
-                Some(e) => {
-                    hits += 1;
-                    stages.push(e);
-                }
-                None => {
+            // A known key without its estimate (imported) is a hit whose
+            // estimate is computed now.
+            hit |= cached.is_some();
+            let e = match cached {
+                Some(Some(e)) => e,
+                known => {
                     let e = self.pm.stage_with_boundaries(config, i);
                     let mut memo = self.memo.borrow_mut();
-                    if memo.len() >= MEMO_CAP {
+                    if known.is_none() && memo.len() >= MEMO_CAP {
                         memo.clear();
                     }
-                    memo.insert(key, e.clone());
-                    stages.push(e);
+                    memo.insert(key, Some(e.clone()));
+                    e
                 }
-            }
+            };
+            stages.push(e);
             dev_start += config.stages()[i].gpus;
         }
-        (self.pm.assemble(config, stages), hits > 0)
+        (self.pm.assemble(config, stages), hit)
     }
 }
 
@@ -399,21 +360,39 @@ mod tests {
     fn memo_export_import_round_trips() {
         let (m, c) = setup();
         let db = ProfileDb::build(&m, &c);
-        let ev = CachedEvaluator::new(PerfModel::new(&m, &c, &db));
-        ev.evaluate_unchecked(&balanced_init(&m, &c, 2).expect("init"));
-        ev.evaluate_unchecked(&balanced_init(&m, &c, 4).expect("init"));
-        let exported = ev.export_memo();
-        assert_eq!(exported.len(), ev.memo_len());
+        let configs = [2, 4].map(|p| balanced_init(&m, &c, p).expect("init"));
+        let counted =
+            || CachedEvaluator::with_recorder(PerfModel::new(&m, &c, &db), Recorder::new(true));
+        let source = counted();
+        for cfg in &configs {
+            source.evaluate_unchecked(cfg);
+        }
+        let exported = source.export_memo();
+        assert_eq!(exported.len(), source.memo_len());
         // Deterministic order: exporting twice yields identical sequences.
-        assert_eq!(exported, ev.export_memo());
-        let other = CachedEvaluator::new(PerfModel::new(&m, &c, &db));
-        other.import_memo(exported.clone());
+        assert_eq!(exported, source.export_memo());
+        let other = counted();
+        other.import_memo(&exported);
         assert_eq!(other.memo_len(), exported.len());
         assert_eq!(other.export_memo(), exported);
-        // Imported entries actually serve lookups: re-evaluating a seen
-        // configuration adds no new entries.
-        other.evaluate_unchecked(&balanced_init(&m, &c, 2).expect("init"));
+        // Imported keys serve lookups: re-evaluating seen configurations
+        // recomputes their estimates bit for bit, adds no entries, and
+        // counts the hit/full split the source evaluator counts.
+        let split = |ev: &CachedEvaluator<'_>| {
+            let m = ev.recorder().parts().1;
+            [Counter::PerfIncrementalHits, Counter::PerfFullEvals].map(|k| m.counter(k))
+        };
+        let before = split(&source);
+        for cfg in &configs {
+            assert_bit_identical(
+                &source.evaluate_unchecked(cfg),
+                &other.evaluate_unchecked(cfg),
+            );
+        }
         assert_eq!(other.memo_len(), exported.len());
+        let after = split(&source);
+        assert_eq!(split(&other), [after[0] - before[0], after[1] - before[1]]);
+        assert_eq!(split(&other), [2, 0]);
     }
 
     /// One model is shared by every stage-count thread of a search, and

@@ -10,13 +10,14 @@
 //! construction by the same function.
 //!
 //! **Bit-identity.** A record holds exactly the values the database and
-//! collective queries return for its key: the forward latency is copied
-//! out of the database (itself a memo over a pure measurement function),
-//! and the other terms are the same calls made on the same arguments. The
-//! per-rank collectives run over `contiguous(0, tp)`. While a tp group
-//! stays inside one node its time depends only on the payload and `tp`,
-//! so a slot serves every stage whose tp group does (a tp wider than a
-//! node always crosses, and always falls back). The model folds the records
+//! collective queries return for its key: the forward latency is the
+//! database's value for the key (a pure function of it, profiled or
+//! measured on demand), and the other terms are the same calls made on
+//! the same arguments. The per-rank collectives run over
+//! `contiguous(0, tp)`. While a tp group stays inside one node its time
+//! depends only on the payload and `tp`, so a slot serves every stage
+//! whose tp group does (a tp wider than a node always crosses, and always
+//! falls back). The model folds the records
 //! in op order with the additions it always made, so every f64 of an
 //! estimate is the same value summed in the same order. Keys outside the
 //! grid (non power-of-two degrees or batches, operator-dependent
@@ -71,20 +72,20 @@ fn elems_per_rank(elems: u64, layout: Layout, scaling: Scaling, tp: u32) -> u64 
 }
 
 /// The cost function: `op`'s record at `(tp, dim, per_dev_batch)`, with
-/// its tp all-reduces over `tp_group` and `fwd` its profiled forward
-/// latency at the key (looked up by the caller, so a grid build reads all
-/// of them under one database guard).
+/// its profiled forward latency looked up under signature `sig` and its
+/// tp all-reduces over `tp_group`.
 #[allow(clippy::too_many_arguments)]
 fn op_cost(
     db: &ProfileDb,
     op: &Operator,
+    sig: u64,
     act_bytes: u64,
     tp: u32,
     dim: usize,
     per_dev_batch: u64,
     tp_group: &CommGroup,
-    fwd: f64,
 ) -> OpCost {
+    let fwd = db.op_fwd_time_sig(sig, op, tp, dim, per_dev_batch);
     let spec = op.partition(dim);
     let (tp_fwd, tp_bwd) = if tp > 1 {
         let fwd_bytes = spec.fwd_comm_elems * per_dev_batch * act_bytes;
@@ -133,8 +134,8 @@ pub struct CostGrid {
 }
 
 impl CostGrid {
-    /// Builds the grid for `model` on `cluster`, reading every in-range
-    /// forward latency out of `db` under one guard.
+    /// Builds the grid for `model` on `cluster`, filling every in-range
+    /// slot from `db` in one pass.
     pub fn build(model: &ModelGraph, cluster: &ClusterSpec, db: &ProfileDb) -> Self {
         let max_tp = (cluster.total_gpus().max(1)) as u32;
         let max_batch = (model.global_batch.max(1)) as u64;
@@ -171,36 +172,25 @@ impl CostGrid {
             row_of.push(row);
         }
 
-        // Slot keys in table order; `None` marks an out-of-range slot.
-        let mut keys = Vec::new();
+        // Bit-identity (module docs): each slot is `op_cost` on the
+        // arguments the fold would pass for an in-node tp group.
+        let mut slots = Vec::with_capacity(reps.len() * dims * tp_levels * batch_levels);
         for &g in &reps {
             let op = &model.ops[g];
             for dim in 0..dims {
                 for tpl in 0..tp_levels {
                     let tp = 1u32 << tpl;
+                    let group = CommGroup::contiguous(0, tp as usize);
                     for bl in 0..batch_levels {
-                        let in_range = dim < op.partitions.len() && tp <= op.tp_limit;
-                        keys.push(in_range.then_some((sig_of[g], op, tp, dim, 1u64 << bl)));
+                        slots.push(if dim < op.partitions.len() && tp <= op.tp_limit {
+                            op_cost(db, op, sig_of[g], act_bytes, tp, dim, 1 << bl, &group)
+                        } else {
+                            OpCost::MISSING
+                        });
                     }
                 }
             }
         }
-        let reads: Vec<_> = keys.iter().flatten().copied().collect();
-        let mut fwd = db.op_fwd_times_sig(&reads).into_iter();
-        // Bit-identity (module docs): each slot is `op_cost` on the
-        // arguments the fold would pass for an in-node tp group, with the
-        // latency `op_fwd_time_sig` returns for the key.
-        let slots = keys
-            .iter()
-            .map(|key| match *key {
-                Some((_, op, tp, dim, batch)) => {
-                    let fwd = fwd.next().expect("one latency per in-range slot");
-                    let group = CommGroup::contiguous(0, tp as usize);
-                    op_cost(db, op, act_bytes, tp, dim, batch, &group, fwd)
-                }
-                None => OpCost::MISSING,
-            })
-            .collect();
         Self {
             row_of,
             sig_of,
@@ -246,16 +236,15 @@ impl CostGrid {
         per_dev_batch: u64,
         tp_group: &CommGroup,
     ) -> OpCost {
-        let fwd = db.op_fwd_time_sig(self.sig_of[g], op, tp, dim, per_dev_batch);
         op_cost(
             db,
             op,
+            self.sig_of[g],
             self.act_bytes,
             tp,
             dim,
             per_dev_batch,
             tp_group,
-            fwd,
         )
     }
 

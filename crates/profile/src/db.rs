@@ -8,9 +8,15 @@
 //! the averaged results. The database can be serialised and reused across
 //! searches over models that share operators (§3.3).
 //!
-//! Lookups for keys outside the prefilled grid fall back to measuring on
-//! demand with the same deterministic perturbation, so a hit and a miss
-//! return identical values — the database is semantically a memo table.
+//! The database is a read-only value once built. A lookup outside the
+//! prefilled grid measures on demand with the same deterministic
+//! perturbation and stores nothing, so a hit and a miss return identical
+//! values and a shared database needs no lock.
+//!
+//! Its one serialised form ([`ToJson`]/[`FromJson`]) is bit-exact: entries
+//! in canonical key order, each distinct operator signature once with a
+//! run count, and every `f64` as its raw bit pattern. The on-disk profile
+//! store wraps this object in its own envelope.
 
 use crate::device_model;
 use aceso_cluster::{collective, ClusterSpec, Collective, CommGroup};
@@ -19,7 +25,6 @@ use aceso_util::hash::keyed_jitter;
 use aceso_util::json::{obj, FromJson, JsonError, ToJson, Value};
 use aceso_util::FnvHasher;
 use std::collections::HashMap;
-use std::sync::RwLock;
 
 /// Relative spread of the simulated per-kernel measurement perturbation.
 const KERNEL_JITTER: f64 = 0.02;
@@ -37,60 +42,6 @@ struct Key {
     batch: u64,
 }
 
-/// Serialisable snapshot of a [`ProfileDb`].
-#[derive(Debug)]
-struct Snapshot {
-    cluster: ClusterSpec,
-    precision: Precision,
-    profiling_seconds: f64,
-    entries: Vec<(Key, f64)>,
-}
-
-impl ToJson for Snapshot {
-    fn to_json_value(&self) -> Value {
-        let entries = self
-            .entries
-            .iter()
-            .map(|(k, t)| {
-                obj([
-                    ("sig", Value::UInt(k.sig)),
-                    ("tp", Value::UInt(u64::from(k.tp))),
-                    ("dim", Value::UInt(u64::from(k.dim))),
-                    ("batch", Value::UInt(k.batch)),
-                    ("time", Value::Float(*t)),
-                ])
-            })
-            .collect();
-        obj([
-            ("cluster", self.cluster.to_json_value()),
-            ("precision", self.precision.to_json_value()),
-            ("profiling_seconds", Value::Float(self.profiling_seconds)),
-            ("entries", Value::Array(entries)),
-        ])
-    }
-}
-
-impl FromJson for Snapshot {
-    fn from_json_value(v: &Value) -> Result<Self, JsonError> {
-        let mut entries = Vec::new();
-        for e in v.field("entries")?.as_array()? {
-            let key = Key {
-                sig: e.field("sig")?.as_u64()?,
-                tp: e.field("tp")?.as_u32()?,
-                dim: e.field("dim")?.as_u8()?,
-                batch: e.field("batch")?.as_u64()?,
-            };
-            entries.push((key, e.field("time")?.as_f64()?));
-        }
-        Ok(Self {
-            cluster: ClusterSpec::from_json_value(v.field("cluster")?)?,
-            precision: Precision::from_json_value(v.field("precision")?)?,
-            profiling_seconds: v.field("profiling_seconds")?.as_f64()?,
-            entries,
-        })
-    }
-}
-
 /// Profiled per-operator latencies plus collective-time queries for one
 /// cluster, reusable across searches.
 #[derive(Debug)]
@@ -99,55 +50,49 @@ pub struct ProfileDb {
     precision: Precision,
     /// Simulated wall-clock cost of the profiling run, seconds.
     profiling_seconds: f64,
-    entries: RwLock<HashMap<Key, f64>>,
+    entries: HashMap<Key, f64>,
 }
 
 impl ProfileDb {
     /// Profiles `model`'s operators on `cluster` and returns the database.
     pub fn build(model: &ModelGraph, cluster: &ClusterSpec) -> Self {
-        let db = Self {
-            cluster: cluster.clone(),
-            precision: model.precision,
-            profiling_seconds: 0.0,
-            entries: RwLock::new(HashMap::new()),
-        };
         let mut profiling = 0.0;
+        let mut entries = HashMap::new();
         let max_tp = cluster
             .total_gpus()
             .min(cluster.gpus_per_node * cluster.nodes) as u32;
         let max_batch = model.global_batch as u64;
         let mut seen = std::collections::HashSet::new();
-        {
-            let mut entries = db.entries.write().expect("profile lock");
-            for op in &model.ops {
-                let sig = Self::op_signature(op);
-                if !seen.insert(sig) {
-                    continue;
-                }
-                for dim in 0..op.partitions.len() {
-                    let mut tp = 1u32;
-                    while tp <= max_tp.min(op.tp_limit) {
-                        let mut batch = 1u64;
-                        while batch <= max_batch {
-                            let key = Key {
-                                sig,
-                                tp,
-                                dim: dim as u8,
-                                batch,
-                            };
-                            let t = Self::measure(&db.cluster, db.precision, op, key);
-                            profiling += t * f64::from(PROFILE_REPS);
-                            entries.insert(key, t);
-                            batch *= 2;
-                        }
-                        tp *= 2;
+        for op in &model.ops {
+            let sig = Self::op_signature(op);
+            if !seen.insert(sig) {
+                continue;
+            }
+            for dim in 0..op.partitions.len() {
+                let mut tp = 1u32;
+                while tp <= max_tp.min(op.tp_limit) {
+                    let mut batch = 1u64;
+                    while batch <= max_batch {
+                        let key = Key {
+                            sig,
+                            tp,
+                            dim: dim as u8,
+                            batch,
+                        };
+                        let t = Self::measure(cluster, model.precision, op, key);
+                        profiling += t * f64::from(PROFILE_REPS);
+                        entries.insert(key, t);
+                        batch *= 2;
                     }
+                    tp *= 2;
                 }
             }
         }
         Self {
+            cluster: cluster.clone(),
+            precision: model.precision,
             profiling_seconds: profiling,
-            ..db
+            entries,
         }
     }
 
@@ -188,7 +133,8 @@ impl ProfileDb {
     }
 
     /// Profiled forward time of `op` at (`tp`, `dim_index`) for
-    /// `per_dev_batch` samples. Caches on miss.
+    /// `per_dev_batch` samples; a key off the profiled grid is measured,
+    /// not stored.
     pub fn op_fwd_time(&self, op: &Operator, tp: u32, dim_index: usize, per_dev_batch: u64) -> f64 {
         self.op_fwd_time_sig(Self::op_signature(op), op, tp, dim_index, per_dev_batch)
     }
@@ -209,43 +155,10 @@ impl ProfileDb {
             dim: dim_index as u8,
             batch: per_dev_batch.max(1),
         };
-        if let Some(&t) = self.entries.read().expect("profile lock").get(&key) {
-            return t;
+        match self.entries.get(&key) {
+            Some(&t) => t,
+            None => Self::measure(&self.cluster, self.precision, op, key),
         }
-        let t = Self::measure(&self.cluster, self.precision, op, key);
-        self.entries.write().expect("profile lock").insert(key, t);
-        t
-    }
-
-    /// [`Self::op_fwd_time_sig`] over many `(sig, op, tp, dim_index,
-    /// per_dev_batch)` keys under one read guard. Keys the guard misses are
-    /// then measured and memoised through `op_fwd_time_sig` itself, in key
-    /// order, so each value is the one that call returns.
-    pub fn op_fwd_times_sig(&self, keys: &[(u64, &Operator, u32, usize, u64)]) -> Vec<f64> {
-        let mut missed = Vec::new();
-        let mut out: Vec<f64> = {
-            let entries = self.entries.read().expect("profile lock");
-            keys.iter()
-                .enumerate()
-                .map(|(i, &(sig, _, tp, dim, batch))| {
-                    let key = Key {
-                        sig,
-                        tp,
-                        dim: dim as u8,
-                        batch: batch.max(1),
-                    };
-                    entries.get(&key).copied().unwrap_or_else(|| {
-                        missed.push(i);
-                        f64::NAN
-                    })
-                })
-                .collect()
-        };
-        for i in missed {
-            let (sig, op, tp, dim, batch) = keys[i];
-            out[i] = self.op_fwd_time_sig(sig, op, tp, dim, batch);
-        }
-        out
     }
 
     /// Working-set bytes of one execution (no jitter; memory is exact).
@@ -303,7 +216,7 @@ impl ProfileDb {
 
     /// Number of profiled grid entries.
     pub fn len(&self) -> usize {
-        self.entries.read().expect("profile lock").len()
+        self.entries.len()
     }
 
     /// Approximate resident size of the database in bytes, used by the
@@ -317,49 +230,18 @@ impl ProfileDb {
 
     /// Whether the database holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.read().expect("profile lock").is_empty()
-    }
-
-    /// Serialises the database to JSON.
-    pub fn to_json(&self) -> String {
-        let snap = Snapshot {
-            cluster: self.cluster.clone(),
-            precision: self.precision,
-            profiling_seconds: self.profiling_seconds,
-            entries: self
-                .entries
-                .read()
-                .expect("profile lock")
-                .iter()
-                .map(|(k, v)| (*k, *v))
-                .collect(),
-        };
-        snap.to_json_value().to_string_compact()
-    }
-
-    /// Restores a database from [`Self::to_json`] output.
-    pub fn from_json(json: &str) -> Result<Self, JsonError> {
-        let snap = Snapshot::from_json_value(&Value::parse(json)?)?;
-        Ok(Self {
-            cluster: snap.cluster,
-            precision: snap.precision,
-            profiling_seconds: snap.profiling_seconds,
-            entries: RwLock::new(snap.entries.into_iter().collect()),
-        })
+        self.entries.is_empty()
     }
 
     /// Canonical dump of every profiled entry as
     /// `(sig, tp, dim, batch, time_bits)` tuples, sorted by key.
     ///
-    /// Times are exported as raw [`f64::to_bits`] patterns so external
-    /// encoders (the on-disk profile store) can round-trip them
-    /// bit-exactly; the sort makes the dump deterministic regardless of
-    /// hash-map iteration order.
+    /// Times are raw [`f64::to_bits`] patterns and the sort makes the
+    /// dump independent of hash-map iteration order, so two databases
+    /// hold the same values exactly when their dumps are equal.
     pub fn canonical_entries(&self) -> Vec<(u64, u32, u8, u64, u64)> {
         let mut out: Vec<(u64, u32, u8, u64, u64)> = self
             .entries
-            .read()
-            .expect("profile lock")
             .iter()
             .map(|(k, t)| (k.sig, k.tp, k.dim, k.batch, t.to_bits()))
             .collect();
@@ -368,13 +250,8 @@ impl ProfileDb {
     }
 
     /// Reassembles a database from [`Self::canonical_entries`] output plus
-    /// the metadata the tuples do not carry.
-    ///
-    /// Times arrive as raw bit patterns ([`f64::from_bits`]), so a decode
-    /// through this constructor returns *exactly* the values the source
-    /// database held — the bit-identity contract the disk store's
-    /// differential suite enforces.
-    pub fn from_raw_parts(
+    /// the metadata the tuples do not carry, bit for bit.
+    fn from_raw_parts(
         cluster: ClusterSpec,
         precision: Precision,
         profiling_seconds: f64,
@@ -384,23 +261,116 @@ impl ProfileDb {
             cluster,
             precision,
             profiling_seconds,
-            entries: RwLock::new(
-                entries
-                    .into_iter()
-                    .map(|(sig, tp, dim, batch, bits)| {
-                        (
-                            Key {
-                                sig,
-                                tp,
-                                dim,
-                                batch,
-                            },
-                            f64::from_bits(bits),
-                        )
-                    })
-                    .collect(),
-            ),
+            entries: entries
+                .into_iter()
+                .map(|(sig, tp, dim, batch, bits)| {
+                    let key = Key {
+                        sig,
+                        tp,
+                        dim,
+                        batch,
+                    };
+                    (key, f64::from_bits(bits))
+                })
+                .collect(),
         }
+    }
+}
+
+/// The bit-exact form: the cluster, the precision, the profiling cost as
+/// bits, then the profiled grid in canonical key order as column arrays.
+/// Each distinct signature is written once with its run count (`sigs`,
+/// `counts`), and times are raw bit patterns (`times_bits`).
+impl ToJson for ProfileDb {
+    fn to_json_value(&self) -> Value {
+        let dump = self.canonical_entries();
+        let mut sigs = Vec::new();
+        let mut counts: Vec<u64> = Vec::new();
+        let mut tps = Vec::with_capacity(dump.len());
+        let mut dims = Vec::with_capacity(dump.len());
+        let mut batches = Vec::with_capacity(dump.len());
+        let mut times_bits = Vec::with_capacity(dump.len());
+        let mut last_sig = None;
+        for (sig, tp, dim, batch, bits) in dump {
+            if last_sig != Some(sig) {
+                sigs.push(Value::UInt(sig));
+                counts.push(0);
+                last_sig = Some(sig);
+            }
+            *counts.last_mut().expect("run exists") += 1;
+            tps.push(Value::UInt(u64::from(tp)));
+            dims.push(Value::UInt(u64::from(dim)));
+            batches.push(Value::UInt(batch));
+            times_bits.push(Value::UInt(bits));
+        }
+        obj([
+            ("cluster", self.cluster.to_json_value()),
+            ("precision", self.precision.to_json_value()),
+            (
+                "profiling_seconds_bits",
+                Value::UInt(self.profiling_seconds.to_bits()),
+            ),
+            ("sigs", Value::Array(sigs)),
+            (
+                "counts",
+                Value::Array(counts.into_iter().map(Value::UInt).collect()),
+            ),
+            ("tps", Value::Array(tps)),
+            ("dims", Value::Array(dims)),
+            ("batches", Value::Array(batches)),
+            ("times_bits", Value::Array(times_bits)),
+        ])
+    }
+}
+
+impl FromJson for ProfileDb {
+    fn from_json_value(v: &Value) -> Result<Self, JsonError> {
+        let u64s = |key: &str| -> Result<Vec<u64>, JsonError> {
+            v.field(key)?
+                .as_array()?
+                .iter()
+                .map(Value::as_u64)
+                .collect()
+        };
+        let cluster = ClusterSpec::from_json_value(v.field("cluster")?)?;
+        let precision = Precision::from_json_value(v.field("precision")?)?;
+        let profiling_seconds = f64::from_bits(v.field("profiling_seconds_bits")?.as_u64()?);
+        let sigs = u64s("sigs")?;
+        let counts = u64s("counts")?;
+        let tps = u64s("tps")?;
+        let dims = u64s("dims")?;
+        let batches = u64s("batches")?;
+        let times_bits = u64s("times_bits")?;
+        if sigs.len() != counts.len() {
+            return Err(JsonError::shape("sigs/counts length mismatch"));
+        }
+        let total: u64 = counts.iter().sum();
+        let total =
+            usize::try_from(total).map_err(|_| JsonError::shape("entry count overflows"))?;
+        if tps.len() != total
+            || dims.len() != total
+            || batches.len() != total
+            || times_bits.len() != total
+        {
+            return Err(JsonError::shape("flat array length mismatch"));
+        }
+        let mut entries = Vec::with_capacity(total);
+        let mut i = 0usize;
+        for (sig, count) in sigs.iter().zip(&counts) {
+            for _ in 0..*count {
+                let tp = u32::try_from(tps[i]).map_err(|_| JsonError::shape("tp out of range"))?;
+                let dim =
+                    u8::try_from(dims[i]).map_err(|_| JsonError::shape("dim out of range"))?;
+                entries.push((*sig, tp, dim, batches[i], times_bits[i]));
+                i += 1;
+            }
+        }
+        Ok(Self::from_raw_parts(
+            cluster,
+            precision,
+            profiling_seconds,
+            entries,
+        ))
     }
 }
 
@@ -439,29 +409,15 @@ mod tests {
             cluster: c.clone(),
             precision: m.precision,
             profiling_seconds: 0.0,
-            entries: RwLock::new(HashMap::new()),
+            entries: HashMap::new(),
         };
         let miss = db2.op_fwd_time(op, 2, 0, 4);
-        assert_eq!(hit, miss);
-    }
-
-    #[test]
-    fn batched_lookup_matches_single_lookups_and_memoises_misses() {
-        let (m, c) = setup();
-        let db = ProfileDb::build(&m, &c);
-        let op = &m.ops[1];
-        let sig = ProfileDb::op_signature(op);
-        // Batch 3 is off the prefilled power-of-two grid: a miss.
-        let keys = [(sig, op, 2, 0, 4), (sig, op, 1, 0, 3), (sig, op, 1, 0, 0)];
+        assert_eq!(hit.to_bits(), miss.to_bits());
+        // A miss is measured, not stored.
         let before = db.len();
-        let got = db.op_fwd_times_sig(&keys);
-        assert_eq!(db.len(), before + 1, "the miss is memoised");
-        for (&(sig, op, tp, dim, b), t) in keys.iter().zip(&got) {
-            assert_eq!(
-                t.to_bits(),
-                db.op_fwd_time_sig(sig, op, tp, dim, b).to_bits()
-            );
-        }
+        assert!(db.op_fwd_time(op, 1, 0, 3) > 0.0, "batch 3 is off the grid");
+        assert_eq!(db2.len(), 0);
+        assert_eq!(db.len(), before);
     }
 
     #[test]
@@ -527,11 +483,19 @@ mod tests {
     fn json_roundtrip_preserves_lookups() {
         let (m, c) = setup();
         let db = ProfileDb::build(&m, &c);
-        let json = db.to_json();
-        let back = ProfileDb::from_json(&json).expect("parses");
+        let json = db.to_json_value().to_string_compact();
+        let back =
+            ProfileDb::from_json_value(&Value::parse(&json).expect("parses")).expect("decodes");
+        assert_eq!(back.canonical_entries(), db.canonical_entries());
         assert_eq!(back.len(), db.len());
         let op = &m.ops[2];
         assert_eq!(back.op_fwd_time(op, 1, 0, 2), db.op_fwd_time(op, 1, 0, 2));
         assert_eq!(back.precision(), db.precision());
+        assert_eq!(
+            back.simulated_profiling_seconds().to_bits(),
+            db.simulated_profiling_seconds().to_bits()
+        );
+        // Deterministic: the decoded database encodes to the same bytes.
+        assert_eq!(back.to_json_value().to_string_compact(), json);
     }
 }

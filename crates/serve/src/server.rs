@@ -19,12 +19,15 @@ use crate::cache::ProfileCache;
 use crate::proto::{error_frame, event_frame, status_frame, Request};
 use crate::wire::{read_frame, write_frame, FrameBatcher, WireError, PROTOCOL_VERSION};
 use aceso_cluster::ClusterSpec;
-use aceso_core::{AcesoSearch, AfterRound, SearchCheckpoint, SearchResult};
+use aceso_core::{
+    read_checkpoint, write_checkpoint, AcesoSearch, AfterRound, CheckpointError, SearchCheckpoint,
+    SearchResult,
+};
 use aceso_model::zoo;
 use aceso_obs::{Counter, Event, Metrics, ObsReport, Recorder};
 use aceso_runtime::ExecutionPlan;
 use aceso_util::fnv1a;
-use aceso_util::fsio::{self, Fs, RealFs};
+use aceso_util::fsio::{Fs, RealFs};
 use aceso_util::json::{obj, FromJson, Value};
 use aceso_util::retention::SweepOutcome;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -813,17 +816,6 @@ pub fn spool_path(dir: &Path, request_id: &str) -> PathBuf {
     ))
 }
 
-/// Atomically replaces the spool file: write to a sibling temp path,
-/// then rename over the target. A crash between the two leaves either
-/// the previous complete checkpoint or the new one, never a torn file.
-fn write_spool(fs: &dyn Fs, path: &Path, ckpt: &SearchCheckpoint) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        fs.create_dir_all(parent)?;
-    }
-    let tmp = path.with_extension("ckpt.tmp");
-    fsio::write_atomic(fs, path, &tmp, ckpt.to_json_string().as_bytes())
-}
-
 /// Loads and validates a spooled checkpoint. Returns `None` — fresh
 /// search — when no spool exists, and *also* when the spool is
 /// unreadable, corrupt, from an unknown schema version, or incompatible
@@ -836,32 +828,22 @@ fn load_spool(
     path: &Path,
     request_id: &str,
 ) -> Option<SearchCheckpoint> {
-    let text = match shared
-        .opts
-        .fs
-        .read(path)
-        .map(|b| String::from_utf8_lossy(&b).into_owned())
-    {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
-        Err(e) => {
-            shared.client_retries.fetch_add(1, Ordering::Relaxed);
-            shared.record_restart(request_id, format!("unreadable spool: {e}"));
-            return None;
-        }
-    };
-    shared.client_retries.fetch_add(1, Ordering::Relaxed);
-    let ckpt = match SearchCheckpoint::from_json_str(&text) {
-        Ok(c) => c,
-        Err(e) => {
-            shared.record_restart(request_id, e.to_string());
-            return None;
-        }
-    };
-    if let Err(e) = search.checkpoint_compatible(&ckpt, true) {
-        shared.record_restart(request_id, e.to_string());
+    let loaded = read_checkpoint(shared.opts.fs.as_ref(), path, search, true);
+    if matches!(&loaded, Err(CheckpointError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound) {
         return None;
     }
+    shared.client_retries.fetch_add(1, Ordering::Relaxed);
+    let ckpt = match loaded {
+        Ok(c) => c,
+        Err(e) => {
+            let reason = match e {
+                CheckpointError::Io(e) => format!("unreadable spool: {e}"),
+                e => e.to_string(),
+            };
+            shared.record_restart(request_id, reason);
+            return None;
+        }
+    };
     shared.searches_resumed.fetch_add(1, Ordering::Relaxed);
     shared
         .server_events
@@ -890,7 +872,7 @@ fn run_spooled(
     let resumed = load_spool(shared, search, path, request_id);
     search
         .run_rounds(true, resumed.as_ref(), every, |ckpt| {
-            if write_spool(shared.opts.fs.as_ref(), path, ckpt).is_ok() {
+            if write_checkpoint(shared.opts.fs.as_ref(), path, ckpt).is_ok() {
                 shared.checkpoints_written.fetch_add(1, Ordering::Relaxed);
                 AfterRound::Next
             } else {

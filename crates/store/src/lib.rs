@@ -15,12 +15,12 @@
 //!
 //! 1. a header: `{"store_schema_version": N, "checksum": C}` where `C`
 //!    is FNV-1a over the raw bytes of line 2 (exclusive of its newline);
-//! 2. the body: one compact JSON object with the cluster spec,
-//!    precision, profiling cost, and the profiled grid encoded with the
-//!    checkpoint subsystem's tricks — entries sorted by key, signatures
-//!    run-length encoded (each distinct operator signature once plus a
-//!    run count), and times as flat arrays of raw `f64` bit patterns so
-//!    decoding is bit-exact.
+//! 2. the body: one compact JSON object, the key's `model_fp` and
+//!    `cluster_fp` followed by the database's own bit-exact fields
+//!    (`ProfileDb`'s `ToJson` form: cluster spec, precision, profiling
+//!    cost, and the profiled grid with run-length-encoded signatures and
+//!    times as raw `f64` bit patterns). The store owns only this
+//!    envelope; the database owns its fields.
 //!
 //! # Contract
 //!
@@ -36,12 +36,10 @@
 //! The full format and degradation contract live in `docs/STORE.md`,
 //! whose anchors are enforced against this crate by `tests/store_doc.rs`.
 
-use aceso_cluster::ClusterSpec;
-use aceso_model::Precision;
 use aceso_profile::ProfileDb;
 use aceso_util::fnv1a;
 use aceso_util::fsio::{self, Fs, RealFs};
-use aceso_util::json::{obj, FromJson, ToJson, Value};
+use aceso_util::json::{obj, FromJson, JsonError, ToJson, Value};
 use aceso_util::retention;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -333,51 +331,19 @@ pub fn parse_entry_name(name: &str) -> Option<(u64, u64)> {
 }
 
 /// Serialises `db` into the two-line store format described in the
-/// crate docs. Deterministic: entries are emitted in canonical key
-/// order and times as raw bit patterns (INV-STORE-BITEXACT).
+/// crate docs: the key's fingerprints, then the database's own bit-exact
+/// fields (INV-STORE-BITEXACT). Deterministic, so one database always
+/// encodes to the same bytes.
 pub fn encode(db: &ProfileDb, model_fp: u64, cluster_fp: u64) -> String {
-    let dump = db.canonical_entries();
-    let mut sigs: Vec<Value> = Vec::new();
-    let mut counts: Vec<u64> = Vec::new();
-    let mut tps = Vec::with_capacity(dump.len());
-    let mut dims = Vec::with_capacity(dump.len());
-    let mut batches = Vec::with_capacity(dump.len());
-    let mut times_bits = Vec::with_capacity(dump.len());
-    let mut last_sig: Option<u64> = None;
-    for (sig, tp, dim, batch, bits) in dump {
-        // RLE over the sorted dump: each distinct operator signature is
-        // written once with a run count instead of once per grid point.
-        if last_sig != Some(sig) {
-            sigs.push(Value::UInt(sig));
-            counts.push(0);
-            last_sig = Some(sig);
-        }
-        *counts.last_mut().expect("run exists") += 1;
-        tps.push(Value::UInt(u64::from(tp)));
-        dims.push(Value::UInt(u64::from(dim)));
-        batches.push(Value::UInt(batch));
-        times_bits.push(Value::UInt(bits));
-    }
-    let body = obj([
-        ("model_fp", Value::UInt(model_fp)),
-        ("cluster_fp", Value::UInt(cluster_fp)),
-        ("cluster", db.cluster().to_json_value()),
-        ("precision", db.precision().to_json_value()),
-        (
-            "profiling_seconds_bits",
-            Value::UInt(db.simulated_profiling_seconds().to_bits()),
-        ),
-        ("sigs", Value::Array(sigs)),
-        (
-            "counts",
-            Value::Array(counts.into_iter().map(Value::UInt).collect()),
-        ),
-        ("tps", Value::Array(tps)),
-        ("dims", Value::Array(dims)),
-        ("batches", Value::Array(batches)),
-        ("times_bits", Value::Array(times_bits)),
-    ])
-    .to_string_compact();
+    let Value::Object(db_fields) = db.to_json_value() else {
+        unreachable!("a profile database encodes as an object");
+    };
+    let mut fields = vec![
+        ("model_fp".to_string(), Value::UInt(model_fp)),
+        ("cluster_fp".to_string(), Value::UInt(cluster_fp)),
+    ];
+    fields.extend(db_fields);
+    let body = Value::Object(fields).to_string_compact();
     let header = obj([
         ("store_schema_version", Value::UInt(STORE_SCHEMA_VERSION)),
         ("checksum", Value::UInt(fnv1a(body.as_bytes()))),
@@ -427,10 +393,10 @@ pub fn decode(text: &str, expected: Option<(u64, u64)>) -> Result<ProfileDb, Deg
     parse_body(&body, expected)
 }
 
-/// Body-shape decoding behind [`decode`]'s integrity gates.
+/// Body-shape decoding behind [`decode`]'s integrity gates: the embedded
+/// fingerprints first, then the database's own fields.
 fn parse_body(body: &Value, expected: Option<(u64, u64)>) -> Result<ProfileDb, DegradeReason> {
-    let bad = |e: aceso_util::json::JsonError| DegradeReason::MalformedBody(e.to_string());
-    let shape = |msg: &str| DegradeReason::MalformedBody(msg.to_string());
+    let bad = |e: JsonError| DegradeReason::MalformedBody(e.to_string());
     let model_fp = body
         .field("model_fp")
         .and_then(|v| v.as_u64())
@@ -444,62 +410,13 @@ fn parse_body(body: &Value, expected: Option<(u64, u64)>) -> Result<ProfileDb, D
             return Err(DegradeReason::Foreign);
         }
     }
-    let cluster = ClusterSpec::from_json_value(body.field("cluster").map_err(bad)?).map_err(bad)?;
-    let precision =
-        Precision::from_json_value(body.field("precision").map_err(bad)?).map_err(bad)?;
-    let profiling_seconds = f64::from_bits(
-        body.field("profiling_seconds_bits")
-            .and_then(|v| v.as_u64())
-            .map_err(bad)?,
-    );
-    let u64s = |key: &str| -> Result<Vec<u64>, DegradeReason> {
-        body.field(key)
-            .and_then(|v| v.as_array())
-            .map_err(bad)?
-            .iter()
-            .map(|v| v.as_u64())
-            .collect::<Result<_, _>>()
-            .map_err(bad)
-    };
-    let sigs = u64s("sigs")?;
-    let counts = u64s("counts")?;
-    let tps = u64s("tps")?;
-    let dims = u64s("dims")?;
-    let batches = u64s("batches")?;
-    let times_bits = u64s("times_bits")?;
-    if sigs.len() != counts.len() {
-        return Err(shape("sigs/counts length mismatch"));
-    }
-    let total: u64 = counts.iter().sum();
-    let total = usize::try_from(total).map_err(|_| shape("entry count overflows"))?;
-    if tps.len() != total
-        || dims.len() != total
-        || batches.len() != total
-        || times_bits.len() != total
-    {
-        return Err(shape("flat array length mismatch"));
-    }
-    let mut entries = Vec::with_capacity(total);
-    let mut i = 0usize;
-    for (sig, count) in sigs.iter().zip(&counts) {
-        for _ in 0..*count {
-            let tp = u32::try_from(tps[i]).map_err(|_| shape("tp out of range"))?;
-            let dim = u8::try_from(dims[i]).map_err(|_| shape("dim out of range"))?;
-            entries.push((*sig, tp, dim, batches[i], times_bits[i]));
-            i += 1;
-        }
-    }
-    Ok(ProfileDb::from_raw_parts(
-        cluster,
-        precision,
-        profiling_seconds,
-        entries,
-    ))
+    ProfileDb::from_json_value(body).map_err(bad)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aceso_cluster::ClusterSpec;
     use aceso_model::zoo::gpt3_custom;
     use aceso_util::SplitMix64;
 

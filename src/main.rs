@@ -17,8 +17,11 @@ use aceso::model::zoo;
 use aceso::obs::{ObsReport, Recorder};
 use aceso::prelude::*;
 use aceso::runtime::ExecutionPlan;
-use aceso::search::{AfterRound, SearchCheckpoint, SearchResult};
+use aceso::search::{
+    read_checkpoint, write_checkpoint, AfterRound, CheckpointError, SearchCheckpoint, SearchResult,
+};
 use aceso::serve::{self, Request, ServeOptions, Server};
+use aceso::util::fsio::RealFs;
 use aceso::util::json::Value;
 use aceso_audit::AuditOptions;
 use std::time::Duration;
@@ -566,33 +569,11 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     Ok(args)
 }
 
-/// Atomically replaces `path` with the serialised checkpoint: write a
-/// sibling temp file, then rename over the target, so a kill mid-write
-/// leaves the previous complete snapshot instead of a torn file.
-fn write_checkpoint(path: &str, ckpt: &SearchCheckpoint) -> std::io::Result<()> {
-    let tmp = format!("{path}.tmp");
-    aceso::util::fsio::write_atomic(
-        &aceso::util::fsio::RealFs,
-        path.as_ref(),
-        tmp.as_ref(),
-        ckpt.to_json_string().as_bytes(),
-    )
-}
-
 /// Loads `--resume FILE`, degrading gracefully: a missing, corrupt,
 /// foreign-schema, or incompatible checkpoint warns on stderr and the
 /// search starts fresh — resuming is an optimisation, never a gate.
 fn load_resume(search: &AcesoSearch<'_>, path: &str, metrics: bool) -> Option<SearchCheckpoint> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("warning: cannot read checkpoint {path}: {e}; searching from scratch");
-            return None;
-        }
-    };
-    let loaded = SearchCheckpoint::from_json_str(&text)
-        .and_then(|c| search.checkpoint_compatible(&c, metrics).map(|()| c));
-    match loaded {
+    match read_checkpoint(&RealFs, path.as_ref(), search, metrics) {
         Ok(ckpt) => {
             eprintln!(
                 "resuming from {path}: {} iterations ({:.2} s of search) already done",
@@ -600,6 +581,10 @@ fn load_resume(search: &AcesoSearch<'_>, path: &str, metrics: bool) -> Option<Se
                 ckpt.elapsed_secs()
             );
             Some(ckpt)
+        }
+        Err(CheckpointError::Io(e)) => {
+            eprintln!("warning: cannot read checkpoint {path}: {e}; searching from scratch");
+            None
         }
         Err(e) => {
             eprintln!("warning: checkpoint {path} is unusable ({e}); searching from scratch");
@@ -631,7 +616,7 @@ fn run_checkpointed(
             out_path.map(|_| args.checkpoint_every),
             |ckpt| {
                 let path = out_path.expect("rounds end early only with --checkpoint");
-                match write_checkpoint(path, ckpt) {
+                match write_checkpoint(&RealFs, path.as_ref(), ckpt) {
                     Ok(()) => written += 1,
                     Err(e) => eprintln!("warning: cannot write checkpoint {path}: {e}"),
                 }

@@ -326,22 +326,32 @@ fn foreign_and_corrupt_checkpoints_fail_without_panicking() {
     let text = ckpt.to_json_string();
 
     // Another schema version is detected before anything else: a
-    // future one, a v5 spool (same shape, but its visited set and events
-    // hold fingerprints of the old whole-configuration hash), a v4 spool (same shape, but its saved event stream
-    // carries one `candidate_rejected` event per rejection instead of the
+    // future one, a v6 spool (each memo entry also carries its
+    // estimate), a v5 spool (same shape, but its visited set
+    // and events hold fingerprints of the old whole-configuration hash),
+    // a v4 spool (same shape, but its saved event stream carries one
+    // `candidate_rejected` event per rejection instead of the
     // per-iteration summary), a v3 spool (its counters include the
     // second evaluation of fix-up-unchanged candidates that the search
     // no longer makes), and a v2 spool that still carries the
     // worker-count field of the removed in-stage worker pool (a daemon
-    // degrades all five to a fresh search).
-    let v6 = "\"schema_version\":6,";
-    assert!(text.starts_with(&format!("{{{v6}")));
-    let future = text.replacen(v6, "\"schema_version\":7,", 1);
-    let v5 = text.replacen(v6, "\"schema_version\":5,", 1);
-    let v4 = text.replacen(v6, "\"schema_version\":4,", 1);
-    let v3 = text.replacen(v6, "\"schema_version\":3,", 1);
-    let v2 = text.replacen(v6, "\"schema_version\":2,\"search_threads\":1,", 1);
-    for (doc, version) in [(&future, 7), (&v5, 5), (&v4, 4), (&v3, 3), (&v2, 2)] {
+    // degrades all six to a fresh search).
+    let v7 = "\"schema_version\":7,";
+    assert!(text.starts_with(&format!("{{{v7}")));
+    let future = text.replacen(v7, "\"schema_version\":8,", 1);
+    let v6 = text.replacen(v7, "\"schema_version\":6,", 1);
+    let v5 = text.replacen(v7, "\"schema_version\":5,", 1);
+    let v4 = text.replacen(v7, "\"schema_version\":4,", 1);
+    let v3 = text.replacen(v7, "\"schema_version\":3,", 1);
+    let v2 = text.replacen(v7, "\"schema_version\":2,\"search_threads\":1,", 1);
+    for (doc, version) in [
+        (&future, 8),
+        (&v6, 6),
+        (&v5, 5),
+        (&v4, 4),
+        (&v3, 3),
+        (&v2, 2),
+    ] {
         match SearchCheckpoint::from_json_str(doc) {
             Err(CheckpointError::UnknownSchemaVersion(v)) => assert_eq!(v, version),
             other => panic!("expected UnknownSchemaVersion({version}), got {other:?}"),

@@ -5,6 +5,7 @@ use aceso::config::validate::validate;
 use aceso::model::zoo;
 use aceso::prelude::*;
 use aceso::search::SearchOptions;
+use aceso::util::json::{FromJson, ToJson, Value};
 
 fn small_gpt() -> ModelGraph {
     zoo::gpt3_custom("e2e-gpt", 4, 512, 8, 256, 8192, 64)
@@ -152,8 +153,8 @@ fn profile_db_reuse_gives_identical_search() {
     let model = small_gpt();
     let cluster = ClusterSpec::v100(1, 4);
     let db1 = ProfileDb::build(&model, &cluster);
-    let json = db1.to_json();
-    let db2 = ProfileDb::from_json(&json).expect("roundtrip");
+    let json = db1.to_json_value().to_string_compact();
+    let db2 = ProfileDb::from_json_value(&Value::parse(&json).expect("parses")).expect("roundtrip");
     let a = AcesoSearch::new(&model, &cluster, &db1, quick_opts())
         .run()
         .expect("a");
