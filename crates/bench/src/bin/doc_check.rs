@@ -148,7 +148,7 @@ const STRUCTURAL_TOKENS: &[&str] = &[
 
 /// The documentation set the gate covers.
 fn doc_paths() -> Vec<std::path::PathBuf> {
-    let root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let root = aceso_bench::harness::repo_root();
     let mut paths = vec![root.join("README.md"), root.join("results/README.md")];
     let docs = root.join("docs");
     let mut entries: Vec<_> = std::fs::read_dir(&docs)

@@ -377,9 +377,7 @@ fn main() {
         }
         [] => {
             // The committed baseline the fresh run is gated against.
-            let baseline_path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join("BENCH_search.json");
+            let baseline_path = aceso_bench::harness::bench_search_path();
             let baseline = std::fs::read_to_string(&baseline_path).ok().map(|text| {
                 let doc = Value::parse(&text).unwrap_or_else(|e| {
                     fail(&format!("committed BENCH_search.json: unparseable: {e:?}"))

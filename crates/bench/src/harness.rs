@@ -127,11 +127,38 @@ pub fn alpa_opts(full: bool) -> AlpaOptions {
     }
 }
 
-/// The results directory (`results/` beside the workspace root).
+/// The repository root: the current directory, from which `ci.sh` and
+/// the documented commands run the bench binaries. It is resolved at
+/// run time, so binaries built in one checkout and run in a copy read
+/// and write the copy's files. Exits with status 2 and a message outside
+/// a checkout.
+pub fn repo_root() -> PathBuf {
+    let cwd = std::env::current_dir().unwrap_or_else(|e| {
+        eprintln!("error: cannot read the current directory: {e}");
+        std::process::exit(2)
+    });
+    checkout_root(cwd).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
+/// `dir` when it is the root of an aceso-rs checkout (it holds the
+/// workspace `Cargo.toml` and `crates/bench`).
+fn checkout_root(dir: PathBuf) -> Result<PathBuf, String> {
+    if dir.join("Cargo.toml").is_file() && dir.join("crates/bench/Cargo.toml").is_file() {
+        Ok(dir)
+    } else {
+        Err(format!(
+            "{} is not the root of an aceso-rs checkout; run the bench binaries from there",
+            dir.display()
+        ))
+    }
+}
+
+/// The results directory (`results/` under the repository root).
 pub fn results_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("results");
+    let dir = repo_root().join("results");
     std::fs::create_dir_all(&dir).expect("results dir creatable");
     dir
 }
@@ -201,11 +228,9 @@ pub fn write_bench_search(doc: &Value) -> PathBuf {
     path
 }
 
-/// The workspace-root `BENCH_search.json` path.
+/// The repository-root `BENCH_search.json` path.
 pub fn bench_search_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_search.json")
+    repo_root().join("BENCH_search.json")
 }
 
 /// Replaces one named top-level section of a bench snapshot in place,
@@ -368,9 +393,15 @@ mod tests {
     }
 
     #[test]
-    fn results_roundtrip() {
-        let dir = results_dir();
-        assert!(dir.exists());
+    fn the_repo_root_must_be_a_checkout() {
+        let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+        assert_eq!(checkout_root(root.clone()), Ok(root.clone()));
+        // `cargo test` runs in the crate directory, which is not a root.
+        let err = checkout_root(root.join("crates/bench")).unwrap_err();
+        assert!(
+            err.contains("not the root of an aceso-rs checkout"),
+            "{err}"
+        );
     }
 
     #[test]

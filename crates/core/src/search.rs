@@ -3,9 +3,8 @@
 
 use crate::bottleneck::{ranked_bottlenecks, Bottleneck};
 use crate::checkpoint::{
-    cluster_fingerprint, model_fingerprint, options_fingerprint, CheckpointError,
-    CheckpointedScore, ParkedConfig, SearchCheckpoint, StageCheckpoint, StageProgress,
-    CHECKPOINT_SCHEMA_VERSION,
+    cluster_fingerprint, model_fingerprint, options_fingerprint, CheckpointError, PositionError,
+    SearchCheckpoint, StagePosition, CHECKPOINT_SCHEMA_VERSION,
 };
 use crate::finetune::fine_tune;
 use crate::invariants::ScoreCheck;
@@ -14,7 +13,7 @@ use crate::trace::{AcceptedConfig, ConvergencePoint, IterationRecord, SearchTrac
 use aceso_cluster::ClusterSpec;
 use aceso_config::{balanced_init, ConfigError, ParallelConfig};
 use aceso_model::ModelGraph;
-use aceso_obs::{Counter, Event, HistKind, Metrics, ObsReport, Recorder};
+use aceso_obs::{Counter, Event, HistKind, ObsReport, Recorder};
 use aceso_perf::{CachedEvaluator, ConfigEstimate, Evaluator, PerfModel};
 use aceso_profile::ProfileDb;
 use aceso_util::SplitMix64;
@@ -139,7 +138,7 @@ pub enum SearchStep {
     /// bit-identical to an uninterrupted [`AcesoSearch::run_observed`].
     Done(SearchResult, ObsReport),
     /// The hook paused the search at a round boundary; the checkpoint
-    /// captures the complete search state.
+    /// records each stage count's position there.
     Paused(Box<SearchCheckpoint>),
 }
 
@@ -287,8 +286,19 @@ impl<'a> AcesoSearch<'a> {
         self.drive(metrics, None, Some(pause_after), &mut |_| AfterRound::Pause)
     }
 
+    /// The stage counts this search runs.
+    fn stage_counts(&self) -> Vec<usize> {
+        match (&self.options.initial, &self.options.stage_counts) {
+            (Some(init), _) => vec![init.num_stages()],
+            (None, Some(c)) => c.clone(),
+            (None, None) => self.default_stage_counts(),
+        }
+    }
+
     /// Checks that `ckpt` was produced by a search over the same model,
-    /// cluster, result-affecting options, and metrics flag.
+    /// cluster, result-affecting options, and metrics flag, and that
+    /// each of its positions is one this search can reach: a stage count
+    /// it runs, at most once, within the iteration budget.
     pub fn checkpoint_compatible(
         &self,
         ckpt: &SearchCheckpoint,
@@ -308,6 +318,23 @@ impl<'a> AcesoSearch<'a> {
         }
         if ckpt.metrics != metrics {
             return Err(CheckpointError::Mismatch("metrics flag"));
+        }
+        let counts = self.stage_counts();
+        for (i, pos) in ckpt.stages.iter().enumerate() {
+            let p = pos.stage_count;
+            let bad = if !counts.contains(&p) {
+                PositionError::UnknownStageCount(p)
+            } else if ckpt.stages[..i].iter().any(|s| s.stage_count == p) {
+                PositionError::DuplicateStageCount(p)
+            } else if pos.iterations > self.options.max_iterations {
+                PositionError::IterationsOverBudget {
+                    stage_count: p,
+                    iterations: pos.iterations,
+                }
+            } else {
+                continue;
+            };
+            return Err(CheckpointError::Position(bad));
         }
         Ok(())
     }
@@ -356,73 +383,88 @@ impl<'a> AcesoSearch<'a> {
         every: Option<usize>,
         hook: &mut dyn FnMut(&SearchCheckpoint) -> AfterRound,
     ) -> Result<SearchStep, SearchError> {
-        // One clock for the whole call: the wall time and the budget
-        // cover every round and the hook's work between rounds. Only a
-        // resume adds time, the checkpoint's banked seconds.
+        // The wall time covers the whole call, replay included. The time
+        // budget runs from the call's start, or on a resume from the end
+        // of its replay: the banked seconds already paid for that work.
         let start = Instant::now();
         let prior_elapsed = restore.map_or(0.0, SearchCheckpoint::elapsed_secs);
-        let deadline = self.options.time_budget.map(|b| {
-            let remaining = (b.as_secs_f64() - prior_elapsed).max(0.0);
-            start + Duration::from_secs_f64(remaining)
+        let remaining = self
+            .options
+            .time_budget
+            .map(|b| Duration::from_secs_f64((b.as_secs_f64() - prior_elapsed).max(0.0)));
+        let deadline = remaining.map(|r| start + r);
+        let counts = self.stage_counts();
+        let head = Recorder::new(metrics);
+        head.emit(|| Event::SearchStart {
+            stage_counts: counts.clone(),
+            max_hops: self.options.max_hops,
+            max_iterations: self.options.max_iterations,
+            top_k: self.options.top_k,
+            seed: self.options.seed,
+            heuristic2: self.options.use_heuristic2,
         });
-        let counts = match (&self.options.initial, &self.options.stage_counts) {
-            (Some(init), _) => vec![init.num_stages()],
-            (None, Some(c)) => c.clone(),
-            (None, None) => self.default_stage_counts(),
-        };
-
-        let head_events: Vec<Event> = match restore {
-            Some(c) => c.head_events.clone(),
-            None => {
-                let head = Recorder::new(metrics);
-                head.emit(|| Event::SearchStart {
-                    stage_counts: counts.clone(),
-                    max_hops: self.options.max_hops,
-                    max_iterations: self.options.max_iterations,
-                    top_k: self.options.top_k,
-                    seed: self.options.seed,
-                    heuristic2: self.options.use_heuristic2,
-                });
-                head.into_parts().0
-            }
-        };
-        // The furthest iteration an open restored stage count resumes at.
-        let resume_point = restore
-            .and_then(|c| {
-                c.stages
-                    .iter()
-                    .filter_map(|s| s.progress.as_ref().map(|p| p.next_iter))
-                    .max()
-            })
+        let positions = restore.map_or(&[][..], |c| &c.stages[..]);
+        // The furthest iteration an open stage count resumes at.
+        let resume_point = positions
+            .iter()
+            .filter(|s| !s.done)
+            .map(|s| s.iterations)
+            .max()
             .unwrap_or(0);
         // The round's iteration bound; `None` runs to the end.
         let mut bound = every.map(|e| resume_point.saturating_add(e));
 
         // One performance model for the whole search; each stage count's
-        // evaluator holds a clone of it (INV-MEMO in docs/SEARCH.md).
+        // evaluator holds a clone of it (INV-MEMO in docs/SEARCH.md). A
+        // fresh stage count runs its first round on the thread that
+        // builds it; a resumed one is replayed to its position there.
         let pm = PerfModel::new(self.model, self.cluster, self.db);
         let mut stages = self.on_stage_threads(counts, |p| {
-            let saved = restore.and_then(|c| c.stages.iter().find(|s| s.stage_count == p));
-            let mut stage = match saved {
-                Some(sc) => StageSearch::from_checkpoint(sc, metrics, &pm),
-                None => StageSearch::new(self, p, metrics, &pm)?,
-            };
-            stage.step(self, bound, deadline);
+            let mut stage = StageSearch::new(self, p, metrics, &pm)?;
+            if restore.is_none() {
+                stage.step(self, bound, deadline);
+            } else if let Some(pos) = positions.iter().find(|s| s.stage_count == p) {
+                stage.replay(self, pos);
+            }
             Some(stage)
         });
         // Deterministic merge order regardless of thread completion order
         // (INV-MERGE-ORDER); later rounds keep it.
         stages.sort_by_key(|s| s.stage_count);
+        let clock = if restore.is_some() {
+            Instant::now()
+        } else {
+            start
+        };
+        let deadline = remaining.map(|r| clock + r);
+        let step_open = |stages: &mut [StageSearch<'_>], bound| {
+            let open: Vec<&mut StageSearch> = stages.iter_mut().filter(|s| s.is_open()).collect();
+            self.on_stage_threads(open, |stage| {
+                stage.step(self, bound, deadline);
+                Some(())
+            });
+        };
+        // A resume's first round starts at the replayed positions.
+        if restore.is_some() {
+            step_open(&mut stages, bound);
+        }
+        let mut fingerprints = None;
         while stages.iter().any(StageSearch::is_open) {
+            let (model_fp, cluster_fp, options_fp) = *fingerprints.get_or_insert_with(|| {
+                (
+                    model_fingerprint(self.model),
+                    cluster_fingerprint(self.cluster),
+                    options_fingerprint(&self.options),
+                )
+            });
             let ckpt = SearchCheckpoint {
                 schema_version: CHECKPOINT_SCHEMA_VERSION,
-                model_fingerprint: model_fingerprint(self.model),
-                cluster_fingerprint: cluster_fingerprint(self.cluster),
-                options_fingerprint: options_fingerprint(&self.options),
+                model_fingerprint: model_fp,
+                cluster_fingerprint: cluster_fp,
+                options_fingerprint: options_fp,
                 metrics,
-                elapsed_secs_bits: (prior_elapsed + start.elapsed().as_secs_f64()).to_bits(),
-                head_events: head_events.clone(),
-                stages: stages.iter().map(StageSearch::snapshot).collect(),
+                elapsed_secs_bits: (prior_elapsed + clock.elapsed().as_secs_f64()).to_bits(),
+                stages: stages.iter().map(StageSearch::position).collect(),
             };
             match hook(&ckpt) {
                 // A round advances at least one iteration, so a zero
@@ -433,15 +475,11 @@ impl<'a> AcesoSearch<'a> {
                 AfterRound::Finish => bound = None,
                 AfterRound::Pause => return Ok(SearchStep::Paused(Box::new(ckpt))),
             }
-            let open: Vec<&mut StageSearch> = stages.iter_mut().filter(|s| s.is_open()).collect();
-            self.on_stage_threads(open, |stage| {
-                stage.step(self, bound, deadline);
-                Some(())
-            });
+            step_open(&mut stages, bound);
         }
 
         let mut report = ObsReport::new();
-        report.absorb(Recorder::from_parts(head_events, Metrics::default()));
+        report.absorb(head);
         let mut all: Vec<ScoredConfig> = Vec::new();
         let mut traces = Vec::new();
         let mut explored = 0usize;
@@ -525,15 +563,15 @@ struct StageSearch<'a> {
     stage_count: usize,
     trace: SearchTrace,
     /// Origin of the convergence timestamps. A live search keeps it
-    /// across rounds; a resume restarts it.
+    /// across rounds; a resume's replay restarts it.
     started: Instant,
     state: StageState<'a>,
 }
 
 enum StageState<'a> {
     /// Still searching. The evaluator holds a clone of the search's one
-    /// model, the memo table and the recorder, and lives from `new` or
-    /// `from_checkpoint` to the end of the search (INV-MEMO).
+    /// model, the memo table and the recorder, and lives from `new` to
+    /// the end of the stage count's search (INV-MEMO).
     Open(CachedEvaluator<'a>, Box<OpenStage>),
     /// Ran to its end: its top-k pool and its recorder. The evaluator,
     /// memo table included, is already gone.
@@ -599,52 +637,15 @@ impl<'a> StageSearch<'a> {
         })
     }
 
-    /// The search `sc` captured, restored bit-exactly: nothing is
-    /// re-evaluated, and it appends to the saved events and metrics (with
-    /// metrics off they are empty). The one place a checkpoint is
-    /// imported.
-    fn from_checkpoint(sc: &StageCheckpoint, metrics: bool, pm: &PerfModel<'a>) -> Self {
-        let rec = if metrics {
-            Recorder::from_parts(sc.events.clone(), sc.metrics.clone())
-        } else {
-            Recorder::new(false)
-        };
-        let state = match &sc.progress {
-            None => StageState::Done(
-                sc.tops.iter().map(CheckpointedScore::to_scored).collect(),
-                rec,
-            ),
-            Some(pr) => {
-                let ev = CachedEvaluator::with_recorder(pm.clone(), rec);
-                ev.import_memo(&pr.memo);
-                let open = OpenStage {
-                    next_iter: pr.next_iter,
-                    current: pr.current.clone(),
-                    best: pr.best.to_scored(),
-                    visited: pr.visited.iter().copied().collect(),
-                    // Pop order depends only on the unique `(score, tie)`
-                    // pairs, not on the heap's arrangement.
-                    unexplored: pr
-                        .unexplored
-                        .iter()
-                        .map(|e| HeapEntry {
-                            score: f64::from_bits(e.score_bits),
-                            tie: e.tie,
-                            config: e.config.clone(),
-                        })
-                        .collect(),
-                    explored: pr.explored,
-                    rng: SplitMix64::from_state(pr.rng_state),
-                    tie_counter: pr.tie_counter,
-                };
-                StageState::Open(ev, Box::new(open))
-            }
-        };
-        Self {
-            stage_count: sc.stage_count,
-            trace: sc.trace.clone(),
-            started: Instant::now(),
-            state,
+    /// Replays the search to `pos`, with no deadline: the stage count
+    /// then holds the state it had at that position, bit for bit. A
+    /// `done` position that the replay leaves open (a deadline ended it,
+    /// not its iteration budget or an empty heap) is ended there. The one
+    /// place a checkpoint is read.
+    fn replay(&mut self, search: &AcesoSearch<'_>, pos: &StagePosition) {
+        self.step(search, Some(pos.iterations), None);
+        if pos.done && self.is_open() {
+            self.end(search.options.top_k);
         }
     }
 
@@ -678,11 +679,14 @@ impl<'a> StageSearch<'a> {
         };
         while ctx.st.next_iter < opts.max_iterations {
             let iter = ctx.st.next_iter;
-            if bound.is_some_and(|bound| iter >= bound) {
-                return;
-            }
+            // The deadline before the bound: a stage count the deadline
+            // touched ends here, so one that a round leaves open is
+            // reproduced exactly by replaying its position.
             if ctx.expired() {
                 break;
+            }
+            if bound.is_some_and(|bound| iter >= bound) {
+                return;
             }
             let current = ctx.st.current.clone();
             let est = ctx.ev.evaluate_unchecked(&current);
@@ -786,79 +790,43 @@ impl<'a> StageSearch<'a> {
             ctx.st.next_iter += 1;
         }
 
-        let best = ctx.st.best.clone();
-        trace.explored = ctx.st.explored;
-        rec.emit(|| Event::StageEnd {
+        self.end(opts.top_k);
+    }
+
+    /// Ends an open search: emits its `stage_end`, takes its top-k pool
+    /// (the best plus the best few unexplored leftovers), and drops its
+    /// evaluator, memo table and model clone included.
+    fn end(&mut self, top_k: usize) {
+        let placeholder = StageState::Done(Vec::new(), Recorder::default());
+        let StageState::Open(ev, mut open) = std::mem::replace(&mut self.state, placeholder) else {
+            unreachable!("only an open stage count ends")
+        };
+        let p = self.stage_count;
+        let trace = &mut self.trace;
+        trace.explored = open.explored;
+        ev.recorder().emit(|| Event::StageEnd {
             stage_count: p,
             iterations: trace.iterations.len(),
             explored: trace.explored,
-            best_score: best.score,
-            best_fingerprint: best.config.semantic_hash(),
+            best_score: open.best.score,
+            best_fingerprint: open.best.config.semantic_hash(),
         });
-        // The best plus the best few unexplored leftovers form the top-k
-        // pool for this stage count.
-        let mut tops = vec![best];
-        for _ in 0..opts.top_k {
-            match ctx.st.unexplored.pop() {
-                Some(e) => tops.push(scored(ctx.ev, &e.config)),
+        let mut tops = vec![open.best];
+        for _ in 0..top_k {
+            match open.unexplored.pop() {
+                Some(e) => tops.push(scored(&ev, &e.config)),
                 None => break,
             }
         }
-        // The evaluator ends here, not at the merge: its memo table and
-        // model clone are freed as soon as the stage count finishes.
-        let placeholder = StageState::Done(Vec::new(), Recorder::default());
-        let StageState::Open(ev, _) = std::mem::replace(&mut self.state, placeholder) else {
-            unreachable!("only an open stage count steps")
-        };
         self.state = StageState::Done(tops, ev.into_recorder());
     }
 
-    /// The search's state as a checkpoint, leaving the search as it is.
-    /// Hash-set iteration order and the heap's internal arrangement
-    /// both depend on insertion history, so both are sorted: a snapshot
-    /// serialises to the same bytes however the search got here
-    /// (INV-CANONICAL-EXPORT).
-    fn snapshot(&self) -> StageCheckpoint {
-        let ((events, metrics), progress, tops) = match &self.state {
-            StageState::Done(t, rec) => (
-                rec.parts(),
-                None,
-                t.iter().map(CheckpointedScore::from_scored).collect(),
-            ),
-            StageState::Open(ev, open) => {
-                let mut visited: Vec<u64> = open.visited.iter().copied().collect();
-                visited.sort_unstable();
-                let mut parked: Vec<&HeapEntry> = open.unexplored.iter().collect();
-                parked.sort_unstable();
-                let progress = StageProgress {
-                    next_iter: open.next_iter,
-                    current: open.current.clone(),
-                    best: CheckpointedScore::from_scored(&open.best),
-                    visited,
-                    unexplored: parked
-                        .into_iter()
-                        .map(|e| ParkedConfig {
-                            score_bits: e.score.to_bits(),
-                            tie: e.tie,
-                            config: e.config.clone(),
-                        })
-                        .collect(),
-                    explored: open.explored,
-                    tie_counter: open.tie_counter,
-                    rng_state: open.rng.state(),
-                    memo: ev.export_memo(),
-                };
-                (ev.recorder().parts(), Some(progress), Vec::new())
-            }
-        };
-        StageCheckpoint {
+    /// How far the search has run.
+    fn position(&self) -> StagePosition {
+        StagePosition {
             stage_count: self.stage_count,
-            done: progress.is_none(),
-            events,
-            metrics,
-            trace: self.trace.clone(),
-            progress,
-            tops,
+            iterations: self.trace.iterations.len(),
+            done: !self.is_open(),
         }
     }
 
@@ -1314,6 +1282,20 @@ mod tests {
         .expect("runs");
         for t in &r.traces {
             assert!(t.iterations.iter().all(|i| i.bottlenecks_tried <= 1));
+        }
+    }
+
+    #[test]
+    fn a_past_deadline_ends_the_stage_count_whatever_the_bound() {
+        let (m, c) = setup();
+        let db = ProfileDb::build(&m, &c);
+        let search = AcesoSearch::new(&m, &c, &db, opts());
+        let pm = PerfModel::new(&m, &c, &db);
+        for bound in [Some(0), Some(5), None] {
+            let mut stage = StageSearch::new(&search, 2, false, &pm).expect("init");
+            stage.step(&search, bound, Some(Instant::now()));
+            assert!(!stage.is_open(), "bound {bound:?}: a past deadline ends it");
+            assert_eq!(stage.position().iterations, 0);
         }
     }
 

@@ -8,8 +8,8 @@
 //! checks what each candidate carries into the search (INV-SCORE-ONCE in
 //! docs/SEARCH.md): its fingerprint and its fix-up estimate. A third
 //! sweeps the audit corpus with primitive walks and checks INV-STAGE-HASH:
-//! after every transform, primitive, fix-up, fine-tune and JSON or
-//! checkpoint round trip, each cached stage hash equals a from-scratch
+//! after every transform, primitive, fix-up, fine-tune and JSON round
+//! trip, each cached stage hash equals a from-scratch
 //! recomputation, and no two different configurations share a
 //! fingerprint.
 
@@ -19,7 +19,7 @@ use aceso_config::{balanced_init, validate::validate, ParallelConfig};
 use aceso_core::finetune::fine_tune;
 use aceso_core::primitives::{generate_with, rc_fixup, Candidate, GenOptions};
 use aceso_core::transform::{self, Mechanism};
-use aceso_core::{AcesoSearch, Primitive, Resource, SearchCheckpoint, SearchOptions, SearchStep};
+use aceso_core::{Primitive, Resource};
 use aceso_model::{zoo, ModelGraph};
 use aceso_perf::{CachedEvaluator, Evaluator, PerfModel};
 use aceso_profile::ProfileDb;
@@ -374,43 +374,6 @@ fn stage_hash_walk(sample: &CorpusSample, start: &ParallelConfig, seed: u64, see
     }
 }
 
-/// Every configuration a paused search's checkpoint holds, after a JSON
-/// round trip of the whole checkpoint, must keep its fingerprint and
-/// come back with fresh stage hashes.
-fn check_checkpoint_round_trip(sample: &CorpusSample, seen: &mut Seen) {
-    let opts = SearchOptions {
-        max_iterations: 4,
-        stage_counts: Some(vec![2]),
-        parallel: false,
-        ..SearchOptions::default()
-    };
-    let search = AcesoSearch::new(&sample.model, &sample.cluster, &sample.db, opts);
-    let Ok(SearchStep::Paused(ckpt)) = search.run_partial(false, 2) else {
-        return; // the search finished (or had no start) before the pause
-    };
-    let configs = |c: &SearchCheckpoint| -> Vec<ParallelConfig> {
-        let mut out = Vec::new();
-        for s in &c.stages {
-            out.extend(s.trace.accepted.iter().map(|a| a.config.clone()));
-            out.extend(s.tops.iter().map(|t| t.config.clone()));
-            if let Some(p) = &s.progress {
-                out.push(p.current.clone());
-                out.push(p.best.config.clone());
-                out.extend(p.unexplored.iter().map(|e| e.config.clone()));
-            }
-        }
-        out
-    };
-    let decoded = SearchCheckpoint::from_json_str(&ckpt.to_json_string()).expect("round trip");
-    let (before, after) = (configs(&ckpt), configs(&decoded));
-    assert_eq!(before.len(), after.len());
-    for (b, a) in before.iter().zip(&after) {
-        let ctx = format!("{}: checkpoint round trip", sample.label);
-        assert_eq!(a.semantic_hash(), b.semantic_hash(), "{ctx}: fingerprint");
-        check_stage_hashes(a, seen, &ctx);
-    }
-}
-
 #[test]
 fn stage_hashes_stay_fresh_and_fingerprints_stay_distinct() {
     let mut seen = Seen::new();
@@ -418,7 +381,6 @@ fn stage_hashes_stay_fresh_and_fingerprints_stay_distinct() {
         for (j, start) in sample.configs.iter().enumerate() {
             stage_hash_walk(sample, start, 0x57A6_E000 + (i * 16 + j) as u64, &mut seen);
         }
-        check_checkpoint_round_trip(sample, &mut seen);
     }
     assert!(
         seen.len() > 1000,

@@ -5,7 +5,7 @@
 //! commutative summation, and histogram buckets are compile-time
 //! constants so two runs bucket identically.
 
-use aceso_util::json::{obj, JsonError, Value};
+use aceso_util::json::{obj, Value};
 use std::collections::BTreeMap;
 
 /// The fixed monotonic counters.
@@ -283,50 +283,6 @@ impl Histogram {
         self.max = self.max.max(other.max);
     }
 
-    /// Exact checkpoint snapshot: bucket counts plus sum/min/max as
-    /// IEEE-754 bit patterns. Unlike [`Histogram::to_json_value`] (which
-    /// degrades the empty-histogram `±inf` sentinels to `null`), this form
-    /// restores the struct bit-for-bit via
-    /// [`Histogram::from_checkpoint_value`].
-    fn to_checkpoint_value(&self) -> Value {
-        obj([
-            (
-                "buckets",
-                Value::Array(self.buckets.iter().map(|&c| Value::UInt(c)).collect()),
-            ),
-            ("count", Value::UInt(self.count)),
-            ("sum_bits", Value::UInt(self.sum.to_bits())),
-            ("min_bits", Value::UInt(self.min.to_bits())),
-            ("max_bits", Value::UInt(self.max.to_bits())),
-        ])
-    }
-
-    /// Restores a histogram from [`Histogram::to_checkpoint_value`] output.
-    fn from_checkpoint_value(kind: HistKind, v: &Value) -> Result<Histogram, JsonError> {
-        let buckets: Vec<u64> = v
-            .field("buckets")?
-            .as_array()?
-            .iter()
-            .map(Value::as_u64)
-            .collect::<Result<_, _>>()?;
-        if buckets.len() != kind.edges().len() + 1 {
-            return Err(JsonError::shape(format!(
-                "histogram `{}` expects {} buckets, got {}",
-                kind.name(),
-                kind.edges().len() + 1,
-                buckets.len()
-            )));
-        }
-        Ok(Histogram {
-            kind,
-            buckets,
-            count: v.field("count")?.as_u64()?,
-            sum: f64::from_bits(v.field("sum_bits")?.as_u64()?),
-            min: f64::from_bits(v.field("min_bits")?.as_u64()?),
-            max: f64::from_bits(v.field("max_bits")?.as_u64()?),
-        })
-    }
-
     /// Snapshot as JSON: count/sum/min/max plus `{le, count}` buckets
     /// (the final bucket has `le: null` — the overflow bucket).
     pub fn to_json_value(&self) -> Value {
@@ -475,99 +431,6 @@ impl Metrics {
         }
     }
 
-    /// Exact checkpoint snapshot of the whole metric set: counters by
-    /// name, the keyed primitive family, and the histograms in their
-    /// bit-exact checkpoint form. Restoring via
-    /// [`Metrics::from_checkpoint_value`] reproduces the struct exactly,
-    /// so a resumed search's merged snapshot equals an uninterrupted
-    /// run's.
-    pub fn to_checkpoint_value(&self) -> Value {
-        obj([
-            ("counters", self.counters_json()),
-            ("primitives", self.primitives_json()),
-            ("audit_findings", self.audit_findings_json()),
-            ("chaos_faults_injected", self.chaos_faults_json()),
-            (
-                "histograms",
-                Value::Object(
-                    HistKind::ALL
-                        .iter()
-                        .map(|&h| {
-                            (
-                                h.name().to_string(),
-                                self.histogram(h).to_checkpoint_value(),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Restores a metric set from [`Metrics::to_checkpoint_value`] output.
-    ///
-    /// `intern` resolves keys of the `primitives_applied` family back to
-    /// the `&'static str` names the emitting code uses; an unresolvable
-    /// key (or any unknown counter/histogram name) is a shape error —
-    /// callers treat that as an incompatible checkpoint, not a panic.
-    pub fn from_checkpoint_value(
-        v: &Value,
-        intern: &dyn Fn(&str) -> Option<&'static str>,
-    ) -> Result<Metrics, JsonError> {
-        let mut m = Metrics::default();
-        let counters = v.field("counters")?;
-        let Value::Object(counter_fields) = counters else {
-            return Err(JsonError::shape("`counters` must be an object"));
-        };
-        if counter_fields.len() != Counter::ALL.len() {
-            return Err(JsonError::shape(format!(
-                "expected {} counters, got {}",
-                Counter::ALL.len(),
-                counter_fields.len()
-            )));
-        }
-        for (name, value) in counter_fields {
-            let c = Counter::ALL
-                .iter()
-                .find(|c| c.name() == name)
-                .ok_or_else(|| JsonError::shape(format!("unknown counter `{name}`")))?;
-            m.add(*c, value.as_u64()?);
-        }
-        let primitives = v.field("primitives")?;
-        let Value::Object(primitive_fields) = primitives else {
-            return Err(JsonError::shape("`primitives` must be an object"));
-        };
-        for (name, value) in primitive_fields {
-            let interned = intern(name)
-                .ok_or_else(|| JsonError::shape(format!("unknown primitive `{name}`")))?;
-            m.add_primitive(interned, value.as_u64()?);
-        }
-        let Value::Object(finding_fields) = v.field("audit_findings")? else {
-            return Err(JsonError::shape("`audit_findings` must be an object"));
-        };
-        for (name, value) in finding_fields {
-            let interned = intern(name)
-                .ok_or_else(|| JsonError::shape(format!("unknown audit rule `{name}`")))?;
-            m.add_audit_finding(interned, value.as_u64()?);
-        }
-        let Value::Object(fault_fields) = v.field("chaos_faults_injected")? else {
-            return Err(JsonError::shape(
-                "`chaos_faults_injected` must be an object",
-            ));
-        };
-        for (name, value) in fault_fields {
-            let interned = intern(name)
-                .ok_or_else(|| JsonError::shape(format!("unknown fault kind `{name}`")))?;
-            m.add_chaos_fault(interned, value.as_u64()?);
-        }
-        let histograms = v.field("histograms")?;
-        for kind in HistKind::ALL {
-            m.histograms[kind.index()] =
-                Histogram::from_checkpoint_value(kind, histograms.field(kind.name())?)?;
-        }
-        Ok(m)
-    }
-
     /// Snapshot of all counters as a JSON object (schema order).
     pub fn counters_json(&self) -> Value {
         Value::Object(
@@ -684,108 +547,6 @@ mod tests {
         for hist in HistKind::ALL {
             assert!(h.get(hist.name()).is_some(), "{}", hist.name());
         }
-    }
-
-    #[test]
-    fn checkpoint_snapshot_round_trips_exactly() {
-        let mut m = Metrics::default();
-        m.add(Counter::PerfEvaluations, 7);
-        m.add(Counter::SearchResumed, 1);
-        m.add_primitive("inc-dp", 3);
-        m.observe(HistKind::ScoreDelta, 0.015);
-        m.observe(HistKind::HopDepth, 4.0);
-        // EvalLatencyUs stays empty: its ±inf min/max sentinels must
-        // survive the round trip too.
-        let intern = |s: &str| (s == "inc-dp").then_some("inc-dp");
-        let back =
-            Metrics::from_checkpoint_value(&m.to_checkpoint_value(), &intern).expect("round trip");
-        assert_eq!(back, m);
-    }
-
-    /// Drops the named family from a checkpoint snapshot.
-    fn without(mut v: Value, family: &str) -> Value {
-        if let Value::Object(fields) = &mut v {
-            fields.retain(|(k, _)| k != family);
-        }
-        v
-    }
-
-    #[test]
-    fn audit_findings_round_trip_and_are_required() {
-        let mut m = Metrics::default();
-        m.add_audit_finding("PLAN-MEM", 2);
-        let intern = |s: &str| (s == "PLAN-MEM").then_some("PLAN-MEM");
-        let back =
-            Metrics::from_checkpoint_value(&m.to_checkpoint_value(), &intern).expect("round trip");
-        assert_eq!(back.audit_findings()["PLAN-MEM"], 2);
-        assert_eq!(back, m);
-        // Every checkpoint of the current schema carries the family, so
-        // a snapshot without it is a shape error.
-        let old = without(Metrics::default().to_checkpoint_value(), "audit_findings");
-        assert_eq!(
-            Metrics::from_checkpoint_value(&old, &|_| None),
-            Err(JsonError::shape("missing field `audit_findings`"))
-        );
-        // Unknown rule names still fail strictly.
-        let mut bad = m.to_checkpoint_value();
-        if let Value::Object(fields) = &mut bad {
-            if let Some(Value::Object(findings)) = fields
-                .iter_mut()
-                .find(|(k, _)| k == "audit_findings")
-                .map(|(_, v)| v)
-            {
-                findings.push(("mystery-rule".to_string(), Value::UInt(1)));
-            }
-        }
-        assert!(Metrics::from_checkpoint_value(&bad, &intern).is_err());
-    }
-
-    #[test]
-    fn chaos_faults_round_trip_and_are_required() {
-        let mut m = Metrics::default();
-        m.add_chaos_fault("short_write", 3);
-        let intern = |s: &str| (s == "short_write").then_some("short_write");
-        let back =
-            Metrics::from_checkpoint_value(&m.to_checkpoint_value(), &intern).expect("round trip");
-        assert_eq!(back.chaos_faults()["short_write"], 3);
-        assert_eq!(back, m);
-        let old = without(
-            Metrics::default().to_checkpoint_value(),
-            "chaos_faults_injected",
-        );
-        assert_eq!(
-            Metrics::from_checkpoint_value(&old, &|_| None),
-            Err(JsonError::shape("missing field `chaos_faults_injected`"))
-        );
-    }
-
-    #[test]
-    fn checkpoint_snapshot_rejects_unknown_names() {
-        let m = Metrics::default();
-        let mut v = m.to_checkpoint_value();
-        // Rename a counter key: strict restore must fail, not guess.
-        if let Value::Object(fields) = &mut v {
-            if let Some(Value::Object(counters)) = fields
-                .iter_mut()
-                .find(|(k, _)| k == "counters")
-                .map(|(_, v)| v)
-            {
-                counters[0].0 = "not_a_counter".to_string();
-            }
-        }
-        assert!(Metrics::from_checkpoint_value(&v, &|_| None).is_err());
-        // Unknown primitive keys fail via the interner.
-        let mut p = m.to_checkpoint_value();
-        if let Value::Object(fields) = &mut p {
-            if let Some(Value::Object(prims)) = fields
-                .iter_mut()
-                .find(|(k, _)| k == "primitives")
-                .map(|(_, v)| v)
-            {
-                prims.push(("mystery".to_string(), Value::UInt(1)));
-            }
-        }
-        assert!(Metrics::from_checkpoint_value(&p, &|_| None).is_err());
     }
 
     #[test]

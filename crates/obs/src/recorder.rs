@@ -42,10 +42,8 @@ impl Recorder {
         Self::new(false)
     }
 
-    /// An enabled recorder pre-loaded with previously recorded state —
-    /// the splice point of a checkpoint resume: the restored sub-search
-    /// appends to the saved events and accumulates onto the saved
-    /// metrics, so the merged output equals an uninterrupted run's.
+    /// An enabled recorder pre-loaded with previously recorded events
+    /// and metrics; later records append to them.
     pub fn from_parts(events: Vec<Event>, metrics: Metrics) -> Self {
         Self {
             enabled: true,
@@ -112,12 +110,6 @@ impl Recorder {
         if self.enabled {
             self.metrics.borrow_mut().observe(h, v);
         }
-    }
-
-    /// A copy of everything recorded so far, leaving the recorder as it
-    /// is.
-    pub fn parts(&self) -> (Vec<Event>, Metrics) {
-        (self.events.borrow().clone(), self.metrics.borrow().clone())
     }
 
     /// Consumes the recorder, returning everything it recorded.

@@ -70,23 +70,20 @@ impl Evaluator for PerfModel<'_> {
 }
 
 /// Memoization key of one stage's breakdown-plus-boundaries (see the
-/// module docs for why exactly these fields). Checkpoints export the
-/// memo as these keys alone: an estimate is a pure function of its key
-/// and the model, so an importing evaluator recomputes it bit for bit on
-/// first use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct StageKey {
+/// module docs for why exactly these fields).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct StageKey {
     /// The stage's content hash (`Stage::content_hash`): FNV over op
     /// range, device count and run-length-encoded op settings.
-    pub content: u64,
+    content: u64,
     /// Global microbatch size.
-    pub microbatch: usize,
+    microbatch: usize,
     /// First global device id of the stage.
-    pub dev_start: usize,
+    dev_start: usize,
     /// Trailing op's `dp` of the predecessor stage; `0` = first stage.
-    pub prev_last_dp: u32,
+    prev_last_dp: u32,
     /// Whether a successor stage exists.
-    pub has_next: bool,
+    has_next: bool,
 }
 
 fn stage_key(config: &ParallelConfig, i: usize, dev_start: usize) -> StageKey {
@@ -109,13 +106,9 @@ fn stage_key(config: &ParallelConfig, i: usize, dev_start: usize) -> StageKey {
 /// Single-threaded by design (interior mutability via `RefCell`) but
 /// `Send`: each stage-count search owns one for the whole search, over
 /// a clone of the search's one model (INV-MEMO in docs/SEARCH.md).
-///
-/// A key maps to `None` when it was imported ([`Self::import_memo`]) and
-/// not used since: the key is known, so its first use counts as a memo
-/// hit, but its estimate is computed then.
 pub struct CachedEvaluator<'a> {
     pm: PerfModel<'a>,
-    memo: RefCell<HashMap<StageKey, Option<StageEstimate>>>,
+    memo: RefCell<HashMap<StageKey, StageEstimate>>,
     rec: Recorder,
 }
 
@@ -164,22 +157,6 @@ impl<'a> CachedEvaluator<'a> {
         self.memo.borrow_mut().clear();
     }
 
-    /// The memo table's keys in sorted (deterministic) order, for
-    /// checkpointing. [`Self::import_memo`] rebuilds the same key set, so
-    /// a resumed search sees the same hit/miss sequence — and therefore
-    /// the same counter splits — as an uninterrupted one.
-    pub fn export_memo(&self) -> Vec<StageKey> {
-        let mut keys: Vec<StageKey> = self.memo.borrow().keys().copied().collect();
-        keys.sort_unstable();
-        keys
-    }
-
-    /// Replaces the memo table with previously exported keys, each known
-    /// but without its estimate until first used.
-    pub fn import_memo(&self, keys: &[StageKey]) {
-        *self.memo.borrow_mut() = keys.iter().map(|&k| (k, None)).collect();
-    }
-
     /// The evaluation body; returns the estimate and whether at least one
     /// stage's key was in the memo table.
     fn evaluate_cached(&self, config: &ParallelConfig) -> (ConfigEstimate, bool) {
@@ -190,21 +167,16 @@ impl<'a> CachedEvaluator<'a> {
         for i in 0..p {
             let key = stage_key(config, i, dev_start);
             let cached = self.memo.borrow().get(&key).cloned();
-            // A known key without its estimate (imported) is a hit whose
-            // estimate is computed now.
             hit |= cached.is_some();
-            let e = match cached {
-                Some(Some(e)) => e,
-                known => {
-                    let e = self.pm.stage_with_boundaries(config, i);
-                    let mut memo = self.memo.borrow_mut();
-                    if known.is_none() && memo.len() >= MEMO_CAP {
-                        memo.clear();
-                    }
-                    memo.insert(key, Some(e.clone()));
-                    e
+            let e = cached.unwrap_or_else(|| {
+                let e = self.pm.stage_with_boundaries(config, i);
+                let mut memo = self.memo.borrow_mut();
+                if memo.len() >= MEMO_CAP {
+                    memo.clear();
                 }
-            };
+                memo.insert(key, e.clone());
+                e
+            });
             stages.push(e);
             dev_start += config.stages()[i].gpus;
         }
@@ -354,45 +326,6 @@ mod tests {
         assert!(ev.memo_len() > 0);
         ev.clear();
         assert_eq!(ev.memo_len(), 0);
-    }
-
-    #[test]
-    fn memo_export_import_round_trips() {
-        let (m, c) = setup();
-        let db = ProfileDb::build(&m, &c);
-        let configs = [2, 4].map(|p| balanced_init(&m, &c, p).expect("init"));
-        let counted =
-            || CachedEvaluator::with_recorder(PerfModel::new(&m, &c, &db), Recorder::new(true));
-        let source = counted();
-        for cfg in &configs {
-            source.evaluate_unchecked(cfg);
-        }
-        let exported = source.export_memo();
-        assert_eq!(exported.len(), source.memo_len());
-        // Deterministic order: exporting twice yields identical sequences.
-        assert_eq!(exported, source.export_memo());
-        let other = counted();
-        other.import_memo(&exported);
-        assert_eq!(other.memo_len(), exported.len());
-        assert_eq!(other.export_memo(), exported);
-        // Imported keys serve lookups: re-evaluating seen configurations
-        // recomputes their estimates bit for bit, adds no entries, and
-        // counts the hit/full split the source evaluator counts.
-        let split = |ev: &CachedEvaluator<'_>| {
-            let m = ev.recorder().parts().1;
-            [Counter::PerfIncrementalHits, Counter::PerfFullEvals].map(|k| m.counter(k))
-        };
-        let before = split(&source);
-        for cfg in &configs {
-            assert_bit_identical(
-                &source.evaluate_unchecked(cfg),
-                &other.evaluate_unchecked(cfg),
-            );
-        }
-        assert_eq!(other.memo_len(), exported.len());
-        let after = split(&source);
-        assert_eq!(split(&other), [after[0] - before[0], after[1] - before[1]]);
-        assert_eq!(split(&other), [2, 0]);
     }
 
     /// One model is shared by every stage-count thread of a search, and

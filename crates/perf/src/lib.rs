@@ -18,7 +18,7 @@ pub mod estimate;
 pub mod grid;
 pub mod model;
 
-pub use cached::{CachedEvaluator, Evaluator, StageKey};
+pub use cached::{CachedEvaluator, Evaluator};
 pub use estimate::{ConfigEstimate, StageEstimate};
 pub use grid::{CostGrid, OpCost};
 pub use model::PerfModel;

@@ -286,11 +286,6 @@ impl ProfileCache {
     pub fn take_store_sweep_errors(&self) -> u64 {
         self.store.as_ref().map_or(0, Store::take_sweep_errors)
     }
-
-    /// Total approximate bytes of resident databases.
-    pub fn resident_bytes(&self) -> u64 {
-        self.lock_state().entries.values().map(|e| e.bytes).sum()
-    }
 }
 
 #[cfg(test)]

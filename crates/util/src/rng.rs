@@ -27,19 +27,6 @@ impl SplitMix64 {
         Self { state: seed }
     }
 
-    /// The current internal state, for checkpointing.
-    ///
-    /// A generator rebuilt with [`SplitMix64::from_state`] from this value
-    /// produces exactly the sequence the original would have produced next.
-    pub fn state(&self) -> u64 {
-        self.state
-    }
-
-    /// Restores a generator from a state captured by [`SplitMix64::state`].
-    pub fn from_state(state: u64) -> Self {
-        Self { state }
-    }
-
     /// Returns the next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -163,18 +150,6 @@ mod tests {
         let mut sorted = xs.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..32).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn state_round_trip_resumes_sequence() {
-        let mut a = SplitMix64::new(42);
-        for _ in 0..17 {
-            a.next_u64();
-        }
-        let mut b = SplitMix64::from_state(a.state());
-        for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
     }
 
     #[test]

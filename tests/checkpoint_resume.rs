@@ -17,8 +17,8 @@ use aceso::model::{zoo, ModelGraph};
 use aceso::obs::{ObsReport, NONDETERMINISTIC_COUNTERS};
 use aceso::profile::ProfileDb;
 use aceso::search::{
-    AcesoSearch, AfterRound, CheckpointError, ResumeError, SearchCheckpoint, SearchOptions,
-    SearchResult, SearchStep,
+    AcesoSearch, AfterRound, CheckpointError, PositionError, ResumeError, SearchCheckpoint,
+    SearchOptions, SearchResult, SearchStep,
 };
 use aceso::util::json::Value;
 
@@ -244,6 +244,48 @@ fn resuming_a_finished_checkpoint_replays_the_result() {
 }
 
 #[test]
+fn a_done_position_ends_where_an_equal_budget_search_ends() {
+    // A deadline that cut a stage count mid-iteration leaves a `done`
+    // position. Replay runs that iteration in full and ends the stage
+    // count there: the result of a search whose budget ended on that
+    // iteration boundary.
+    let model = zoo::gpt3_custom("ckpt-cut", 4, 512, 8, 256, 8192, 64);
+    let cluster = ClusterSpec::v100(1, 4);
+    let db = ProfileDb::build(&model, &cluster);
+    let pinned = |max_iterations| SearchOptions {
+        max_iterations,
+        stage_counts: Some(vec![2]),
+        ..SearchOptions::default()
+    };
+    let search = AcesoSearch::new(&model, &cluster, &db, pinned(8));
+    let SearchStep::Paused(ckpt) = search.run_partial(true, 3).expect("round") else {
+        panic!("an 8-iteration search must not finish in 3 iterations");
+    };
+    let text = ckpt.to_json_string();
+    let open = "[2,3,false]";
+    assert!(text.contains(open), "stage count 2 is open at iteration 3");
+    let cut = SearchCheckpoint::from_json_str(&text.replacen(open, "[2,3,true]", 1))
+        .expect("a done position parses");
+    let (got, _) = search.resume_from(true, &cut).expect("resume");
+    let want = AcesoSearch::new(&model, &cluster, &db, pinned(3))
+        .run()
+        .expect("3-iteration run");
+    assert_eq!(got.traces[0].iterations.len(), 3);
+    assert_eq!(
+        got.best_config.semantic_hash(),
+        want.best_config.semantic_hash()
+    );
+    assert_eq!(got.best_time.to_bits(), want.best_time.to_bits());
+    let tops = |r: &SearchResult| -> Vec<(u64, u64)> {
+        r.top_configs
+            .iter()
+            .map(|s| (s.config.semantic_hash(), s.score.to_bits()))
+            .collect()
+    };
+    assert_eq!(tops(&got), tops(&want));
+}
+
+#[test]
 fn metrics_off_checkpoints_resume_bit_identically() {
     let model = zoo::gpt3_custom("ckpt-quiet", 4, 512, 8, 256, 8192, 64);
     let cluster = ClusterSpec::v100(1, 4);
@@ -326,37 +368,63 @@ fn foreign_and_corrupt_checkpoints_fail_without_panicking() {
     let text = ckpt.to_json_string();
 
     // Another schema version is detected before anything else: a
-    // future one, a v6 spool (each memo entry also carries its
-    // estimate), a v5 spool (same shape, but its visited set
-    // and events hold fingerprints of the old whole-configuration hash),
-    // a v4 spool (same shape, but its saved event stream carries one
-    // `candidate_rejected` event per rejection instead of the
-    // per-iteration summary), a v3 spool (its counters include the
-    // second evaluation of fix-up-unchanged candidates that the search
-    // no longer makes), and a v2 spool that still carries the
-    // worker-count field of the removed in-stage worker pool (a daemon
-    // degrades all six to a fresh search).
-    let v7 = "\"schema_version\":7,";
-    assert!(text.starts_with(&format!("{{{v7}")));
-    let future = text.replacen(v7, "\"schema_version\":8,", 1);
-    let v6 = text.replacen(v7, "\"schema_version\":6,", 1);
-    let v5 = text.replacen(v7, "\"schema_version\":5,", 1);
-    let v4 = text.replacen(v7, "\"schema_version\":4,", 1);
-    let v3 = text.replacen(v7, "\"schema_version\":3,", 1);
-    let v2 = text.replacen(v7, "\"schema_version\":2,\"search_threads\":1,", 1);
-    for (doc, version) in [
-        (&future, 8),
-        (&v6, 6),
-        (&v5, 5),
-        (&v4, 4),
-        (&v3, 3),
-        (&v2, 2),
-    ] {
+    // future one, and every older one (a v7 spool held the whole search
+    // state: configurations, heap, visited set, memo keys, events,
+    // metrics and trace; v2 also carried the worker-count field of the
+    // removed in-stage worker pool). A daemon degrades each to a fresh
+    // search.
+    let v8 = "\"schema_version\":8,";
+    assert!(text.starts_with(&format!("{{{v8}")));
+    let future = text.replacen(v8, "\"schema_version\":9,", 1);
+    let v2 = text.replacen(v8, "\"schema_version\":2,\"search_threads\":1,", 1);
+    let mut docs = vec![(future, 9), (v2, 2)];
+    for version in 3..8 {
+        docs.push((
+            text.replacen(v8, &format!("\"schema_version\":{version},"), 1),
+            version,
+        ));
+    }
+    for (doc, version) in &docs {
         match SearchCheckpoint::from_json_str(doc) {
-            Err(CheckpointError::UnknownSchemaVersion(v)) => assert_eq!(v, version),
+            Err(CheckpointError::UnknownSchemaVersion(v)) => assert_eq!(v, *version),
             other => panic!("expected UnknownSchemaVersion({version}), got {other:?}"),
         }
     }
+
+    // A forged position parses but cannot belong to this search: a stage
+    // count it does not run, a stage count listed twice, or more
+    // iterations than its budget. Each fails before any replay.
+    let open = "[2,2,false]";
+    assert!(text.contains(open), "stage count 2 is open at iteration 2");
+    for (forged, want) in [
+        ("[9,2,false]", PositionError::UnknownStageCount(9)),
+        (
+            "[2,2,false],[2,1,false]",
+            PositionError::DuplicateStageCount(2),
+        ),
+        (
+            "[2,9,false]",
+            PositionError::IterationsOverBudget {
+                stage_count: 2,
+                iterations: 9,
+            },
+        ),
+    ] {
+        let doc = text.replacen(open, forged, 1);
+        let ckpt = SearchCheckpoint::from_json_str(&doc).expect("a forged position parses");
+        match search.resume_from(true, &ckpt) {
+            Err(ResumeError::Incompatible(CheckpointError::Position(got))) => {
+                assert_eq!(got, want, "{forged}")
+            }
+            other => panic!("{forged}: expected {want:?}, got {other:?}"),
+        }
+    }
+    // A position of the wrong shape is a JSON error.
+    let doc = text.replacen(open, "[2,2]", 1);
+    assert!(matches!(
+        SearchCheckpoint::from_json_str(&doc),
+        Err(CheckpointError::Json(_))
+    ));
 
     // Truncation at any prefix length is an error, never a panic.
     for cut in [0, 1, text.len() / 4, text.len() / 2, text.len() - 1] {

@@ -60,13 +60,7 @@ fn contracts() -> Vec<Contract> {
             doc: "docs/SEARCH.md",
             sources: &["crates/core/src", "crates/config/src"],
             owns: "",
-            anchors: &[
-                "MEMO",
-                "MERGE-ORDER",
-                "SCORE-ONCE",
-                "STAGE-HASH",
-                "CANONICAL-EXPORT",
-            ],
+            anchors: &["MEMO", "MERGE-ORDER", "SCORE-ONCE", "STAGE-HASH"],
             counters: &[("search_worker_batches", Class::Deterministic)],
             all_nondeterministic: Some(""),
             events: &[],
@@ -75,6 +69,7 @@ fn contracts() -> Vec<Contract> {
                 "tests/search_golden.rs",
                 "tests/checkpoint_resume.rs",
                 "live_snapshots_equal_the_round_tripped_chain",
+                "a_done_position_ends_where_an_equal_budget_search_ends",
                 "tests/search_doc.rs",
                 "tests/perf_equivalence.rs",
                 "crates/core/tests/properties.rs",

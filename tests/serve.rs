@@ -610,9 +610,10 @@ fn daemon_restart_resumes_a_preseeded_spool() {
     let _ = std::fs::remove_dir_all(&spool);
 }
 
-/// A bad spool costs the saved work, never the request: corrupt JSON and
-/// a future schema version both degrade to a fresh, still-bit-identical
-/// run, each recorded as a `search_restarted` event in the drain report.
+/// A bad spool costs the saved work, never the request: corrupt JSON, a
+/// future schema version and a forged position (more iterations than the
+/// request's budget) all degrade to a fresh, still-bit-identical run,
+/// each recorded as a `search_restarted` event in the drain report.
 #[test]
 fn bad_spools_degrade_to_fresh_runs() {
     let spool = temp_spool("bad");
@@ -642,12 +643,15 @@ fn bad_spools_degrade_to_fresh_runs() {
         "failed to forge a future-version checkpoint"
     );
     std::fs::write(spool_path(&spool, "future-job"), future).unwrap();
+    let mut forged = ckpt.clone();
+    forged.stages[0].iterations = base.max_iterations + 1;
+    std::fs::write(spool_path(&spool, "forged-job"), forged.to_json_string()).unwrap();
 
     let (addr, handle) = start(ServeOptions {
         spool_dir: Some(spool.clone()),
         ..ServeOptions::default()
     });
-    for id in ["garbage-job", "future-job"] {
+    for id in ["garbage-job", "future-job", "forged-job"] {
         let req = Request {
             request_id: Some(id.into()),
             ..base.clone()
@@ -660,11 +664,15 @@ fn bad_spools_degrade_to_fresh_runs() {
     serve::shutdown(&addr).expect("shutdown");
     let report = handle.join().unwrap();
     assert_eq!(report.counter(Counter::SearchResumed), 0);
-    assert_eq!(report.counter(Counter::ClientRetries), 2);
+    assert_eq!(report.counter(Counter::ClientRetries), 3);
     let events = report.events_jsonl();
+    assert!(
+        events.contains("past the search's iteration budget"),
+        "the forged position names its reason: {events}"
+    );
     assert_eq!(
         events.matches("\"search_restarted\"").count(),
-        2,
+        3,
         "each bad spool must be recorded: {events}"
     );
     let _ = std::fs::remove_dir_all(&spool);
