@@ -259,7 +259,6 @@ pub fn audit_search_result(
 pub fn audit_search(sample: &CorpusSample, smoke: bool, eps: f64, report: &mut AuditReport) {
     let mut options = SearchOptions {
         max_iterations: if smoke { 6 } else { 10 },
-        parallel: false,
         top_k: 3,
         stage_counts: Some(if smoke { vec![2] } else { vec![2, 4] }),
         ..SearchOptions::default()

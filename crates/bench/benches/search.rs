@@ -66,7 +66,6 @@ fn main() {
             &db,
             SearchOptions {
                 max_iterations: 8,
-                parallel: false,
                 stage_counts: Some(vec![2]),
                 ..SearchOptions::default()
             },

@@ -141,7 +141,7 @@ const STRUCTURAL_TOKENS: &[&str] = &[
     "shared_store_daemons_race_eviction_against_load_without_errors",
     "no_counter_is_silently_dead",
     "two_hundred_seeded_schedules_violate_no_oracle",
-    "submit_with_retries_deadline",
+    "submit_with_retries",
     "retry_deadline_bounds_total_wall_clock",
     "catch_unwind",
 ];

@@ -42,7 +42,7 @@ use aceso_bench::harness::{
 };
 use aceso_obs::Counter;
 use aceso_serve::{
-    read_frame, shutdown, submit, submit_pipelined_on, Request, ServeOptions, Server,
+    read_response, shutdown, submit, submit_pipelined, Request, ServeOptions, Server,
 };
 use aceso_util::json::{obj, ToJson, Value};
 use aceso_util::table::Table;
@@ -228,7 +228,7 @@ fn fleet_draw(clients: usize) -> FleetDraw {
                             at = end;
                         }
                         submitted.fetch_add(1, Ordering::Relaxed);
-                        if ok && read_until_result(&mut stream) {
+                        if ok && read_response(&mut stream).is_ok() {
                             latencies
                                 .lock()
                                 .unwrap()
@@ -247,12 +247,12 @@ fn fleet_draw(clients: usize) -> FleetDraw {
                             fleet_request(Some(format!("fleet-{i}-b"))),
                         ];
                         let start = Instant::now();
-                        let outcome = submit_pipelined_on(stream, &reqs);
+                        let outcome = submit_pipelined(stream, &reqs);
                         let elapsed = start.elapsed().as_micros() as u64;
                         submitted.fetch_add(2, Ordering::Relaxed);
                         match outcome {
                             Ok(results) => {
-                                for (_, r) in results {
+                                for r in results {
                                     if r.is_ok() {
                                         latencies.lock().unwrap().push(elapsed);
                                     } else {
@@ -436,20 +436,6 @@ fn run_restart(out: &std::path::Path) {
             ("restart_us", Value::UInt(restart_us)),
         ]),
     );
-}
-
-/// Reads frames until the request's terminal frame; true on `result`.
-fn read_until_result(stream: &mut TcpStream) -> bool {
-    loop {
-        match read_frame(stream) {
-            Ok(frame) => match frame.get("type").and_then(|t| t.as_str().ok()) {
-                Some("result") => return true,
-                Some("error") => return false,
-                _ => continue,
-            },
-            Err(_) => return false,
-        }
-    }
 }
 
 /// The original cold/warm/spooled cache-latency comparison.

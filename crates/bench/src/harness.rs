@@ -378,7 +378,6 @@ mod tests {
         let r = env
             .run_aceso(SearchOptions {
                 max_iterations: 4,
-                parallel: false,
                 ..SearchOptions::default()
             })
             .expect("search runs");

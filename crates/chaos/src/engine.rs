@@ -31,7 +31,7 @@
 //! trace.
 
 use crate::schedule::Schedule;
-use aceso_obs::{Event, ObsReport};
+use aceso_obs::{Event, Family, ObsReport};
 use aceso_serve::{
     submit, submit_with_retries, FaultProxy, ProfileCache, Request, ServeOptions, Server,
 };
@@ -229,7 +229,7 @@ impl Engine {
             false,
         )
         .map_err(|e| format!("reference daemon failed to bind: {e}"))?;
-        let resp = submit_with_retries(&daemon.addr, &chaos_request(), 4)
+        let resp = submit_with_retries(&daemon.addr, &chaos_request(), 4, None)
             .map_err(|e| format!("reference submission failed: {e}"))?;
         let mut violations = Vec::new();
         stop_daemon(daemon, &mut violations);
@@ -309,7 +309,7 @@ impl Engine {
                     }
                     Err(e) => violations.push(format!("fault-proxy-failed: {e}")),
                 },
-                None => match submit_with_retries(&daemon.addr, &req, 4) {
+                None => match submit_with_retries(&daemon.addr, &req, 4, None) {
                     Ok(resp) => self.check_fingerprint(&resp.result, &mut violations),
                     Err(e) => violations.push(format!("submit-failed: {e}")),
                 },
@@ -346,7 +346,7 @@ impl Engine {
             Ok(daemon_b) => {
                 // The recovery resubmission: bounded retries, then the
                 // bit-identity oracle against the fault-free reference.
-                match submit_with_retries(&daemon_b.addr, &req, 4) {
+                match submit_with_retries(&daemon_b.addr, &req, 4, None) {
                     Ok(resp) => self.check_fingerprint(&resp.result, &mut violations),
                     Err(e) => violations.push(format!("resubmit-failed: {e}")),
                 }
@@ -447,7 +447,7 @@ impl Engine {
                     kind: f.kind.name().to_string(),
                     path: f.path.display().to_string(),
                 });
-                rec.count_chaos_fault(f.kind.name(), 1);
+                rec.count_keyed(Family::ChaosFaultsInjected, f.kind.name(), 1);
             }
             if !outcome.violations.is_empty() {
                 failure = Some(crate::shrink::shrink(self, &schedule, outcome.violations));

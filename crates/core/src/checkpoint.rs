@@ -62,9 +62,9 @@ pub fn cluster_fingerprint(cluster: &ClusterSpec) -> u64 {
 }
 
 /// Stable fingerprint of every [`SearchOptions`] field that affects the
-/// deterministic result. `time_budget` and `parallel` are deliberately
-/// excluded: neither changes what an unexpired search computes, and a
-/// resumed search must be allowed a fresh wall-clock budget.
+/// deterministic result. `time_budget` is deliberately excluded: it
+/// does not change what an unexpired search computes, and a resumed
+/// search must be allowed a fresh wall-clock budget.
 pub fn options_fingerprint(o: &SearchOptions) -> u64 {
     let mut h = FnvHasher::new();
     h.write_usize(o.max_hops);
@@ -391,7 +391,6 @@ mod tests {
         // Wall-clock budget and threading do not.
         let budgeted = SearchOptions {
             time_budget: Some(std::time::Duration::from_secs(1)),
-            parallel: false,
             ..SearchOptions::default()
         };
         assert_eq!(same, options_fingerprint(&budgeted));

@@ -13,7 +13,7 @@ use crate::trace::{AcceptedConfig, ConvergencePoint, IterationRecord, SearchTrac
 use aceso_cluster::ClusterSpec;
 use aceso_config::{balanced_init, ConfigError, ParallelConfig};
 use aceso_model::ModelGraph;
-use aceso_obs::{Counter, Event, HistKind, ObsReport, Recorder};
+use aceso_obs::{Counter, Event, Family, HistKind, ObsReport, Recorder};
 use aceso_perf::{CachedEvaluator, ConfigEstimate, Evaluator, PerfModel};
 use aceso_profile::ProfileDb;
 use aceso_util::SplitMix64;
@@ -42,8 +42,6 @@ pub struct SearchOptions {
     pub use_heuristic2: bool,
     /// RNG seed (only consumed when `use_heuristic2` is off).
     pub seed: u64,
-    /// Search stage counts on parallel threads.
-    pub parallel: bool,
     /// Backtracking breadth per hop (candidates recursed into).
     pub branch_limit: usize,
     /// Secondary bottlenecks attempted per iteration.
@@ -66,7 +64,6 @@ impl Default for SearchOptions {
             fine_tune: true,
             use_heuristic2: true,
             seed: 0x000A_CE50,
-            parallel: true,
             branch_limit: 3,
             max_bottlenecks: 3,
             gen_options: GenOptions::default(),
@@ -522,14 +519,14 @@ impl<'a> AcesoSearch<'a> {
         ))
     }
 
-    /// Runs `f` over `items`, one scoped thread each when the search is
-    /// parallel, keeping the results that had one in `items` order.
+    /// Runs `f` over `items`, one scoped thread each when there is more
+    /// than one, keeping the results that had one in `items` order.
     fn on_stage_threads<T: Send, R: Send>(
         &self,
         items: Vec<T>,
         f: impl Fn(T) -> Option<R> + Sync,
     ) -> Vec<R> {
-        if !(self.options.parallel && items.len() > 1) {
+        if items.len() <= 1 {
             return items.into_iter().filter_map(f).collect();
         }
         std::thread::scope(|scope| {
@@ -1042,8 +1039,11 @@ impl Ctx<'_> {
                 primitives_applied: cand.primitives_applied,
                 hop_depth: hop + cand.primitives_applied,
             });
-            self.rec
-                .count_primitive(cand.primitive.name(), cand.primitives_applied as u64);
+            self.rec.count_keyed(
+                Family::PrimitivesApplied,
+                cand.primitive.name(),
+                cand.primitives_applied as u64,
+            );
             self.rec
                 .observe(HistKind::ScoreDelta, (init_score - score) / init_score);
             self.rec
@@ -1078,7 +1078,6 @@ mod tests {
     fn opts() -> SearchOptions {
         SearchOptions {
             max_iterations: 12,
-            parallel: false,
             ..SearchOptions::default()
         }
     }
@@ -1131,28 +1130,6 @@ mod tests {
         let b = AcesoSearch::new(&m, &c, &db, opts()).run().expect("b");
         assert_eq!(a.best_config.semantic_hash(), b.best_config.semantic_hash());
         assert_eq!(a.explored, b.explored);
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let (m, c) = setup();
-        let db = ProfileDb::build(&m, &c);
-        let seq = AcesoSearch::new(&m, &c, &db, opts()).run().expect("seq");
-        let par = AcesoSearch::new(
-            &m,
-            &c,
-            &db,
-            SearchOptions {
-                parallel: true,
-                ..opts()
-            },
-        )
-        .run()
-        .expect("par");
-        assert_eq!(
-            seq.best_config.semantic_hash(),
-            par.best_config.semantic_hash()
-        );
     }
 
     #[test]
@@ -1310,7 +1287,6 @@ mod tests {
             SearchOptions {
                 max_iterations: 100_000,
                 time_budget: Some(Duration::from_millis(300)),
-                parallel: false,
                 ..SearchOptions::default()
             },
         )

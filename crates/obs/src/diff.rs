@@ -7,6 +7,7 @@
 //! `schema_version`s refuse to diff — counter meanings may have changed
 //! between versions, so a silent cross-version diff would lie.
 
+use crate::metrics::Family;
 use aceso_util::json::Value;
 use aceso_util::table::Table;
 
@@ -122,12 +123,8 @@ pub fn render_diff(a: &Value, b: &Value) -> Result<String, DiffError> {
         &["counter", "left", "right", "delta"],
     );
     let mut unchanged = 0usize;
-    for (field, prefix) in [
-        ("counters", ""),
-        ("primitives_applied", "primitive["),
-        ("audit_findings", "audit["),
-        ("chaos_faults_injected", "chaos["),
-    ] {
+    let families = Family::ALL.map(|f| (f.name(), f.label()));
+    for (field, prefix) in std::iter::once(("counters", "")).chain(families) {
         let left = uint_entries(a, field);
         let right = uint_entries(b, field);
         for key in key_union(&left, &right) {
@@ -140,7 +137,7 @@ pub fn render_diff(a: &Value, b: &Value) -> Result<String, DiffError> {
             let label = if prefix.is_empty() {
                 key.clone()
             } else {
-                format!("{prefix}{key}]")
+                format!("{prefix}[{key}]")
             };
             counters.row(&[label, fmt_opt(la), fmt_opt(rb), fmt_delta(la, rb)]);
         }
@@ -202,7 +199,7 @@ mod tests {
         let rec = Recorder::new(true);
         rec.add(Counter::PerfEvaluations, evals);
         rec.add(Counter::PerfFullEvals, evals);
-        rec.count_primitive("inc-dp", 2);
+        rec.count_keyed(Family::PrimitivesApplied, "inc-dp", 2);
         if let Some(v) = latency {
             rec.observe(HistKind::EvalLatencyUs, v);
         }

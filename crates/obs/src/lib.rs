@@ -44,7 +44,7 @@ pub mod schema;
 
 pub use diff::{render_diff, DiffError};
 pub use event::Event;
-pub use metrics::{Counter, HistKind, Histogram, Metrics};
+pub use metrics::{Counter, Family, HistKind, Histogram, Metrics};
 pub use recorder::Recorder;
 pub use report::ObsReport;
 pub use schema::{

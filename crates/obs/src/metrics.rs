@@ -320,23 +320,59 @@ impl Histogram {
     }
 }
 
-/// A full metric set: fixed counters, the keyed `primitives_applied`,
-/// `audit_findings`, and `chaos_faults_injected` counter families, and
-/// the fixed histograms.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Metrics {
-    counters: [u64; Counter::ALL.len()],
+/// The keyed counter families: monotone counts under string keys.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Family {
     /// Accepted candidates by headline primitive, weighted by the
     /// Table-1 applications each bundles.
-    primitives: BTreeMap<&'static str, u64>,
+    PrimitivesApplied,
     /// Static-verifier findings by audit rule (schema v5). Stays empty
     /// in search and serve runs; `aceso audit` fills it.
-    audit_findings: BTreeMap<&'static str, u64>,
-    /// Injected filesystem faults by kind (schema v9). Stays empty in
+    AuditFindings,
+    /// Injected filesystem faults by kind (`eio`, `enospc`,
+    /// `short_write`, `rename_fail`, `crash`; schema v9). Stays empty in
     /// production runs; `aceso chaos` fills it. Fault placement depends
     /// on the seeded schedule, so the family is nondeterministic-masked
     /// (see [`crate::schema::NONDETERMINISTIC_FAMILIES`]).
-    chaos_faults: BTreeMap<&'static str, u64>,
+    ChaosFaultsInjected,
+}
+
+impl Family {
+    /// All families, in snapshot order.
+    pub const ALL: [Family; 3] = [
+        Family::PrimitivesApplied,
+        Family::AuditFindings,
+        Family::ChaosFaultsInjected,
+    ];
+
+    /// The family's snapshot-key name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Family::PrimitivesApplied => "primitives_applied",
+            Family::AuditFindings => "audit_findings",
+            Family::ChaosFaultsInjected => "chaos_faults_injected",
+        }
+    }
+
+    /// Row-label prefix of the family's keys in summary and diff tables
+    /// (`primitive[inc-dp]`).
+    pub fn label(self) -> &'static str {
+        match self {
+            Family::PrimitivesApplied => "primitive",
+            Family::AuditFindings => "audit",
+            Family::ChaosFaultsInjected => "chaos",
+        }
+    }
+}
+
+/// A full metric set: fixed counters, the keyed counter [`Family`]s,
+/// and the fixed histograms.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Metrics {
+    /// Indexed by `Counter as usize` ([`Counter::ALL`] order).
+    counters: [u64; Counter::ALL.len()],
+    /// Indexed by `Family as usize` ([`Family::ALL`] order).
+    keyed: [BTreeMap<&'static str, u64>; Family::ALL.len()],
     histograms: Vec<Histogram>,
 }
 
@@ -344,9 +380,7 @@ impl Default for Metrics {
     fn default() -> Self {
         Self {
             counters: [0; Counter::ALL.len()],
-            primitives: BTreeMap::new(),
-            audit_findings: BTreeMap::new(),
-            chaos_faults: BTreeMap::new(),
+            keyed: Default::default(),
             histograms: HistKind::ALL.iter().map(|&k| Histogram::new(k)).collect(),
         }
     }
@@ -354,52 +388,25 @@ impl Default for Metrics {
 
 impl Metrics {
     /// Adds `n` to a counter.
+    #[inline]
     pub fn add(&mut self, c: Counter, n: u64) {
-        self.counters[Counter::ALL
-            .iter()
-            .position(|&x| x == c)
-            .expect("counter in ALL")] += n;
+        self.counters[c as usize] += n;
     }
 
     /// Current value of a counter.
+    #[inline]
     pub fn counter(&self, c: Counter) -> u64 {
-        self.counters[Counter::ALL
-            .iter()
-            .position(|&x| x == c)
-            .expect("counter in ALL")]
+        self.counters[c as usize]
     }
 
-    /// Adds `n` to the keyed `primitives_applied` family.
-    pub fn add_primitive(&mut self, name: &'static str, n: u64) {
-        *self.primitives.entry(name).or_insert(0) += n;
+    /// Adds `n` to `key` of a keyed counter family.
+    pub fn add_keyed(&mut self, f: Family, key: &'static str, n: u64) {
+        *self.keyed[f as usize].entry(key).or_insert(0) += n;
     }
 
-    /// The keyed `primitives_applied` counters, sorted by key.
-    pub fn primitives(&self) -> &BTreeMap<&'static str, u64> {
-        &self.primitives
-    }
-
-    /// Adds `n` to the keyed `audit_findings` family, keyed by audit
-    /// rule name.
-    pub fn add_audit_finding(&mut self, rule: &'static str, n: u64) {
-        *self.audit_findings.entry(rule).or_insert(0) += n;
-    }
-
-    /// The keyed `audit_findings` counters, sorted by rule.
-    pub fn audit_findings(&self) -> &BTreeMap<&'static str, u64> {
-        &self.audit_findings
-    }
-
-    /// Adds `n` to the keyed `chaos_faults_injected` family, keyed by
-    /// fault kind (`eio`, `enospc`, `short_write`, `rename_fail`,
-    /// `crash`).
-    pub fn add_chaos_fault(&mut self, kind: &'static str, n: u64) {
-        *self.chaos_faults.entry(kind).or_insert(0) += n;
-    }
-
-    /// The keyed `chaos_faults_injected` counters, sorted by kind.
-    pub fn chaos_faults(&self) -> &BTreeMap<&'static str, u64> {
-        &self.chaos_faults
+    /// The counters of one keyed family, sorted by key.
+    pub fn keyed(&self, f: Family) -> &BTreeMap<&'static str, u64> {
+        &self.keyed[f as usize]
     }
 
     /// Records a histogram observation.
@@ -417,14 +424,10 @@ impl Metrics {
         for (a, b) in self.counters.iter_mut().zip(&other.counters) {
             *a += b;
         }
-        for (&k, &v) in &other.primitives {
-            *self.primitives.entry(k).or_insert(0) += v;
-        }
-        for (&k, &v) in &other.audit_findings {
-            *self.audit_findings.entry(k).or_insert(0) += v;
-        }
-        for (&k, &v) in &other.chaos_faults {
-            *self.chaos_faults.entry(k).or_insert(0) += v;
+        for (mine, theirs) in self.keyed.iter_mut().zip(&other.keyed) {
+            for (&k, &v) in theirs {
+                *mine.entry(k).or_insert(0) += v;
+            }
         }
         for (a, b) in self.histograms.iter_mut().zip(&other.histograms) {
             a.merge(b);
@@ -451,33 +454,10 @@ impl Metrics {
         )
     }
 
-    /// Snapshot of the keyed `primitives_applied` family as a JSON
-    /// object (sorted keys).
-    pub fn primitives_json(&self) -> Value {
+    /// Snapshot of one keyed family as a JSON object (sorted keys).
+    pub fn keyed_json(&self, f: Family) -> Value {
         Value::Object(
-            self.primitives
-                .iter()
-                .map(|(&k, &v)| (k.to_string(), Value::UInt(v)))
-                .collect(),
-        )
-    }
-
-    /// Snapshot of the keyed `audit_findings` family as a JSON object
-    /// (sorted keys).
-    pub fn audit_findings_json(&self) -> Value {
-        Value::Object(
-            self.audit_findings
-                .iter()
-                .map(|(&k, &v)| (k.to_string(), Value::UInt(v)))
-                .collect(),
-        )
-    }
-
-    /// Snapshot of the keyed `chaos_faults_injected` family as a JSON
-    /// object (sorted keys).
-    pub fn chaos_faults_json(&self) -> Value {
-        Value::Object(
-            self.chaos_faults
+            self.keyed(f)
                 .iter()
                 .map(|(&k, &v)| (k.to_string(), Value::UInt(v)))
                 .collect(),
@@ -496,11 +476,15 @@ mod tests {
         a.add(Counter::CandidatesAccepted, 1);
         let mut b = Metrics::default();
         b.add(Counter::PerfEvaluations, 2);
-        b.add_primitive("inc-dp", 2);
+        b.add_keyed(Family::PrimitivesApplied, "inc-dp", 2);
+        b.add_keyed(Family::AuditFindings, "oom", 1);
+        a.add_keyed(Family::AuditFindings, "oom", 1);
         a.merge(&b);
         assert_eq!(a.counter(Counter::PerfEvaluations), 5);
         assert_eq!(a.counter(Counter::CandidatesAccepted), 1);
-        assert_eq!(a.primitives()["inc-dp"], 2);
+        assert_eq!(a.keyed(Family::PrimitivesApplied)["inc-dp"], 2);
+        assert_eq!(a.keyed(Family::AuditFindings)["oom"], 2);
+        assert!(a.keyed(Family::ChaosFaultsInjected).is_empty());
     }
 
     #[test]
@@ -549,9 +533,23 @@ mod tests {
         }
     }
 
+    /// `add` and `counter` index by `Counter as usize`, and `Family`
+    /// storage by `Family as usize`: each `ALL` must list its variants
+    /// in declaration order.
+    #[test]
+    fn all_lists_variants_in_declaration_order() {
+        for (i, c) in Counter::ALL.into_iter().enumerate() {
+            assert_eq!(c as usize, i, "{}", c.name());
+        }
+        for (i, f) in Family::ALL.into_iter().enumerate() {
+            assert_eq!(f as usize, i, "{}", f.name());
+        }
+    }
+
     #[test]
     fn names_are_unique() {
         let mut names: Vec<&str> = Counter::ALL.iter().map(|c| c.name()).collect();
+        names.extend(Family::ALL.iter().map(|f| f.name()));
         names.extend(HistKind::ALL.iter().map(|h| h.name()));
         let n = names.len();
         names.sort_unstable();

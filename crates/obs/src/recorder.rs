@@ -10,7 +10,7 @@
 //! `&mut` plumbing.
 
 use crate::event::Event;
-use crate::metrics::{Counter, HistKind, Metrics};
+use crate::metrics::{Counter, Family, HistKind, Metrics};
 use std::cell::RefCell;
 
 /// A single-threaded event + metric recorder.
@@ -80,27 +80,11 @@ impl Recorder {
         }
     }
 
-    /// Adds `n` to the keyed `primitives_applied` counter family.
+    /// Adds `n` to `key` of a keyed counter family.
     #[inline]
-    pub fn count_primitive(&self, name: &'static str, n: u64) {
+    pub fn count_keyed(&self, f: Family, key: &'static str, n: u64) {
         if self.enabled {
-            self.metrics.borrow_mut().add_primitive(name, n);
-        }
-    }
-
-    /// Adds `n` to the keyed `audit_findings` counter family.
-    #[inline]
-    pub fn count_audit_finding(&self, rule: &'static str, n: u64) {
-        if self.enabled {
-            self.metrics.borrow_mut().add_audit_finding(rule, n);
-        }
-    }
-
-    /// Adds `n` to the keyed `chaos_faults_injected` counter family.
-    #[inline]
-    pub fn count_chaos_fault(&self, kind: &'static str, n: u64) {
-        if self.enabled {
-            self.metrics.borrow_mut().add_chaos_fault(kind, n);
+            self.metrics.borrow_mut().add_keyed(f, key, n);
         }
     }
 
@@ -132,13 +116,13 @@ mod tests {
         });
         rec.count(Counter::Backtracks);
         rec.add(Counter::PerfEvaluations, 3);
-        rec.count_primitive("inc-dp", 2);
+        rec.count_keyed(Family::PrimitivesApplied, "inc-dp", 2);
         rec.observe(HistKind::HopDepth, 2.0);
         let (events, metrics) = rec.into_parts();
         assert_eq!(events.len(), 1);
         assert_eq!(metrics.counter(Counter::Backtracks), 1);
         assert_eq!(metrics.counter(Counter::PerfEvaluations), 3);
-        assert_eq!(metrics.primitives()["inc-dp"], 2);
+        assert_eq!(metrics.keyed(Family::PrimitivesApplied)["inc-dp"], 2);
         assert_eq!(metrics.histogram(HistKind::HopDepth).count(), 1);
     }
 

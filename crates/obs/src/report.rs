@@ -2,10 +2,10 @@
 //! JSONL stream, a metric-snapshot JSON document, or a summary table.
 
 use crate::event::Event;
-use crate::metrics::{Counter, HistKind, Metrics};
+use crate::metrics::{Counter, Family, HistKind, Metrics};
 use crate::recorder::Recorder;
 use crate::schema::SCHEMA_VERSION;
-use aceso_util::json::{obj, Value};
+use aceso_util::json::Value;
 use aceso_util::table::Table;
 
 /// The merged observability output of one run.
@@ -74,22 +74,23 @@ impl ObsReport {
     }
 
     /// The metric snapshot as a JSON value: `schema_version`,
-    /// `wall_time_secs` (null unless set), `counters`,
-    /// `primitives_applied`, `audit_findings`, `chaos_faults_injected`,
-    /// and `histograms`.
+    /// `wall_time_secs` (null unless set), `counters`, each keyed
+    /// [`Family`] (`primitives_applied`, `audit_findings`,
+    /// `chaos_faults_injected`), and `histograms`.
     pub fn metrics_value(&self) -> Value {
-        obj([
-            ("schema_version", Value::UInt(SCHEMA_VERSION)),
+        let mut fields = vec![
+            ("schema_version".to_string(), Value::UInt(SCHEMA_VERSION)),
             (
-                "wall_time_secs",
+                "wall_time_secs".to_string(),
                 self.wall_time_secs.map_or(Value::Null, Value::Float),
             ),
-            ("counters", self.metrics.counters_json()),
-            ("primitives_applied", self.metrics.primitives_json()),
-            ("audit_findings", self.metrics.audit_findings_json()),
-            ("chaos_faults_injected", self.metrics.chaos_faults_json()),
-            ("histograms", self.metrics.histograms_json()),
-        ])
+            ("counters".to_string(), self.metrics.counters_json()),
+        ];
+        for f in Family::ALL {
+            fields.push((f.name().to_string(), self.metrics.keyed_json(f)));
+        }
+        fields.push(("histograms".to_string(), self.metrics.histograms_json()));
+        Value::Object(fields)
     }
 
     /// Renders [`ObsReport::metrics_value`] as a pretty JSON document.
@@ -105,14 +106,10 @@ impl ObsReport {
         for c in Counter::ALL {
             t.row(&[c.name().to_string(), self.counter(c).to_string()]);
         }
-        for (name, n) in self.metrics.primitives() {
-            t.row(&[format!("primitive[{name}]"), n.to_string()]);
-        }
-        for (rule, n) in self.metrics.audit_findings() {
-            t.row(&[format!("audit[{rule}]"), n.to_string()]);
-        }
-        for (kind, n) in self.metrics.chaos_faults() {
-            t.row(&[format!("chaos[{kind}]"), n.to_string()]);
+        for f in Family::ALL {
+            for (key, n) in self.metrics.keyed(f) {
+                t.row(&[format!("{}[{key}]", f.label()), n.to_string()]);
+            }
         }
         for h in HistKind::ALL {
             let hist = self.metrics.histogram(h);
@@ -141,7 +138,7 @@ mod tests {
         rec.add(Counter::CandidatesGenerated, 4);
         rec.add(Counter::CandidatesAccepted, 1);
         rec.add(Counter::CandidatesRejected, 3);
-        rec.count_primitive("inc-dp", 1);
+        rec.count_keyed(Family::PrimitivesApplied, "inc-dp", 1);
         rec.observe(HistKind::ScoreDelta, 0.1);
         let mut report = ObsReport::new();
         report.absorb(rec);

@@ -14,9 +14,12 @@
 //! * optionally, a persistent second tier ([`aceso_store::Store`]): a
 //!   miss consults the on-disk store before building (a loaded entry is
 //!   bit-identical to a built one), a fresh build is written back, and
-//!   unusable files degrade to a rebuild plus a typed drainable event —
-//!   the cache is merely the store's client, the format contract lives
-//!   in `docs/STORE.md`.
+//!   unusable files degrade to a rebuild plus a typed `store_degraded`
+//!   event — the cache is merely the store's client, the format contract
+//!   lives in `docs/STORE.md`.
+//!
+//! The cache counts its hits, misses and every store outcome into the
+//! daemon's server-level `ServerObs` as they happen.
 //!
 //! The whole cache is one map behind one mutex, held across the hit
 //! check, the store load, the build, the write-back and the eviction.
@@ -30,8 +33,10 @@
 //! identical values on hit and miss, so a cached, loaded, or freshly
 //! built database scores every configuration bit-identically.
 
+use crate::server::ServerObs;
 use aceso_cluster::ClusterSpec;
 use aceso_model::{ModelGraph, Precision};
+use aceso_obs::{Counter, Event};
 use aceso_profile::ProfileDb;
 use aceso_store::Store;
 use std::collections::HashMap;
@@ -56,16 +61,6 @@ struct Entry {
 struct State {
     entries: HashMap<(u64, u64), Entry>,
     tick: u64,
-    /// Degraded store files as `(file, reason)` pairs, drained by the
-    /// daemon into its `store_degraded` event stream.
-    degraded: Vec<(String, String)>,
-    hits: u64,
-    misses: u64,
-    store_hits: u64,
-    store_misses: u64,
-    store_writes: u64,
-    store_evictions: u64,
-    store_rejected: u64,
 }
 
 /// Shared, byte-budgeted LRU cache of built [`ProfileDb`]s.
@@ -75,6 +70,9 @@ pub struct ProfileCache {
     /// Optional persistent second tier, consulted on a miss before
     /// building and written back after a fresh build.
     store: Option<Store>,
+    /// Where hits, misses and store outcomes are counted; the daemon
+    /// shares it as its server-level state.
+    pub(crate) obs: Arc<ServerObs>,
 }
 
 impl ProfileCache {
@@ -86,6 +84,7 @@ impl ProfileCache {
             budget_bytes,
             state: Mutex::new(State::default()),
             store: None,
+            obs: Arc::default(),
         }
     }
 
@@ -137,16 +136,16 @@ impl ProfileCache {
         state.tick += 1;
         if let Some(entry) = state.entries.get_mut(&key) {
             entry.last_use = state.tick;
-            state.hits += 1;
+            self.obs.add(Counter::ProfileCacheHits, 1);
             return (Arc::clone(&entry.db), true);
         }
         // Disk tier first, then a real build. A fresh build is written
         // back as built, so a later load stays bit-identical to building.
-        let db = match self.load_from_store(state, key, model.precision) {
+        let db = match self.load_from_store(key, model.precision) {
             Some(db) => db,
             None => {
                 let db = build(model, cluster);
-                self.write_back(state, key, &db);
+                self.write_back(key, &db);
                 db
             }
         };
@@ -158,7 +157,7 @@ impl ProfileCache {
         };
         state.entries.insert(key, entry);
         Self::evict_over_budget(state, self.budget_bytes, key);
-        state.misses += 1;
+        self.obs.add(Counter::ProfileCacheMisses, 1);
         (db, false)
     }
 
@@ -181,61 +180,41 @@ impl ProfileCache {
     }
 
     /// Consults the persistent tier for `key`. Exactly one of the store
-    /// counters advances per consultation; a degraded file is queued for
-    /// the daemon's event stream. `None` means "build it fresh".
-    fn load_from_store(
-        &self,
-        state: &mut State,
-        key: (u64, u64),
-        precision: Precision,
-    ) -> Option<ProfileDb> {
+    /// counters advances per consultation; a degraded file also records
+    /// a `store_degraded` event. `None` means "build it fresh".
+    fn load_from_store(&self, key: (u64, u64), precision: Precision) -> Option<ProfileDb> {
         let store = self.store.as_ref()?;
-        match store.load(key.0, key.1) {
+        let (outcome, db) = match store.load(key.0, key.1) {
             // Timings depend on the precision but entry keys do not
             // encode it, so a decodable entry at another precision is
             // skipped and the request builds fresh.
-            Ok(Some(db)) if db.precision() != precision => {
-                state.store_rejected += 1;
-                None
-            }
-            Ok(Some(db)) => {
-                state.store_hits += 1;
-                Some(db)
-            }
-            Ok(None) => {
-                state.store_misses += 1;
-                None
-            }
+            Ok(Some(db)) if db.precision() != precision => (Counter::StoreRejected, None),
+            Ok(Some(db)) => (Counter::StoreHits, Some(db)),
+            Ok(None) => (Counter::StoreMisses, None),
             Err(degraded) => {
-                state.store_misses += 1;
-                state
-                    .degraded
-                    .push((degraded.file, degraded.reason.to_string()));
-                None
+                self.obs.push(Event::StoreDegraded {
+                    file: degraded.file,
+                    reason: degraded.reason.to_string(),
+                });
+                (Counter::StoreMisses, None)
             }
-        }
+        };
+        self.obs.add(outcome, 1);
+        db
     }
 
-    /// Writes a freshly built database back to the persistent tier.
-    /// Best-effort: a full or read-only disk must not fail the request.
-    fn write_back(&self, state: &mut State, key: (u64, u64), db: &ProfileDb) {
+    /// Writes a freshly built database back to the persistent tier and
+    /// counts the write and its eviction sweep. Best-effort: a full or
+    /// read-only disk must not fail the request.
+    fn write_back(&self, key: (u64, u64), db: &ProfileDb) {
         let Some(store) = self.store.as_ref() else {
             return;
         };
-        if let Ok(evicted) = store.save(key.0, key.1, db) {
-            state.store_writes += 1;
-            state.store_evictions += evicted as u64;
+        if let Ok(swept) = store.save(key.0, key.1, db) {
+            self.obs.add(Counter::StoreWrites, 1);
+            self.obs.add(Counter::StoreEvictions, swept.removed as u64);
+            self.obs.sweep_errors(store.dir(), swept.errors);
         }
-    }
-
-    /// Lifetime cache hits.
-    pub fn hits(&self) -> u64 {
-        self.lock_state().hits
-    }
-
-    /// Lifetime cache misses (loads and builds performed).
-    pub fn misses(&self) -> u64 {
-        self.lock_state().misses
     }
 
     /// Number of resident databases.
@@ -247,45 +226,6 @@ impl ProfileCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Lifetime misses resolved from the persistent store.
-    pub fn store_hits(&self) -> u64 {
-        self.lock_state().store_hits
-    }
-
-    /// Lifetime store consultations that found no usable entry.
-    pub fn store_misses(&self) -> u64 {
-        self.lock_state().store_misses
-    }
-
-    /// Lifetime databases written back to the persistent store.
-    pub fn store_writes(&self) -> u64 {
-        self.lock_state().store_writes
-    }
-
-    /// Lifetime store entries evicted from disk by the byte budget.
-    pub fn store_evictions(&self) -> u64 {
-        self.lock_state().store_evictions
-    }
-
-    /// Lifetime store entries skipped for precision mismatch.
-    pub fn store_rejected(&self) -> u64 {
-        self.lock_state().store_rejected
-    }
-
-    /// Drains queued `(file, reason)` store degradations for the
-    /// daemon's event stream.
-    pub fn drain_degraded(&self) -> Vec<(String, String)> {
-        std::mem::take(&mut self.lock_state().degraded)
-    }
-
-    /// Drains the store tier's count of failed eviction-sweep removals
-    /// (zero without a store). The daemon folds the drained count into
-    /// its monotone `retention_sweep_errors` total and emits a
-    /// `sweep_degraded` event (INV-CHAOS-SWEEP).
-    pub fn take_store_sweep_errors(&self) -> u64 {
-        self.store.as_ref().map_or(0, Store::take_sweep_errors)
-    }
 }
 
 #[cfg(test)]
@@ -293,6 +233,11 @@ mod tests {
     use super::*;
     use aceso_model::zoo::gpt3_custom;
     use aceso_model::Precision;
+
+    /// One of the server-level counters the cache counts into.
+    fn count(cache: &ProfileCache, c: Counter) -> u64 {
+        cache.obs.report(0).counter(c)
+    }
 
     fn small(name: &str, layers: usize) -> ModelGraph {
         gpt3_custom(name, layers, 256, 4, 128, 1000, 16)
@@ -308,7 +253,8 @@ mod tests {
         assert!(!hit1);
         assert!(hit2);
         assert!(Arc::ptr_eq(&db1, &db2));
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        assert_eq!(count(&cache, Counter::ProfileCacheHits), 1);
+        assert_eq!(count(&cache, Counter::ProfileCacheMisses), 1);
     }
 
     #[test]
@@ -317,7 +263,7 @@ mod tests {
         let c = ClusterSpec::v100(1, 2);
         cache.get_or_build(&small("a", 2), &c);
         cache.get_or_build(&small("b", 4), &c);
-        assert_eq!(cache.misses(), 2);
+        assert_eq!(count(&cache, Counter::ProfileCacheMisses), 2);
         assert_eq!(cache.len(), 2);
     }
 
@@ -327,7 +273,7 @@ mod tests {
         let m = small("a", 2);
         cache.get_or_build(&m, &ClusterSpec::v100(1, 2));
         cache.get_or_build(&m, &ClusterSpec::v100(1, 4));
-        assert_eq!(cache.misses(), 2);
+        assert_eq!(count(&cache, Counter::ProfileCacheMisses), 2);
     }
 
     #[test]
@@ -345,7 +291,7 @@ mod tests {
         // The evicted model now misses again.
         let (_, hit) = cache.get_or_build(&m1, &c);
         assert!(!hit);
-        assert_eq!(cache.misses(), 3);
+        assert_eq!(count(&cache, Counter::ProfileCacheMisses), 3);
     }
 
     #[test]
@@ -377,8 +323,16 @@ mod tests {
                 s.spawn(|| cache.get_or_build(&m, &c));
             }
         });
-        assert_eq!(cache.misses(), 1, "only one thread builds");
-        assert_eq!(cache.hits(), 3, "the others share the build");
+        assert_eq!(
+            count(&cache, Counter::ProfileCacheMisses),
+            1,
+            "only one thread builds"
+        );
+        assert_eq!(
+            count(&cache, Counter::ProfileCacheHits),
+            3,
+            "the others share the build"
+        );
     }
 
     /// A build that panics under the lock poisons it; the next call
@@ -397,7 +351,8 @@ mod tests {
         assert!(!hit, "the key is built after the panic");
         let (_db, hit) = cache.get_or_build(&m, &c);
         assert!(hit);
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        assert_eq!(count(&cache, Counter::ProfileCacheHits), 1);
+        assert_eq!(count(&cache, Counter::ProfileCacheMisses), 1);
     }
 
     fn store_dir(tag: &str) -> std::path::PathBuf {
@@ -417,14 +372,22 @@ mod tests {
         let first = ProfileCache::with_store(u64::MAX, Store::open(&dir, u64::MAX).expect("open"));
         let (built, hit) = first.get_or_build(&m, &c);
         assert!(!hit);
-        assert_eq!(first.store_misses(), 1, "cold store");
-        assert_eq!(first.store_writes(), 1, "fresh build written back");
+        assert_eq!(count(&first, Counter::StoreMisses), 1, "cold store");
+        assert_eq!(
+            count(&first, Counter::StoreWrites),
+            1,
+            "fresh build written back"
+        );
         drop(first);
         let second = ProfileCache::with_store(u64::MAX, Store::open(&dir, u64::MAX).expect("open"));
         let (loaded, hit) = second.get_or_build(&m, &c);
         assert!(!hit, "a store load is not a memory hit");
-        assert_eq!(second.store_hits(), 1);
-        assert_eq!(second.store_writes(), 0, "loads are not re-written");
+        assert_eq!(count(&second, Counter::StoreHits), 1);
+        assert_eq!(
+            count(&second, Counter::StoreWrites),
+            0,
+            "loads are not re-written"
+        );
         assert_eq!(
             loaded.canonical_entries(),
             built.canonical_entries(),
@@ -433,7 +396,11 @@ mod tests {
         // Next lookup on the second cache is a plain memory hit.
         let (_db, hit) = second.get_or_build(&m, &c);
         assert!(hit);
-        assert_eq!(second.store_hits(), 1, "store consulted on misses only");
+        assert_eq!(
+            count(&second, Counter::StoreHits),
+            1,
+            "store consulted on misses only"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -457,18 +424,18 @@ mod tests {
         let cache = ProfileCache::with_store(u64::MAX, store);
         let (db, hit) = cache.get_or_build(&m, &c);
         assert!(!hit);
-        assert_eq!(cache.store_rejected(), 1);
-        assert_eq!(cache.store_hits(), 0);
+        assert_eq!(count(&cache, Counter::StoreRejected), 1);
+        assert_eq!(count(&cache, Counter::StoreHits), 0);
         assert_eq!(db.precision(), Precision::Fp16, "built fresh");
         // The fresh build's write-back healed the planted entry.
         let again = ProfileCache::with_store(u64::MAX, Store::open(&dir, u64::MAX).expect("open"));
         let (_db, _) = again.get_or_build(&m, &c);
-        assert_eq!(again.store_hits(), 1);
+        assert_eq!(count(&again, Counter::StoreHits), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A corrupt store file degrades to a fresh build plus a drainable
-    /// typed event — never an error.
+    /// A corrupt store file degrades to a fresh build plus a typed
+    /// `store_degraded` event — never an error.
     #[test]
     fn corrupt_store_entry_degrades_with_typed_reason() {
         let dir = store_dir("degrade");
@@ -481,12 +448,18 @@ mod tests {
         let cache = ProfileCache::with_store(u64::MAX, store);
         let (_db, hit) = cache.get_or_build(&m, &c);
         assert!(!hit);
-        assert_eq!(cache.store_misses(), 1, "degrade counts as a miss");
-        let drained = cache.drain_degraded();
-        assert_eq!(drained.len(), 1);
-        assert_eq!(drained[0].0, file);
-        assert!(!drained[0].1.is_empty(), "reason is typed and non-empty");
-        assert!(cache.drain_degraded().is_empty(), "drain empties the queue");
+        assert_eq!(
+            count(&cache, Counter::StoreMisses),
+            1,
+            "degrade counts as a miss"
+        );
+        match cache.obs.report(0).events() {
+            [Event::StoreDegraded { file: f, reason }] => {
+                assert_eq!(f, &file);
+                assert!(!reason.is_empty(), "reason is typed and non-empty");
+            }
+            other => panic!("expected one store_degraded event, got {other:?}"),
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -13,7 +13,7 @@ use crate::proto::Request;
 use crate::wire::{read_frame, write_frame, WireError};
 use aceso_util::json::{obj, ToJson, Value};
 use aceso_util::SplitMix64;
-use std::io::BufReader;
+use std::io::{BufReader, Read};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -168,15 +168,18 @@ fn take_event(frame: Value) -> Result<Value, ClientError> {
     .ok_or_else(|| ClientError::Protocol("event frame without payload".into()))
 }
 
-/// Submits one search request and blocks until the result frame.
-pub fn submit(addr: &str, req: &Request) -> Result<Response, ClientError> {
-    let mut stream = TcpStream::connect(addr)?;
-    write_frame(&mut stream, &req.to_json_value())?;
-    let mut stream = BufReader::new(stream);
+/// Reads one request's whole response — status and event frames, then
+/// its result — from `r`. The server answers requests whole and in
+/// order (INV-PIPELINE-ORDER, `docs/SERVER.md`), so reading several
+/// pipelined responses is calling this once per request. A typed error
+/// frame ends the response as [`ClientError::Server`]; an event `seq`
+/// out of order, or a frame the protocol does not allow, is
+/// [`ClientError::Protocol`].
+pub fn read_response(r: &mut impl Read) -> Result<Response, ClientError> {
     let mut statuses = Vec::new();
     let mut events = Vec::new();
     loop {
-        let frame = read_frame(&mut stream)?;
+        let frame = read_frame(r)?;
         match frame.get("type").and_then(|t| t.as_str().ok()) {
             Some("status") => {
                 let phase = frame
@@ -209,166 +212,34 @@ pub fn submit(addr: &str, req: &Request) -> Result<Response, ClientError> {
     }
 }
 
-/// One request's accumulating state inside a [`PipelineCollector`].
-struct PipelineSlot {
-    id: String,
-    statuses: Vec<String>,
-    events: Vec<Value>,
-    outcome: Option<Result<Response, ClientError>>,
+/// Submits one search request and blocks until the result frame.
+pub fn submit(addr: &str, req: &Request) -> Result<Response, ClientError> {
+    let mut stream = TcpStream::connect(addr)?;
+    write_frame(&mut stream, &req.to_json_value())?;
+    read_response(&mut BufReader::new(stream))
 }
-
-/// Splits the response stream of pipelined requests back into one
-/// response per request.
-///
-/// The daemon answers requests written ahead on one connection whole
-/// and in request order (INV-PIPELINE-ORDER, `docs/SERVER.md`), so each
-/// frame belongs to the earliest request that has not finished yet.
-/// Per-request frame order is enforced the same way [`submit`] enforces
-/// it (contiguous event `seq`).
-pub struct PipelineCollector {
-    slots: Vec<PipelineSlot>,
-}
-
-impl PipelineCollector {
-    /// A collector expecting one response per id, in submission order.
-    /// The ids only label the outcomes.
-    pub fn new<I>(ids: I) -> Result<Self, ClientError>
-    where
-        I: IntoIterator<Item = String>,
-    {
-        let slots: Vec<PipelineSlot> = ids
-            .into_iter()
-            .map(|id| PipelineSlot {
-                id,
-                statuses: Vec::new(),
-                events: Vec::new(),
-                outcome: None,
-            })
-            .collect();
-        if slots.is_empty() {
-            return Err(ClientError::Protocol(
-                "a pipeline needs at least one request".into(),
-            ));
-        }
-        Ok(Self { slots })
-    }
-
-    /// True once every request has a result or a typed server error.
-    pub fn is_complete(&self) -> bool {
-        self.slots.iter().all(|s| s.outcome.is_some())
-    }
-
-    /// Accepts one inbound frame for the earliest unfinished request.
-    /// Errors are protocol violations (a frame after every request
-    /// finished, out-of-order event `seq`, unknown frame type); a typed
-    /// server `error` frame is *not* an error here — it completes its
-    /// own request's outcome.
-    pub fn accept(&mut self, frame: &Value) -> Result<(), ClientError> {
-        let slot = self
-            .slots
-            .iter_mut()
-            .find(|s| s.outcome.is_none())
-            .ok_or_else(|| {
-                ClientError::Protocol("frame arrived after every request finished".into())
-            })?;
-        match frame.get("type").and_then(|t| t.as_str().ok()) {
-            Some("status") => {
-                let phase = frame
-                    .get("phase")
-                    .and_then(|p| p.as_str().ok())
-                    .unwrap_or("?");
-                slot.statuses.push(phase.to_string());
-            }
-            Some("event") => {
-                let seq = frame
-                    .get("seq")
-                    .and_then(|s| s.as_u64().ok())
-                    .ok_or_else(|| ClientError::Protocol("event frame without seq".into()))?;
-                if seq as usize != slot.events.len() {
-                    return Err(ClientError::Protocol(format!(
-                        "request `{}`: event seq {seq} out of order (expected {})",
-                        slot.id,
-                        slot.events.len()
-                    )));
-                }
-                let event = frame
-                    .get("event")
-                    .cloned()
-                    .ok_or_else(|| ClientError::Protocol("event frame without payload".into()))?;
-                slot.events.push(event);
-            }
-            Some("result") => {
-                let statuses = std::mem::take(&mut slot.statuses);
-                let events = std::mem::take(&mut slot.events);
-                slot.outcome = Some(response_from_result(frame.clone(), statuses, events));
-            }
-            Some("error") => slot.outcome = Some(Err(server_error(frame))),
-            other => {
-                return Err(ClientError::Protocol(format!(
-                    "unexpected frame type {other:?} in a pipelined stream"
-                )))
-            }
-        }
-        Ok(())
-    }
-
-    /// The per-request outcomes, in submission order. Call after
-    /// [`PipelineCollector::is_complete`]; unfinished requests yield a
-    /// `Protocol` error describing the truncation.
-    pub fn into_outcomes(self) -> Vec<(String, Result<Response, ClientError>)> {
-        self.slots
-            .into_iter()
-            .map(|s| {
-                let outcome = s.outcome.unwrap_or_else(|| {
-                    Err(ClientError::Protocol(format!(
-                        "stream ended before request `{}` finished",
-                        s.id
-                    )))
-                });
-                (s.id, outcome)
-            })
-            .collect()
-    }
-}
-
-/// Per-request outcomes of a pipelined batch, in submission order:
-/// `(request_id, result)` pairs.
-pub type PipelineOutcomes = Vec<(String, Result<Response, ClientError>)>;
 
 /// Submits several requests on **one** connection without waiting for
-/// responses in between (pipelining), then collects every response.
-/// Requires each request to carry a `request_id`, which labels its
-/// outcome. Returns per-request outcomes in submission order: a typed
-/// server rejection of one request does not disturb the others (the
-/// fault-injection tests rely on exactly that isolation).
-pub fn submit_pipelined(addr: &str, reqs: &[Request]) -> Result<PipelineOutcomes, ClientError> {
-    submit_pipelined_on(TcpStream::connect(addr)?, reqs)
-}
-
-/// [`submit_pipelined`] over an already-connected stream, so a caller
-/// can connect ahead of time and time the requests alone.
-pub fn submit_pipelined_on(
+/// responses in between (pipelining), then reads one response per
+/// request. Takes a connected stream, so a caller can connect ahead of
+/// time and time the requests alone. Returns per-request outcomes in
+/// submission order: a typed server rejection ends only its own request
+/// (the fault-injection tests rely on exactly that isolation), while a
+/// wire or protocol error fails the whole call.
+pub fn submit_pipelined(
     mut stream: TcpStream,
     reqs: &[Request],
-) -> Result<PipelineOutcomes, ClientError> {
-    let ids: Vec<String> = reqs
-        .iter()
-        .map(|r| {
-            r.request_id
-                .clone()
-                .ok_or_else(|| ClientError::Protocol("pipelined requests need request ids".into()))
-        })
-        .collect::<Result<_, _>>()?;
-    let mut collector = PipelineCollector::new(ids)?;
+) -> Result<Vec<Result<Response, ClientError>>, ClientError> {
     for req in reqs {
         write_frame(&mut stream, &req.to_json_value())?;
     }
     let mut stream = BufReader::new(stream);
-    while !collector.is_complete() {
-        let frame = read_frame(&mut stream)?;
-        collector.accept(&frame)?;
-    }
-    Ok(collector.into_outcomes())
+    reqs.iter()
+        .map(|_| match read_response(&mut stream) {
+            Err(e @ (ClientError::Wire(_) | ClientError::Protocol(_))) => Err(e),
+            outcome => Ok(outcome),
+        })
+        .collect()
 }
 
 /// How a failed submission should be retried. The two retryable classes
@@ -426,27 +297,19 @@ const RETRY_DELAY_CAP: Duration = Duration::from_secs(2);
 /// request, so a stampede of distinct clients still decorrelates while
 /// tests stay reproducible.
 ///
-/// Combined with a `request_id` and a `--spool-dir` daemon this is the
-/// crash-recovery loop: a retry after a dropped connection or daemon
-/// restart resumes the search from the last spooled checkpoint and
-/// returns the same bit-identical response the first attempt would have.
-pub fn submit_with_retries(
-    addr: &str,
-    req: &Request,
-    retries: usize,
-) -> Result<Response, ClientError> {
-    submit_with_retries_deadline(addr, req, retries, None)
-}
-
-/// [`submit_with_retries`] with an additional total wall-clock budget:
-/// once `deadline` has elapsed since the first attempt started, no
-/// further attempt is made and the typed
+/// An optional total wall-clock `deadline` bounds the whole ladder: once
+/// it would be exceeded, no further attempt is made and the typed
 /// [`ClientError::RetryDeadline`] surfaces (wrapping the last failure).
 /// The deadline spans *both* backoff clocks — a client alternating
 /// between `timeout` answers and transport failures is still bounded —
 /// and is checked before each sleep, so the client never parks past its
 /// own budget waiting to discover it expired.
-pub fn submit_with_retries_deadline(
+///
+/// Combined with a `request_id` and a `--spool-dir` daemon this is the
+/// crash-recovery loop: a retry after a dropped connection or daemon
+/// restart resumes the search from the last spooled checkpoint and
+/// returns the same bit-identical response the first attempt would have.
+pub fn submit_with_retries(
     addr: &str,
     req: &Request,
     retries: usize,
@@ -508,7 +371,8 @@ pub fn shutdown(addr: &str) -> Result<(), ClientError> {
     }
 }
 
-/// Fetches the server-level metric snapshot (the serve counter quartet).
+/// Fetches the server-level metric snapshot: the 14 server counters and
+/// the server-level events (`docs/SERVER.md`).
 pub fn server_stats(addr: &str) -> Result<Value, ClientError> {
     let mut stream = TcpStream::connect(addr)?;
     write_frame(&mut stream, &obj([("type", Value::Str("stats".into()))]))?;
@@ -542,7 +406,7 @@ fn server_error(frame: &Value) -> ClientError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{error_frame, status_frame};
+    use crate::proto::{error_frame, event_frame, status_frame};
 
     fn server_err(code: &str) -> ClientError {
         ClientError::Server {
@@ -607,7 +471,7 @@ mod tests {
             max_iterations: 1,
             ..Request::default()
         };
-        match submit_with_retries(&addr, &req, 4) {
+        match submit_with_retries(&addr, &req, 4, None) {
             Err(ClientError::Server { code, .. }) => assert_eq!(code, "rejected-busy"),
             other => panic!("expected rejected-busy, got {other:?}"),
         }
@@ -640,7 +504,7 @@ mod tests {
         };
         let limit = Duration::from_millis(300);
         let start = std::time::Instant::now();
-        let outcome = submit_with_retries_deadline(&refused, &req, 1000, Some(limit));
+        let outcome = submit_with_retries(&refused, &req, 1000, Some(limit));
         let elapsed = start.elapsed();
         match outcome {
             Err(ClientError::RetryDeadline {
@@ -665,72 +529,79 @@ mod tests {
         );
     }
 
-    /// Frames of pipelined requests, answered one after another, route
-    /// to the earliest unfinished request.
+    fn result_frame(explored: u64) -> Value {
+        obj([
+            ("type", Value::Str("result".into())),
+            ("cache", Value::Str("miss".into())),
+            ("explored", Value::UInt(explored)),
+            ("metrics", obj([("schema_version", Value::UInt(7))])),
+        ])
+    }
+
+    /// The frames as they arrive on the wire.
+    fn wire(frames: &[Value]) -> std::io::Cursor<Vec<u8>> {
+        let mut bytes = Vec::new();
+        for frame in frames {
+            write_frame(&mut bytes, frame).expect("encodes");
+        }
+        std::io::Cursor::new(bytes)
+    }
+
+    /// Two responses back to back, as pipelined requests are answered,
+    /// decode one after the other, each with its own frames.
     #[test]
-    fn frames_route_to_the_earliest_unfinished_request() {
-        let mut collector =
-            PipelineCollector::new(["first".to_string(), "second".to_string()]).expect("ids");
-        let result_frame = |explored: u64| {
-            obj([
-                ("type", Value::Str("result".into())),
-                ("cache", Value::Str("miss".into())),
-                ("explored", Value::UInt(explored)),
-                ("metrics", obj([("schema_version", Value::UInt(7))])),
-            ])
-        };
-        collector
-            .accept(&status_frame("profiling", None))
-            .expect("routes to first");
-        collector.accept(&result_frame(1)).expect("finishes first");
-        collector
-            .accept(&status_frame("profiling", None))
-            .expect("routes to second");
-        collector.accept(&result_frame(2)).expect("finishes second");
-        let outcomes = collector.into_outcomes();
-        let first = outcomes[0].1.as_ref().expect("first succeeds");
-        let second = outcomes[1].1.as_ref().expect("second succeeds");
+    fn back_to_back_responses_decode_in_order() {
+        let mut r = wire(&[
+            status_frame("profiling", None),
+            event_frame(0, obj([("kind", Value::Str("a".into()))])),
+            result_frame(1),
+            status_frame("profiling", None),
+            status_frame("searching", Some("hit")),
+            result_frame(2),
+        ]);
+        let first = read_response(&mut r).expect("first decodes");
+        let second = read_response(&mut r).expect("second decodes");
         assert_eq!(first.result.field("explored").unwrap().as_u64().unwrap(), 1);
+        assert_eq!(first.statuses, ["profiling"]);
+        assert_eq!(first.events.len(), 1);
         assert_eq!(
             second.result.field("explored").unwrap().as_u64().unwrap(),
             2
         );
+        assert_eq!(second.statuses, ["profiling", "searching"]);
+        assert!(second.events.is_empty());
+        assert!(matches!(
+            read_response(&mut r),
+            Err(ClientError::Wire(WireError::Closed))
+        ));
     }
 
-    /// A typed server error completes its own request without
-    /// disturbing the next, and a frame past the last request, or an
-    /// empty pipeline, is a protocol violation.
+    /// A typed server error ends its own response; the result behind it
+    /// still decodes.
     #[test]
-    fn error_frames_complete_one_request_and_stray_frames_are_typed() {
-        let mut collector =
-            PipelineCollector::new(["doomed".to_string(), "ok".to_string()]).expect("ids");
-        collector
-            .accept(&error_frame("bad-request", "gpus must be at least 1"))
-            .expect("error frame completes the first request");
-        assert!(!collector.is_complete());
-        collector
-            .accept(&status_frame("profiling", None))
-            .expect("routes to the second request");
-        collector
-            .accept(&obj([
-                ("type", Value::Str("result".into())),
-                ("metrics", obj([("schema_version", Value::UInt(7))])),
-            ]))
-            .expect("finishes the second request");
-        assert!(collector.is_complete());
-        let err = collector
-            .accept(&status_frame("profiling", None))
-            .expect_err("no request is left to take the frame");
-        assert!(matches!(err, ClientError::Protocol(_)));
-        let outcomes = collector.into_outcomes();
+    fn an_error_response_leaves_the_next_response_intact() {
+        let mut r = wire(&[
+            error_frame("bad-request", "gpus must be at least 1"),
+            status_frame("profiling", None),
+            result_frame(3),
+        ]);
         assert!(matches!(
-            &outcomes[0].1,
+            read_response(&mut r),
             Err(ClientError::Server { code, .. }) if code == "bad-request"
         ));
-        assert_eq!(
-            outcomes[1].1.as_ref().expect("second succeeds").statuses,
-            ["profiling"]
-        );
-        assert!(PipelineCollector::new(std::iter::empty::<String>()).is_err());
+        let next = read_response(&mut r).expect("the result still decodes");
+        assert_eq!(next.statuses, ["profiling"]);
+        assert_eq!(next.result.field("explored").unwrap().as_u64().unwrap(), 3);
+    }
+
+    /// An event `seq` out of order is a protocol violation.
+    #[test]
+    fn out_of_order_seq_is_a_protocol_error() {
+        let event = |seq| event_frame(seq, obj([("kind", Value::Str("a".into()))]));
+        let mut r = wire(&[event(0), event(2), result_frame(1)]);
+        assert!(matches!(
+            read_response(&mut r),
+            Err(ClientError::Protocol(_))
+        ));
     }
 }

@@ -16,11 +16,15 @@
 //!   loop with a thread per connection (bounded by `--max-connections`),
 //!   admission that queues a request until one of the bounded worker
 //!   slots frees, in-order answers to pipelined requests, graceful
-//!   drain, per-connection i/o deadlines, and (with `--spool-dir`)
-//!   crash-recovery checkpoint spooling;
-//! * [`client`] — blocking [`submit`]/[`shutdown`]/[`server_stats`]
-//!   helpers, the collected [`Response`], and [`submit_with_retries`]
-//!   (bounded backoff with deterministic jitter);
+//!   drain, per-connection i/o deadlines, (with `--spool-dir`)
+//!   crash-recovery checkpoint spooling, and one server-level metric
+//!   set that its connection threads and profile cache count into (the
+//!   14 server counters behind `stats` and the drain report);
+//! * [`client`] — [`read_response`], which decodes one response into a
+//!   [`Response`], and the blocking helpers built on it:
+//!   [`submit`], [`submit_pipelined`], [`submit_with_retries`] (bounded
+//!   backoff with deterministic jitter), plus [`shutdown`] and
+//!   [`server_stats`];
 //! * [`fault`] — [`FaultProxy`], a frame-boundary fault-injection proxy
 //!   for crash-safety tests.
 //!
@@ -43,8 +47,8 @@ pub mod wire;
 
 pub use cache::{cluster_fingerprint, model_fingerprint, ProfileCache};
 pub use client::{
-    server_stats, shutdown, submit, submit_pipelined, submit_pipelined_on, submit_with_retries,
-    submit_with_retries_deadline, ClientError, PipelineCollector, Response,
+    read_response, server_stats, shutdown, submit, submit_pipelined, submit_with_retries,
+    ClientError, Response,
 };
 pub use fault::{FaultMode, FaultProxy};
 pub use proto::{error_frame, event_frame, status_frame, Request};

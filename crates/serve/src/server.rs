@@ -10,10 +10,10 @@
 //!
 //! Determinism note: per-request responses carry the *same* metric
 //! snapshot a direct `AcesoSearch::run_observed` produces — the server's
-//! own counters (`serve_requests`, `serve_rejected`,
-//! `profile_cache_hits`, `profile_cache_misses`) are recorded at server
-//! level only, exposed via `stats` frames and the final drain report,
-//! never mixed into a request's snapshot.
+//! own 14 counters (`obs::schema::SERVER_COUNTERS`) and its
+//! resume/restart/degrade events live in one `ServerObs`, exposed via
+//! `stats` frames and the final drain report, never mixed into a
+//! request's snapshot.
 
 use crate::cache::ProfileCache;
 use crate::proto::{error_frame, event_frame, status_frame, Request};
@@ -33,7 +33,7 @@ use aceso_util::retention::SweepOutcome;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Daemon configuration knobs.
@@ -134,10 +134,65 @@ impl Default for ServeOptions {
     }
 }
 
+/// The daemon's server-level observability: the counters and events
+/// that never enter a request's own snapshot, which must stay
+/// bit-identical to a direct run. Connection threads and the profile
+/// cache count into it where things happen; `stats` frames and the drain
+/// report read a snapshot.
+#[derive(Debug, Default)]
+pub(crate) struct ServerObs(Mutex<(Metrics, Vec<Event>)>);
+
+impl ServerObs {
+    /// Locks the state, recovering from poisoning: counting never
+    /// panics, so a poisoned lock still holds consistent counts.
+    fn lock(&self) -> MutexGuard<'_, (Metrics, Vec<Event>)> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Adds `n` to a server-level counter.
+    pub(crate) fn add(&self, c: Counter, n: u64) {
+        self.lock().0.add(c, n);
+    }
+
+    /// Appends a server-level event.
+    pub(crate) fn push(&self, event: Event) {
+        self.lock().1.push(event);
+    }
+
+    /// Records `errors` failed removals from a retention sweep over
+    /// `dir`: counts them into `retention_sweep_errors` and surfaces a
+    /// typed `sweep_degraded` event instead of dropping the failures on
+    /// the floor (INV-CHAOS-SWEEP).
+    pub(crate) fn sweep_errors(&self, dir: &Path, errors: usize) {
+        if errors == 0 {
+            return;
+        }
+        let mut state = self.lock();
+        state.0.add(Counter::RetentionSweepErrors, errors as u64);
+        state.1.push(Event::SweepDegraded {
+            dir: dir.display().to_string(),
+            errors: errors as u64,
+        });
+    }
+
+    /// A snapshot of everything counted so far, with the open-connection
+    /// gauge sampled in (the serve counter group of
+    /// `docs/OBSERVABILITY.md`).
+    pub(crate) fn report(&self, connections_open: u64) -> ObsReport {
+        let (mut metrics, events) = self.lock().clone();
+        metrics.add(Counter::ServeConnectionsOpen, connections_open);
+        let mut report = ObsReport::new();
+        report.absorb(Recorder::from_parts(events, metrics));
+        report
+    }
+}
+
 /// State shared by the accept loop and every connection thread.
 struct Shared {
     opts: ServeOptions,
     cache: ProfileCache,
+    /// Server-level counters and events, shared with the cache.
+    obs: Arc<ServerObs>,
     addr: SocketAddr,
     draining: AtomicBool,
     in_flight: Mutex<Slots>,
@@ -146,131 +201,22 @@ struct Shared {
     /// Signalled once per freed worker slot, waking one queued
     /// admission: waking them all would spend the CPU the searches need.
     slot_freed: Condvar,
-    requests: AtomicU64,
-    rejected: AtomicU64,
-    checkpoints_written: AtomicU64,
-    searches_resumed: AtomicU64,
-    client_retries: AtomicU64,
     /// Open-connection gauge: raised by the accept loop before a
     /// connection's thread starts, lowered when the thread ends.
     /// [`ServeOptions::max_connections`] is enforced against it.
     connections_open: AtomicU64,
-    /// Server-level resume/restart events (`search_resumed`,
-    /// `search_restarted`). Like the serve counters they never enter a
-    /// request's own event stream — that stream must stay bit-identical
-    /// to an uninterrupted direct run — so they surface only through the
-    /// drain report.
-    server_events: Mutex<Vec<Event>>,
-    /// Retention-sweep removals that failed (spool TTL sweeps; the
-    /// store tier's eviction errors are drained from the cache at
-    /// snapshot time). Feeds `retention_sweep_errors` (INV-CHAOS-SWEEP).
-    sweep_errors: AtomicU64,
 }
 
 impl Shared {
-    /// Snapshot of the server-level counters and resume/restart/degrade
-    /// events as an [`ObsReport`] (the serve counter group of
-    /// `docs/OBSERVABILITY.md`, schema v8).
+    /// The server-level snapshot `stats` frames and the drain report carry.
     fn report(&self) -> ObsReport {
-        // Fold the store tier's eviction-sweep errors into the daemon
-        // total (with a typed event) before snapshotting, so the counter
-        // is monotone across snapshots.
-        let store_sweep_errors = self.cache.take_store_sweep_errors();
-        if store_sweep_errors > 0 {
-            self.note_sweep_errors(
-                &self
-                    .opts
-                    .store_dir
-                    .as_deref()
-                    .map(|d| d.display().to_string())
-                    .unwrap_or_default(),
-                store_sweep_errors,
-            );
-        }
-        let events = {
-            // Absorb store degradations queued since the last snapshot
-            // into the durable server-event log first, so every later
-            // snapshot still carries them.
-            let mut events = self.server_events.lock().expect("event lock");
-            for (file, reason) in self.cache.drain_degraded() {
-                events.push(Event::StoreDegraded { file, reason });
-            }
-            events.clone()
-        };
-        let rec = Recorder::from_parts(events, Metrics::default());
-        rec.add(Counter::ProfileCacheHits, self.cache.hits());
-        rec.add(Counter::ProfileCacheMisses, self.cache.misses());
-        rec.add(
-            Counter::ServeRequests,
-            self.requests.load(Ordering::Relaxed),
-        );
-        rec.add(
-            Counter::ServeRejected,
-            self.rejected.load(Ordering::Relaxed),
-        );
-        rec.add(
-            Counter::CheckpointsWritten,
-            self.checkpoints_written.load(Ordering::Relaxed),
-        );
-        rec.add(
-            Counter::SearchResumed,
-            self.searches_resumed.load(Ordering::Relaxed),
-        );
-        rec.add(
-            Counter::ClientRetries,
-            self.client_retries.load(Ordering::Relaxed),
-        );
-        rec.add(
-            Counter::ServeConnectionsOpen,
-            self.connections_open.load(Ordering::Relaxed),
-        );
-        rec.add(Counter::StoreHits, self.cache.store_hits());
-        rec.add(Counter::StoreMisses, self.cache.store_misses());
-        rec.add(Counter::StoreWrites, self.cache.store_writes());
-        rec.add(Counter::StoreEvictions, self.cache.store_evictions());
-        rec.add(Counter::StoreRejected, self.cache.store_rejected());
-        rec.add(
-            Counter::RetentionSweepErrors,
-            self.sweep_errors.load(Ordering::Relaxed),
-        );
-        let mut report = ObsReport::new();
-        report.absorb(rec);
-        report
+        self.obs
+            .report(self.connections_open.load(Ordering::Relaxed))
     }
 
     fn reject(&self, stream: &mut TcpStream, code: &str, message: &str) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
+        self.obs.add(Counter::ServeRejected, 1);
         let _ = write_frame(stream, &error_frame(code, message));
-    }
-
-    /// Records `errors` failed removals from a retention sweep over
-    /// `dir`: counts them into `retention_sweep_errors` and surfaces a
-    /// typed `sweep_degraded` event instead of dropping the failures on
-    /// the floor (INV-CHAOS-SWEEP).
-    fn note_sweep_errors(&self, dir: &str, errors: u64) {
-        if errors == 0 {
-            return;
-        }
-        self.sweep_errors.fetch_add(errors, Ordering::Relaxed);
-        self.server_events
-            .lock()
-            .expect("event lock")
-            .push(Event::SweepDegraded {
-                dir: dir.to_string(),
-                errors,
-            });
-    }
-
-    /// Records that a spooled checkpoint could not be used and the
-    /// search restarted fresh — graceful degradation, never an error.
-    fn record_restart(&self, request_id: &str, reason: String) {
-        self.server_events
-            .lock()
-            .expect("event lock")
-            .push(Event::SearchRestarted {
-                request_id: request_id.to_string(),
-                reason,
-            });
     }
 }
 
@@ -339,6 +285,7 @@ impl Server {
             None => ProfileCache::new(opts.cache_bytes),
         };
         let shared = Arc::new(Shared {
+            obs: Arc::clone(&cache.obs),
             cache,
             opts,
             addr,
@@ -346,14 +293,7 @@ impl Server {
             in_flight: Mutex::new(Slots::default()),
             idle: Condvar::new(),
             slot_freed: Condvar::new(),
-            requests: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            checkpoints_written: AtomicU64::new(0),
-            searches_resumed: AtomicU64::new(0),
-            client_retries: AtomicU64::new(0),
             connections_open: AtomicU64::new(0),
-            sweep_errors: AtomicU64::new(0),
-            server_events: Mutex::new(Vec::new()),
         });
         Ok(Self { listener, shared })
     }
@@ -365,7 +305,8 @@ impl Server {
 
     /// Runs the accept loop until a `shutdown` frame arrives, then
     /// drains in-flight and queued requests and returns the server-level
-    /// observability report (the serve counter quartet).
+    /// observability report: the 14 server counters and the server-level
+    /// events.
     pub fn run(self) -> ObsReport {
         let sweeper = self.spawn_spool_sweeper();
         for conn in self.listener.incoming() {
@@ -412,7 +353,7 @@ impl Server {
         Some(std::thread::spawn(move || {
             let sweep = |shared: &Shared| {
                 let outcome = sweep_spools_with(shared.opts.fs.as_ref(), &dir, ttl);
-                shared.note_sweep_errors(&dir.display().to_string(), outcome.errors as u64);
+                shared.obs.sweep_errors(&dir, outcome.errors);
             };
             sweep(&shared);
             let mut since_sweep = Duration::ZERO;
@@ -716,7 +657,7 @@ fn execute_request(
     model: &aceso_model::ModelGraph,
     sink: &mut StreamSink<'_>,
 ) {
-    shared.requests.fetch_add(1, Ordering::Relaxed);
+    shared.obs.add(Counter::ServeRequests, 1);
 
     let _ = sink.send(&status_frame("profiling", None));
     let cluster = ClusterSpec::v100_gpus(req.gpus);
@@ -832,27 +773,28 @@ fn load_spool(
     if matches!(&loaded, Err(CheckpointError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound) {
         return None;
     }
-    shared.client_retries.fetch_add(1, Ordering::Relaxed);
+    shared.obs.add(Counter::ClientRetries, 1);
     let ckpt = match loaded {
         Ok(c) => c,
         Err(e) => {
+            // A spool that cannot be used restarts the search fresh:
+            // graceful degradation, never an error.
             let reason = match e {
                 CheckpointError::Io(e) => format!("unreadable spool: {e}"),
                 e => e.to_string(),
             };
-            shared.record_restart(request_id, reason);
+            shared.obs.push(Event::SearchRestarted {
+                request_id: request_id.to_string(),
+                reason,
+            });
             return None;
         }
     };
-    shared.searches_resumed.fetch_add(1, Ordering::Relaxed);
-    shared
-        .server_events
-        .lock()
-        .expect("event lock")
-        .push(Event::SearchResumed {
-            request_id: request_id.to_string(),
-            iterations_done: ckpt.iterations_done(),
-        });
+    shared.obs.add(Counter::SearchResumed, 1);
+    shared.obs.push(Event::SearchResumed {
+        request_id: request_id.to_string(),
+        iterations_done: ckpt.iterations_done(),
+    });
     Some(ckpt)
 }
 
@@ -873,7 +815,7 @@ fn run_spooled(
     search
         .run_rounds(true, resumed.as_ref(), every, |ckpt| {
             if write_checkpoint(shared.opts.fs.as_ref(), path, ckpt).is_ok() {
-                shared.checkpoints_written.fetch_add(1, Ordering::Relaxed);
+                shared.obs.add(Counter::CheckpointsWritten, 1);
                 AfterRound::Next
             } else {
                 // The spool directory went bad (full disk, perms…).

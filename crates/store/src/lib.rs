@@ -40,7 +40,7 @@ use aceso_profile::ProfileDb;
 use aceso_util::fnv1a;
 use aceso_util::fsio::{self, Fs, RealFs};
 use aceso_util::json::{obj, FromJson, JsonError, ToJson, Value};
-use aceso_util::retention;
+use aceso_util::retention::{self, SweepOutcome};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -127,7 +127,6 @@ pub struct Store {
     budget_bytes: u64,
     fs: Arc<dyn Fs>,
     direct_writes: bool,
-    sweep_errors: Arc<AtomicU64>,
 }
 
 impl Store {
@@ -146,7 +145,6 @@ impl Store {
             budget_bytes,
             fs,
             direct_writes: false,
-            sweep_errors: Arc::new(AtomicU64::new(0)),
         })
     }
 
@@ -157,12 +155,6 @@ impl Store {
     /// torn entries. Never enabled in production paths.
     pub fn set_direct_writes(&mut self, on: bool) {
         self.direct_writes = on;
-    }
-
-    /// Drains the count of retention-sweep removals that failed since
-    /// the last call (INV-CHAOS-SWEEP; feeds `retention_sweep_errors`).
-    pub fn take_sweep_errors(&self) -> u64 {
-        self.sweep_errors.swap(0, Ordering::Relaxed)
     }
 
     /// The directory this store lives in.
@@ -209,8 +201,15 @@ impl Store {
     /// Encodes `db` under `(model_fp, cluster_fp)` and publishes it with
     /// a temp-file write + rename (INV-STORE-ATOMIC), then enforces the
     /// byte budget by evicting least-recently-used entries (never the
-    /// one just written). Returns how many entries were evicted.
-    pub fn save(&self, model_fp: u64, cluster_fp: u64, db: &ProfileDb) -> std::io::Result<usize> {
+    /// one just written). Returns the eviction's outcome: entries removed,
+    /// and removals that failed, which the caller surfaces rather than
+    /// swallows (INV-CHAOS-SWEEP).
+    pub fn save(
+        &self,
+        model_fp: u64,
+        cluster_fp: u64,
+        db: &ProfileDb,
+    ) -> std::io::Result<SweepOutcome> {
         let path = self.entry_path(model_fp, cluster_fp);
         let text = encode(db, model_fp, cluster_fp);
         self.write_entry(&path, text.as_bytes())?;
@@ -218,16 +217,11 @@ impl Store {
     }
 
     /// Evicts oldest-first until the store fits its byte budget,
-    /// sparing `keep`. Returns the number of files removed; failed
-    /// removals are counted into [`Store::take_sweep_errors`] rather
-    /// than swallowed (INV-CHAOS-SWEEP).
-    fn evict(&self, keep: &Path) -> usize {
+    /// sparing `keep`.
+    fn evict(&self, keep: &Path) -> SweepOutcome {
         let files = retention::scan_dir_with(self.fs.as_ref(), &self.dir, &[STORE_SUFFIX]);
         let victims = retention::over_budget_lru(&files, self.budget_bytes, &[keep]);
-        let outcome = retention::remove_all_with(self.fs.as_ref(), &victims);
-        self.sweep_errors
-            .fetch_add(outcome.errors as u64, Ordering::Relaxed);
-        outcome.removed
+        retention::remove_all_with(self.fs.as_ref(), &victims)
     }
 
     /// Publishes entry bytes at `path`: temp file + rename

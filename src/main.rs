@@ -14,7 +14,7 @@
 
 use aceso::cli::USAGE;
 use aceso::model::zoo;
-use aceso::obs::{ObsReport, Recorder};
+use aceso::obs::{Family, ObsReport, Recorder};
 use aceso::prelude::*;
 use aceso::runtime::ExecutionPlan;
 use aceso::search::{
@@ -39,6 +39,18 @@ struct Args {
     checkpoint_every: usize,
 }
 
+/// Takes the value of the numeric `flag` from `value` and parses it; a
+/// bad value reads `--flag: <reason>`.
+fn number<T: std::str::FromStr>(
+    flag: &str,
+    value: &mut dyn FnMut(&str) -> Result<String, String>,
+) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value(flag)?.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
 /// Parses `flag` when it is one of the search flags `aceso search` and
 /// `aceso submit` share (`--model`, `--gpus`, `--stages`, `--zero`,
 /// `--budget-secs`) into `req`, taking its value from `value`. Returns
@@ -48,23 +60,15 @@ fn parse_search_flag(
     flag: &str,
     value: &mut dyn FnMut(&str) -> Result<String, String>,
 ) -> Option<Result<(), String>> {
-    fn number<T: std::str::FromStr>(flag: &str, v: String) -> Result<T, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        v.parse().map_err(|e| format!("{flag}: {e}"))
-    }
     Some(match flag {
         "--model" => value(flag).map(|v| req.model = v),
-        "--gpus" => value(flag).and_then(|v| number(flag, v).map(|n| req.gpus = n)),
-        "--stages" => value(flag).and_then(|v| number(flag, v).map(|p| req.stages = Some(p))),
+        "--gpus" => number(flag, value).map(|n| req.gpus = n),
+        "--stages" => number(flag, value).map(|p| req.stages = Some(p)),
         "--zero" => {
             req.zero = true;
             Ok(())
         }
-        "--budget-secs" => {
-            value(flag).and_then(|v| number(flag, v).map(|s| req.budget_secs = Some(s)))
-        }
+        "--budget-secs" => number(flag, value).map(|s| req.budget_secs = Some(s)),
         _ => return None,
     })
 }
@@ -93,11 +97,7 @@ fn run_audit(mut it: impl Iterator<Item = String>) -> ! {
                     .map(|m| opts.mutation = Some(m))
                     .ok_or_else(|| format!("--mutate: unknown mutation `{v}`"))
             }),
-            "--epsilon" => value("--epsilon").and_then(|v| {
-                v.parse()
-                    .map(|e| opts.epsilon = e)
-                    .map_err(|e| format!("--epsilon: {e}"))
-            }),
+            "--epsilon" => number(&flag, &mut value).map(|e| opts.epsilon = e),
             "--help" | "-h" => {
                 eprintln!("{USAGE}");
                 std::process::exit(0);
@@ -131,7 +131,7 @@ fn run_audit(mut it: impl Iterator<Item = String>) -> ! {
     if let Some(path) = metrics_out {
         let rec = Recorder::new(true);
         for (rule, n) in report.rule_counts() {
-            rec.count_audit_finding(rule, n as u64);
+            rec.count_keyed(Family::AuditFindings, rule, n as u64);
         }
         let mut obs = ObsReport::new();
         obs.absorb(rec);
@@ -245,67 +245,36 @@ fn run_serve(mut it: impl Iterator<Item = String>) -> ! {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
         let parsed = match flag.as_str() {
             "--addr" => value("--addr").map(|v| addr = v),
-            "--workers" => value("--workers").and_then(|v| {
-                v.parse()
-                    .map(|n| opts.workers = n)
-                    .map_err(|e| format!("--workers: {e}"))
-            }),
-            "--cache-mb" => value("--cache-mb").and_then(|v| {
-                v.parse::<u64>()
-                    .map(|m| opts.cache_bytes = m << 20)
-                    .map_err(|e| format!("--cache-mb: {e}"))
-            }),
-            "--max-budget-secs" => value("--max-budget-secs").and_then(|v| {
-                v.parse::<u64>()
-                    .map(|s| opts.max_budget_secs = (s > 0).then_some(s))
-                    .map_err(|e| format!("--max-budget-secs: {e}"))
-            }),
-            "--max-gpus" => value("--max-gpus").and_then(|v| {
-                v.parse::<usize>()
-                    .map(|n| opts.max_gpus = (n > 0).then_some(n))
-                    .map_err(|e| format!("--max-gpus: {e}"))
-            }),
-            "--max-iterations" => value("--max-iterations").and_then(|v| {
-                v.parse::<usize>()
-                    .map(|n| opts.max_iterations = (n > 0).then_some(n))
-                    .map_err(|e| format!("--max-iterations: {e}"))
-            }),
-            "--max-deepnet-layers" => value("--max-deepnet-layers").and_then(|v| {
-                v.parse::<usize>()
-                    .map(|n| opts.max_deepnet_layers = (n > 0).then_some(n))
-                    .map_err(|e| format!("--max-deepnet-layers: {e}"))
-            }),
-            "--io-timeout-secs" => value("--io-timeout-secs").and_then(|v| {
-                v.parse::<u64>()
-                    .map(|s| opts.io_timeout = (s > 0).then(|| Duration::from_secs(s)))
-                    .map_err(|e| format!("--io-timeout-secs: {e}"))
-            }),
+            "--workers" => number(&flag, &mut value).map(|n| opts.workers = n),
+            "--cache-mb" => number(&flag, &mut value).map(|m: u64| opts.cache_bytes = m << 20),
+            "--max-budget-secs" => {
+                number(&flag, &mut value).map(|s| opts.max_budget_secs = (s > 0).then_some(s))
+            }
+            "--max-gpus" => number(&flag, &mut value).map(|n| opts.max_gpus = (n > 0).then_some(n)),
+            "--max-iterations" => {
+                number(&flag, &mut value).map(|n| opts.max_iterations = (n > 0).then_some(n))
+            }
+            "--max-deepnet-layers" => {
+                number(&flag, &mut value).map(|n| opts.max_deepnet_layers = (n > 0).then_some(n))
+            }
+            "--io-timeout-secs" => number(&flag, &mut value)
+                .map(|s| opts.io_timeout = (s > 0).then(|| Duration::from_secs(s))),
             "--spool-dir" => {
                 value("--spool-dir").map(|v| opts.spool_dir = Some(std::path::PathBuf::from(v)))
             }
-            "--checkpoint-every" => value("--checkpoint-every").and_then(|v| {
-                v.parse::<usize>()
-                    .map(|n| opts.checkpoint_every = n.max(1))
-                    .map_err(|e| format!("--checkpoint-every: {e}"))
-            }),
-            "--spool-ttl-secs" => value("--spool-ttl-secs").and_then(|v| {
-                v.parse::<u64>()
-                    .map(|s| opts.spool_ttl_secs = (s > 0).then_some(s))
-                    .map_err(|e| format!("--spool-ttl-secs: {e}"))
-            }),
-            "--max-connections" => value("--max-connections").and_then(|v| {
-                v.parse::<usize>()
-                    .map(|n| opts.max_connections = n)
-                    .map_err(|e| format!("--max-connections: {e}"))
-            }),
+            "--checkpoint-every" => {
+                number(&flag, &mut value).map(|n: usize| opts.checkpoint_every = n.max(1))
+            }
+            "--spool-ttl-secs" => {
+                number(&flag, &mut value).map(|s| opts.spool_ttl_secs = (s > 0).then_some(s))
+            }
+            "--max-connections" => number(&flag, &mut value).map(|n| opts.max_connections = n),
             "--store-dir" => {
                 value("--store-dir").map(|v| opts.store_dir = Some(std::path::PathBuf::from(v)))
             }
-            "--store-budget-bytes" => value("--store-budget-bytes").and_then(|v| {
-                v.parse::<u64>()
-                    .map(|n| opts.store_budget_bytes = n)
-                    .map_err(|e| format!("--store-budget-bytes: {e}"))
-            }),
+            "--store-budget-bytes" => {
+                number(&flag, &mut value).map(|n| opts.store_budget_bytes = n)
+            }
             "--help" | "-h" => {
                 eprintln!("{USAGE}");
                 std::process::exit(0);
@@ -341,34 +310,20 @@ fn run_submit(mut it: impl Iterator<Item = String>) -> ! {
     let mut metrics_out: Option<String> = None;
     let mut events_out: Option<String> = None;
     let mut retries = 0usize;
-    let mut retry_deadline: Option<std::time::Duration> = None;
+    let mut retry_deadline: Option<Duration> = None;
     let mut stats = false;
     let mut do_shutdown = false;
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
         let parsed = match flag.as_str() {
             "--addr" => value("--addr").map(|v| addr = Some(v)),
-            "--iterations" => value("--iterations").and_then(|v| {
-                v.parse()
-                    .map(|i| req.max_iterations = i)
-                    .map_err(|e| format!("--iterations: {e}"))
-            }),
-            "--seed" => value("--seed").and_then(|v| {
-                v.parse()
-                    .map(|s| req.seed = s)
-                    .map_err(|e| format!("--seed: {e}"))
-            }),
+            "--iterations" => number(&flag, &mut value).map(|i| req.max_iterations = i),
+            "--seed" => number(&flag, &mut value).map(|s| req.seed = s),
             "--request-id" => value("--request-id").map(|v| req.request_id = Some(v)),
-            "--retries" => value("--retries").and_then(|v| {
-                v.parse()
-                    .map(|n| retries = n)
-                    .map_err(|e| format!("--retries: {e}"))
-            }),
-            "--retry-deadline-secs" => value("--retry-deadline-secs").and_then(|v| {
-                v.parse::<u64>()
-                    .map(|s| retry_deadline = Some(std::time::Duration::from_secs(s)))
-                    .map_err(|e| format!("--retry-deadline-secs: {e}"))
-            }),
+            "--retries" => number(&flag, &mut value).map(|n| retries = n),
+            "--retry-deadline-secs" => {
+                number(&flag, &mut value).map(|s| retry_deadline = Some(Duration::from_secs(s)))
+            }
             "--plan-out" => value("--plan-out").map(|v| {
                 req.plan = true;
                 plan_out = Some(v);
@@ -429,7 +384,7 @@ fn run_submit(mut it: impl Iterator<Item = String>) -> ! {
     }
 
     eprintln!("submitting {} to {addr}...", req.model);
-    let resp = match serve::submit_with_retries_deadline(&addr, &req, retries, retry_deadline) {
+    let resp = match serve::submit_with_retries(&addr, &req, retries, retry_deadline) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
@@ -547,10 +502,7 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
             "--checkpoint" => args.checkpoint = Some(value("--checkpoint")?),
             "--resume" => args.resume = Some(value("--resume")?),
             "--checkpoint-every" => {
-                args.checkpoint_every = value("--checkpoint-every")?
-                    .parse::<usize>()
-                    .map_err(|e| format!("--checkpoint-every: {e}"))?
-                    .max(1)
+                args.checkpoint_every = number::<usize>(&flag, &mut value)?.max(1)
             }
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown flag `{other}`")),
@@ -750,7 +702,7 @@ fn run_chaos(mut it: impl Iterator<Item = String>) -> ! {
     let by_kind: Vec<String> = report
         .report
         .metrics()
-        .chaos_faults()
+        .keyed(Family::ChaosFaultsInjected)
         .iter()
         .map(|(kind, n)| format!("{kind}={n}"))
         .collect();

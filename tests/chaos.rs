@@ -44,7 +44,11 @@ fn two_hundred_seeded_schedules_violate_no_oracle() {
         "the sweep must inject a meaningful fault load, got {}",
         report.faults_injected
     );
-    let kinds = report.report.metrics().chaos_faults().clone();
+    let kinds = report
+        .report
+        .metrics()
+        .keyed(aceso::obs::Family::ChaosFaultsInjected)
+        .clone();
     for kind in ["eio", "enospc", "short_write", "rename_fail", "crash"] {
         assert!(
             kinds.get(kind).copied().unwrap_or(0) > 0,

@@ -99,6 +99,7 @@ fn contracts() -> Vec<Contract> {
                 "serve_fleet",
                 "NONDETERMINISTIC_COUNTERS",
                 "submit_pipelined",
+                "read_response",
             ],
             versions: vec![
                 format!("`protocol_version` (currently **{PROTOCOL_VERSION}**)"),

@@ -16,7 +16,6 @@ fn zero_extension_helps_memory_tight_search() {
     let db = ProfileDb::build(&model, &cluster);
     let base = SearchOptions {
         max_iterations: 12,
-        parallel: false,
         stage_counts: Some(vec![2]),
         ..SearchOptions::default()
     };
@@ -66,7 +65,6 @@ fn plan_and_timeline_roundtrip_for_searched_config() {
         &db,
         SearchOptions {
             max_iterations: 8,
-            parallel: false,
             stage_counts: Some(vec![2]),
             ..SearchOptions::default()
         },

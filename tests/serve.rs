@@ -549,7 +549,7 @@ fn severed_connection_resumes_from_spool_on_retry() {
     // the only worker slot until its search finishes, so the retry waits
     // in the admission queue, then finds the spool the severed search
     // left behind.
-    let resp = serve::submit_with_retries(&addr, &req, 12).expect("retry succeeds");
+    let resp = serve::submit_with_retries(&addr, &req, 12, None).expect("retry succeeds");
     assert_matches_direct(&resp, &req, "resumed after a severed connection");
     // Success deletes the spool: the id is safe to reuse.
     assert_spool_removed(&spool_path(&spool, "sever-job"), "sever");
@@ -751,10 +751,11 @@ fn pipelined_responses_are_bit_identical_to_direct_runs() {
             ..base.clone()
         })
         .collect();
-    let outcomes = serve::submit_pipelined(&addr, &reqs).expect("pipelined submit");
+    let outcomes = serve::submit_pipelined(TcpStream::connect(&addr).unwrap(), &reqs)
+        .expect("pipelined submit");
     assert_eq!(outcomes.len(), 3);
-    for ((id, outcome), req) in outcomes.iter().zip(&reqs) {
-        assert_eq!(id, req.request_id.as_ref().unwrap());
+    for (outcome, req) in outcomes.iter().zip(&reqs) {
+        let id = req.request_id.as_ref().unwrap();
         let resp = outcome.as_ref().unwrap_or_else(|e| panic!("{id}: {e}"));
         assert_matches_direct(resp, req, &format!("pipelined {id}"));
         assert!(
@@ -827,14 +828,8 @@ fn half_close_completes_the_admitted_request() {
     // server; this second request never arrives.
     let _ = write_frame(&mut stream, &swallowed.to_json_value());
 
-    let mut collector = serve::PipelineCollector::new(["hc-1".to_string()]).expect("collector");
-    while !collector.is_complete() {
-        let frame = read_frame(&mut stream).expect("response survives the half-close");
-        collector.accept(&frame).expect("routes");
-    }
-    let outcomes = collector.into_outcomes();
-    let resp = outcomes[0].1.as_ref().expect("admitted request succeeds");
-    assert_matches_direct(resp, &req, "half-closed connection");
+    let resp = serve::read_response(&mut stream).expect("response survives the half-close");
+    assert_matches_direct(&resp, &req, "half-closed connection");
     // After the reply, the server closes its side too.
     assert!(matches!(
         read_frame(&mut stream),
@@ -877,7 +872,7 @@ fn mid_pipeline_cut_leaves_other_connections_intact() {
                         ..base.clone()
                     })
                     .collect();
-                serve::submit_pipelined(&proxy.addr(), &reqs)
+                serve::submit_pipelined(TcpStream::connect(proxy.addr())?, &reqs)
             })
         };
         std::thread::sleep(Duration::from_millis(10));
