@@ -5,15 +5,38 @@
 //!
 //! Plain `harness = false` binaries: each case is warmed up, then timed
 //! over a fixed iteration count, reporting mean ns/iter.
+//!
+//! The kernel cases time the three per-candidate passes of the search:
+//! the stage fold (`stage_breakdown`, also per op), the stage content
+//! hash, and the recompute fix-up, computed afresh and served from the
+//! evaluator's fix-up memo.
 
 use aceso_cluster::ClusterSpec;
-use aceso_config::balanced_init;
-use aceso_perf::PerfModel;
+use aceso_config::{balanced_init, OpParallel, ParallelConfig, StageConfig};
+use aceso_core::primitives::rc_fixup;
+use aceso_model::ModelGraph;
+use aceso_perf::{CachedEvaluator, ConfigEstimate, Evaluator, PerfModel};
 use aceso_profile::ProfileDb;
 use std::hint::black_box;
 use std::time::Instant;
 
-fn bench<R>(name: &str, iters: u32, mut f: impl FnMut() -> R) {
+/// A warm [`CachedEvaluator`] without its fix-up memo: the trait's
+/// default `fixup_stage` recomputes every fix-up.
+struct FreshFixups<'a>(&'a CachedEvaluator<'a>);
+
+impl Evaluator for FreshFixups<'_> {
+    fn model(&self) -> &ModelGraph {
+        self.0.model()
+    }
+    fn cluster(&self) -> &ClusterSpec {
+        self.0.cluster()
+    }
+    fn evaluate_unchecked(&self, config: &ParallelConfig) -> ConfigEstimate {
+        self.0.evaluate_unchecked(config)
+    }
+}
+
+fn bench<R>(name: &str, iters: u32, mut f: impl FnMut() -> R) -> u128 {
     for _ in 0..iters.div_ceil(10) {
         black_box(f());
     }
@@ -23,6 +46,7 @@ fn bench<R>(name: &str, iters: u32, mut f: impl FnMut() -> R) {
     }
     let per_iter = start.elapsed().as_nanos() / u128::from(iters.max(1));
     println!("{name:<40} {per_iter:>12} ns/iter ({iters} iters)");
+    per_iter
 }
 
 fn main() {
@@ -48,6 +72,14 @@ fn main() {
         let pm = PerfModel::new(&model, &cluster, &db);
         let cfg = balanced_init(&model, &cluster, gpus.min(4)).expect("init");
         bench(label, 200, || pm.evaluate_unchecked(black_box(&cfg)));
+        let ops = cfg.stages()[0].num_ops() as f64;
+        let name = label.replacen("evaluate", "stage_breakdown", 1);
+        let ns = bench(&name, 2_000, || pm.stage_breakdown(black_box(&cfg), 0));
+        println!(
+            "{:<40} {:>12.1} ns/op ({ops} ops)",
+            format!("{name}/per-op"),
+            ns as f64 / ops
+        );
     }
 
     let model = aceso_model::zoo::gpt3(aceso_model::zoo::Gpt3Size::S13b);
@@ -55,5 +87,38 @@ fn main() {
     let cfg = balanced_init(&model, &cluster, 8).expect("init");
     bench("semantic_hash_324ops", 10_000, || {
         black_box(&cfg).semantic_hash()
+    });
+
+    // Short settings runs: the dims alternate every op and the recompute
+    // flags every other op, so most runs are one op long.
+    let short_runs = StageConfig {
+        op_start: 0,
+        op_end: model.len(),
+        gpus: 8,
+        ops: (0..model.len())
+            .map(|j| OpParallel {
+                tp: 4,
+                dp: 2,
+                dim_index: (j % 2) as u8,
+                recompute: j % 4 < 2,
+                zero: false,
+            })
+            .collect(),
+    };
+    bench("compute_content_hash/324ops-short-runs", 10_000, || {
+        black_box(&short_runs).compute_content_hash()
+    });
+
+    // An out-of-memory single-GPU config whose fix-up flags recompute.
+    let model = aceso_model::zoo::gpt3_custom("oom", 32, 2048, 32, 2048, 51200, 256);
+    let cluster = ClusterSpec::v100(1, 1);
+    let db = ProfileDb::build(&model, &cluster);
+    let cached = CachedEvaluator::new(PerfModel::new(&model, &cluster, &db));
+    let cfg = balanced_init(&model, &cluster, 1).expect("init");
+    assert!(cached.evaluate_unchecked(&cfg).oom(), "the fix-up must act");
+    let fresh = FreshFixups(&cached);
+    bench("rc_fixup/oom-cold", 2_000, || rc_fixup(&fresh, cfg.clone()));
+    bench("rc_fixup/oom-memo-hit", 2_000, || {
+        rc_fixup(&cached, cfg.clone())
     });
 }

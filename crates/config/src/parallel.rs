@@ -246,6 +246,16 @@ impl ParallelConfig {
         }
     }
 
+    /// Replaces stage `i` with a shared, already hashed stage: no copy,
+    /// no rehash. The caller keeps the configuration valid.
+    ///
+    /// # Panics
+    ///
+    /// When `i` is out of range.
+    pub fn set_stage(&mut self, i: usize, stage: Arc<Stage>) {
+        self.stages[i] = stage;
+    }
+
     /// Write access to every stage in turn, as [`ParallelConfig::stage_mut`]
     /// gives to one.
     pub fn stages_mut(&mut self) -> impl Iterator<Item = StageMut<'_>> {

@@ -11,8 +11,9 @@
 //! the attached recompute fix-up (§4.3).
 
 use crate::transform::{self, Mechanism};
-use aceso_config::{OpParallel, ParallelConfig};
+use aceso_config::{OpParallel, ParallelConfig, Stage, StageConfig};
 use aceso_perf::{ConfigEstimate, Evaluator};
+use std::sync::Arc;
 
 /// The three hardware resources of the trading view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -401,7 +402,11 @@ pub fn generate_with<E: Evaluator>(
             out.extend(transform::convert_stage(model, config, stage, toward).map(|c| (c, 2)));
         }
         Primitive::IncRc => {
-            out.extend(greedy_recompute_to_fit(pm, config, est, stage).map(|c| (c, 1)));
+            out.extend(recompute_to_fit(pm, config, est, stage).map(|fixed| {
+                let mut c = config.clone();
+                c.set_stage(stage, fixed);
+                (c, 1)
+            }));
             out.extend(transform::recompute_largest(model, config, stage, 1).map(|c| (c, 1)));
             out.extend(
                 transform::recompute_largest(model, config, stage, usize::MAX).map(|c| (c, 1)),
@@ -493,23 +498,43 @@ fn relay_move(
     Some(cfg)
 }
 
-/// inc-rc argument choice (§4.1): flag largest-stash ops until the stage's
-/// predicted memory fits the device, using Eq. 1 arithmetic directly.
-fn greedy_recompute_to_fit<E: Evaluator>(
+/// inc-rc argument choice (§4.1): stage `stage` of `config` with its
+/// largest-stash ops flagged until its predicted memory fits the device,
+/// or `None` when it fits already or nothing can be freed.
+///
+/// The answer is a pure function of the stage's content, the global
+/// microbatch and its `in_flight`, so it goes through the evaluator's
+/// fix-up memo (INV-FIXUP-MEMO): a hit returns the shared stage with no
+/// copy, sort or rehash.
+fn recompute_to_fit<E: Evaluator>(
     pm: &E,
     config: &ParallelConfig,
     est: &ConfigEstimate,
     stage: usize,
-) -> Option<ParallelConfig> {
-    let capacity = pm.cluster().device.mem_bytes;
+) -> Option<Arc<Stage>> {
     let se = &est.stages[stage];
+    let capacity = pm.cluster().device.mem_bytes;
     if se.mem_total <= capacity {
         return None;
     }
-    let overshoot = se.mem_total - capacity;
+    pm.fixup_stage(config, stage, se.in_flight, || {
+        greedy_recompute_to_fit(pm, config, stage, se.in_flight, se.mem_total - capacity)
+    })
+}
+
+/// The greedy behind [`recompute_to_fit`], using Eq. 1 arithmetic
+/// directly: frees at least `overshoot` bytes at `in_flight` in-flight
+/// microbatches, largest stash first.
+fn greedy_recompute_to_fit<E: Evaluator>(
+    pm: &E,
+    config: &ParallelConfig,
+    stage: usize,
+    in_flight: usize,
+    overshoot: u64,
+) -> Option<Arc<Stage>> {
     let model = pm.model();
     let s = &config.stages()[stage];
-    let in_flight = se.in_flight as u64;
+    let in_flight = in_flight as u64;
     let act_bytes = model.precision.bytes();
     let mut items: Vec<(usize, u64)> = s
         .ops
@@ -525,18 +550,15 @@ fn greedy_recompute_to_fit<E: Evaluator>(
         .collect();
     items.sort_by_key(|&(_, saved)| std::cmp::Reverse(saved));
     let mut freed = 0u64;
-    let mut flagged = Vec::new();
+    let mut fixed = StageConfig::clone(s);
     for (j, saved) in items {
         if freed >= overshoot {
             break;
         }
-        flagged.push(j);
+        fixed.ops[j].recompute = true;
         freed += saved;
     }
-    if freed == 0 {
-        return None;
-    }
-    Some(transform::with_recompute(config, stage, flagged, true))
+    (freed > 0).then(|| Arc::new(Stage::new(fixed)))
 }
 
 /// dec-rc argument choice: clear smallest-stash flags while staying within
@@ -601,11 +623,9 @@ pub fn rc_fixup<E: Evaluator>(
     let mut cfg = config;
     let mut rewritten = false;
     for stage in 0..cfg.stages().len() {
-        if est.stages[stage].mem_total > pm.cluster().device.mem_bytes {
-            if let Some(fixed) = greedy_recompute_to_fit(pm, &cfg, &est, stage) {
-                cfg = fixed;
-                rewritten = true;
-            }
+        if let Some(fixed) = recompute_to_fit(pm, &cfg, &est, stage) {
+            cfg.set_stage(stage, fixed);
+            rewritten = true;
         }
     }
     (cfg, (!rewritten).then_some(est))

@@ -30,20 +30,34 @@
 //! *not* cached — `PerfModel::assemble` assigns them on every
 //! evaluation, so one cached entry serves the same stage content at any
 //! pipeline position or depth.
+//!
+//! ## Fix-up memo
+//!
+//! The evaluator also keeps the §4.3 recompute fix-up of a stage
+//! ([`Evaluator::fixup_stage`]), keyed by the stage's content hash, the
+//! global microbatch and the stage's `in_flight` (INV-FIXUP-MEMO in
+//! docs/SEARCH.md): the fix-up reads only the stage's memory estimate,
+//! which follows from those three, never the boundary context.
 
 use crate::estimate::{ConfigEstimate, StageEstimate};
 use crate::model::PerfModel;
 use aceso_cluster::ClusterSpec;
-use aceso_config::ParallelConfig;
+use aceso_config::{ParallelConfig, Stage};
 use aceso_model::ModelGraph;
 use aceso_obs::{Counter, HistKind, Recorder};
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Memo-table entry cap; the table is cleared wholesale when it fills
 /// (simple, deterministic, and a search stays far below this in
 /// practice).
 const MEMO_CAP: usize = 1 << 20;
+
+/// Fix-up memo entry cap, cleared wholesale like [`MEMO_CAP`]. An entry
+/// holds a whole rewritten stage, so the cap is smaller; a search's
+/// distinct fix-up inputs number in the thousands.
+const FIXUP_MEMO_CAP: usize = 1 << 14;
 
 /// The scoring oracle interface shared by the plain [`PerfModel`] and the
 /// memoizing [`CachedEvaluator`]: everything the search, fine-tuning and
@@ -55,6 +69,21 @@ pub trait Evaluator {
     fn cluster(&self) -> &ClusterSpec;
     /// Evaluates a configuration assumed to be structurally valid.
     fn evaluate_unchecked(&self, config: &ParallelConfig) -> ConfigEstimate;
+    /// The recompute fix-up of stage `stage` of `config` at `in_flight`
+    /// in-flight microbatches: `fix()`, a pure function of the stage's
+    /// content, the global microbatch and `in_flight`. An evaluator with
+    /// a fix-up memo returns the stored answer for an equal key
+    /// (INV-FIXUP-MEMO); the default computes it every time.
+    fn fixup_stage(
+        &self,
+        config: &ParallelConfig,
+        stage: usize,
+        in_flight: usize,
+        fix: impl FnOnce() -> Option<Arc<Stage>>,
+    ) -> Option<Arc<Stage>> {
+        let _ = (config, stage, in_flight);
+        fix()
+    }
 }
 
 impl Evaluator for PerfModel<'_> {
@@ -86,6 +115,10 @@ struct StageKey {
     has_next: bool,
 }
 
+/// Fix-up memo key: the stage's content hash, the global microbatch and
+/// the stage's `in_flight` (INV-FIXUP-MEMO).
+type FixupKey = (u64, usize, usize);
+
 fn stage_key(config: &ParallelConfig, i: usize, dev_start: usize) -> StageKey {
     let stages = config.stages();
     StageKey {
@@ -109,6 +142,9 @@ fn stage_key(config: &ParallelConfig, i: usize, dev_start: usize) -> StageKey {
 pub struct CachedEvaluator<'a> {
     pm: PerfModel<'a>,
     memo: RefCell<HashMap<StageKey, StageEstimate>>,
+    /// Fix-up memo: `(content hash, microbatch, in_flight)` to the
+    /// rewritten stage, `None` when the fix-up changes nothing.
+    fixups: RefCell<HashMap<FixupKey, Option<Arc<Stage>>>>,
     rec: Recorder,
 }
 
@@ -127,6 +163,7 @@ impl<'a> CachedEvaluator<'a> {
         Self {
             pm,
             memo: RefCell::new(HashMap::new()),
+            fixups: RefCell::new(HashMap::new()),
             rec,
         }
     }
@@ -152,9 +189,15 @@ impl<'a> CachedEvaluator<'a> {
         self.memo.borrow().len()
     }
 
-    /// Drops every memoized estimate.
+    /// Number of memoized stage fix-ups.
+    pub fn fixup_memo_len(&self) -> usize {
+        self.fixups.borrow().len()
+    }
+
+    /// Drops every memoized estimate and fix-up.
     pub fn clear(&self) {
         self.memo.borrow_mut().clear();
+        self.fixups.borrow_mut().clear();
     }
 
     /// The evaluation body; returns the estimate and whether at least one
@@ -209,6 +252,29 @@ impl Evaluator for CachedEvaluator<'_> {
             rec.count(Counter::OomPredictions);
         }
         est
+    }
+    fn fixup_stage(
+        &self,
+        config: &ParallelConfig,
+        stage: usize,
+        in_flight: usize,
+        fix: impl FnOnce() -> Option<Arc<Stage>>,
+    ) -> Option<Arc<Stage>> {
+        let key = (
+            config.stages()[stage].content_hash(),
+            config.microbatch,
+            in_flight,
+        );
+        if let Some(hit) = self.fixups.borrow().get(&key) {
+            return hit.clone();
+        }
+        let fixed = fix();
+        let mut fixups = self.fixups.borrow_mut();
+        if fixups.len() >= FIXUP_MEMO_CAP {
+            fixups.clear();
+        }
+        fixups.insert(key, fixed.clone());
+        fixed
     }
 }
 

@@ -202,12 +202,13 @@ impl CostGrid {
         }
     }
 
-    /// Record of operator `g` at `(tp, dim, per_dev_batch)`, or `None`
-    /// when the key falls outside the grid. The tp collectives in a hit
-    /// are in-node ones; a caller whose tp group crosses a node uses
-    /// [`Self::compute`] instead.
+    /// Offset of the `(tp, dim, per_dev_batch)` slot within a row, or
+    /// `None` when the key falls outside the grid. One offset serves
+    /// every operator of a settings run: [`Self::at`] adds the row. The
+    /// tp collectives in a slot are in-node ones; a caller whose tp
+    /// group crosses a node uses [`Self::compute`] instead.
     #[inline]
-    pub fn lookup(&self, g: usize, tp: u32, dim: usize, per_dev_batch: u64) -> Option<&OpCost> {
+    pub fn key_offset(&self, tp: u32, dim: usize, per_dev_batch: u64) -> Option<usize> {
         if !tp.is_power_of_two() || !per_dev_batch.is_power_of_two() || dim >= self.dims {
             return None;
         }
@@ -216,9 +217,15 @@ impl CostGrid {
         if tpl >= self.tp_levels || bl >= self.batch_levels {
             return None;
         }
-        let row = self.row_of[g] as usize;
-        let idx = ((row * self.dims + dim) * self.tp_levels + tpl) * self.batch_levels + bl;
-        let slot = &self.slots[idx];
+        Some((dim * self.tp_levels + tpl) * self.batch_levels + bl)
+    }
+
+    /// Record of operator `g` at a [`Self::key_offset`], or `None` when
+    /// the slot lies outside the operator's profiled range.
+    #[inline]
+    pub fn at(&self, g: usize, offset: usize) -> Option<&OpCost> {
+        let row_len = self.dims * self.tp_levels * self.batch_levels;
+        let slot = &self.slots[self.row_of[g] as usize * row_len + offset];
         (!slot.fwd.is_nan()).then_some(slot)
     }
 
@@ -283,7 +290,8 @@ mod tests {
                     let group = CommGroup::contiguous(0, tp as usize);
                     let mut b = 1u64;
                     while b <= m.global_batch as u64 {
-                        let hit = grid.lookup(g, tp, dim, b).expect("in-range slot");
+                        let offset = grid.key_offset(tp, dim, b).expect("key on the grid");
+                        let hit = grid.at(g, offset).expect("in-range slot");
                         let ar = |elems: u64| {
                             if tp > 1 {
                                 db.collective_time(Collective::AllReduce, elems * b * act, &group)
@@ -350,11 +358,11 @@ mod tests {
         let db = ProfileDb::build(&m, &c);
         let grid = CostGrid::build(&m, &c, &db);
         // Non-power-of-two degrees and oversized batches must fall back.
-        assert!(grid.lookup(0, 3, 0, 4).is_none());
-        assert!(grid.lookup(0, 1, 0, 3).is_none());
-        assert!(grid.lookup(0, 1, 0, 1 << 40).is_none());
-        assert!(grid.lookup(0, 1, 99, 4).is_none());
+        assert!(grid.key_offset(3, 0, 4).is_none());
+        assert!(grid.key_offset(1, 0, 3).is_none());
+        assert!(grid.key_offset(1, 0, 1 << 40).is_none());
+        assert!(grid.key_offset(1, 99, 4).is_none());
         // tp beyond the cluster misses too.
-        assert!(grid.lookup(0, 1 << 20, 0, 4).is_none());
+        assert!(grid.key_offset(1 << 20, 0, 4).is_none());
     }
 }

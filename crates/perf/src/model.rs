@@ -215,76 +215,113 @@ impl<'a> PerfModel<'a> {
         // Gradient-sync and ZeRO-1 parameter all-gather payloads per mesh.
         let mut grad_buckets = Buckets::default();
         let mut zero_buckets = Buckets::default();
-        let mut prev: Option<(&Operator, &PartitionSpec, OpParallel)> = None;
-        // Whether the stage's tp group crosses a node, decided once per tp.
-        let mut crossing = (0u32, false);
+        // The previous op: its global index, partition dim and settings.
+        let mut prev: Option<(usize, usize, OpParallel)> = None;
 
-        for (j, para) in stage.ops.iter().enumerate() {
-            let g = stage.op_start + j;
-            let op = &self.model.ops[g];
+        // The ops are walked as runs of equal settings. What a run shares
+        // (batch share, tp group, grid key, gradient payload) is derived
+        // once per run; every f64 term is still added per op, in op
+        // order, so each sum is the value the per-op fold gave.
+        let mut start = 0;
+        while start < stage.ops.len() {
+            let para = stage.ops[start];
+            let mut end = start + 1;
+            while end < stage.ops.len() && stage.ops[end] == para {
+                end += 1;
+            }
             let dim = usize::from(para.dim_index);
-            let spec = op.partition(dim);
             let per_dev_batch = m / u64::from(para.dp);
             assert!(per_dev_batch >= 1, "validation guarantees dp | microbatch");
-
-            // The op's cost record: a grid slot, or the one fallback for
-            // keys off the grid and tp groups that span nodes.
+            // The ops' cost records: grid slots at one key offset, or the
+            // one fallback for keys off the grid and tp groups that span
+            // nodes.
             let tp_group = CommGroup::contiguous(range.start, para.tp as usize);
-            if para.tp != crossing.0 {
-                crossing = (para.tp, tp_group.crosses_nodes(self.cluster));
-            }
-            let cost = match self.grid.lookup(g, para.tp, dim, per_dev_batch) {
-                Some(&cost) if !crossing.1 => cost,
-                _ => self
-                    .grid
-                    .compute(self.db, op, g, para.tp, dim, per_dev_batch, &tp_group),
-            };
-
-            // Compute (backward ≈ 2× forward; recompute re-runs forward).
-            let f = cost.fwd;
-            est.comp_fwd += f;
-            est.comp_bwd += 2.0 * f + if para.recompute { f } else { 0.0 };
-
-            // Tensor-parallel collectives.
-            if para.tp > 1 {
-                est.comm_fwd += cost.tp_fwd;
-                est.comm_bwd += cost.tp_bwd + if para.recompute { cost.tp_fwd } else { 0.0 };
-            }
-
-            // Resharding against the previous op in the stage (§4.2's
-            // all-gather between tp/dp concurrency changes).
-            if let Some((pop, pspec, ppara)) = prev {
-                let t = self.reshard_time(range.start, pop, pspec, ppara, spec, *para, m);
-                est.comm_fwd += t;
-                est.comm_bwd += t;
-            }
-
-            // Memory.
-            let params_rank = cost.params_rank;
-            est.mem_params += params_rank * param_bytes;
-            // ZeRO-1 extension: optimiser states shard across the dp group.
-            if para.zero && para.dp > 1 {
-                est.mem_opt += params_rank * opt_bytes / u64::from(para.dp);
-                zero_buckets.add((para.tp, para.dp), params_rank * act_bytes);
+            let offset = if tp_group.crosses_nodes(self.cluster) {
+                None
             } else {
-                est.mem_opt += params_rank * opt_bytes;
+                self.grid.key_offset(para.tp, dim, per_dev_batch)
+            };
+            // Gradient-sync payload of the run: an exact integer sum, so
+            // one `Buckets::add` per run gives the per-op total.
+            let mut grad_bytes = 0u64;
+
+            for j in start..end {
+                let g = stage.op_start + j;
+                let op = &self.model.ops[g];
+                let cost = match offset.and_then(|o| self.grid.at(g, o)) {
+                    Some(&cost) => cost,
+                    None => {
+                        self.grid
+                            .compute(self.db, op, g, para.tp, dim, per_dev_batch, &tp_group)
+                    }
+                };
+
+                // Compute (backward ≈ 2× forward; recompute re-runs forward).
+                let f = cost.fwd;
+                est.comp_fwd += f;
+                est.comp_bwd += 2.0 * f + if para.recompute { f } else { 0.0 };
+
+                // Tensor-parallel collectives.
+                if para.tp > 1 {
+                    est.comm_fwd += cost.tp_fwd;
+                    est.comm_bwd += cost.tp_bwd + if para.recompute { cost.tp_fwd } else { 0.0 };
+                }
+
+                // Resharding against the previous op in the stage (§4.2's
+                // all-gather between tp/dp concurrency changes). Between
+                // two ops with tp ≤ 1 and equal dp, `reshard_time` is
+                // exactly 0.0: both layouts are `Full`, so nothing is
+                // gathered, and no samples move. The comm sums start at
+                // +0.0 and only add non-negative terms, so adding +0.0
+                // leaves every bit as it is, and the call is skipped.
+                if let Some((pg, pdim, ppara)) = prev {
+                    if ppara.tp > 1 || para.tp > 1 || ppara.dp != para.dp {
+                        let pop = &self.model.ops[pg];
+                        let t = self.reshard_time(
+                            range.start,
+                            pop,
+                            pop.partition(pdim),
+                            ppara,
+                            op.partition(dim),
+                            para,
+                            m,
+                        );
+                        est.comm_fwd += t;
+                        est.comm_bwd += t;
+                    }
+                }
+
+                // Memory.
+                let params_rank = cost.params_rank;
+                est.mem_params += params_rank * param_bytes;
+                // ZeRO-1 extension: optimiser states shard across the dp
+                // group. Per op: the division truncates.
+                if para.zero && para.dp > 1 {
+                    est.mem_opt += params_rank * opt_bytes / u64::from(para.dp);
+                    zero_buckets.add((para.tp, para.dp), params_rank * act_bytes);
+                } else {
+                    est.mem_opt += params_rank * opt_bytes;
+                }
+                grad_bytes += params_rank * act_bytes;
+                est.mem_reserved = est
+                    .mem_reserved
+                    .max(RESERVED_MULTIPLIER * cost.working_set + CONTEXT_BYTES);
+
+                // Activation stash: recomputed runs keep only the run's
+                // input. Inside a settings run the previous op shares the
+                // flag, so only a run's first op can start a recompute run.
+                if !para.recompute {
+                    est.mem_act_per_mb += cost.stash_bytes;
+                } else if j == start && (j == 0 || !stage.ops[j - 1].recompute) {
+                    est.mem_act_per_mb += cost.recompute_in_bytes;
+                }
+
+                prev = Some((g, dim, para));
             }
             if para.dp > 1 {
-                grad_buckets.add((para.tp, para.dp), params_rank * act_bytes);
+                grad_buckets.add((para.tp, para.dp), grad_bytes);
             }
-            est.mem_reserved = est
-                .mem_reserved
-                .max(RESERVED_MULTIPLIER * cost.working_set + CONTEXT_BYTES);
-
-            // Activation stash: recomputed runs keep only the run's input.
-            let recompute_run_start = para.recompute && (j == 0 || !stage.ops[j - 1].recompute);
-            if !para.recompute {
-                est.mem_act_per_mb += cost.stash_bytes;
-            } else if recompute_run_start {
-                est.mem_act_per_mb += cost.recompute_in_bytes;
-            }
-
-            prev = Some((op, spec, *para));
+            start = end;
         }
 
         // Data-parallel gradient sync, one ring per mesh bucket.

@@ -30,6 +30,7 @@ use aceso_util::fnv1a;
 use aceso_util::fsio::{Fs, RealFs};
 use aceso_util::json::{obj, FromJson, Value};
 use aceso_util::retention::SweepOutcome;
+use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -134,18 +135,29 @@ impl Default for ServeOptions {
     }
 }
 
+/// Most server-level events a daemon keeps: the most recent ones. The
+/// counters keep the totals, so a daemon that degrades for days holds
+/// a bounded list (docs/OBSERVABILITY.md).
+pub(crate) const SERVER_EVENT_CAP: usize = 256;
+
+/// How long the accept loop waits after a failed `accept` before trying
+/// again, so a persistent failure (no file descriptors left) does not
+/// spin a core.
+const ACCEPT_RETRY_DELAY: Duration = Duration::from_millis(10);
+
 /// The daemon's server-level observability: the counters and events
 /// that never enter a request's own snapshot, which must stay
 /// bit-identical to a direct run. Connection threads and the profile
 /// cache count into it where things happen; `stats` frames and the drain
-/// report read a snapshot.
+/// report read a snapshot. Only the last [`SERVER_EVENT_CAP`] events
+/// are kept.
 #[derive(Debug, Default)]
-pub(crate) struct ServerObs(Mutex<(Metrics, Vec<Event>)>);
+pub(crate) struct ServerObs(Mutex<(Metrics, VecDeque<Event>)>);
 
 impl ServerObs {
     /// Locks the state, recovering from poisoning: counting never
     /// panics, so a poisoned lock still holds consistent counts.
-    fn lock(&self) -> MutexGuard<'_, (Metrics, Vec<Event>)> {
+    fn lock(&self) -> MutexGuard<'_, (Metrics, VecDeque<Event>)> {
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -154,9 +166,9 @@ impl ServerObs {
         self.lock().0.add(c, n);
     }
 
-    /// Appends a server-level event.
+    /// Appends a server-level event, dropping the oldest one at the cap.
     pub(crate) fn push(&self, event: Event) {
-        self.lock().1.push(event);
+        push_bounded(&mut self.lock().1, event);
     }
 
     /// Records `errors` failed removals from a retention sweep over
@@ -169,10 +181,13 @@ impl ServerObs {
         }
         let mut state = self.lock();
         state.0.add(Counter::RetentionSweepErrors, errors as u64);
-        state.1.push(Event::SweepDegraded {
-            dir: dir.display().to_string(),
-            errors: errors as u64,
-        });
+        push_bounded(
+            &mut state.1,
+            Event::SweepDegraded {
+                dir: dir.display().to_string(),
+                errors: errors as u64,
+            },
+        );
     }
 
     /// A snapshot of everything counted so far, with the open-connection
@@ -182,9 +197,16 @@ impl ServerObs {
         let (mut metrics, events) = self.lock().clone();
         metrics.add(Counter::ServeConnectionsOpen, connections_open);
         let mut report = ObsReport::new();
-        report.absorb(Recorder::from_parts(events, metrics));
+        report.absorb(Recorder::from_parts(events.into(), metrics));
         report
     }
+}
+
+fn push_bounded(events: &mut VecDeque<Event>, event: Event) {
+    if events.len() == SERVER_EVENT_CAP {
+        events.pop_front();
+    }
+    events.push_back(event);
 }
 
 /// State shared by the accept loop and every connection thread.
@@ -308,12 +330,22 @@ impl Server {
     /// observability report: the 14 server counters and the server-level
     /// events.
     pub fn run(self) -> ObsReport {
+        self.run_with(|task| std::thread::Builder::new().spawn(task).map(drop))
+    }
+
+    /// [`Self::run`] with the connection threads started by `spawn`. A
+    /// connection whose thread cannot start gets the typed
+    /// `connection-limit` refusal and counts as rejected.
+    fn run_with(self, spawn: impl Fn(ConnTask) -> std::io::Result<()>) -> ObsReport {
         let sweeper = self.spawn_spool_sweeper();
         for conn in self.listener.incoming() {
             if self.shared.draining.load(Ordering::SeqCst) {
                 break;
             }
-            let Ok(mut stream) = conn else { continue };
+            let Ok(mut stream) = conn else {
+                std::thread::sleep(ACCEPT_RETRY_DELAY);
+                continue;
+            };
             let limit = self.shared.opts.max_connections;
             if limit > 0 && self.shared.connections_open.load(Ordering::SeqCst) >= limit as u64 {
                 // Typed refusal; a fresh socket's buffer always has room
@@ -327,7 +359,25 @@ impl Server {
             }
             self.shared.connections_open.fetch_add(1, Ordering::SeqCst);
             let conn = ConnGuard(Arc::clone(&self.shared));
-            std::thread::spawn(move || handle_connection(&conn.0, stream));
+            // The stream follows once the thread runs, so a failed
+            // spawn still has it for the refusal; the dropped task's
+            // guard lowers the gauge again.
+            let (handoff, stream_rx) = std::sync::mpsc::sync_channel::<TcpStream>(1);
+            let task = Box::new(move || {
+                if let Ok(stream) = stream_rx.recv() {
+                    handle_connection(&conn.0, stream);
+                }
+            });
+            match spawn(task) {
+                Ok(()) => {
+                    let _ = handoff.send(stream);
+                }
+                Err(e) => self.shared.reject(
+                    &mut stream,
+                    "connection-limit",
+                    &format!("cannot start a connection thread: {e}"),
+                ),
+            }
         }
         // Graceful drain: wait for every admitted or queued request to
         // finish responding.
@@ -392,6 +442,9 @@ pub fn sweep_spools_with(fs: &dyn Fs, dir: &Path, ttl: Duration) -> SweepOutcome
     let expired = aceso_util::retention::expired(&files, ttl, std::time::SystemTime::now());
     aceso_util::retention::remove_all_with(fs, &expired)
 }
+
+/// The body of one connection thread.
+type ConnTask = Box<dyn FnOnce() + Send + 'static>;
 
 /// Holds one slot of the open-connection gauge for its connection
 /// thread and releases it when the thread ends, however it ends.
@@ -826,4 +879,51 @@ fn run_spooled(
         })
         .map(|step| step.done().expect("the spool hook never pauses"))
         .map_err(|e| e.to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{read_response, ClientError};
+    use std::cell::Cell;
+
+    #[test]
+    fn server_events_keep_the_latest_and_counters_the_totals() {
+        let obs = ServerObs::default();
+        for _ in 0..1_000 {
+            obs.sweep_errors(Path::new("spool"), 1);
+        }
+        let report = obs.report(0);
+        assert_eq!(report.events().len(), SERVER_EVENT_CAP);
+        assert_eq!(report.counter(Counter::RetentionSweepErrors), 1_000);
+    }
+
+    /// A connection whose thread cannot start is refused with the typed
+    /// `connection-limit` error, counted as rejected, and gives its
+    /// gauge slot back; the accept loop carries on. The failing spawn
+    /// starts no thread, and the loop runs on the test's own thread.
+    #[test]
+    fn a_failed_thread_spawn_refuses_the_connection() {
+        let server = Server::bind("127.0.0.1:0", ServeOptions::default()).expect("binds");
+        let addr = server.local_addr();
+        let shared = Arc::clone(&server.shared);
+        // Both connections complete in the listen backlog: the first
+        // meets the failing spawn, the second wakes the loop to see the
+        // drain flag that spawn raised.
+        let mut refused = TcpStream::connect(addr).expect("connects");
+        let _waker = TcpStream::connect(addr).expect("connects");
+        let spawns = Cell::new(0);
+        let report = server.run_with(|_task| {
+            spawns.set(spawns.get() + 1);
+            shared.draining.store(true, Ordering::SeqCst);
+            Err(std::io::Error::other("no threads left"))
+        });
+        assert_eq!(spawns.get(), 1);
+        match read_response(&mut refused) {
+            Err(ClientError::Server { code, .. }) => assert_eq!(code, "connection-limit"),
+            other => panic!("expected a connection-limit refusal, got {other:?}"),
+        }
+        assert_eq!(report.counter(Counter::ServeRejected), 1);
+        assert_eq!(report.counter(Counter::ServeConnectionsOpen), 0);
+    }
 }

@@ -60,7 +60,13 @@ fn contracts() -> Vec<Contract> {
             doc: "docs/SEARCH.md",
             sources: &["crates/core/src", "crates/config/src"],
             owns: "",
-            anchors: &["MEMO", "MERGE-ORDER", "SCORE-ONCE", "STAGE-HASH"],
+            anchors: &[
+                "MEMO",
+                "MERGE-ORDER",
+                "SCORE-ONCE",
+                "STAGE-HASH",
+                "FIXUP-MEMO",
+            ],
             counters: &[("search_worker_batches", Class::Deterministic)],
             all_nondeterministic: Some(""),
             events: &[],
@@ -100,6 +106,7 @@ fn contracts() -> Vec<Contract> {
                 "NONDETERMINISTIC_COUNTERS",
                 "submit_pipelined",
                 "read_response",
+                "a_failed_thread_spawn_refuses_the_connection",
             ],
             versions: vec![
                 format!("`protocol_version` (currently **{PROTOCOL_VERSION}**)"),

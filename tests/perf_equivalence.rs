@@ -8,9 +8,18 @@
 //! from *earlier* configurations into later steps. Any stale-cache bug
 //! (a cache key missing a field the estimate depends on) shows up as a
 //! bit difference against the fresh full evaluation.
+//!
+//! The fix-up cases hold the recompute fix-up memo (INV-FIXUP-MEMO) to
+//! the same standard: one long-lived evaluator's `rc_fixup` against a
+//! fresh one on a fresh `PerfModel`, on a device small enough that the
+//! walks' stages overflow it.
 
-use aceso::audit::corpus::{corpus, primitive_walk};
+use aceso::audit::corpus::{corpus, primitive_walk, CorpusSample};
+use aceso::cluster::ClusterSpec;
+use aceso::config::validate::validate;
+use aceso::config::{OpParallel, ParallelConfig, StageConfig};
 use aceso::perf::{CachedEvaluator, ConfigEstimate, Evaluator, PerfModel};
+use aceso::search::primitives::rc_fixup;
 
 /// Asserts two estimates are equal to the last bit, with a labelled panic
 /// naming the first diverging field.
@@ -105,4 +114,124 @@ fn smoke_walks_are_bit_identical() {
 #[ignore = "full corpus sweep; run with --ignored (ci.sh does)"]
 fn full_corpus_walks_are_bit_identical() {
     run_walks(false, &[1, 2], 10);
+}
+
+/// `sample`'s cluster with the device shrunk to the median predicted
+/// stage memory of its start configurations, so about half their stages
+/// overflow it by a margin the fix-up can close in several ways.
+fn tight_cluster(sample: &CorpusSample) -> ClusterSpec {
+    let pm = PerfModel::new(&sample.model, &sample.cluster, &sample.db);
+    let mut mems: Vec<u64> = sample
+        .configs
+        .iter()
+        .flat_map(|c| pm.evaluate_unchecked(c).stages)
+        .map(|s| s.mem_total)
+        .collect();
+    mems.sort_unstable();
+    let mut cluster = sample.cluster.clone();
+    cluster.device.mem_bytes = mems[mems.len() / 2];
+    cluster
+}
+
+/// Asserts two fix-up results are the same configuration, stage hash for
+/// stage hash, carrying the same estimate bits or both none.
+fn assert_same_fixup(
+    want: &(ParallelConfig, Option<ConfigEstimate>),
+    got: &(ParallelConfig, Option<ConfigEstimate>),
+    ctx: &str,
+) {
+    assert_eq!(
+        want.0.semantic_hash(),
+        got.0.semantic_hash(),
+        "{ctx}: fixed fingerprint"
+    );
+    for (i, (w, g)) in want.0.stages().iter().zip(got.0.stages()).enumerate() {
+        assert_eq!(w.content_hash(), g.content_hash(), "{ctx}: stage {i} hash");
+        assert_eq!(**w, **g, "{ctx}: stage {i} settings");
+    }
+    match (&want.1, &got.1) {
+        (Some(w), Some(g)) => assert_bit_identical(w, g, ctx),
+        (None, None) => {}
+        _ => panic!("{ctx}: one fix-up carried an estimate, the other did not"),
+    }
+}
+
+/// `config` one stage deeper: its last stage split in two halves of its
+/// ops and devices, pure data parallel, when that is valid. Every other
+/// stage keeps its content one `in_flight` higher, which probes that key
+/// field of the fix-up memo.
+fn split_last(sample: &CorpusSample, config: &ParallelConfig) -> Option<ParallelConfig> {
+    let (last, head) = config.stages().split_last()?;
+    let (ops, gpus) = (last.num_ops(), last.gpus);
+    if ops < 2 || gpus < 2 {
+        return None;
+    }
+    let mid = last.op_start + ops / 2;
+    let mut stages: Vec<StageConfig> = head.iter().map(|s| StageConfig::clone(s)).collect();
+    let half = (gpus / 2) as u32;
+    stages.push(StageConfig::uniform(
+        last.op_start,
+        mid,
+        OpParallel::data_parallel(half),
+    ));
+    stages.push(StageConfig::uniform(
+        mid,
+        last.op_end,
+        OpParallel::data_parallel(gpus as u32 - half),
+    ));
+    let split = ParallelConfig::new(stages, config.microbatch);
+    validate(&split, &sample.model, &sample.cluster)
+        .is_ok()
+        .then_some(split)
+}
+
+/// Replays seeded walks through `rc_fixup` on one long-lived cached
+/// evaluator per sample and on a fresh model at every step, each step
+/// followed by its [`split_last`] variant.
+fn run_fixup_walks(smoke: bool, seeds: &[u64], steps: usize) {
+    let samples = corpus(smoke);
+    assert!(!samples.is_empty());
+    for sample in &samples {
+        let cluster = tight_cluster(sample);
+        let cached = CachedEvaluator::new(PerfModel::new(&sample.model, &cluster, &sample.db));
+        let mut rewrites = 0usize;
+        for start in &sample.configs {
+            for &seed in seeds {
+                for (step, config) in primitive_walk(sample, start, seed, steps)
+                    .into_iter()
+                    .enumerate()
+                {
+                    let split = split_last(sample, &config);
+                    for config in std::iter::once(config).chain(split) {
+                        let fresh = PerfModel::new(&sample.model, &cluster, &sample.db);
+                        let want = rc_fixup(&fresh, config.clone());
+                        let ctx = format!(
+                            "{} seed {seed} step {step} ({} stages)",
+                            sample.label,
+                            config.num_stages()
+                        );
+                        let got = rc_fixup(&cached, config);
+                        assert_same_fixup(&want, &got, &ctx);
+                        rewrites += usize::from(want.1.is_none());
+                    }
+                }
+            }
+        }
+        assert!(
+            rewrites > 0 && cached.fixup_memo_len() > 0,
+            "{}: the walks never needed a fix-up",
+            sample.label
+        );
+    }
+}
+
+#[test]
+fn smoke_fixup_memo_matches_fresh_fixups() {
+    run_fixup_walks(true, &[1, 2, 3, 4], 16);
+}
+
+#[test]
+#[ignore = "full corpus sweep; run with --ignored (ci.sh does)"]
+fn full_corpus_fixup_memo_matches_fresh_fixups() {
+    run_fixup_walks(false, &[1, 2], 10);
 }
