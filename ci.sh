@@ -27,10 +27,12 @@
 # store-direct-write mutation must be caught, shrunk to a replayable
 # trace, and reproduce on replay — docs/RELIABILITY.md), and a work
 # regression gate against the committed BENCH_search.json (the fixed
-# search must explore as many configurations to the same best time
-# with no more perf-model evaluations; the committed restart section
-# must record one store hit, no write and the restart key's simulated
-# profiling seconds).
+# search, run once, must explore as many configurations to the same
+# best time with no more perf-model evaluations; the committed fleet
+# section must hold >= 512 clients and no error, and the restart
+# section one store hit, no write and the restart key's simulated
+# profiling seconds). The file holds only deterministic work, so a
+# passing run leaves every tracked file unchanged.
 set -eu
 
 cd "$(dirname "$0")"

@@ -58,24 +58,16 @@ const STRUCTURAL_TOKENS: &[&str] = &[
     // (docs/BENCHMARKS.md).
     "obs_check",
     "serve_bench",
-    "configs_per_sec",
     "serve_fleet",
     "clients",
     "submitted",
     "errors",
     "draws",
-    "p50_us",
-    "p50_us_range",
-    "p99_us",
-    "p99_us_range",
     "serve_restart",
     "restarts",
     "store_hits",
     "store_writes",
     "sim_profiling_s_saved",
-    "cold_us",
-    "warm_us",
-    "restart_us",
     // Store file-format fields (docs/STORE.md).
     "store_schema_version",
     "checksum",

@@ -10,17 +10,15 @@
 //!   the events agree with the counters (the `iteration` events'
 //!   `candidates_rejected` sum to the counter of that name; one
 //!   `candidate_accepted` event per `candidates_accepted`).
-//! * `obs_check` (no args) — run a small metrics-enabled search three
-//!   times, keep the median-latency run, build a fresh snapshot from it
-//!   and validate it with the same rules, then gate its *work* against
-//!   the *committed* `BENCH_search.json`: `explored` and the `best_time`
-//!   bits must be equal, and `perf_evaluations` must not grow. Only a
-//!   run that passes every check overwrites `BENCH_search.json`. The
-//!   search is deterministic under its iteration budget, so the gate
-//!   reads no host noise. Mean `eval_latency_us` and `configs_per_sec`
-//!   are printed for information only; the median run keeps the
-//!   committed timing figures clear of lucky-fast and load-slow
-//!   outliers.
+//! * `obs_check` (no args) — run a small metrics-enabled search once,
+//!   build a fresh snapshot from it and validate it with the same rules,
+//!   then gate its *work* against the *committed* `BENCH_search.json`:
+//!   `explored` and the `best_time` bits must be equal, and
+//!   `perf_evaluations` must not grow. Only a run that passes every
+//!   check overwrites `BENCH_search.json`. The search is deterministic
+//!   under its iteration budget and the file holds no wall-clock figure,
+//!   so the gate reads no host noise and a passing run on an unchanged
+//!   tree rewrites the same bytes.
 //!
 //! Exits non-zero with a diagnostic on the first violated rule; `ci.sh`
 //! runs both modes.
@@ -28,10 +26,9 @@
 use aceso_bench::harness::{
     bench_search_doc, restart_sim_profiling_seconds, write_bench_search, ExpEnv,
 };
-use aceso_core::{SearchOptions, SearchResult};
+use aceso_core::SearchOptions;
 use aceso_obs::schema::{EVENTS, SCHEMA_VERSION};
-use aceso_obs::ObsReport;
-use aceso_util::json::Value;
+use aceso_util::json::{JsonError, Value};
 
 fn fail(msg: &str) -> ! {
     eprintln!("obs_check: FAIL: {msg}");
@@ -151,7 +148,7 @@ fn read(path: &str) -> String {
 }
 
 /// The gate figures carried by one `BENCH_search.json` snapshot: the
-/// search's deterministic work, and its timing for information.
+/// search's deterministic work.
 struct BenchFigures {
     /// Configurations explored.
     explored: u64,
@@ -159,10 +156,6 @@ struct BenchFigures {
     best_time_bits: u64,
     /// Performance-model evaluations (`perf_evaluations`).
     perf_evaluations: u64,
-    /// Mean perf-model evaluation latency, microseconds.
-    mean_latency_us: f64,
-    /// End-to-end search throughput, configurations per second.
-    configs_per_sec: f64,
 }
 
 /// The value at `path` inside `doc`, or a failure naming it.
@@ -184,16 +177,10 @@ fn bench_figures(doc: &Value, origin: &str) -> BenchFigures {
             .as_f64()
             .unwrap_or_else(|e| fail(&format!("{origin}: {}: {e:?}", path.join("."))))
     };
-    let count = uint(&["metrics", "histograms", "eval_latency_us", "count"]);
-    if count == 0 {
-        fail(&format!("{origin}: empty eval_latency_us histogram"));
-    }
     BenchFigures {
         explored: uint(&["explored"]),
         best_time_bits: float(&["best_time"]).to_bits(),
         perf_evaluations: uint(&["metrics", "counters", "perf_evaluations"]),
-        mean_latency_us: float(&["metrics", "histograms", "eval_latency_us", "sum"]) / count as f64,
-        configs_per_sec: float(&["configs_per_sec"]),
     }
 }
 
@@ -201,24 +188,14 @@ fn bench_figures(doc: &Value, origin: &str) -> BenchFigures {
 /// gated search runs under a fixed iteration budget, so `explored`,
 /// the best time and the evaluation count are deterministic: an equal
 /// `explored` and best time show the search took the same path to the
-/// same plan, and `perf_evaluations` may only fall. Mean evaluation
-/// latency and configurations per second vary 2× with host load, so
-/// they are printed, not gated.
-fn work_gate(baseline: &BenchFigures, fresh: &BenchFigures) {
+/// same plan, and `perf_evaluations` may only fall.
+fn work_gate(baseline: &BenchFigures, fresh: &BenchFigures) -> Result<(), String> {
     println!(
-        "obs_check: work gate: explored {} -> {}, perf_evaluations {} -> {}; \
-         for information: mean eval_latency_us {:.3} -> {:.3}, configs_per_sec {:.0} -> {:.0}",
-        baseline.explored,
-        fresh.explored,
-        baseline.perf_evaluations,
-        fresh.perf_evaluations,
-        baseline.mean_latency_us,
-        fresh.mean_latency_us,
-        baseline.configs_per_sec,
-        fresh.configs_per_sec,
+        "obs_check: work gate: explored {} -> {}, perf_evaluations {} -> {}",
+        baseline.explored, fresh.explored, baseline.perf_evaluations, fresh.perf_evaluations,
     );
     if fresh.explored != baseline.explored || fresh.best_time_bits != baseline.best_time_bits {
-        fail(&format!(
+        return Err(format!(
             "the gated search changed its path: explored {} -> {}, best_time {} -> {} — \
              a behaviour change; explain it and re-bless the goldens and \
              BENCH_search.json together",
@@ -229,141 +206,83 @@ fn work_gate(baseline: &BenchFigures, fresh: &BenchFigures) {
         ));
     }
     if fresh.perf_evaluations > baseline.perf_evaluations {
-        fail(&format!(
+        return Err(format!(
             "perf_evaluations grew {} -> {} over the committed BENCH_search.json \
              for the same search — investigate before refreshing the baseline",
             baseline.perf_evaluations, fresh.perf_evaluations,
         ));
     }
+    Ok(())
 }
 
-/// Number of search runs in no-args mode; the median-latency run is
-/// saved. A single run's mean latency swings 2× under transient machine
-/// load.
-const GATE_RUNS: usize = 3;
+/// The field `name` of the `section` object of `doc`, read by `read`.
+fn section_field<T>(
+    doc: &Value,
+    section: &str,
+    name: &str,
+    read: fn(&Value) -> Result<T, JsonError>,
+) -> Result<T, String> {
+    doc.field(section)
+        .and_then(|s| s.field(name))
+        .and_then(read)
+        .map_err(|e| {
+            format!(
+                "BENCH_search.json: {section}.{name}: {e:?} — run `serve_bench {}` to \
+                 regenerate the section",
+                section.trim_start_matches("serve_")
+            )
+        })
+}
 
 /// Gates the `serve_fleet` fan-in section (written by `serve_bench
-/// fleet` and carried across snapshot refreshes): the committed numbers
+/// fleet` and carried across snapshot refreshes): the committed counts
 /// must come from fleets of at least 512 mixed clients in which every
-/// well-formed request completed, with sane percentiles. The
-/// percentiles are medians over several draws, and each must lie in
-/// its committed `[min, max]` range.
-fn check_serve_fleet(doc: &Value) {
-    let fleet = doc.field("serve_fleet").unwrap_or_else(|e| {
-        fail(&format!(
-            "BENCH_search.json: serve_fleet section missing ({e:?}) — \
-             run `serve_bench fleet` to regenerate it"
-        ))
-    });
-    let get = |name: &str| {
-        fleet
-            .field(name)
-            .and_then(Value::as_u64)
-            .unwrap_or_else(|e| fail(&format!("serve_fleet.{name}: {e:?}")))
-    };
-    let (clients, submitted, errors) = (get("clients"), get("submitted"), get("errors"));
-    let (p50, p99) = (get("p50_us"), get("p99_us"));
-    for (name, median) in [("p50_us", p50), ("p99_us", p99)] {
-        let range = fleet
-            .field(&format!("{name}_range"))
-            .and_then(Value::as_array)
-            .unwrap_or_else(|e| fail(&format!("serve_fleet.{name}_range: {e:?}")));
-        let bound = |i: usize| range.get(i).and_then(|v| v.as_u64().ok());
-        match (range.len(), bound(0), bound(1)) {
-            (2, Some(lo), Some(hi)) if lo <= median && median <= hi => {}
-            _ => fail(&format!(
-                "serve_fleet: {name} {median} must lie in its range {range:?} ([min, max])"
-            )),
-        }
-    }
+/// well-formed request completed.
+fn check_serve_fleet(doc: &Value) -> Result<(), String> {
+    let get = |name| section_field(doc, "serve_fleet", name, Value::as_u64);
+    let (clients, submitted, errors) = (get("clients")?, get("submitted")?, get("errors")?);
     if clients < 512 {
-        fail(&format!(
+        return Err(format!(
             "serve_fleet: {clients} clients, the committed fleet must hold >= 512"
         ));
     }
-    if errors != 0 {
-        fail(&format!(
-            "serve_fleet: {errors} errored well-formed requests (must be 0)"
+    if submitted == 0 || errors != 0 {
+        return Err(format!(
+            "serve_fleet: {errors} of {submitted} well-formed requests errored \
+             (must be 0 of at least 1)"
         ));
     }
-    if submitted == 0 || p50 == 0 || p50 > p99 {
-        fail(&format!(
-            "serve_fleet: implausible figures (submitted {submitted}, p50 {p50} µs, p99 {p99} µs)"
-        ));
-    }
-    println!(
-        "obs_check: serve_fleet: {clients} clients, {submitted} requests, \
-         0 errors, median p50 {p50} µs / p99 {p99} µs, each within its range -- gated"
-    );
+    println!("obs_check: serve_fleet: {clients} clients, {submitted} requests, 0 errors -- gated");
+    Ok(())
 }
 
 /// Gates the `serve_restart` section (written by `serve_bench restart`
 /// and carried across snapshot refreshes) exactly: each restarted daemon
 /// served off one store hit with no write-back, and the section prices
-/// that hit at the restart key's simulated profiling seconds. The
-/// latencies are printed for information only.
-fn check_serve_restart(doc: &Value) {
-    let restart = doc.field("serve_restart").unwrap_or_else(|e| {
-        fail(&format!(
-            "BENCH_search.json: serve_restart section missing ({e:?}) — \
-             run `serve_bench restart` to regenerate it"
-        ))
-    });
-    let get = |name: &str| {
-        restart
-            .field(name)
-            .and_then(Value::as_f64)
-            .unwrap_or_else(|e| fail(&format!("serve_restart.{name}: {e:?}")))
-    };
-    let (restarts, hits, writes) = (get("restarts"), get("store_hits"), get("store_writes"));
-    if restarts < 1.0 || hits != 1.0 || writes != 0.0 {
-        fail(&format!(
+/// that hit at the restart key's simulated profiling seconds.
+fn check_serve_restart(doc: &Value) -> Result<(), String> {
+    let get = |name| section_field(doc, "serve_restart", name, Value::as_u64);
+    let (restarts, hits, writes) = (get("restarts")?, get("store_hits")?, get("store_writes")?);
+    if restarts < 1 || hits != 1 || writes != 0 {
+        return Err(format!(
             "serve_restart: {restarts} restarts with {hits} store hits and {writes} \
              store writes each (must be >= 1 restart, 1 hit, 0 writes) — a restarted \
              daemon did not serve off the store"
         ));
     }
-    let (saved, expected) = (
-        get("sim_profiling_s_saved"),
-        restart_sim_profiling_seconds(),
-    );
+    let saved = section_field(doc, "serve_restart", "sim_profiling_s_saved", Value::as_f64)?;
+    let expected = restart_sim_profiling_seconds();
     if saved.to_bits() != expected.to_bits() {
-        fail(&format!(
+        return Err(format!(
             "serve_restart: sim_profiling_s_saved {saved} s, but profiling the \
              restart key costs {expected} s — run `serve_bench restart` to refresh"
         ));
     }
     println!(
         "obs_check: serve_restart: {restarts} restarts, 1 store hit / 0 writes each, \
-         {saved:.1} simulated profiling s saved per restart -- gated; cold {} µs, \
-         warm {} µs, restart {} µs (information only)",
-        get("cold_us"),
-        get("warm_us"),
-        get("restart_us")
+         {saved:.1} simulated profiling s saved per restart -- gated"
     );
-}
-
-/// Mean `eval_latency_us` of one observed run, read from its metric
-/// snapshot.
-fn run_mean_latency_us(report: &ObsReport) -> f64 {
-    let snapshot = Value::parse(&report.metrics_json())
-        .unwrap_or_else(|e| fail(&format!("metric snapshot: unparseable: {e:?}")));
-    let hist = snapshot
-        .field("histograms")
-        .and_then(|h| h.field("eval_latency_us"))
-        .unwrap_or_else(|e| fail(&format!("metric snapshot: eval_latency_us: {e:?}")));
-    let count = hist
-        .field("count")
-        .and_then(Value::as_u64)
-        .unwrap_or_else(|e| fail(&format!("metric snapshot: eval_latency_us count: {e:?}")));
-    let sum = hist
-        .field("sum")
-        .and_then(Value::as_f64)
-        .unwrap_or_else(|e| fail(&format!("metric snapshot: eval_latency_us sum: {e:?}")));
-    if count == 0 {
-        fail("metric snapshot: empty eval_latency_us histogram");
-    }
-    sum / count as f64
+    Ok(())
 }
 
 fn main() {
@@ -389,29 +308,13 @@ fn main() {
                 aceso_model::zoo::gpt3_custom("bench", 4, 512, 8, 256, 8192, 64),
                 4,
             );
-            // The search is deterministic under an iteration budget, so
-            // repeated runs differ only in timing. Save the median-latency
-            // run of GATE_RUNS: a single run's mean is hostage to machine
-            // load, and the fastest run would commit an unrepeatable
-            // floor as the next baseline's information figures.
             let opts = SearchOptions {
                 max_iterations: 24,
                 ..SearchOptions::default()
             };
-            let mut runs: Vec<(SearchResult, ObsReport, f64)> = Vec::with_capacity(GATE_RUNS);
-            for run in 0..GATE_RUNS {
-                let (result, report) = env
-                    .run_aceso_observed(opts.clone())
-                    .unwrap_or_else(|e| fail(&format!("search failed: {e}")));
-                let mean = run_mean_latency_us(&report);
-                println!(
-                    "obs_check: gate run {}/{GATE_RUNS}: mean eval_latency_us {mean:.3}",
-                    run + 1
-                );
-                runs.push((result, report, mean));
-            }
-            runs.sort_by(|a, b| a.2.total_cmp(&b.2));
-            let (result, report, _) = runs.swap_remove(runs.len() / 2);
+            let (result, report) = env
+                .run_aceso_observed(opts)
+                .unwrap_or_else(|e| fail(&format!("search failed: {e}")));
             // Every check runs on the fresh document before it is
             // written: a failing run leaves the committed baseline as it
             // was, so a second run cannot pass against the failing
@@ -421,11 +324,12 @@ fn main() {
                 .field("metrics")
                 .unwrap_or_else(|e| fail(&format!("fresh BENCH_search.json: metrics: {e:?}")));
             check_metrics(metrics, "fresh BENCH_search.json");
-            check_serve_fleet(&doc);
-            check_serve_restart(&doc);
             check_events(&report.events_jsonl(), "search event stream", metrics);
+            check_serve_fleet(&doc).unwrap_or_else(|e| fail(&e));
+            check_serve_restart(&doc).unwrap_or_else(|e| fail(&e));
             match baseline {
-                Some(b) => work_gate(&b, &bench_figures(&doc, "fresh BENCH_search.json")),
+                Some(b) => work_gate(&b, &bench_figures(&doc, "fresh BENCH_search.json"))
+                    .unwrap_or_else(|e| fail(&e)),
                 None => println!("obs_check: no committed baseline — work gate skipped"),
             }
             write_bench_search(&doc);
@@ -436,4 +340,90 @@ fn main() {
         }
     }
     println!("obs_check: OK");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const BASE: BenchFigures = BenchFigures {
+        explored: 10_333,
+        best_time_bits: 0.020437212775736062f64.to_bits(),
+        perf_evaluations: 25_263,
+    };
+
+    #[test]
+    fn equal_or_less_work_passes_the_work_gate() {
+        assert_eq!(work_gate(&BASE, &BASE), Ok(()));
+        let fewer = BenchFigures {
+            perf_evaluations: BASE.perf_evaluations - 1,
+            ..BASE
+        };
+        assert_eq!(work_gate(&BASE, &fewer), Ok(()));
+    }
+
+    #[test]
+    fn more_work_or_another_path_fails_the_work_gate() {
+        let more = BenchFigures {
+            perf_evaluations: BASE.perf_evaluations + 1,
+            ..BASE
+        };
+        let err = work_gate(&BASE, &more).unwrap_err();
+        assert!(
+            err.contains("perf_evaluations grew 25263 -> 25264"),
+            "{err}"
+        );
+        for changed in [
+            BenchFigures {
+                explored: BASE.explored + 1,
+                ..BASE
+            },
+            BenchFigures {
+                best_time_bits: BASE.best_time_bits + 1,
+                ..BASE
+            },
+        ] {
+            let err = work_gate(&BASE, &changed).unwrap_err();
+            assert!(err.contains("changed its path"), "{err}");
+        }
+    }
+
+    fn section(key: &str, fields: &str) -> Value {
+        Value::parse(&format!("{{\"{key}\": {{{fields}}}}}")).unwrap()
+    }
+
+    #[test]
+    fn fleet_gate_needs_512_clients_and_no_errors() {
+        let fleet = |clients: u64, errors: u64| {
+            section(
+                "serve_fleet",
+                &format!(
+                    "\"clients\": {clients}, \"draws\": 3, \"submitted\": 384, \
+                     \"errors\": {errors}"
+                ),
+            )
+        };
+        assert_eq!(check_serve_fleet(&fleet(512, 0)), Ok(()));
+        assert!(check_serve_fleet(&fleet(512, 1)).is_err());
+        assert!(check_serve_fleet(&fleet(511, 0)).is_err());
+        assert!(check_serve_fleet(&Value::parse("{}").unwrap()).is_err());
+    }
+
+    #[test]
+    fn restart_gate_needs_one_hit_no_write_and_the_exact_saving() {
+        let restart = |hits: u64, writes: u64, saved: f64| {
+            section(
+                "serve_restart",
+                &format!(
+                    "\"restarts\": 3, \"store_hits\": {hits}, \"store_writes\": {writes}, \
+                     \"sim_profiling_s_saved\": {saved:?}"
+                ),
+            )
+        };
+        let saved = restart_sim_profiling_seconds();
+        assert_eq!(check_serve_restart(&restart(1, 0, saved)), Ok(()));
+        assert!(check_serve_restart(&restart(2, 0, saved)).is_err());
+        assert!(check_serve_restart(&restart(1, 1, saved)).is_err());
+        assert!(check_serve_restart(&restart(1, 0, saved + 1.0)).is_err());
+    }
 }

@@ -15,7 +15,7 @@ use aceso_cluster::ClusterSpec;
 use aceso_config::ParallelConfig;
 use aceso_core::{AcesoSearch, SearchOptions, SearchResult};
 use aceso_model::ModelGraph;
-use aceso_obs::{ObsReport, SERVER_COUNTERS};
+use aceso_obs::{without_wall_clock, ObsReport, SERVER_COUNTERS};
 use aceso_profile::ProfileDb;
 use aceso_runtime::{SimReport, Simulator};
 use aceso_util::json::{obj, FromJson, JsonError, ToJson, Value};
@@ -170,15 +170,16 @@ pub fn write_csv(name: &str, table: &aceso_util::table::Table) {
     println!("[saved {}]", path.display());
 }
 
-/// Builds the `BENCH_search.json` perf-trajectory snapshot: the
-/// search's headline numbers plus its observability metric snapshot
-/// (`docs/OBSERVABILITY.md` schema) without the server-level counters,
-/// which a library search never moves. One file per checkout,
-/// overwritten on each refresh, so the trajectory is the file's git
-/// history (field reference in `docs/BENCHMARKS.md`).
+/// Builds the `BENCH_search.json` work snapshot: the search's best time
+/// and explored count plus its observability metric snapshot
+/// (`docs/OBSERVABILITY.md` schema) without its wall-clock parts and
+/// without the server-level counters, which a library search never
+/// moves. Every field is deterministic, so refreshing the file on an
+/// unchanged tree rewrites the same bytes (field reference in
+/// `docs/BENCHMARKS.md`).
 pub fn bench_search_doc(result: &SearchResult, report: &ObsReport) -> Value {
     // Sections owned by other harnesses survive the refresh: the
-    // `serve_fleet` fan-in numbers come from `serve_bench fleet` and the
+    // `serve_fleet` fan-in counts come from `serve_bench fleet` and the
     // `serve_restart` store figures from `serve_bench restart`, not from
     // the search run this function snapshots.
     let carried: Vec<(String, Value)> = std::fs::read_to_string(bench_search_path())
@@ -191,7 +192,7 @@ pub fn bench_search_doc(result: &SearchResult, report: &ObsReport) -> Value {
                 .collect()
         })
         .unwrap_or_default();
-    let mut metrics = report.metrics_value();
+    let mut metrics = without_wall_clock(report.metrics_value());
     if let Value::Object(fields) = &mut metrics {
         if let Some((_, Value::Object(counters))) = fields.iter_mut().find(|(k, _)| k == "counters")
         {
@@ -201,14 +202,6 @@ pub fn bench_search_doc(result: &SearchResult, report: &ObsReport) -> Value {
     let mut doc = obj([
         ("best_time", Value::Float(result.best_time)),
         ("explored", Value::UInt(result.explored as u64)),
-        (
-            "wall_time_secs",
-            Value::Float(result.wall_time.as_secs_f64()),
-        ),
-        (
-            "configs_per_sec",
-            Value::Float(result.explored as f64 / result.wall_time.as_secs_f64().max(1e-9)),
-        ),
         ("metrics", metrics),
     ]);
     if let Value::Object(fields) = &mut doc {
@@ -236,8 +229,8 @@ pub fn bench_search_path() -> PathBuf {
 /// Replaces one named top-level section of a bench snapshot in place,
 /// preserving every other field and the key order (a new section is
 /// appended; the file is created with only that section when it does
-/// not exist yet). `serve_bench fleet` uses this to
-/// record its fan-in percentiles beside the search trajectory that
+/// not exist yet). `serve_bench fleet` and `serve_bench restart` use
+/// this to record their sections beside the search figures that
 /// [`write_bench_search`] owns.
 pub fn merge_bench_section(path: &std::path::Path, key: &str, section: Value) {
     let mut fields = std::fs::read_to_string(path)

@@ -22,9 +22,7 @@
 //! 3. **The response is bit-identical** to the fault-free reference on
 //!    every deterministic field (INV-STORE-BITEXACT extended to the
 //!    whole system: cache, store, spool and restarts are invisible).
-//! 4. **Every server-surfaced event parses as a typed [`Event`]** —
-//!    degrades are always surfaced, never stringly dropped.
-//! 5. **Injected panics are contained** and the cache recovers.
+//! 4. **Injected panics are contained** and the cache recovers.
 //!
 //! Violations are plain strings naming the oracle; the shrinker
 //! ([`crate::shrink()`]) minimises a violating schedule into a replayable
@@ -162,26 +160,15 @@ fn spawn_daemon(
     Ok(Daemon { addr, handle })
 }
 
-/// Drains a daemon and checks oracle 4 on its report: every server
-/// event must round-trip through the typed [`Event`] codec.
+/// Drains a daemon; a failed shutdown or a panicked daemon is a
+/// violation.
 fn stop_daemon(daemon: Daemon, violations: &mut Vec<String>) {
     if let Err(e) = aceso_serve::shutdown(&daemon.addr) {
         violations.push(format!("shutdown-failed: {e}"));
         return;
     }
-    let Ok(report) = daemon.handle.join() else {
+    if daemon.handle.join().is_err() {
         violations.push("daemon-panicked: run() did not return".to_string());
-        return;
-    };
-    for event in report.events() {
-        let round_trip =
-            Event::from_json_value(&event.to_json_value(), &aceso_core::intern_obs_str);
-        if round_trip.as_ref() != Ok(event) {
-            violations.push(format!(
-                "untyped-event: {} does not round-trip through the typed codec",
-                event.kind()
-            ));
-        }
     }
 }
 

@@ -17,8 +17,8 @@
 //!   resubmit daemon lifecycles in-process under a schedule and checks
 //!   the standing oracles after every run (INV-CHAOS-ORACLE): no torn
 //!   store entry visible, recovery succeeds within bounded retries,
-//!   responses bit-identical to the fault-free reference, every event
-//!   typed, panics contained;
+//!   responses bit-identical to the fault-free reference, panics
+//!   contained;
 //! * [`mod@shrink`] — the greedy delta-debugger that minimises a violating
 //!   schedule into a 1-minimal replayable trace (INV-CHAOS-SHRINK).
 //!

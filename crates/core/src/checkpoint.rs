@@ -15,7 +15,6 @@
 //! — callers degrade to a fresh search, they never resume across
 //! incompatible inputs.
 
-use crate::primitives::{Primitive, Resource};
 use crate::search::{AcesoSearch, SearchOptions};
 use aceso_cluster::ClusterSpec;
 use aceso_model::ModelGraph;
@@ -96,24 +95,6 @@ pub fn options_fingerprint(o: &SearchOptions) -> u64 {
         None => h.write_bool(false),
     }
     h.finish()
-}
-
-/// Maps a deserialised string back to the `&'static str` the search
-/// vocabulary uses in events: resource names, primitive names, pipeline
-/// schedules, and the `"-"` no-resource placeholder. Returns `None` for
-/// anything outside the vocabulary, which event decoding
-/// (`Event::from_json_value`) surfaces as a shape error.
-pub fn intern_obs_str(s: &str) -> Option<&'static str> {
-    if s == "-" {
-        return Some("-");
-    }
-    if let Some(r) = Resource::ALL.iter().find(|r| r.name() == s) {
-        return Some(r.name());
-    }
-    if let Some(p) = Primitive::EXTENDED.iter().find(|p| p.name() == s) {
-        return Some(p.name());
-    }
-    ["1f1b", "gpipe"].iter().find(|&&w| w == s).copied()
 }
 
 /// Why a checkpoint could not be loaded or resumed.
@@ -394,21 +375,6 @@ mod tests {
             ..SearchOptions::default()
         };
         assert_eq!(same, options_fingerprint(&budgeted));
-    }
-
-    #[test]
-    fn interner_covers_the_search_vocabulary_and_nothing_else() {
-        for r in Resource::ALL {
-            assert_eq!(intern_obs_str(r.name()), Some(r.name()));
-        }
-        for p in Primitive::EXTENDED {
-            assert_eq!(intern_obs_str(p.name()), Some(p.name()));
-        }
-        assert_eq!(intern_obs_str("-"), Some("-"));
-        assert_eq!(intern_obs_str("1f1b"), Some("1f1b"));
-        assert_eq!(intern_obs_str("gpipe"), Some("gpipe"));
-        assert_eq!(intern_obs_str("inc-banana"), None);
-        assert_eq!(intern_obs_str(""), None);
     }
 
     #[test]

@@ -24,9 +24,8 @@ pub mod transform;
 
 pub use bottleneck::{ranked_bottlenecks, Bottleneck};
 pub use checkpoint::{
-    cluster_fingerprint, intern_obs_str, model_fingerprint, options_fingerprint, read_checkpoint,
-    write_checkpoint, CheckpointError, PositionError, SearchCheckpoint, StagePosition,
-    CHECKPOINT_SCHEMA_VERSION,
+    cluster_fingerprint, model_fingerprint, options_fingerprint, read_checkpoint, write_checkpoint,
+    CheckpointError, PositionError, SearchCheckpoint, StagePosition, CHECKPOINT_SCHEMA_VERSION,
 };
 pub use primitives::{Candidate, Primitive, Resource, Trend};
 pub use search::{

@@ -46,7 +46,7 @@ pub use diff::{render_diff, DiffError};
 pub use event::Event;
 pub use metrics::{Counter, Family, HistKind, Histogram, Metrics};
 pub use recorder::Recorder;
-pub use report::ObsReport;
+pub use report::{without_wall_clock, ObsReport};
 pub use schema::{
     EventSpec, FieldSpec, NONDETERMINISTIC_COUNTERS, SCHEMA_VERSION, SERVER_COUNTERS,
 };

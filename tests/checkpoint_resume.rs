@@ -6,15 +6,13 @@
 //! run. "Bit-identical" means the merged event stream byte-for-byte,
 //! every deterministic counter and histogram, the best configuration's
 //! fingerprint, and the predicted time's exact `f64` bits. The only
-//! masked fields are `wall_time_secs` and the `eval_latency_us`
-//! histogram, which measure the host clock (in a checkpoint also its
-//! elapsed seconds and convergence timestamps), and the counters the obs
-//! schema registers as `NONDETERMINISTIC_COUNTERS` (the serve daemon's
-//! connection gauge, which a library search never moves).
+//! masked parts are those that measure the host clock: a metric
+//! snapshot's wall-clock parts (`aceso_obs::without_wall_clock`) and a
+//! checkpoint's `elapsed_secs_bits`.
 
 use aceso::cluster::ClusterSpec;
 use aceso::model::{zoo, ModelGraph};
-use aceso::obs::{ObsReport, NONDETERMINISTIC_COUNTERS};
+use aceso::obs::{without_wall_clock, ObsReport};
 use aceso::profile::ProfileDb;
 use aceso::search::{
     AcesoSearch, AfterRound, CheckpointError, PositionError, ResumeError, SearchCheckpoint,
@@ -53,31 +51,13 @@ fn opts() -> SearchOptions {
     }
 }
 
-/// A metric snapshot's or a checkpoint's JSON without its only
-/// nondeterministic parts, wherever they sit: the wall-clock fields (a
-/// snapshot's `wall_time_secs`, a checkpoint's `elapsed_secs_bits` and
-/// convergence `elapsed_bits`), the `eval_latency_us` histogram, and the
-/// scheduling-dependent counters the obs schema registers as
-/// nondeterministic.
-fn masked(json: &str) -> String {
-    fn walk(v: &Value) -> Value {
-        let clock = ["wall_time_secs", "elapsed_secs_bits", "elapsed_bits"];
-        let kept = |k: &str| {
-            !clock.contains(&k) && k != "eval_latency_us" && !NONDETERMINISTIC_COUNTERS.contains(&k)
-        };
-        match v {
-            Value::Object(fields) => Value::Object(
-                fields
-                    .iter()
-                    .filter(|(k, _)| kept(k))
-                    .map(|(k, v)| (k.clone(), walk(v)))
-                    .collect(),
-            ),
-            Value::Array(items) => Value::Array(items.iter().map(walk).collect()),
-            other => other.clone(),
-        }
-    }
-    walk(&Value::parse(json).expect("valid JSON")).to_string_compact()
+/// A checkpoint's JSON without its elapsed wall-clock seconds.
+fn without_elapsed(json: &str) -> String {
+    let Value::Object(mut fields) = Value::parse(json).expect("valid JSON") else {
+        panic!("a checkpoint is a JSON object")
+    };
+    fields.retain(|(k, _)| k != "elapsed_secs_bits");
+    Value::Object(fields).to_string_compact()
 }
 
 /// Runs the search pausing every `step` iterations, putting each
@@ -127,9 +107,9 @@ fn assert_bit_identical(
         "{name}: event streams must be byte-identical"
     );
     assert_eq!(
-        masked(&pa.metrics_json()),
-        masked(&pb.metrics_json()),
-        "{name}: masked metric snapshots must match"
+        without_wall_clock(pa.metrics_value()).to_string_compact(),
+        without_wall_clock(pb.metrics_value()).to_string_compact(),
+        "{name}: metric snapshots without their wall-clock parts must match"
     );
     assert_eq!(
         ra.best_config.semantic_hash(),
@@ -199,8 +179,8 @@ fn live_snapshots_equal_the_round_tripped_chain() {
         );
         for (k, (live_ckpt, chain_ckpt)) in snapshots.iter().zip(&pauses).enumerate() {
             assert_eq!(
-                masked(live_ckpt),
-                masked(chain_ckpt),
+                without_elapsed(live_ckpt),
+                without_elapsed(chain_ckpt),
                 "{name}: snapshot {k} must equal the chain's checkpoint byte for byte"
             );
         }

@@ -7,7 +7,7 @@
 //! configuration's fingerprint, and the predicted time's bits — even with
 //! eight clients in flight at once sharing one profile cache.
 
-use aceso::obs::Counter;
+use aceso::obs::{without_wall_clock, Counter};
 use aceso::prelude::*;
 use aceso::search::{SearchStep, CHECKPOINT_SCHEMA_VERSION};
 use aceso::serve::{
@@ -63,32 +63,6 @@ fn direct_run(req: &Request) -> (aceso::search::SearchResult, aceso::obs::ObsRep
         .expect("direct search succeeds")
 }
 
-/// Drops the only nondeterministic parts of a metric snapshot: the
-/// wall-clock field and the latency histogram.
-fn masked(snapshot: &Value) -> Value {
-    let Value::Object(fields) = snapshot else {
-        return snapshot.clone();
-    };
-    let fields = fields
-        .iter()
-        .filter(|(k, _)| k != "wall_time_secs")
-        .map(|(k, v)| {
-            if k == "histograms" {
-                if let Value::Object(hists) = v {
-                    let kept = hists
-                        .iter()
-                        .filter(|(name, _)| name != "eval_latency_us")
-                        .cloned()
-                        .collect();
-                    return (k.clone(), Value::Object(kept));
-                }
-            }
-            (k.clone(), v.clone())
-        })
-        .collect();
-    Value::Object(fields)
-}
-
 /// Asserts a served response is bit-identical to the direct library run.
 fn assert_matches_direct(resp: &Response, req: &Request, ctx: &str) {
     let (want, report) = direct_run(req);
@@ -98,9 +72,9 @@ fn assert_matches_direct(resp: &Response, req: &Request, ctx: &str) {
         "{ctx}: event stream must be byte-identical"
     );
     assert_eq!(
-        masked(&resp.metrics).to_string_compact(),
-        masked(&Value::parse(&report.metrics_json()).unwrap()).to_string_compact(),
-        "{ctx}: masked metric snapshot must match"
+        without_wall_clock(resp.metrics.clone()).to_string_compact(),
+        without_wall_clock(report.metrics_value()).to_string_compact(),
+        "{ctx}: metric snapshots without their wall-clock parts must match"
     );
     let bits = resp
         .result
