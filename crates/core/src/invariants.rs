@@ -1,10 +1,10 @@
-//! Feature-gated runtime invariant checks (`debug-invariants`).
+//! Runtime invariant checks for debug builds.
 //!
-//! With the feature off (the default) every function here is an empty
-//! `#[inline(always)]` stub, so release binaries pay nothing. With it on,
-//! the transforms, the candidate generator, and the search panic at the
+//! In a debug build (`debug_assertions` on, as under `cargo test`) the
+//! transforms, the candidate generator, and the search panic at the
 //! exact point an invariant breaks — the dynamic twin of the static
-//! analyzers in `aceso-audit`.
+//! analyzers in `aceso-audit`. In a release build every body here folds
+//! to nothing, so release binaries pay nothing.
 
 use crate::primitives::Candidate;
 use aceso_cluster::ClusterSpec;
@@ -15,17 +15,14 @@ use aceso_perf::PerfModel;
 /// Panics unless `config` passes full validation against the model and
 /// the cluster. Used where both are in scope (candidate generation, the
 /// search's accept path).
-#[cfg(feature = "debug-invariants")]
 pub fn assert_valid(model: &ModelGraph, cluster: &ClusterSpec, config: &ParallelConfig, ctx: &str) {
+    if !cfg!(debug_assertions) {
+        return;
+    }
     if let Err(e) = aceso_config::validate::validate(config, model, cluster) {
-        panic!("debug-invariants[{ctx}]: invalid configuration: {e}");
+        panic!("invariant[{ctx}]: invalid configuration: {e}");
     }
 }
-
-/// No-op stub (feature off).
-#[cfg(not(feature = "debug-invariants"))]
-#[inline(always)]
-pub fn assert_valid(_: &ModelGraph, _: &ClusterSpec, _: &ParallelConfig, _: &str) {}
 
 /// Panics unless `config` keeps the cluster-independent structural
 /// invariants every transform must preserve: stage op ranges partition the
@@ -38,22 +35,24 @@ pub fn assert_valid(_: &ModelGraph, _: &ClusterSpec, _: &ParallelConfig, _: &str
 /// cluster, they must merely conserve the configuration's own GPU total
 /// (which [`assert_valid`] pins to the cluster at the call sites that
 /// have one).
-#[cfg(feature = "debug-invariants")]
 pub fn assert_structure(model: &ModelGraph, config: &ParallelConfig, ctx: &str) {
+    if !cfg!(debug_assertions) {
+        return;
+    }
     let mut expect = 0usize;
     for (i, s) in config.stages().iter().enumerate() {
         assert_eq!(
             s.op_start, expect,
-            "debug-invariants[{ctx}]: stage {i} op range breaks the partition"
+            "invariant[{ctx}]: stage {i} op range breaks the partition"
         );
         assert!(
             s.op_end > s.op_start,
-            "debug-invariants[{ctx}]: stage {i} is empty"
+            "invariant[{ctx}]: stage {i} is empty"
         );
         assert_eq!(
             s.ops.len(),
             s.num_ops(),
-            "debug-invariants[{ctx}]: stage {i} ops length mismatch"
+            "invariant[{ctx}]: stage {i} ops length mismatch"
         );
         expect = s.op_end;
         for (j, op) in s.ops.iter().enumerate() {
@@ -61,45 +60,40 @@ pub fn assert_structure(model: &ModelGraph, config: &ParallelConfig, ctx: &str) 
             assert_eq!(
                 op.gpus() as usize,
                 s.gpus,
-                "debug-invariants[{ctx}]: stage {i} op {g}: tp*dp != stage gpus"
+                "invariant[{ctx}]: stage {i} op {g}: tp*dp != stage gpus"
             );
             assert!(
                 op.tp.is_power_of_two() && op.dp.is_power_of_two(),
-                "debug-invariants[{ctx}]: stage {i} op {g}: degrees not powers of two"
+                "invariant[{ctx}]: stage {i} op {g}: degrees not powers of two"
             );
             assert!(
                 op.tp <= model.ops[g].tp_limit,
-                "debug-invariants[{ctx}]: stage {i} op {g}: tp over operator limit"
+                "invariant[{ctx}]: stage {i} op {g}: tp over operator limit"
             );
             assert!(
                 usize::from(op.dim_index) < model.ops[g].partitions.len(),
-                "debug-invariants[{ctx}]: stage {i} op {g}: bad partition dim"
+                "invariant[{ctx}]: stage {i} op {g}: bad partition dim"
             );
             assert!(
                 config.microbatch.is_multiple_of(op.dp as usize),
-                "debug-invariants[{ctx}]: stage {i} op {g}: dp does not divide microbatch"
+                "invariant[{ctx}]: stage {i} op {g}: dp does not divide microbatch"
             );
             assert!(
                 !(op.zero && op.dp == 1),
-                "debug-invariants[{ctx}]: stage {i} op {g}: unclamped zero on dp == 1"
+                "invariant[{ctx}]: stage {i} op {g}: unclamped zero on dp == 1"
             );
         }
     }
     assert_eq!(
         expect,
         model.len(),
-        "debug-invariants[{ctx}]: op ranges do not cover the model"
+        "invariant[{ctx}]: op ranges do not cover the model"
     );
     assert!(
         config.microbatch > 0 && model.global_batch.is_multiple_of(config.microbatch),
-        "debug-invariants[{ctx}]: microbatch does not divide the global batch"
+        "invariant[{ctx}]: microbatch does not divide the global batch"
     );
 }
-
-/// No-op stub (feature off).
-#[cfg(not(feature = "debug-invariants"))]
-#[inline(always)]
-pub fn assert_structure(_: &ModelGraph, _: &ParallelConfig, _: &str) {}
 
 /// Checks what candidate generation hands the search (INV-SCORE-ONCE and
 /// INV-STAGE-HASH in docs/SEARCH.md): every cached stage hash equals a
@@ -108,12 +102,10 @@ pub fn assert_structure(_: &ModelGraph, _: &ParallelConfig, _: &str) {}
 /// from-scratch evaluation to the last bit. It scores through the
 /// stage's own `PerfModel`, which counts nothing, so checking moves no
 /// counter.
-#[cfg(feature = "debug-invariants")]
 pub struct ScoreCheck<'a> {
     pm: &'a PerfModel<'a>,
 }
 
-#[cfg(feature = "debug-invariants")]
 impl<'a> ScoreCheck<'a> {
     /// A checker scoring through `pm`.
     pub fn new(pm: &'a PerfModel<'a>) -> Self {
@@ -123,46 +115,32 @@ impl<'a> ScoreCheck<'a> {
     /// Panics unless `cand`'s stage hashes, fingerprint and carried
     /// estimate are what the search would have computed from scratch.
     pub fn assert_carried(&self, cand: &Candidate) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
         let name = cand.primitive.name();
         for (i, s) in cand.config.stages().iter().enumerate() {
             assert_eq!(
                 s.content_hash(),
                 s.compute_content_hash(),
-                "debug-invariants[{name}]: stage {i}'s cached hash is stale"
+                "invariant[{name}]: stage {i}'s cached hash is stale"
             );
         }
         assert_eq!(
             cand.fingerprint,
             cand.config.semantic_hash(),
-            "debug-invariants[{name}]: carried fingerprint is not the configuration's hash"
+            "invariant[{name}]: carried fingerprint is not the configuration's hash"
         );
         if let Some(est) = &cand.estimate {
             assert!(
                 est.bit_identical(&self.pm.evaluate_unchecked(&cand.config)),
-                "debug-invariants[{name}]: carried estimate differs from a fresh evaluation"
+                "invariant[{name}]: carried estimate differs from a fresh evaluation"
             );
         }
     }
 }
 
-/// No-op stub (feature off).
-#[cfg(not(feature = "debug-invariants"))]
-pub struct ScoreCheck<'a>(std::marker::PhantomData<&'a ()>);
-
-#[cfg(not(feature = "debug-invariants"))]
-impl<'a> ScoreCheck<'a> {
-    /// No-op stub (feature off).
-    #[inline(always)]
-    pub fn new(_: &'a PerfModel<'a>) -> Self {
-        Self(std::marker::PhantomData)
-    }
-
-    /// No-op stub (feature off).
-    #[inline(always)]
-    pub fn assert_carried(&self, _: &Candidate) {}
-}
-
-#[cfg(all(test, feature = "debug-invariants"))]
+#[cfg(all(test, debug_assertions))]
 mod tests {
     use super::*;
     use aceso_cluster::ClusterSpec;

@@ -851,8 +851,8 @@ fn scored(ev: &CachedEvaluator<'_>, config: &ParallelConfig) -> ScoredConfig {
 /// borrowed in place.
 struct Ctx<'a> {
     ev: &'a CachedEvaluator<'a>,
-    /// `debug-invariants` check of what generation carries (a no-op
-    /// stub otherwise).
+    /// Debug-build check of what generation carries (compiled out in
+    /// release builds).
     check: ScoreCheck<'a>,
     opts: &'a SearchOptions,
     rec: &'a Recorder,

@@ -30,8 +30,9 @@
 //! compiles down to nothing measurable when metrics are off.
 //!
 //! The JSONL event schema and the metric snapshot format are a
-//! documented public contract: see `docs/OBSERVABILITY.md`, which is
-//! cross-checked against [`schema`]'s registry by tests in this crate.
+//! documented public contract: see `docs/OBSERVABILITY.md`, which the
+//! repository's `tests/docs.rs` cross-checks against [`schema`]'s
+//! registry.
 
 #![deny(missing_docs)]
 

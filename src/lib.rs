@@ -63,16 +63,16 @@ pub use aceso_util as util;
 #[doc = include_str!("../README.md")]
 pub struct ReadmeDoctests;
 
-/// Command-line surface shared between the binary and the doc checker.
+/// Command-line surface shared between the binary and the doc tests.
 ///
 /// The usage text lives here (rather than in `main.rs`) so the
-/// documentation-consistency gate (`aceso-bench --bin doc_check`, run by
-/// `ci.sh`) can cross-reference every `--flag` mentioned in `docs/*.md`
-/// against the flags the binary actually advertises.
+/// documentation-consistency test (`tests/docs.rs`) can cross-reference
+/// every `--flag` mentioned in `docs/*.md` against the flags the binary
+/// actually advertises.
 pub mod cli {
     /// The `aceso` binary's usage text: every subcommand, flag and
     /// default. `main.rs` prints this for `--help` and usage errors; the
-    /// doc checker treats it as the registry of real CLI flags.
+    /// doc tests treat it as the registry of real CLI flags.
     pub const USAGE: &str = "\
 usage: aceso [search] --model <name> [--gpus N] [--budget-secs S] [--stages P]
              [--zero] [--plan-out FILE] [--metrics-out FILE]
