@@ -95,6 +95,19 @@ pub fn assert_structure(model: &ModelGraph, config: &ParallelConfig, ctx: &str) 
     );
 }
 
+/// Panics if a stage count's backtrack heap holds more than `2 × cap`
+/// entries after a push, where `cap` is the most pops the stage count
+/// has left (INV-BACKTRACK-BOUND in docs/SEARCH.md).
+pub fn assert_backtrack_bound(len: usize, cap: usize) {
+    if !cfg!(debug_assertions) {
+        return;
+    }
+    assert!(
+        len <= cap.saturating_mul(2),
+        "invariant[backtrack]: heap holds {len} entries, over twice the {cap} it can still pop"
+    );
+}
+
 /// Checks what candidate generation hands the search (INV-SCORE-ONCE and
 /// INV-STAGE-HASH in docs/SEARCH.md): every cached stage hash equals a
 /// from-scratch recomputation, the carried fingerprint is the
@@ -197,6 +210,19 @@ mod tests {
             }
             check.assert_carried(&cand);
         });
+    }
+
+    #[test]
+    fn backtrack_bound_allows_twice_the_remaining_pops() {
+        assert_backtrack_bound(0, 0);
+        assert_backtrack_bound(6, 3);
+        assert_backtrack_bound(usize::MAX, usize::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "over twice the 3 it can still pop")]
+    fn panics_on_an_unbounded_backtrack_heap() {
+        assert_backtrack_bound(7, 3);
     }
 
     #[test]

@@ -184,9 +184,11 @@ impl std::fmt::Display for ResumeError {
 
 impl std::error::Error for ResumeError {}
 
-/// Min-heap entry for the unexplored-configurations pool. Its config
-/// shares every stage with the candidate's other copies
-/// (INV-STAGE-HASH), so parking one copies a pointer per stage.
+/// A rejected candidate in a stage count's backtrack heap, kept while it
+/// can still be popped (INV-BACKTRACK-BOUND). The lowest score pops
+/// first, then the lowest `tie`; `tie` is unique, so the order is total.
+/// Its config shares every stage with the candidate's other copies
+/// (INV-STAGE-HASH), so keeping one copies a pointer per stage.
 struct HeapEntry {
     score: f64,
     tie: u64,
@@ -212,6 +214,49 @@ impl Ord for HeapEntry {
             .partial_cmp(&self.score)
             .unwrap_or(std::cmp::Ordering::Equal)
             .then_with(|| other.tie.cmp(&self.tie))
+    }
+}
+
+/// A stage count's backtrack heap, bounded to the entries it can still
+/// pop (INV-BACKTRACK-BOUND in docs/SEARCH.md). Each `push` states
+/// `cap`, the most pops left to the stage count; once the heap holds
+/// more than `2 × cap` entries it keeps only the `cap` that pop first.
+/// An entry outside those can never pop, whatever arrives later, so
+/// every pop returns what an unbounded heap would.
+#[derive(Default)]
+struct Backtrack {
+    heap: BinaryHeap<HeapEntry>,
+}
+
+impl Backtrack {
+    /// The most pops left to a stage count while iteration `next_iter`
+    /// runs: one backtrack in it and in each later iteration, then the
+    /// `top_k` drain in `end`. Saturates, so an unlimited budget
+    /// (`usize::MAX` iterations) never compacts.
+    fn cap(max_iterations: usize, next_iter: usize, top_k: usize) -> usize {
+        max_iterations
+            .saturating_sub(next_iter)
+            .saturating_add(top_k)
+    }
+
+    fn push(&mut self, entry: HeapEntry, cap: usize) {
+        self.heap.push(entry);
+        if self.heap.len() > cap.saturating_mul(2) {
+            let mut kept = std::mem::take(&mut self.heap).into_vec();
+            // The greatest entry pops first: sort descending to `cap`.
+            kept.select_nth_unstable_by(cap, |a, b| b.cmp(a));
+            kept.truncate(cap);
+            self.heap = BinaryHeap::from(kept);
+        }
+        crate::invariants::assert_backtrack_bound(self.len(), cap);
+    }
+
+    fn pop(&mut self) -> Option<HeapEntry> {
+        self.heap.pop()
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
     }
 }
 
@@ -584,7 +629,8 @@ struct OpenStage {
     best: ScoredConfig,
     /// Fingerprints of every configuration generated so far.
     visited: HashSet<u64>,
-    unexplored: BinaryHeap<HeapEntry>,
+    /// Rejected candidates the search can still backtrack to.
+    unexplored: Backtrack,
     explored: usize,
     rng: SplitMix64,
     tie_counter: u64,
@@ -625,7 +671,7 @@ impl<'a> StageSearch<'a> {
                     visited: HashSet::from([init.semantic_hash()]),
                     current: init,
                     best,
-                    unexplored: BinaryHeap::new(),
+                    unexplored: Backtrack::default(),
                     explored: 1,
                     rng: SplitMix64::new(opts.seed ^ (p as u64)),
                     tie_counter: 0,
@@ -1014,7 +1060,8 @@ impl Ctx<'_> {
     }
 
     /// Bookkeeping for one freshly deduplicated, freshly scored
-    /// candidate: accept it, or park it in the heap and the hop pool.
+    /// candidate: accept it, or offer it to the backtrack heap and put it
+    /// in the hop pool.
     fn settle_candidate(
         &mut self,
         step: &HopStep<'_>,
@@ -1053,11 +1100,15 @@ impl Ctx<'_> {
         self.rec.count(Counter::CandidatesRejected);
         self.rejected.note(h, score);
         self.st.tie_counter += 1;
-        self.st.unexplored.push(HeapEntry {
-            score,
-            tie: self.st.tie_counter,
-            config: cand.config.clone(),
-        });
+        let cap = Backtrack::cap(self.opts.max_iterations, self.st.next_iter, self.opts.top_k);
+        self.st.unexplored.push(
+            HeapEntry {
+                score,
+                tie: self.st.tie_counter,
+                config: cand.config.clone(),
+            },
+            cap,
+        );
         pool.push((score, cand.primitives_applied, cand.config, cest));
         None
     }
@@ -1183,19 +1234,10 @@ mod tests {
 
     #[test]
     fn heap_entry_orders_min_first() {
-        let cfg = balanced_init(
-            &gpt3_custom("t", 2, 256, 4, 128, 1000, 16),
-            &ClusterSpec::v100(1, 2),
-            1,
-        )
-        .expect("init");
+        let cfg = tiny_config();
         let mut heap = BinaryHeap::new();
         for (score, tie) in [(3.0, 1), (1.0, 2), (2.0, 3), (1.0, 4)] {
-            heap.push(HeapEntry {
-                score,
-                tie,
-                config: cfg.clone(),
-            });
+            heap.push(entry(&cfg, score, tie));
         }
         let first = heap.pop().expect("non-empty");
         assert_eq!(first.score, 1.0);
@@ -1203,6 +1245,123 @@ mod tests {
         assert_eq!(first.tie, 2);
         assert_eq!(heap.pop().expect("second").score, 1.0);
         assert_eq!(heap.pop().expect("third").score, 2.0);
+    }
+
+    fn tiny_config() -> ParallelConfig {
+        balanced_init(
+            &gpt3_custom("t", 2, 256, 4, 128, 1000, 16),
+            &ClusterSpec::v100(1, 2),
+            1,
+        )
+        .expect("init")
+    }
+
+    fn entry(cfg: &ParallelConfig, score: f64, tie: u64) -> HeapEntry {
+        HeapEntry {
+            score,
+            tie,
+            config: cfg.clone(),
+        }
+    }
+
+    fn popped(e: HeapEntry) -> (u64, u64) {
+        (e.score.to_bits(), e.tie)
+    }
+
+    /// What one schedule popped, as `(score bits, tie)`: from the
+    /// `Backtrack`, from the plain heap, and the `Backtrack`'s largest
+    /// length.
+    type Schedule = (Vec<(u64, u64)>, Vec<(u64, u64)>, usize);
+
+    /// Runs one seeded stage-count schedule through a `Backtrack` and a
+    /// plain heap: each of `iterations` iterations pushes up to 40
+    /// entries drawn from 6 scores (so most tie) under that iteration's
+    /// cap, then pops at most once; the end drains `top_k`.
+    fn backtrack_schedule(
+        seed: u64,
+        max_iterations: usize,
+        iterations: usize,
+        top_k: usize,
+    ) -> Schedule {
+        let cfg = tiny_config();
+        let mut rng = SplitMix64::new(seed);
+        let mut bounded = Backtrack::default();
+        let mut reference = BinaryHeap::new();
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let mut tie = 0;
+        let mut longest = 0;
+        for iter in 0..iterations {
+            let cap = Backtrack::cap(max_iterations, iter, top_k);
+            for _ in 0..rng.next_below(41) {
+                tie += 1;
+                let score = 1.0 + rng.next_below(6) as f64;
+                bounded.push(entry(&cfg, score, tie), cap);
+                reference.push(entry(&cfg, score, tie));
+                longest = longest.max(bounded.len());
+            }
+            if rng.next_below(2) == 0 {
+                got.extend(bounded.pop().map(popped));
+                want.extend(reference.pop().map(popped));
+            }
+        }
+        for _ in 0..top_k {
+            got.extend(bounded.pop().map(popped));
+            want.extend(reference.pop().map(popped));
+        }
+        (got, want, longest)
+    }
+
+    #[test]
+    fn backtrack_pops_what_an_unbounded_heap_pops() {
+        for seed in 0..64 {
+            for max_iterations in [1, 3, 8, 12] {
+                for top_k in [0, 1, 5] {
+                    let (got, want, longest) =
+                        backtrack_schedule(seed, max_iterations, max_iterations, top_k);
+                    assert_eq!(got, want, "seed {seed}, {max_iterations} its, top {top_k}");
+                    assert!(longest <= 2 * (max_iterations + top_k));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn backtrack_with_an_unlimited_budget_keeps_everything() {
+        assert_eq!(Backtrack::cap(usize::MAX, 0, 5), usize::MAX);
+        assert_eq!(Backtrack::cap(usize::MAX, 7, usize::MAX), usize::MAX);
+        for seed in 0..8 {
+            let (got, want, longest) = backtrack_schedule(seed, usize::MAX, 30, 5);
+            assert_eq!(got, want, "seed {seed}");
+            assert!(longest > 2 * (30 + 5), "seed {seed}: nothing dropped");
+        }
+    }
+
+    #[test]
+    fn backtrack_with_no_pops_left_keeps_nothing() {
+        let cfg = tiny_config();
+        assert_eq!(Backtrack::cap(3, 3, 0), 0);
+        let mut heap = Backtrack::default();
+        for tie in 0..5 {
+            heap.push(entry(&cfg, 1.0, tie), 0);
+            assert_eq!(heap.len(), 0);
+        }
+        assert!(heap.pop().is_none());
+    }
+
+    #[test]
+    fn backtrack_under_a_large_cap_keeps_every_push() {
+        let cfg = tiny_config();
+        let mut heap = Backtrack::default();
+        let mut reference = BinaryHeap::new();
+        for tie in 0..20 {
+            let score = (tie % 3) as f64;
+            heap.push(entry(&cfg, score, tie), 100);
+            reference.push(entry(&cfg, score, tie));
+        }
+        assert_eq!(heap.len(), 20);
+        let got: Vec<_> = std::iter::from_fn(|| heap.pop().map(popped)).collect();
+        let want: Vec<_> = std::iter::from_fn(|| reference.pop().map(popped)).collect();
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -1287,6 +1446,28 @@ mod tests {
             SearchOptions {
                 max_iterations: 100_000,
                 time_budget: Some(Duration::from_millis(300)),
+                ..SearchOptions::default()
+            },
+        )
+        .run()
+        .expect("runs");
+        assert!(r.wall_time < Duration::from_secs(20));
+    }
+
+    #[test]
+    fn an_unlimited_iteration_budget_ends_at_its_deadline() {
+        // A library call, or a request to a daemon whose
+        // `--max-iterations 0` lifts the limit, can ask for `usize::MAX`
+        // iterations: the backtrack cap must saturate, not overflow.
+        let (m, c) = setup();
+        let db = ProfileDb::build(&m, &c);
+        let r = AcesoSearch::new(
+            &m,
+            &c,
+            &db,
+            SearchOptions {
+                max_iterations: usize::MAX,
+                time_budget: Some(Duration::from_millis(200)),
                 ..SearchOptions::default()
             },
         )

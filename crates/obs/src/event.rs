@@ -83,8 +83,9 @@ pub enum Event {
         hops_used: usize,
         /// Whether the iteration improved the configuration.
         improved: bool,
-        /// Generated candidates the iteration rejected (parked in the
-        /// unexplored pool); sums to the `candidates_rejected` counter.
+        /// Generated candidates the iteration rejected (offered to the
+        /// backtrack heap, which keeps those it can still pop); sums to
+        /// the `candidates_rejected` counter.
         candidates_rejected: usize,
         /// `(fingerprint, score)` of the lowest-scoring rejected
         /// candidate, the first seen on a tie; `None` when the iteration
@@ -104,8 +105,8 @@ pub enum Event {
         /// tuning was a no-op).
         adopted: bool,
     },
-    /// The search backtracked to a parked configuration from the
-    /// unexplored pool.
+    /// The search backtracked to the best rejected configuration left
+    /// in the backtrack heap.
     Backtrack {
         /// Pipeline stage count of the sub-search.
         stage_count: usize,

@@ -27,7 +27,8 @@ pub enum Counter {
     /// Generated candidates that improved on their iteration's starting
     /// score and were accepted.
     CandidatesAccepted,
-    /// Generated candidates that did not improve and were parked.
+    /// Generated candidates that did not improve, each offered to the
+    /// backtrack heap, which keeps only those it can still pop.
     CandidatesRejected,
     /// Candidates skipped because their fingerprint was already visited.
     CandidatesDeduped,
@@ -37,7 +38,8 @@ pub enum Counter {
     IterationsImproved,
     /// Configurations evaluated by the §4.2 fine-tuning pass.
     FinetuneEvals,
-    /// Backtracks to parked configurations from the unexplored pool.
+    /// Backtracks to the best rejected configuration left in the
+    /// backtrack heap.
     Backtracks,
     /// Stage-count sub-searches started.
     StageSearches,

@@ -181,7 +181,7 @@ pub const EVENTS: &[EventSpec] = &[
     },
     EventSpec {
         kind: "backtrack",
-        doc: "the search backtracked to a parked configuration",
+        doc: "the search backtracked to a rejected configuration",
         fields: &[
             f("stage_count", "uint", "pipeline stages"),
             f("fingerprint", "uint", "semantic hash"),
@@ -275,7 +275,7 @@ pub const COUNTERS: &[(&str, &str)] = &[
     ),
     (
         "candidates_rejected",
-        "candidates parked in the unexplored pool",
+        "candidates rejected (offered to the backtrack heap)",
     ),
     (
         "candidates_deduped",
@@ -287,7 +287,7 @@ pub const COUNTERS: &[(&str, &str)] = &[
         "iterations that improved the configuration",
     ),
     ("finetune_evals", "configurations evaluated by fine-tuning"),
-    ("backtracks", "backtracks to parked configurations"),
+    ("backtracks", "backtracks to rejected configurations"),
     ("stage_searches", "stage-count sub-searches started"),
     ("sim_runs", "simulator executions"),
     ("sim_tasks", "pipeline tasks executed by the simulator"),

@@ -74,6 +74,7 @@ fn contracts() -> Vec<Contract> {
                 "SCORE-ONCE",
                 "STAGE-HASH",
                 "FIXUP-MEMO",
+                "BACKTRACK-BOUND",
             ],
             counters: &[("search_worker_batches", Class::Deterministic)],
             all_nondeterministic: Some(""),
@@ -86,6 +87,7 @@ fn contracts() -> Vec<Contract> {
                 "tests/perf_equivalence.rs",
                 "crates/core/tests/properties.rs",
                 "identical_searches_emit_byte_identical_event_streams",
+                "backtrack_pops_what_an_unbounded_heap_pops",
                 "NONDETERMINISTIC_COUNTERS",
             ],
             versions: vec![format!(
@@ -444,14 +446,87 @@ pub fn covers_its_cli(c: &Contract, doc: &str) -> Vec<String> {
 }
 
 /// The document points at the tests and harnesses that actually
-/// enforce its claims.
+/// enforce its claims, and each one exists: a path is a file, and a
+/// snake_case name is a `fn`, a binary or a `BENCH_search.json` key
+/// defined outside `docs/` and `tests/doc_contracts/`.
 pub fn references_its_enforcement_surface(c: &Contract, doc: &str) -> Vec<String> {
     let flat_doc = flat(doc);
-    c.tokens
+    let defined = definitions();
+    let mut failures = Vec::new();
+    for t in c.tokens {
+        if !flat_doc.contains(t) {
+            failures.push(format!(
+                "must reference its enforcement surface: missing `{t}`"
+            ));
+        }
+        if t.contains('/') {
+            if !std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+                .join(t)
+                .is_file()
+            {
+                failures.push(format!("cites `{t}`, which is not a file"));
+            }
+        } else if is_snake_case(t) && !defined.iter().any(|d| d == t) {
+            failures.push(format!(
+                "cites `{t}`, which names no `fn`, binary or BENCH_search.json key"
+            ));
+        }
+    }
+    failures
+}
+
+/// Whether `token` is a lowercase snake_case identifier.
+fn is_snake_case(token: &str) -> bool {
+    token.starts_with(|c: char| c.is_ascii_lowercase())
+        && token
+            .chars()
+            .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
+}
+
+/// Every name an enforcement token may cite: each `fn` of the `.rs`
+/// files outside `docs/`, `tests/doc_contracts/` and build output, each
+/// `src/bin/` binary, and each `BENCH_search.json` key.
+fn definitions() -> Vec<String> {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let bench = read("BENCH_search.json");
+    let parts: Vec<&str> = bench.split('"').collect();
+    // Odd parts are quoted; a key's closing quote is followed by ':'.
+    let mut names: Vec<String> = parts
         .iter()
-        .filter(|t| !flat_doc.contains(**t))
-        .map(|t| format!("must reference its enforcement surface: missing `{t}`"))
-        .collect()
+        .zip(&parts[1..])
+        .skip(1)
+        .step_by(2)
+        .filter(|(_, after)| after.trim_start().starts_with(':'))
+        .map(|(key, _)| (*key).to_owned())
+        .collect();
+    let mut dirs = vec![root.to_path_buf()];
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).unwrap_or_else(|e| panic!("{dir:?}: {e}")) {
+            let path = entry.expect("entry").path();
+            let rel = path.strip_prefix(root).expect("under the root");
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if path.is_dir() {
+                let skip = name.starts_with('.')
+                    || name == "target"
+                    || rel == std::path::Path::new("docs")
+                    || rel == std::path::Path::new("tests/doc_contracts");
+                if !skip {
+                    dirs.push(path);
+                }
+            } else if let Some(stem) = name.strip_suffix(".rs") {
+                if dir.ends_with("src/bin") {
+                    names.push(stem.to_owned());
+                }
+                let text = std::fs::read_to_string(&path).expect("source readable");
+                names.extend(text.split("fn ").skip(1).map(|rest| {
+                    rest.chars()
+                        .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+                        .collect::<String>()
+                }));
+            }
+        }
+    }
+    names
 }
 
 /// The stated version constants are the code's.
