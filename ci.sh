@@ -6,7 +6,9 @@
 # every anchor, counter, flag, schema token and schema version the
 # docs state must still exist in the code), the serve suite again in a release build (its
 # timing-sensitive tests must hold at release speeds too), the
-# benchmark harness's self-tests
+# elastic-reconfiguration example (its rerun must return the
+# bit-identical result, which it asserts), the benchmark harness's
+# self-tests
 # (perfbench/, its own cargo workspace),
 # the full-corpus differential perf-equivalence sweep (incremental vs
 # from-scratch evaluation must stay bit-identical), the full
@@ -75,6 +77,9 @@ cargo test -q --workspace
 
 echo "==> serve suite in release mode (timing-sensitive tests see release speeds)"
 cargo test -q --release --test serve
+
+echo "==> example: elastic reconfiguration (asserts a rerun is bit-identical)"
+cargo run --release --quiet --example elastic_reconfigure
 
 echo "==> perfbench self-tests (the benchmark harness, its own workspace)"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml

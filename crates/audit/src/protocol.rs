@@ -2,9 +2,9 @@
 //!
 //! The serve daemon's session protocol (`aceso_serve::proto`) promises
 //! three things to a client: frames arrive in a legal order (statuses,
-//! then a contiguous event stream, then exactly one result), a crash
-//! never loses more work than the last spooled checkpoint, and a spool
-//! file outlives a session only when a crash interrupted it. This
+//! then a contiguous event stream, then exactly one result), no spool
+//! file survives a clean completion, and no resumed session starts
+//! behind the persisted spool slot. This
 //! analyzer models the protocol as an explicit state machine — the
 //! emission program of `run_spooled` (status → status → spool writes →
 //! events → result → spool delete) plus an adversary that may crash the

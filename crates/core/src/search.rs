@@ -404,18 +404,6 @@ impl<'a> AcesoSearch<'a> {
             .map_err(ResumeError::Search)
     }
 
-    /// Resumes from a checkpoint and runs to completion. The result and
-    /// report are bit-identical to an uninterrupted
-    /// [`AcesoSearch::run_observed`] with the same inputs.
-    pub fn resume_from(
-        &self,
-        metrics: bool,
-        ckpt: &SearchCheckpoint,
-    ) -> Result<(SearchResult, ObsReport), ResumeError> {
-        self.run_rounds(metrics, Some(ckpt), None, |_| AfterRound::Next)
-            .map(|step| step.done().expect("no round pauses"))
-    }
-
     /// The round driver behind every entry point (docs/SEARCH.md, "One
     /// round driver").
     fn drive(

@@ -143,11 +143,10 @@ pub enum Event {
     /// only: resume is transparent to the request's own event stream,
     /// which stays bit-identical to an uninterrupted run's).
     SearchResumed {
-        /// Request id the checkpoint was spooled under (empty for CLI
-        /// `--resume` runs).
+        /// Request id the checkpoint was spooled under.
         request_id: String,
-        /// Algorithm-1 iterations already completed in the checkpoint —
-        /// the work the resume saved.
+        /// Algorithm-1 iterations already completed in the checkpoint;
+        /// the resume replays them.
         iterations_done: usize,
     },
     /// A checkpoint could not be used (unknown schema version, truncated

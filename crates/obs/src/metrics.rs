@@ -58,8 +58,7 @@ pub enum Counter {
     /// Requests rejected by the serve daemon (backpressure, budget, or
     /// validation failures).
     ServeRejected,
-    /// Search checkpoints written to durable storage (CLI `--checkpoint`
-    /// or serve-daemon spooling).
+    /// Search checkpoints the serve daemon spooled to durable storage.
     CheckpointsWritten,
     /// Searches resumed from a previously written checkpoint.
     SearchResumed,

@@ -1,8 +1,8 @@
 //! Injectable filesystem side-effects: the seam the chaos engine uses.
 //!
 //! Every durable write the system performs — store entries, checkpoint
-//! spools, retention sweeps, CLI checkpoints — goes through the [`Fs`]
-//! trait instead of calling `std::fs` directly. Production code uses
+//! spools, retention sweeps — goes through the [`Fs`] trait instead of
+//! calling `std::fs` directly. Production code uses
 //! [`RealFs`], a zero-cost passthrough whose behaviour is byte-identical
 //! to the direct calls it replaced (INV-CHAOS-REALFS). Tests and the
 //! chaos engine (`crates/chaos`, `docs/RELIABILITY.md`) substitute

@@ -4,34 +4,29 @@
 //! needed, e.g., in a shared cluster with frequent changes in resources."
 //! This example trains on 8 GPUs, loses half the cluster, and re-searches
 //! a configuration for the remaining 4 GPUs in seconds — then gets the
-//! allocation back and **resumes** from the checkpoint the preempted
-//! 8-GPU search left behind:
+//! allocation back and simply searches again:
 //!
-//! * phase 1 (8 GPUs) runs the search in rounds, snapshotting it after
-//!   each one exactly as a `--spool-dir` daemon would, and keeps the
-//!   snapshot taken at the preemption point;
-//! * phase 2 (4 GPUs) cannot bit-resume an 8-GPU checkpoint (the cluster
-//!   fingerprint differs), but it warm-starts from the previous search's
-//!   *trace*: pinning the stage count the 8-GPU search converged on
-//!   shrinks the search space, and the saved wall time is measured
-//!   against an unpinned search;
-//! * phase 3 (8 GPUs restored) resumes the phase-1 checkpoint. A
-//!   checkpoint is a position, not a state, so the resume replays the
-//!   iterations the checkpoint banked (their budget stays spent) and
-//!   then runs the rest; it prints how many it replayed and the wall
-//!   time the whole resume took. The resumed result is bit-identical to
-//!   the uninterrupted run (`SearchCheckpoint`'s core contract).
+//! * phase 1 (8 GPUs) runs the search under an iteration budget only, so
+//!   its result cannot depend on how fast the host is;
+//! * phase 2 (4 GPUs) warm-starts from the previous search's *trace*:
+//!   pinning the stage count the 8-GPU search converged on shrinks the
+//!   search space, and the saved wall time is measured against an
+//!   unpinned search;
+//! * phase 3 (8 GPUs restored) reruns the phase-1 search. The search is
+//!   deterministic under an iteration budget, so the rerun returns the
+//!   bit-identical configuration and predicted time; the example
+//!   asserts it.
 //!
 //! Run with: `cargo run --release --example elastic_reconfigure`
 
 use aceso::prelude::*;
-use aceso::search::{AfterRound, SearchCheckpoint, SearchResult};
+use aceso::search::SearchResult;
 use std::time::Duration;
 
 fn options() -> SearchOptions {
     SearchOptions {
         max_iterations: 32,
-        time_budget: Some(Duration::from_secs(10)),
+        time_budget: None,
         ..SearchOptions::default()
     }
 }
@@ -54,37 +49,21 @@ fn main() {
         model.total_params() as f64 / 1e9
     );
 
-    // Phase 1: full allocation, searched in checkpointed rounds. The
-    // profile databases are per-(model, cluster) but cheap to rebuild; a
-    // real deployment would persist them with `ProfileDb::to_json`.
-    println!("phase 1: full allocation (checkpointing every 8 iterations)");
+    // Phase 1: full allocation. The profile databases are
+    // per-(model, cluster) but cheap to rebuild; a real deployment would
+    // persist them with `ProfileDb::to_json`.
+    println!("phase 1: full allocation");
     let cluster8 = ClusterSpec::v100_gpus(8);
     let db8 = ProfileDb::build(&model, &cluster8);
     let search8 = AcesoSearch::new(&model, &cluster8, &db8, options());
     let t0 = std::time::Instant::now();
-    let mut preemption_snapshot: Option<SearchCheckpoint> = None;
-    let step = search8
-        .run_rounds(true, None, Some(8), |ckpt| {
-            // This is the state a preemption at this instant would have
-            // left on disk.
-            preemption_snapshot = Some(ckpt.clone());
-            AfterRound::Next
-        })
-        .expect("search runs");
-    let (full8, _) = step.done().expect("the hook never pauses");
+    let full8 = search8.run().expect("search runs");
     let full8_elapsed = t0.elapsed();
     report_line(8, "cold search", full8_elapsed, &full8);
-    let snapshot = preemption_snapshot.expect("a 32-iteration search pauses at least once");
-    println!(
-        "  preemption snapshot: {} iterations ({:.2} s of search) banked",
-        snapshot.iterations_done(),
-        snapshot.elapsed_secs()
-    );
 
-    // Phase 2: the cluster shrinks. An 8-GPU checkpoint cannot bit-resume
-    // on 4 GPUs — resume demands the same cluster fingerprint — so the
-    // warm start uses the previous search's *trace* instead: pin the
-    // stage count it converged on and skip the other stage-count threads.
+    // Phase 2: the cluster shrinks. The warm start uses the previous
+    // search's *trace*: pin the stage count it converged on and skip the
+    // other stage-count threads.
     println!("phase 2: preemption — cluster shrinks to 4 GPUs");
     let cluster4 = ClusterSpec::v100_gpus(4);
     let db4 = ProfileDb::build(&model, &cluster4);
@@ -112,30 +91,27 @@ fn main() {
     );
 
     // Phase 3: allocation restored — same model, same cluster, same
-    // options, so the preemption snapshot resumes bit-identically.
-    println!("phase 3: allocation restored — resuming the preemption snapshot");
+    // options, so a rerun returns the phase-1 answer bit for bit.
+    println!("phase 3: allocation restored — rerunning the 8-GPU search");
     let t0 = std::time::Instant::now();
-    let (resumed8, _) = search8
-        .resume_from(true, &snapshot)
-        .expect("checkpoint resumes");
-    let resumed_elapsed = t0.elapsed();
-    report_line(8, "checkpoint resume", resumed_elapsed, &resumed8);
-    let iterations: usize = full8.traces.iter().map(|t| t.iterations.len()).sum();
-    println!(
-        "  resume replayed {} of {} iterations without charging their budget \
-         again ({:.2?} for the whole resume, {:.2?} cold); bit-identical result: {}",
-        snapshot.iterations_done(),
-        iterations,
-        resumed_elapsed,
-        full8_elapsed,
-        resumed8.best_time.to_bits() == full8.best_time.to_bits()
-            && resumed8.best_config.semantic_hash() == full8.best_config.semantic_hash(),
+    let rerun8 = search8.run().expect("search reruns");
+    report_line(8, "rerun", t0.elapsed(), &rerun8);
+    assert_eq!(
+        rerun8.best_time.to_bits(),
+        full8.best_time.to_bits(),
+        "a rerun under an iteration budget predicts the same time"
     );
+    assert_eq!(
+        rerun8.best_config.semantic_hash(),
+        full8.best_config.semantic_hash(),
+        "a rerun under an iteration budget finds the same configuration"
+    );
+    println!("  bit-identical to the phase-1 result");
 
     println!(
-        "\nthroughput-critical reconfiguration never waits on a cold search:\n\
-         a shrink warm-starts from the old trace, a restore resumes the\n\
-         checkpoint; a mathematical-programming search costing\n\
+        "\nthroughput-critical reconfiguration never waits on a slow search:\n\
+         a shrink warm-starts from the old trace, a restore reruns a search\n\
+         that takes seconds; a mathematical-programming search costing\n\
          hours would leave the cluster idle instead."
     );
 }

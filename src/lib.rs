@@ -76,8 +76,7 @@ pub mod cli {
     pub const USAGE: &str = "\
 usage: aceso [search] --model <name> [--gpus N] [--budget-secs S] [--stages P]
              [--zero] [--plan-out FILE] [--metrics-out FILE]
-             [--events-out FILE] [--no-metrics] [--checkpoint FILE]
-             [--resume FILE] [--checkpoint-every I]
+             [--events-out FILE] [--no-metrics]
        aceso audit [--smoke] [--full] [--json FILE] [--epsilon E]
              [--mutate M] [--metrics-out FILE]
        aceso serve [--addr HOST:PORT] [--workers N] [--cache-mb M]
@@ -110,11 +109,6 @@ flags:
   --events-out FILE   write the structured event stream as JSONL
   --no-metrics      disable observability entirely (skips the summary
                     table; conflicts with --metrics-out/--events-out)
-  --checkpoint FILE   periodically write a resumable search checkpoint
-                      (atomic JSON snapshot; removed on completion)
-  --resume FILE       resume a search from a checkpoint; an unusable or
-                      incompatible checkpoint warns and searches fresh
-  --checkpoint-every I  iterations between checkpoints (default 32)
 
 audit: run the static invariant analyzers (primitive signatures,
 transform validity, perf-model consistency, search-trace replay) over

@@ -17,11 +17,7 @@ use aceso::model::zoo;
 use aceso::obs::{Family, ObsReport, Recorder};
 use aceso::prelude::*;
 use aceso::runtime::ExecutionPlan;
-use aceso::search::{
-    read_checkpoint, write_checkpoint, AfterRound, CheckpointError, SearchCheckpoint, SearchResult,
-};
 use aceso::serve::{self, Request, ServeOptions, Server};
-use aceso::util::fsio::RealFs;
 use aceso::util::json::Value;
 use aceso_audit::AuditOptions;
 use std::time::Duration;
@@ -34,9 +30,6 @@ struct Args {
     metrics: bool,
     metrics_out: Option<String>,
     events_out: Option<String>,
-    checkpoint: Option<String>,
-    resume: Option<String>,
-    checkpoint_every: usize,
 }
 
 /// Takes the value of the numeric `flag` from `value` and parses it; a
@@ -484,9 +477,6 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
         metrics: true,
         metrics_out: None,
         events_out: None,
-        checkpoint: None,
-        resume: None,
-        checkpoint_every: 32,
     };
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
@@ -499,11 +489,6 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
             "--metrics-out" => args.metrics_out = Some(value("--metrics-out")?),
             "--events-out" => args.events_out = Some(value("--events-out")?),
             "--no-metrics" => args.metrics = false,
-            "--checkpoint" => args.checkpoint = Some(value("--checkpoint")?),
-            "--resume" => args.resume = Some(value("--resume")?),
-            "--checkpoint-every" => {
-                args.checkpoint_every = number::<usize>(&flag, &mut value)?.max(1)
-            }
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown flag `{other}`")),
         }
@@ -519,72 +504,6 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
         );
     }
     Ok(args)
-}
-
-/// Loads `--resume FILE`, degrading gracefully: a missing, corrupt,
-/// foreign-schema, or incompatible checkpoint warns on stderr and the
-/// search starts fresh — resuming is an optimisation, never a gate.
-fn load_resume(search: &AcesoSearch<'_>, path: &str, metrics: bool) -> Option<SearchCheckpoint> {
-    match read_checkpoint(&RealFs, path.as_ref(), search, metrics) {
-        Ok(ckpt) => {
-            eprintln!(
-                "resuming from {path}: {} iterations ({:.2} s of search) already done",
-                ckpt.iterations_done(),
-                ckpt.elapsed_secs()
-            );
-            Some(ckpt)
-        }
-        Err(CheckpointError::Io(e)) => {
-            eprintln!("warning: cannot read checkpoint {path}: {e}; searching from scratch");
-            None
-        }
-        Err(e) => {
-            eprintln!("warning: checkpoint {path} is unusable ({e}); searching from scratch");
-            None
-        }
-    }
-}
-
-/// Runs the search honouring `--resume` / `--checkpoint`: resume state
-/// is loaded first (if any), and when `--checkpoint FILE` is given the
-/// search runs in rounds of `--checkpoint-every` iterations, spooling an
-/// atomic snapshot after each round. Checkpointing never changes the
-/// result — a resumed or spooled run is bit-identical to an
-/// uninterrupted one (`tests/checkpoint_resume.rs`).
-fn run_checkpointed(
-    search: &AcesoSearch<'_>,
-    args: &Args,
-) -> Result<(SearchResult, ObsReport), String> {
-    let resumed = args
-        .resume
-        .as_deref()
-        .and_then(|path| load_resume(search, path, args.metrics));
-    let out_path = args.checkpoint.as_deref();
-    let mut written = 0usize;
-    let step = search
-        .run_rounds(
-            args.metrics,
-            resumed.as_ref(),
-            out_path.map(|_| args.checkpoint_every),
-            |ckpt| {
-                let path = out_path.expect("rounds end early only with --checkpoint");
-                match write_checkpoint(&RealFs, path.as_ref(), ckpt) {
-                    Ok(()) => written += 1,
-                    Err(e) => eprintln!("warning: cannot write checkpoint {path}: {e}"),
-                }
-                AfterRound::Next
-            },
-        )
-        .map_err(|e| e.to_string())?;
-    let (result, report) = step.done().expect("the checkpoint hook never pauses");
-    if let Some(path) = out_path {
-        // The run completed; the spool has served its purpose.
-        let _ = std::fs::remove_file(path);
-        if written > 0 {
-            eprintln!("wrote {written} checkpoints to {path} (removed on completion)");
-        }
-    }
-    Ok((result, report))
 }
 
 /// Runs `aceso chaos (run|replay)` and exits: 0 when every scenario
@@ -801,7 +720,7 @@ fn main() {
         None => eprintln!("searching..."),
     }
     let search = AcesoSearch::new(&model, &cluster, &db, args.req.search_options());
-    let (result, mut obs) = match run_checkpointed(&search, &args) {
+    let (result, mut obs) = match search.run_observed(args.metrics) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");

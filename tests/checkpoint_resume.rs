@@ -95,6 +95,18 @@ fn run_interrupted(
     }
 }
 
+/// Resumes `ckpt` and runs to completion through the daemon's entry
+/// point: `run_rounds` with one round and a hook that never pauses.
+fn resume(
+    search: &AcesoSearch<'_>,
+    metrics: bool,
+    ckpt: &SearchCheckpoint,
+) -> Result<(SearchResult, ObsReport), ResumeError> {
+    search
+        .run_rounds(metrics, Some(ckpt), None, |_| AfterRound::Next)
+        .map(|step| step.done().expect("no round pauses"))
+}
+
 fn assert_bit_identical(
     name: &str,
     a: (&SearchResult, &ObsReport),
@@ -200,9 +212,7 @@ fn single_pause_then_run_to_completion_is_bit_identical() {
         panic!("an 8-iteration search must not finish in 3 iterations");
     };
     let parsed = SearchCheckpoint::from_json_str(&ckpt.to_json_string()).expect("round-trip");
-    let (got, got_report) = search
-        .resume_from(true, &parsed)
-        .expect("resume to completion");
+    let (got, got_report) = resume(&search, true, &parsed).expect("resume to completion");
     assert_bit_identical("one-pause", (&want, &want_report), (&got, &got_report));
 }
 
@@ -218,8 +228,8 @@ fn resuming_a_finished_checkpoint_replays_the_result() {
     let SearchStep::Paused(ckpt) = search.run_partial(true, 6).expect("round") else {
         panic!("must pause before completion");
     };
-    let (a, pa) = search.resume_from(true, &ckpt).expect("first resume");
-    let (b, pb) = search.resume_from(true, &ckpt).expect("second resume");
+    let (a, pa) = resume(&search, true, &ckpt).expect("first resume");
+    let (b, pb) = resume(&search, true, &ckpt).expect("second resume");
     assert_bit_identical("replay", (&a, &pa), (&b, &pb));
 }
 
@@ -246,7 +256,7 @@ fn a_done_position_ends_where_an_equal_budget_search_ends() {
     assert!(text.contains(open), "stage count 2 is open at iteration 3");
     let cut = SearchCheckpoint::from_json_str(&text.replacen(open, "[2,3,true]", 1))
         .expect("a done position parses");
-    let (got, _) = search.resume_from(true, &cut).expect("resume");
+    let (got, _) = resume(&search, true, &cut).expect("resume");
     let want = AcesoSearch::new(&model, &cluster, &db, pinned(3))
         .run()
         .expect("3-iteration run");
@@ -276,7 +286,7 @@ fn metrics_off_checkpoints_resume_bit_identically() {
         panic!("must pause");
     };
     let parsed = SearchCheckpoint::from_json_str(&ckpt.to_json_string()).expect("round-trip");
-    let (got, report) = search.resume_from(false, &parsed).expect("resume");
+    let (got, report) = resume(&search, false, &parsed).expect("resume");
     assert_eq!(
         want.best_config.semantic_hash(),
         got.best_config.semantic_hash()
@@ -300,7 +310,7 @@ fn incompatible_checkpoints_are_rejected_before_any_work() {
     let other_cluster = ClusterSpec::v100(1, 2);
     let other_db = ProfileDb::build(&model, &other_cluster);
     let other = AcesoSearch::new(&model, &other_cluster, &other_db, opts());
-    match other.resume_from(true, &ckpt) {
+    match resume(&other, true, &ckpt) {
         Err(ResumeError::Incompatible(CheckpointError::Mismatch(what))) => {
             assert_eq!(what, "cluster fingerprint")
         }
@@ -312,7 +322,7 @@ fn incompatible_checkpoints_are_rejected_before_any_work() {
     let other_db = ProfileDb::build(&other_model, &cluster);
     let other = AcesoSearch::new(&other_model, &cluster, &other_db, opts());
     assert!(matches!(
-        other.resume_from(true, &ckpt),
+        resume(&other, true, &ckpt),
         Err(ResumeError::Incompatible(CheckpointError::Mismatch(
             "model fingerprint"
         )))
@@ -321,7 +331,7 @@ fn incompatible_checkpoints_are_rejected_before_any_work() {
     // Different result-affecting options.
     let other = AcesoSearch::new(&model, &cluster, &db, SearchOptions { seed: 99, ..opts() });
     assert!(matches!(
-        other.resume_from(true, &ckpt),
+        resume(&other, true, &ckpt),
         Err(ResumeError::Incompatible(CheckpointError::Mismatch(
             "options fingerprint"
         )))
@@ -329,7 +339,7 @@ fn incompatible_checkpoints_are_rejected_before_any_work() {
 
     // Different metrics flag.
     assert!(matches!(
-        search.resume_from(false, &ckpt),
+        resume(&search, false, &ckpt),
         Err(ResumeError::Incompatible(CheckpointError::Mismatch(
             "metrics flag"
         )))
@@ -392,7 +402,7 @@ fn foreign_and_corrupt_checkpoints_fail_without_panicking() {
     ] {
         let doc = text.replacen(open, forged, 1);
         let ckpt = SearchCheckpoint::from_json_str(&doc).expect("a forged position parses");
-        match search.resume_from(true, &ckpt) {
+        match resume(&search, true, &ckpt) {
             Err(ResumeError::Incompatible(CheckpointError::Position(got))) => {
                 assert_eq!(got, want, "{forged}")
             }

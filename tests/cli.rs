@@ -1,14 +1,9 @@
 //! Black-box tests of the `aceso` binary's argument handling: flag
 //! conflicts must fail fast with a usage error (exit 2) instead of
 //! silently writing empty artifacts, `obs-diff` must refuse
-//! cross-schema comparisons, and the search's checkpoint flags must not
-//! change the plan it prints.
+//! cross-schema comparisons, and a rerun of a search must print the
+//! same plan.
 
-use aceso::cluster::ClusterSpec;
-use aceso::model::zoo;
-use aceso::profile::ProfileDb;
-use aceso::search::{AcesoSearch, SearchStep};
-use aceso::serve::Request;
 use std::process::Command;
 
 fn aceso() -> Command {
@@ -128,62 +123,46 @@ fn obs_diff_diffs_and_refuses_schema_mismatch() {
 /// the plan.
 const SEARCH: [&str; 5] = ["--model", "deepnet-8l", "--gpus", "1", "--no-metrics"];
 
-/// Runs `aceso SEARCH extra...`, asserts it succeeded, and returns its
-/// stdout with the wall time cut from the "explored" line, plus stderr.
-fn search_plan(extra: &[&str]) -> (String, String) {
-    let output = aceso().args(SEARCH).args(extra).output().expect("runs");
-    let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+/// Runs `aceso SEARCH`, asserts it succeeded, and returns its stdout
+/// with the wall time cut from the "explored" line.
+fn search_plan() -> String {
+    let output = aceso().args(SEARCH).output().expect("runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
     assert_eq!(output.status.code(), Some(0), "search fails: {stderr}");
     let stdout = String::from_utf8_lossy(&output.stdout);
     let plan: Vec<&str> = stdout
         .lines()
         .map(|l| l.split(" in ").next().unwrap_or(l))
         .collect();
-    (plan.join("\n"), stderr)
+    plan.join("\n")
 }
 
-/// `--checkpoint F --checkpoint-every 1` spools after every round, prints
-/// the plan of a plain run, and removes `F` once the search completes.
+/// A crashed search is a rerun: the search is deterministic, so running
+/// it again prints the same plan.
 #[test]
-fn checkpointing_every_round_prints_the_plain_plan_and_cleans_up() {
-    let spool = TempFile(temp_path("every-round.ckpt"));
-    let path = spool.0.to_str().expect("utf-8 temp path");
-    let (want, _) = search_plan(&[]);
-    let (got, stderr) = search_plan(&["--checkpoint", path, "--checkpoint-every", "1"]);
-    assert!(
-        stderr.contains("checkpoints to"),
-        "no spool written: {stderr}"
+fn rerunning_a_search_prints_the_same_plan() {
+    assert_eq!(
+        search_plan(),
+        search_plan(),
+        "a rerun must print the same plan"
     );
-    assert_eq!(got, want, "spooling must not change the plan");
-    assert!(!spool.0.exists(), "a completed search removes its spool");
 }
 
-/// `--resume F` of a spool the library wrote with `run_partial` finishes
-/// that search and prints the plain run's plan.
+/// The search has no checkpoint or resume flags: each is an unknown flag
+/// and a usage error.
 #[test]
-fn resuming_a_library_spool_prints_the_plain_plan() {
-    // The CLI's search: its default budgets on the SEARCH key.
-    let req = Request {
-        model: "deepnet-8l".into(),
-        gpus: 1,
-        max_iterations: 10_000,
-        budget_secs: Some(30),
-        ..Request::default()
-    };
-    let model = zoo::by_name(&req.model).expect("zoo model");
-    let cluster = ClusterSpec::v100_gpus(req.gpus);
-    let db = ProfileDb::build(&model, &cluster);
-    let search = AcesoSearch::new(&model, &cluster, &db, req.search_options());
-    let SearchStep::Paused(ckpt) = search.run_partial(false, 20).expect("partial run") else {
-        panic!("the search runs past 20 iterations");
-    };
-    let spool = TempFile(temp_path("library.ckpt"));
-    std::fs::write(&spool.0, ckpt.to_json_string()).expect("writes spool");
-    let (want, _) = search_plan(&[]);
-    let (got, stderr) = search_plan(&["--resume", spool.0.to_str().expect("utf-8 temp path")]);
-    assert!(
-        stderr.contains("resuming from"),
-        "spool not resumed: {stderr}"
-    );
-    assert_eq!(got, want, "a resumed search must print the plain plan");
+fn search_rejects_the_retired_checkpoint_flags() {
+    for flag in ["--checkpoint", "--resume", "--checkpoint-every"] {
+        let output = aceso()
+            .args(["search", "--model", "deepnet-8l", flag, "1"])
+            .output()
+            .expect("binary runs");
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "{flag} must be a usage error"
+        );
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("unknown flag"), "{flag}: {stderr}");
+    }
 }
