@@ -11,7 +11,9 @@
 # self-tests
 # (perfbench/, its own cargo workspace),
 # the full-corpus differential perf-equivalence sweep (incremental vs
-# from-scratch evaluation must stay bit-identical), the full
+# from-scratch evaluation must stay bit-identical), the release golden
+# over the benchmark's search pool (every key's best time, fingerprint,
+# explored count, metric snapshot and event stream), the full
 # whole-system static verifier (plan-safety proofs and protocol
 # state-machine checking — zero findings, report archived under
 # results/) plus its mutation gates (each seeded bug
@@ -86,6 +88,9 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> differential perf-equivalence sweep (full corpus)"
 cargo test -q --release --test perf_equivalence -- --include-ignored
+
+echo "==> release golden over the benchmark's search pool"
+cargo test -q --release --test pool_golden
 
 echo "==> audit: full whole-system verifier (report archived in results/)"
 cargo run --release --quiet --bin aceso -- audit --full \
