@@ -9,11 +9,17 @@
 //! The kernel cases time the three per-candidate passes of the search:
 //! the stage fold (`stage_breakdown`, also per op), the stage content
 //! hash, and the recompute fix-up, computed afresh and served from the
-//! evaluator's fix-up memo.
+//! evaluator's fix-up memo. The per-candidate cases time what one
+//! candidate costs before it is scored: one op move (`move_ops`), and
+//! one dec-op# generation call (`generate_with`: its moves, fix-ups,
+//! fingerprints and dedup) on a 4-stage gpt3 configuration through a
+//! warm evaluator.
 
 use aceso_cluster::ClusterSpec;
 use aceso_config::{balanced_init, OpParallel, ParallelConfig, StageConfig};
-use aceso_core::primitives::rc_fixup;
+use aceso_core::primitives::{generate_with, rc_fixup, GenOptions};
+use aceso_core::transform::move_ops;
+use aceso_core::{Primitive, Resource};
 use aceso_model::ModelGraph;
 use aceso_perf::{CachedEvaluator, ConfigEstimate, Evaluator, PerfModel};
 use aceso_profile::ProfileDb;
@@ -121,4 +127,41 @@ fn main() {
     bench("rc_fixup/oom-memo-hit", 2_000, || {
         rc_fixup(&cached, cfg.clone())
     });
+
+    // Per-candidate cases on the search pool's gpt3-0.35b at 4 GPUs.
+    let model = aceso_model::zoo::by_name("gpt3-0.35b").expect("zoo model");
+    let cluster = ClusterSpec::v100_gpus(4);
+    let db = ProfileDb::build(&model, &cluster);
+    let cached = CachedEvaluator::new(PerfModel::new(&model, &cluster, &db));
+    let cfg = balanced_init(&model, &cluster, 4).expect("init");
+    let est = cached.evaluate_unchecked(&cfg);
+    bench("move_ops/gpt3-0.35b-4stage-k1", 20_000, || {
+        move_ops(&model, black_box(&cfg), 1, 2, 1)
+    });
+    let stage = est.slowest_stage;
+    let cands = generate_with(
+        &cached,
+        &cfg,
+        &est,
+        Primitive::DecOp,
+        stage,
+        Resource::Compute,
+        GenOptions::default(),
+    );
+    assert!(!cands.is_empty(), "dec-op# must move ops");
+    bench(
+        &format!("generate_with/dec-op#-4stage-{}cands", cands.len()),
+        2_000,
+        || {
+            generate_with(
+                &cached,
+                black_box(&cfg),
+                &est,
+                Primitive::DecOp,
+                stage,
+                Resource::Compute,
+                GenOptions::default(),
+            )
+        },
+    );
 }

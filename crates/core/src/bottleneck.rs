@@ -26,24 +26,47 @@ pub struct Bottleneck {
 /// secondary bottlenecks the search falls back to when a multi-hop from
 /// the top one fails (§3.2.3).
 pub fn ranked_bottlenecks(est: &ConfigEstimate) -> Vec<Bottleneck> {
-    let p = est.stages.len();
-    let mut order: Vec<usize> = (0..p).collect();
-    if est.oom() {
-        order.sort_by(|&a, &b| est.stages[b].mem_total.cmp(&est.stages[a].mem_total));
-    } else {
-        order.sort_by(|&a, &b| {
-            let ta = est.stages[a].stage_time + est.stages[a].dp_sync;
-            let tb = est.stages[b].stage_time + est.stages[b].dp_sync;
-            tb.partial_cmp(&ta).unwrap_or(std::cmp::Ordering::Equal)
-        });
-    }
-    order
+    bottleneck_order(est)
         .into_iter()
         .map(|stage| Bottleneck {
             stage,
             resources: ranked_resources(est, stage),
         })
         .collect()
+}
+
+/// The stages of [`ranked_bottlenecks`], in its order, without their
+/// resources: a caller that tries only the first few ranks only those.
+pub(crate) fn bottleneck_order(est: &ConfigEstimate) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..est.stages.len()).collect();
+    // Stable: equal stages keep index order.
+    order.sort_by(|&a, &b| rank(est, a, b));
+    order
+}
+
+/// The first entry of [`ranked_bottlenecks`], ranking no other stage:
+/// among the stages that rank first, the lowest index, as the stable
+/// sort leaves it. `None` for an estimate without stages.
+pub fn top_bottleneck(est: &ConfigEstimate) -> Option<Bottleneck> {
+    // `min_by` returns the first of equally minimal elements.
+    let stage = (0..est.stages.len()).min_by(|&a, &b| rank(est, a, b))?;
+    Some(Bottleneck {
+        stage,
+        resources: ranked_resources(est, stage),
+    })
+}
+
+/// Heuristic-1's comparator: `Less` when stage `a` is the more urgent
+/// bottleneck.
+fn rank(est: &ConfigEstimate, a: usize, b: usize) -> std::cmp::Ordering {
+    let (sa, sb) = (&est.stages[a], &est.stages[b]);
+    if est.oom() {
+        sb.mem_total.cmp(&sa.mem_total)
+    } else {
+        let ta = sa.stage_time + sa.dp_sync;
+        let tb = sb.stage_time + sb.dp_sync;
+        tb.partial_cmp(&ta).unwrap_or(std::cmp::Ordering::Equal)
+    }
 }
 
 /// Orders the resources of one stage by consumption proportion: the
@@ -59,17 +82,16 @@ pub fn ranked_resources(est: &ConfigEstimate, stage: usize) -> Vec<Resource> {
     let comp_frac = frac(s.comp_per_mb(), total_comp);
     let comm_frac = frac(s.comm_per_mb() + s.dp_sync, total_comm);
 
-    let mut time_resources = vec![
-        (Resource::Compute, comp_frac),
-        (Resource::Communication, comm_frac),
-    ];
-    time_resources.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-
     let mut out = Vec::with_capacity(3);
     if s.mem_total > est.mem_capacity {
         out.push(Resource::Memory);
     }
-    out.extend(time_resources.into_iter().map(|(r, _)| r));
+    // Largest share first; a tie (or NaN) keeps compute first.
+    if comm_frac.partial_cmp(&comp_frac) == Some(std::cmp::Ordering::Greater) {
+        out.extend([Resource::Communication, Resource::Compute]);
+    } else {
+        out.extend([Resource::Compute, Resource::Communication]);
+    }
     out
 }
 

@@ -164,20 +164,27 @@ impl Primitive {
     /// );
     /// ```
     pub fn eligible_for(resource: Resource) -> Vec<Primitive> {
-        Primitive::ALL
-            .iter()
-            .copied()
-            .filter(|p| p.decreases(resource))
-            .collect()
+        Primitive::eligible(resource, false).to_vec()
     }
 
     /// Eligibility query over the extended table (includes the ZeRO pair).
     pub fn eligible_for_extended(resource: Resource) -> Vec<Primitive> {
-        Primitive::EXTENDED
-            .iter()
-            .copied()
-            .filter(|p| p.decreases(resource))
-            .collect()
+        Primitive::eligible(resource, true).to_vec()
+    }
+
+    /// The eligibility query as a static slice, over [`Primitive::ALL`]
+    /// or, when `extended`, [`Primitive::EXTENDED`]: the primitives whose
+    /// [`Primitive::effects`] decrease `resource`, in table order (the
+    /// `eligibility_matches_the_signatures` test derives it from them).
+    pub(crate) fn eligible(resource: Resource, extended: bool) -> &'static [Primitive] {
+        use Primitive::{DecDp, DecMbs, DecOp, DecRc, DecTp, DecZero, IncDp, IncMbs, IncRc, IncTp};
+        match (resource, extended) {
+            (Resource::Compute, _) => &[DecOp, IncMbs, IncDp, IncTp, DecRc],
+            (Resource::Communication, false) => &[DecDp, DecTp],
+            (Resource::Communication, true) => &[DecDp, DecTp, DecZero],
+            (Resource::Memory, false) => &[DecOp, DecMbs, IncDp, IncTp, IncRc],
+            (Resource::Memory, true) => &[DecOp, DecMbs, IncDp, IncTp, IncRc, Primitive::IncZero],
+        }
     }
 
     /// Short stable name (for traces and tables).
@@ -303,7 +310,7 @@ pub fn generate_with<E: Evaluator>(
     let model = pm.model();
     let p = config.num_stages();
     // (candidate, primitives applied so far)
-    let mut out: Vec<(ParallelConfig, usize)> = Vec::new();
+    let mut out: Vec<(ParallelConfig, usize)> = Vec::with_capacity(8);
 
     match prim {
         Primitive::DecOp => {
@@ -429,38 +436,33 @@ pub fn generate_with<E: Evaluator>(
     // needlessly recomputing. The fix-up counts as one more applied
     // primitive when it changes the configuration. When it does not, the
     // estimate it scored the candidate with travels on to the search
-    // (INV-SCORE-ONCE).
-    let fixed: Vec<(ParallelConfig, usize, Option<ConfigEstimate>)> = if gen_opts.attach_rc {
-        out.into_iter()
-            .map(|(c, hops)| {
-                let (fixed, estimate) = rc_fixup(pm, c);
-                let extra = usize::from(estimate.is_none());
-                (fixed, hops + extra, estimate)
-            })
-            .collect()
-    } else {
-        out.into_iter().map(|(c, hops)| (c, hops, None)).collect()
-    };
-
-    // Seed the dedup set with the input: a candidate identical to the
+    // (INV-SCORE-ONCE). One pass fixes up, fingerprints and dedups.
+    // A call yields about ten candidates at most, so the dedup is a
+    // linear scan, seeded with the input: a candidate identical to the
     // configuration it rewrites is a wasted hop, never a real move.
-    let mut seen = std::collections::HashSet::from([config.semantic_hash()]);
-    let candidates: Vec<Candidate> = fixed
-        .into_iter()
-        .filter_map(|(config, primitives_applied, estimate)| {
-            let fingerprint = config.semantic_hash();
-            seen.insert(fingerprint).then_some(Candidate {
-                config,
-                primitive: prim,
-                stage,
-                primitives_applied,
-                fingerprint,
-                estimate,
-            })
-        })
-        .collect();
-    for cand in &candidates {
-        crate::invariants::assert_valid(model, pm.cluster(), &cand.config, prim.name());
+    let input = config.semantic_hash();
+    let mut candidates: Vec<Candidate> = Vec::with_capacity(out.len());
+    for (c, hops) in out {
+        let (config, primitives_applied, estimate) = if gen_opts.attach_rc {
+            let (fixed, estimate) = rc_fixup(pm, c);
+            let extra = usize::from(estimate.is_none());
+            (fixed, hops + extra, estimate)
+        } else {
+            (c, hops, None)
+        };
+        let fingerprint = config.semantic_hash();
+        if fingerprint == input || candidates.iter().any(|c| c.fingerprint == fingerprint) {
+            continue;
+        }
+        crate::invariants::assert_valid(model, pm.cluster(), &config, prim.name());
+        candidates.push(Candidate {
+            config,
+            primitive: prim,
+            stage,
+            primitives_applied,
+            fingerprint,
+            estimate,
+        });
     }
     candidates
 }
@@ -480,7 +482,7 @@ fn set_zero(config: &ParallelConfig, stage: usize, on: bool) -> Option<ParallelC
 }
 
 /// Relay form of dec-op# (§4.3): shifts `k` ops per hop along the chain of
-/// stages from `from` toward `idle`.
+/// stages from `from` toward `idle` (`from != idle`).
 fn relay_move(
     model: &aceso_model::ModelGraph,
     config: &ParallelConfig,
@@ -488,10 +490,11 @@ fn relay_move(
     idle: usize,
     k: usize,
 ) -> Option<ParallelConfig> {
-    let mut cfg = config.clone();
-    let mut cur = from;
+    let step = |cur: usize| if idle > cur { cur + 1 } else { cur - 1 };
+    let mut cfg = transform::move_ops(model, config, from, step(from), k)?;
+    let mut cur = step(from);
     while cur != idle {
-        let next = if idle > cur { cur + 1 } else { cur - 1 };
+        let next = step(cur);
         cfg = transform::move_ops(model, &cfg, cur, next, k)?;
         cur = next;
     }
@@ -687,6 +690,20 @@ mod tests {
         assert!(comp.contains(&Primitive::DecOp));
         assert!(comp.contains(&Primitive::IncMbs));
         assert!(comp.contains(&Primitive::DecRc));
+    }
+
+    #[test]
+    fn eligibility_matches_the_signatures() {
+        for resource in Resource::ALL {
+            for (extended, table) in [(false, &Primitive::ALL[..]), (true, &Primitive::EXTENDED)] {
+                let derived: Vec<Primitive> = table
+                    .iter()
+                    .copied()
+                    .filter(|p| p.decreases(resource))
+                    .collect();
+                assert_eq!(Primitive::eligible(resource, extended), derived);
+            }
+        }
     }
 
     #[test]

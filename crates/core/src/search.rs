@@ -1,7 +1,7 @@
 //! The Aceso search: Algorithm 1 (iterative loop) and Algorithm 2
 //! (multi-hop search), run in parallel over pipeline stage counts (§4.3).
 
-use crate::bottleneck::{ranked_bottlenecks, Bottleneck};
+use crate::bottleneck::{bottleneck_order, ranked_resources, top_bottleneck, Bottleneck};
 use crate::checkpoint::{
     cluster_fingerprint, model_fingerprint, options_fingerprint, CheckpointError, PositionError,
     SearchCheckpoint, StagePosition, CHECKPOINT_SCHEMA_VERSION,
@@ -16,7 +16,7 @@ use aceso_model::ModelGraph;
 use aceso_obs::{Counter, Event, Family, HistKind, ObsReport, Recorder};
 use aceso_perf::{CachedEvaluator, ConfigEstimate, Evaluator, PerfModel};
 use aceso_profile::ProfileDb;
-use aceso_util::SplitMix64;
+use aceso_util::{FoldState, SplitMix64};
 use std::collections::{BinaryHeap, HashSet};
 use std::time::{Duration, Instant};
 
@@ -187,8 +187,8 @@ impl std::error::Error for ResumeError {}
 /// A rejected candidate in a stage count's backtrack heap, kept while it
 /// can still be popped (INV-BACKTRACK-BOUND). The lowest score pops
 /// first, then the lowest `tie`; `tie` is unique, so the order is total.
-/// Its config shares every stage with the candidate's other copies
-/// (INV-STAGE-HASH), so keeping one copies a pointer per stage.
+/// It holds the rejected candidate's own configuration, moved in when
+/// its generation step ends (`Ctx::park`).
 struct HeapEntry {
     score: f64,
     tie: u64,
@@ -615,8 +615,10 @@ struct OpenStage {
     /// The configuration the loop is currently improving.
     current: ParallelConfig,
     best: ScoredConfig,
-    /// Fingerprints of every configuration generated so far.
-    visited: HashSet<u64>,
+    /// Fingerprints of every configuration generated so far. Only
+    /// probed and grown, never iterated, so it hashes with the fold
+    /// hasher (INV-FOLD-HASH).
+    visited: HashSet<u64, FoldState>,
     /// Rejected candidates the search can still backtrack to.
     unexplored: Backtrack,
     explored: usize,
@@ -656,7 +658,7 @@ impl<'a> StageSearch<'a> {
                 ev,
                 Box::new(OpenStage {
                     next_iter: 0,
-                    visited: HashSet::from([init.semantic_hash()]),
+                    visited: HashSet::from_iter([init.semantic_hash()]),
                     current: init,
                     best,
                     unexplored: Backtrack::default(),
@@ -722,10 +724,18 @@ impl<'a> StageSearch<'a> {
             let current = ctx.st.current.clone();
             let est = ctx.ev.evaluate_unchecked(&current);
             let init_score = est.score();
-            let bottlenecks = ranked_bottlenecks(&est);
             let mut found: Option<(ParallelConfig, usize)> = None;
             let mut tried = 0usize;
-            for b in bottlenecks.iter().take(opts.max_bottlenecks) {
+            // Resources are ranked only for the stages this iteration
+            // tries.
+            for stage in bottleneck_order(&est)
+                .into_iter()
+                .take(opts.max_bottlenecks)
+            {
+                let b = Bottleneck {
+                    stage,
+                    resources: ranked_resources(&est, stage),
+                };
                 tried += 1;
                 rec.emit(|| Event::Bottleneck {
                     stage_count: p,
@@ -733,7 +743,7 @@ impl<'a> StageSearch<'a> {
                     stage: b.stage,
                     resource: b.resources.first().map_or("-", |r| r.name()),
                 });
-                if let Some(hit) = ctx.multi_hop(&current, &est, 0, b, init_score) {
+                if let Some(hit) = ctx.multi_hop(&current, &est, 0, &b, init_score) {
                     found = Some(hit);
                     break;
                 }
@@ -927,9 +937,19 @@ struct HopStep<'h> {
     resource: Resource,
 }
 
-/// Rejected candidates pooled for the bounded multi-hop recursion:
-/// (score, primitives applied, config, estimate).
-type PoolEntry = (f64, usize, ParallelConfig, ConfigEstimate);
+/// A rejected candidate of one generation step. The backtrack heap
+/// takes its configuration by move when the step ends; the bounded
+/// multi-hop recursion continues from copies of only the
+/// `branch_limit` entries it recurses into.
+struct PoolEntry {
+    score: f64,
+    /// Primitives applied.
+    applied: usize,
+    config: ParallelConfig,
+    estimate: ConfigEstimate,
+    /// Its backtrack heap `tie`, assigned when it settled.
+    tie: u64,
+}
 
 impl Ctx<'_> {
     fn expired(&self) -> bool {
@@ -950,19 +970,30 @@ impl Ctx<'_> {
         if hop >= self.opts.max_hops || self.expired() {
             return None;
         }
-        let mut resources = bottleneck.resources.clone();
-        if !self.opts.use_heuristic2 {
-            self.st.rng.shuffle(&mut resources);
-        }
-        for resource in resources {
-            let mut prims: Vec<Primitive> = if self.opts.gen_options.enable_zero {
-                Primitive::eligible_for_extended(resource)
+        // Heuristic-2 reads the resource ranking and the primitive table
+        // in place; the random order shuffles copies of them.
+        let heuristic2 = self.opts.use_heuristic2;
+        let shuffled_resources;
+        let resources: &[Resource] = if heuristic2 {
+            &bottleneck.resources
+        } else {
+            let mut r = bottleneck.resources.clone();
+            self.st.rng.shuffle(&mut r);
+            shuffled_resources = r;
+            &shuffled_resources
+        };
+        let mut pool: Vec<PoolEntry> = Vec::new();
+        for &resource in resources {
+            let eligible = Primitive::eligible(resource, self.opts.gen_options.enable_zero);
+            let shuffled_prims;
+            let prims: &[Primitive] = if heuristic2 {
+                eligible
             } else {
-                Primitive::eligible_for(resource)
+                let mut p = eligible.to_vec();
+                self.st.rng.shuffle(&mut p);
+                shuffled_prims = p;
+                &shuffled_prims
             };
-            if !self.opts.use_heuristic2 {
-                self.st.rng.shuffle(&mut prims);
-            }
             let step = HopStep {
                 config,
                 est,
@@ -975,36 +1006,66 @@ impl Ctx<'_> {
             // primitive (Heuristic-2's best-performance-first needs the
             // estimates anyway). Rejected candidates land in `pool` for
             // the bounded recursion below.
-            let mut pool: Vec<PoolEntry> = Vec::new();
-            let hit = self.hop_resource_serial(&step, &prims, &mut pool);
+            let hit = self.hop_resource_serial(&step, prims, &mut pool);
             if hit.is_some() {
+                self.park(&mut pool, &[]);
                 return hit;
             }
-            if self.opts.use_heuristic2 {
-                pool.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+            // The recursion order: lowest score first (a stable sort),
+            // or a seeded shuffle whose draws are part of the rng-stream
+            // bit-identity contract.
+            let mut order: Vec<usize> = (0..pool.len()).collect();
+            if heuristic2 {
+                order.sort_by(|&a, &b| {
+                    pool[a]
+                        .score
+                        .partial_cmp(&pool[b].score)
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                });
             } else {
-                // Fisher–Yates over indices to keep the pool order random
-                // (the exact index permutation is part of the rng-stream
-                // bit-identity contract), permuting by moving entries
-                // instead of cloning them.
-                let mut idx: Vec<usize> = (0..pool.len()).collect();
-                self.st.rng.shuffle(&mut idx);
-                let mut slots: Vec<Option<PoolEntry>> = pool.into_iter().map(Some).collect();
-                pool = idx
-                    .into_iter()
-                    .map(|i| slots[i].take().expect("indices form a permutation"))
-                    .collect();
+                self.st.rng.shuffle(&mut order);
             }
-            for (_, applied, ccfg, cest) in pool.into_iter().take(self.opts.branch_limit) {
-                let next_bottlenecks = ranked_bottlenecks(&cest);
-                if let Some(b) = next_bottlenecks.first() {
-                    if let Some(hit) = self.multi_hop(&ccfg, &cest, hop + applied, b, init_score) {
+            order.truncate(self.opts.branch_limit);
+            for b in self.park(&mut pool, &order).into_iter().flatten() {
+                if let Some(next) = top_bottleneck(&b.estimate) {
+                    let hop = hop + b.applied;
+                    if let Some(hit) =
+                        self.multi_hop(&b.config, &b.estimate, hop, &next, init_score)
+                    {
                         return Some(hit);
                     }
                 }
             }
         }
         None
+    }
+
+    /// Ends a generation step, hit or not: moves its rejections onto the
+    /// backtrack heap in settle order, and returns the entries at
+    /// `order`'s indices, in that order, for the recursion. Nothing pops
+    /// within a multi-hop and `cap` is constant within an iteration, so
+    /// the heap sees the pushes it would see one per settle, at the same
+    /// caps (INV-BACKTRACK-BOUND).
+    fn park(&mut self, pool: &mut Vec<PoolEntry>, order: &[usize]) -> Vec<Option<PoolEntry>> {
+        let cap = Backtrack::cap(self.opts.max_iterations, self.st.next_iter, self.opts.top_k);
+        let mut branches: Vec<Option<PoolEntry>> = order.iter().map(|_| None).collect();
+        for (i, e) in pool.drain(..).enumerate() {
+            if let Some(rank) = order.iter().position(|&j| j == i) {
+                // The estimate moves to the branch; the heap keeps the
+                // configuration.
+                branches[rank] = Some(PoolEntry {
+                    config: e.config.clone(),
+                    ..e
+                });
+            }
+            let entry = HeapEntry {
+                score: e.score,
+                tie: e.tie,
+                config: e.config,
+            };
+            self.st.unexplored.push(entry, cap);
+        }
+        branches
     }
 
     /// One generation step: primitive by primitive in order, generating
@@ -1048,8 +1109,8 @@ impl Ctx<'_> {
     }
 
     /// Bookkeeping for one freshly deduplicated, freshly scored
-    /// candidate: accept it, or offer it to the backtrack heap and put it
-    /// in the hop pool.
+    /// candidate: accept it, or give it its backtrack `tie` and put it in
+    /// the hop pool, which [`Ctx::park`] empties when the step ends.
     fn settle_candidate(
         &mut self,
         step: &HopStep<'_>,
@@ -1088,16 +1149,13 @@ impl Ctx<'_> {
         self.rec.count(Counter::CandidatesRejected);
         self.rejected.note(h, score);
         self.st.tie_counter += 1;
-        let cap = Backtrack::cap(self.opts.max_iterations, self.st.next_iter, self.opts.top_k);
-        self.st.unexplored.push(
-            HeapEntry {
-                score,
-                tie: self.st.tie_counter,
-                config: cand.config.clone(),
-            },
-            cap,
-        );
-        pool.push((score, cand.primitives_applied, cand.config, cest));
+        pool.push(PoolEntry {
+            score,
+            applied: cand.primitives_applied,
+            config: cand.config,
+            estimate: cest,
+            tie: self.st.tie_counter,
+        });
         None
     }
 }
@@ -1308,6 +1366,61 @@ mod tests {
                         backtrack_schedule(seed, max_iterations, max_iterations, top_k);
                     assert_eq!(got, want, "seed {seed}, {max_iterations} its, top {top_k}");
                     assert!(longest <= 2 * (max_iterations + top_k));
+                }
+            }
+        }
+    }
+
+    /// The search pushes a generation step's rejections as one batch
+    /// when the step ends (`Ctx::park`), not one by one as they settle.
+    /// Over seeded schedules of several steps per iteration, the batched
+    /// heap must pop exactly what one-at-a-time pushes pop, and what a
+    /// plain heap pops.
+    #[test]
+    fn backtrack_step_batches_pop_what_single_pushes_pop() {
+        let cfg = tiny_config();
+        for seed in 0..64 {
+            for max_iterations in [1, 3, 8, 12] {
+                for top_k in [0, 1, 5] {
+                    let mut rng = SplitMix64::new(seed);
+                    let mut single = Backtrack::default();
+                    let mut batched = Backtrack::default();
+                    let mut reference = BinaryHeap::new();
+                    let mut pops: [Vec<(u64, u64)>; 3] = Default::default();
+                    let mut pop_all =
+                        |single: &mut Backtrack,
+                         batched: &mut Backtrack,
+                         reference: &mut BinaryHeap<HeapEntry>| {
+                            pops[0].extend(single.pop().map(popped));
+                            pops[1].extend(batched.pop().map(popped));
+                            pops[2].extend(reference.pop().map(popped));
+                        };
+                    let mut tie = 0;
+                    for iter in 0..max_iterations {
+                        let cap = Backtrack::cap(max_iterations, iter, top_k);
+                        for _ in 0..rng.next_below(6) {
+                            let mut step = Vec::new();
+                            for _ in 0..rng.next_below(12) {
+                                tie += 1;
+                                let score = 1.0 + rng.next_below(6) as f64;
+                                single.push(entry(&cfg, score, tie), cap);
+                                reference.push(entry(&cfg, score, tie));
+                                step.push(entry(&cfg, score, tie));
+                            }
+                            for e in step {
+                                batched.push(e, cap);
+                            }
+                        }
+                        if rng.next_below(2) == 0 {
+                            pop_all(&mut single, &mut batched, &mut reference);
+                        }
+                    }
+                    for _ in 0..top_k {
+                        pop_all(&mut single, &mut batched, &mut reference);
+                    }
+                    let ctx = format!("seed {seed}, {max_iterations} its, top {top_k}");
+                    assert_eq!(pops[1], pops[0], "{ctx}");
+                    assert_eq!(pops[1], pops[2], "{ctx}");
                 }
             }
         }

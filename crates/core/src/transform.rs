@@ -6,8 +6,9 @@
 //! constraint cannot be met). All transforms are semantic-preserving: they
 //! never change the aggregated batch, only how it is computed.
 
-use aceso_config::{OpParallel, ParallelConfig, StageConfig};
+use aceso_config::{OpParallel, ParallelConfig, Stage, StageConfig};
 use aceso_model::ModelGraph;
+use std::sync::Arc;
 
 /// Drops ZeRO sharding when the op's data-parallel group degenerates to a
 /// singleton — `validate` rejects `zero && dp == 1`, so every transform
@@ -79,6 +80,9 @@ fn adopt_settings(
 /// Moves `k` boundary operators from stage `from` to the adjacent stage
 /// `to` (the paper's inc/dec-op# pair, §4.1: only contiguous boundary runs
 /// can move).
+///
+/// The two rewritten stages are built from slices of the originals at
+/// their exact sizes and sealed once; every other stage stays shared.
 pub fn move_ops(
     model: &ModelGraph,
     config: &ParallelConfig,
@@ -94,34 +98,57 @@ pub fn move_ops(
     }
     let (src, dst) = (&config.stages()[from], &config.stages()[to]);
     let to_gpus = dst.gpus as u32;
-    let adopt = |ops: std::ops::Range<usize>, template: OpParallel| {
-        ops.map(|g| adopt_settings(model, g, template, to_gpus, config.microbatch))
-            .collect::<Option<Vec<_>>>()
+    let adopt = |g: usize, template: OpParallel| {
+        adopt_settings(model, g, template, to_gpus, config.microbatch)
     };
-    let mut cfg = config.clone();
-    if to < from {
+    let (kept, grown) = if to < from {
         // Move the first k ops of `from` to the end of `to`.
-        let moved = adopt(src.op_start..src.op_start + k, *dst.ops.last()?)?;
-        let mut d = cfg.stage_mut(to);
-        d.ops.extend(moved);
-        d.op_end += k;
-        drop(d);
-        let mut s = cfg.stage_mut(from);
-        s.ops.drain(..k);
-        s.op_start += k;
+        let template = *dst.ops.last()?;
+        let mut ops = Vec::with_capacity(dst.ops.len() + k);
+        ops.extend_from_slice(&dst.ops);
+        for g in src.op_start..src.op_start + k {
+            ops.push(adopt(g, template)?);
+        }
+        (
+            StageConfig {
+                op_start: src.op_start + k,
+                op_end: src.op_end,
+                gpus: src.gpus,
+                ops: src.ops[k..].to_vec(),
+            },
+            StageConfig {
+                op_start: dst.op_start,
+                op_end: dst.op_end + k,
+                gpus: dst.gpus,
+                ops,
+            },
+        )
     } else {
         // Move the last k ops of `from` to the front of `to`.
-        let mut front = adopt(src.op_end - k..src.op_end, *dst.ops.first()?)?;
-        let mut d = cfg.stage_mut(to);
-        front.extend_from_slice(&d.ops);
-        d.ops = front;
-        d.op_start -= k;
-        drop(d);
-        let mut s = cfg.stage_mut(from);
-        let n = s.ops.len();
-        s.ops.truncate(n - k);
-        s.op_end -= k;
-    }
+        let template = *dst.ops.first()?;
+        let mut ops = Vec::with_capacity(dst.ops.len() + k);
+        for g in src.op_end - k..src.op_end {
+            ops.push(adopt(g, template)?);
+        }
+        ops.extend_from_slice(&dst.ops);
+        (
+            StageConfig {
+                op_start: src.op_start,
+                op_end: src.op_end - k,
+                gpus: src.gpus,
+                ops: src.ops[..src.ops.len() - k].to_vec(),
+            },
+            StageConfig {
+                op_start: dst.op_start - k,
+                op_end: dst.op_end,
+                gpus: dst.gpus,
+                ops,
+            },
+        )
+    };
+    let mut cfg = config.clone();
+    cfg.set_stage(from, Arc::new(Stage::new(kept)));
+    cfg.set_stage(to, Arc::new(Stage::new(grown)));
     crate::invariants::assert_structure(model, &cfg, "move_ops");
     Some(cfg)
 }
@@ -135,49 +162,147 @@ pub enum Mechanism {
     Tp,
 }
 
-/// Halves a stage's device count in place by halving each op's dp (or tp
-/// when dp is already 1). Returns `false` when impossible (1-GPU stage).
-fn halve_stage_inplace(stage: &mut StageConfig) -> bool {
-    if stage.gpus <= 1 {
-        return false;
-    }
-    for op in &mut stage.ops {
-        if op.dp > 1 {
-            op.dp /= 2;
-        } else if op.tp > 1 {
-            op.tp /= 2;
-        } else {
-            return false;
-        }
-        clamp_zero(op);
-    }
-    stage.gpus /= 2;
-    true
+/// A per-op rewrite of one stage, applied by [`apply`] once every
+/// feasibility check has passed.
+#[derive(Debug, Clone, Copy)]
+enum Edit {
+    /// Half the devices: each op's dp halves, or its tp when dp is 1.
+    Halve,
+    /// Twice the devices through a mechanism, falling back to dp per op
+    /// where the op's tp limit forbids the doubling.
+    Double(Mechanism),
+    /// Same devices: ops `start..` convert one factor of two toward a
+    /// mechanism (`Tp` doubles tp and halves dp, `Dp` the reverse).
+    Convert { start: usize, toward: Mechanism },
 }
 
-/// Doubles a stage's device count in place through `mech`, falling back to
-/// the other mechanism per-op where limits forbid the preferred one.
-/// Returns `false` when no op can absorb the doubling.
-fn double_stage_inplace(model: &ModelGraph, stage: &mut StageConfig, mech: Mechanism) -> bool {
-    let mut ok = true;
-    for (j, op) in stage.ops.iter_mut().enumerate() {
-        let limit = model.ops[stage.op_start + j].tp_limit;
-        match mech {
-            Mechanism::Tp if op.tp * 2 <= limit => op.tp *= 2,
-            Mechanism::Tp => op.dp *= 2,
-            Mechanism::Dp => op.dp *= 2,
+impl Edit {
+    /// Op `j` (local index) of `stage` after the edit.
+    fn op(
+        self,
+        model: &ModelGraph,
+        stage: &StageConfig,
+        j: usize,
+        mut op: OpParallel,
+    ) -> OpParallel {
+        match self {
+            Edit::Halve => {
+                if op.dp > 1 {
+                    op.dp /= 2;
+                } else {
+                    op.tp /= 2;
+                }
+                clamp_zero(&mut op);
+            }
+            Edit::Double(mech) => {
+                let limit = model.ops[stage.op_start + j].tp_limit;
+                match mech {
+                    Mechanism::Tp if op.tp * 2 <= limit => op.tp *= 2,
+                    Mechanism::Tp | Mechanism::Dp => op.dp *= 2,
+                }
+            }
+            Edit::Convert { start, toward } if j >= start => {
+                match toward {
+                    Mechanism::Tp => {
+                        op.tp *= 2;
+                        op.dp /= 2;
+                    }
+                    Mechanism::Dp => {
+                        op.tp /= 2;
+                        op.dp *= 2;
+                    }
+                }
+                clamp_zero(&mut op);
+            }
+            Edit::Convert { .. } => {}
         }
-        if !op.tp.is_power_of_two() || !op.dp.is_power_of_two() {
-            ok = false;
+        op
+    }
+
+    /// Whether the edit applies to every op of `stage`.
+    fn feasible(self, model: &ModelGraph, stage: &StageConfig) -> bool {
+        match self {
+            Edit::Halve => stage.gpus > 1 && stage.ops.iter().all(|o| o.dp > 1 || o.tp > 1),
+            Edit::Double(_) => stage.ops.iter().enumerate().all(|(j, &o)| {
+                let d = self.op(model, stage, j, o);
+                d.tp.is_power_of_two() && d.dp.is_power_of_two()
+            }),
+            Edit::Convert { start, toward } => {
+                stage
+                    .ops
+                    .iter()
+                    .enumerate()
+                    .skip(start)
+                    .all(|(j, o)| match toward {
+                        Mechanism::Tp => {
+                            o.dp >= 2 && o.tp * 2 <= model.ops[stage.op_start + j].tp_limit
+                        }
+                        Mechanism::Dp => o.tp >= 2,
+                    })
+            }
         }
     }
-    stage.gpus *= 2;
-    ok
+
+    /// The stage's device count after the edit.
+    fn gpus(self, gpus: usize) -> usize {
+        match self {
+            Edit::Halve => gpus / 2,
+            Edit::Double(_) => gpus * 2,
+            Edit::Convert { .. } => gpus,
+        }
+    }
+}
+
+/// `config` with `edits` (distinct stages, each feasible) applied and
+/// the microbatch raised to the smallest valid value ≥ every new dp;
+/// `None` when no valid microbatch exists. The microbatch is checked
+/// before anything is copied; each edited stage is then built once, at
+/// its exact size, and every other stage stays shared.
+fn apply(
+    model: &ModelGraph,
+    config: &ParallelConfig,
+    edits: &[(usize, Edit)],
+    what: &str,
+) -> Option<ParallelConfig> {
+    let max_dp = config
+        .stages()
+        .iter()
+        .enumerate()
+        .flat_map(|(i, s)| {
+            let edit = edits.iter().find(|(e, _)| *e == i).map(|&(_, e)| e);
+            s.ops
+                .iter()
+                .enumerate()
+                .map(move |(j, &o)| edit.map_or(o, |e| e.op(model, s, j, o)).dp as usize)
+        })
+        .max()
+        .unwrap_or(1);
+    let microbatch = fit_microbatch(model, config.microbatch, max_dp)?;
+    let mut cfg = config.clone();
+    for &(i, edit) in edits {
+        let s = &config.stages()[i];
+        let ops = s
+            .ops
+            .iter()
+            .enumerate()
+            .map(|(j, &o)| edit.op(model, s, j, o))
+            .collect();
+        let stage = StageConfig {
+            op_start: s.op_start,
+            op_end: s.op_end,
+            gpus: edit.gpus(s.gpus),
+            ops,
+        };
+        cfg.set_stage(i, Arc::new(Stage::new(stage)));
+    }
+    cfg.microbatch = microbatch;
+    crate::invariants::assert_structure(model, &cfg, what);
+    Some(cfg)
 }
 
 /// Grows `stage` to twice its devices via `mech`, funding the growth by
-/// halving the `donors` (in order) whose halves sum exactly to the needed
-/// count. Bumps the microbatch if a larger dp demands it.
+/// halving the `donors` (in order, distinct) whose halves sum exactly to
+/// the needed count. Bumps the microbatch if a larger dp demands it.
 pub fn grow_stage(
     model: &ModelGraph,
     config: &ParallelConfig,
@@ -185,35 +310,37 @@ pub fn grow_stage(
     mech: Mechanism,
     donors: &[usize],
 ) -> Option<ParallelConfig> {
-    let needed = config.stages()[stage].gpus;
-    let mut cfg = config.clone();
-    let mut granted = 0usize;
-    for &d in donors {
-        if d == stage || granted >= needed {
-            continue;
-        }
-        let give = cfg.stages()[d].gpus / 2;
-        if give == 0 || granted + give > needed {
-            continue;
-        }
-        if !halve_stage_inplace(&mut cfg.stage_mut(d)) {
-            continue;
-        }
-        granted += give;
-    }
-    if granted != needed {
+    let stages = config.stages();
+    let needed = stages[stage].gpus;
+    // The donors a grow halves, in order: each that can give half its
+    // devices without overshooting.
+    let funding = || {
+        let mut granted = 0usize;
+        donors.iter().copied().filter(move |&d| {
+            let give = stages[d].gpus / 2;
+            let funds = d != stage
+                && granted < needed
+                && give > 0
+                && granted + give <= needed
+                && Edit::Halve.feasible(model, &stages[d]);
+            if funds {
+                granted += give;
+            }
+            funds
+        })
+    };
+    let granted: usize = funding().map(|d| stages[d].gpus / 2).sum();
+    if granted != needed || !Edit::Double(mech).feasible(model, &stages[stage]) {
         return None;
     }
-    if !double_stage_inplace(model, &mut cfg.stage_mut(stage), mech) {
-        return None;
-    }
-    fix_microbatch(&mut cfg, model)?;
-    crate::invariants::assert_structure(model, &cfg, "grow_stage");
-    Some(cfg)
+    let mut edits: Vec<(usize, Edit)> = funding().map(|d| (d, Edit::Halve)).collect();
+    edits.push((stage, Edit::Double(mech)));
+    apply(model, config, &edits, "grow_stage")
 }
 
 /// Shrinks `stage` to half its devices (dec-dp/dec-tp), doubling
-/// `receivers` (in order) whose device counts sum exactly to the freed half.
+/// `receivers` (in order, distinct) whose device counts sum exactly to
+/// the freed half.
 pub fn shrink_stage(
     model: &ModelGraph,
     config: &ParallelConfig,
@@ -221,34 +348,37 @@ pub fn shrink_stage(
     receivers: &[usize],
     mech: Mechanism,
 ) -> Option<ParallelConfig> {
-    let freed = config.stages()[stage].gpus / 2;
-    if freed == 0 {
+    let stages = config.stages();
+    let freed = stages[stage].gpus / 2;
+    if freed == 0 || !Edit::Halve.feasible(model, &stages[stage]) {
         return None;
     }
-    let mut cfg = config.clone();
-    if !halve_stage_inplace(&mut cfg.stage_mut(stage)) {
-        return None;
-    }
-    let mut remaining = freed;
-    for &r in receivers {
-        if r == stage || remaining == 0 {
-            continue;
-        }
-        let take = cfg.stages()[r].gpus;
-        if take > remaining {
-            continue;
-        }
-        if !double_stage_inplace(model, &mut cfg.stage_mut(r), mech) {
+    // The receivers a shrink doubles, in order: each whose device count
+    // still fits in what is left of the freed half.
+    let receiving = || {
+        let mut remaining = freed;
+        receivers.iter().copied().filter(move |&r| {
+            let take = stages[r].gpus;
+            let receives = r != stage && remaining > 0 && take <= remaining;
+            if receives {
+                remaining -= take;
+            }
+            receives
+        })
+    };
+    let mut taken = 0;
+    for r in receiving() {
+        if !Edit::Double(mech).feasible(model, &stages[r]) {
             return None;
         }
-        remaining -= take;
+        taken += stages[r].gpus;
     }
-    if remaining != 0 {
+    if taken != freed {
         return None;
     }
-    fix_microbatch(&mut cfg, model)?;
-    crate::invariants::assert_structure(model, &cfg, "shrink_stage");
-    Some(cfg)
+    let mut edits = vec![(stage, Edit::Halve)];
+    edits.extend(receiving().map(|r| (r, Edit::Double(mech))));
+    apply(model, config, &edits, "shrink_stage")
 }
 
 /// Converts parallelism inside a stage without moving devices:
@@ -259,33 +389,11 @@ pub fn convert_stage(
     stage: usize,
     toward: Mechanism,
 ) -> Option<ParallelConfig> {
-    let mut cfg = config.clone();
-    let mut guard = cfg.stage_mut(stage);
-    let s: &mut StageConfig = &mut guard;
-    for (j, op) in s.ops.iter_mut().enumerate() {
-        let limit = model.ops[s.op_start + j].tp_limit;
-        match toward {
-            Mechanism::Tp => {
-                if op.dp < 2 || op.tp * 2 > limit {
-                    return None;
-                }
-                op.tp *= 2;
-                op.dp /= 2;
-            }
-            Mechanism::Dp => {
-                if op.tp < 2 {
-                    return None;
-                }
-                op.tp /= 2;
-                op.dp *= 2;
-            }
-        }
-        clamp_zero(op);
+    let edit = Edit::Convert { start: 0, toward };
+    if !edit.feasible(model, &config.stages()[stage]) {
+        return None;
     }
-    drop(guard);
-    fix_microbatch(&mut cfg, model)?;
-    crate::invariants::assert_structure(model, &cfg, "convert_stage");
-    Some(cfg)
+    apply(model, config, &[(stage, edit)], "convert_stage")
 }
 
 /// Converts parallelism for the ops `[start..]` of a stage only — the
@@ -299,36 +407,12 @@ pub fn convert_suffix(
     start: usize,
     toward: Mechanism,
 ) -> Option<ParallelConfig> {
-    if start >= config.stages()[stage].ops.len() {
+    let s = &config.stages()[stage];
+    let edit = Edit::Convert { start, toward };
+    if start >= s.ops.len() || !edit.feasible(model, s) {
         return None;
     }
-    let mut cfg = config.clone();
-    let mut guard = cfg.stage_mut(stage);
-    let s: &mut StageConfig = &mut guard;
-    for (j, op) in s.ops.iter_mut().enumerate().skip(start) {
-        let limit = model.ops[s.op_start + j].tp_limit;
-        match toward {
-            Mechanism::Tp => {
-                if op.dp < 2 || op.tp * 2 > limit {
-                    return None;
-                }
-                op.tp *= 2;
-                op.dp /= 2;
-            }
-            Mechanism::Dp => {
-                if op.tp < 2 {
-                    return None;
-                }
-                op.tp /= 2;
-                op.dp *= 2;
-            }
-        }
-        clamp_zero(op);
-    }
-    drop(guard);
-    fix_microbatch(&mut cfg, model)?;
-    crate::invariants::assert_structure(model, &cfg, "convert_suffix");
-    Some(cfg)
+    apply(model, config, &[(stage, edit)], "convert_suffix")
 }
 
 /// Scales the global microbatch by ×2 (`up`) or ÷2, keeping every dp
@@ -338,16 +422,15 @@ pub fn scale_microbatch(
     config: &ParallelConfig,
     up: bool,
 ) -> Option<ParallelConfig> {
-    let mut cfg = config.clone();
     let m = if up {
-        cfg.microbatch.checked_mul(2)?
+        config.microbatch.checked_mul(2)?
     } else {
-        cfg.microbatch / 2
+        config.microbatch / 2
     };
     if m == 0 || m > model.global_batch || !model.global_batch.is_multiple_of(m) {
         return None;
     }
-    let max_dp = cfg
+    let max_dp = config
         .stages()
         .iter()
         .flat_map(|s| s.ops.iter().map(|o| o.dp as usize))
@@ -359,32 +442,23 @@ pub fn scale_microbatch(
     if m < max_dp {
         return None;
     }
+    let mut cfg = config.clone();
     cfg.microbatch = m;
     crate::invariants::assert_structure(model, &cfg, "scale_microbatch");
     Some(cfg)
 }
 
-/// Raises the microbatch to the smallest valid value ≥ every dp after a
-/// concurrency change. Returns `None` when no valid microbatch exists.
-fn fix_microbatch(cfg: &mut ParallelConfig, model: &ModelGraph) -> Option<()> {
-    let max_dp = cfg
-        .stages()
-        .iter()
-        .flat_map(|s| s.ops.iter().map(|o| o.dp as usize))
-        .max()
-        .unwrap_or(1);
-    let mut m = cfg.microbatch.max(1);
+/// The smallest valid global microbatch ≥ `microbatch` (doubling it)
+/// once the largest dp is `max_dp`; `None` when none exists.
+fn fit_microbatch(model: &ModelGraph, microbatch: usize, max_dp: usize) -> Option<usize> {
+    let mut m = microbatch.max(1);
     while m < max_dp || !m.is_multiple_of(max_dp) {
         m *= 2;
         if m > model.global_batch {
             return None;
         }
     }
-    if !model.global_batch.is_multiple_of(m) {
-        return None;
-    }
-    cfg.microbatch = m;
-    Some(())
+    model.global_batch.is_multiple_of(m).then_some(m)
 }
 
 /// Sets recompute flags of the `k` largest-stash operators in a stage (the
@@ -637,7 +711,7 @@ mod tests {
         }
         assert!(cur.stages()[0].ops.iter().any(|o| o.dp == 1 && !o.zero));
 
-        // halve_stage_inplace path (via shrink/grow) also clamps.
+        // The halving path (via shrink/grow) also clamps.
         let cfg4 = balanced_init(&m, &ClusterSpec::v100(1, 8), 4).expect("init");
         let mut zeroed = cfg4;
         for mut s in zeroed.stages_mut() {

@@ -11,17 +11,21 @@
 //! after every transform, primitive, fix-up, fine-tune and JSON round
 //! trip, each cached stage hash equals a from-scratch
 //! recomputation, and no two different configurations share a
-//! fingerprint.
+//! fingerprint. A fourth checks that the search's top bottleneck
+//! (`top_bottleneck`, which ranks only the first stage) is
+//! `ranked_bottlenecks`' first entry, over corpus walks, on a device
+//! small enough that stages go OOM, and on hand-built ties.
 
 use aceso_audit::corpus::{corpus, CorpusSample};
 use aceso_cluster::ClusterSpec;
 use aceso_config::{balanced_init, validate::validate, ParallelConfig};
+use aceso_core::bottleneck::{ranked_bottlenecks, top_bottleneck};
 use aceso_core::finetune::fine_tune;
 use aceso_core::primitives::{generate_with, rc_fixup, Candidate, GenOptions};
 use aceso_core::transform::{self, Mechanism};
 use aceso_core::{Primitive, Resource};
 use aceso_model::{zoo, ModelGraph};
-use aceso_perf::{CachedEvaluator, Evaluator, PerfModel};
+use aceso_perf::{CachedEvaluator, ConfigEstimate, Evaluator, PerfModel, StageEstimate};
 use aceso_profile::ProfileDb;
 use aceso_util::json::{FromJson, ToJson};
 use aceso_util::SplitMix64;
@@ -387,4 +391,123 @@ fn stage_hashes_stay_fresh_and_fingerprints_stay_distinct() {
         "only {} configurations checked",
         seen.len()
     );
+}
+
+/// Asserts that the top bottleneck of `est` is `ranked_bottlenecks`'
+/// first entry, resources included.
+fn check_top_bottleneck(est: &ConfigEstimate, ctx: &str) {
+    assert_eq!(
+        top_bottleneck(est),
+        ranked_bottlenecks(est).into_iter().next(),
+        "{ctx}"
+    );
+}
+
+/// `sample`'s cluster with each device holding only the median stage
+/// memory of its corpus configurations, so about half the stages of a
+/// walk are out of memory.
+fn shrunk_cluster(sample: &CorpusSample) -> ClusterSpec {
+    let pm = PerfModel::new(&sample.model, &sample.cluster, &sample.db);
+    let mut mems: Vec<u64> = sample
+        .configs
+        .iter()
+        .flat_map(|c| pm.evaluate_unchecked(c).stages)
+        .map(|s| s.mem_total)
+        .collect();
+    mems.sort_unstable();
+    let mut cluster = sample.cluster.clone();
+    cluster.device.mem_bytes = mems[mems.len() / 2];
+    cluster
+}
+
+#[test]
+fn the_top_bottleneck_is_the_first_ranked_one() {
+    let (mut checked, mut oom) = (0usize, 0usize);
+    for (i, sample) in corpus(false).iter().enumerate() {
+        for cluster in [sample.cluster.clone(), shrunk_cluster(sample)] {
+            let pm = PerfModel::new(&sample.model, &cluster, &sample.db);
+            for (j, start) in sample.configs.iter().enumerate() {
+                let seed = 0x70B0_0000 + (i * 16 + j) as u64;
+                let mut rng = SplitMix64::new(seed);
+                let mut config = start.clone();
+                for step in 0..8 {
+                    let ctx = format!("{} seed {seed:#x} step {step}", sample.label);
+                    let est = pm.evaluate_unchecked(&config);
+                    check_top_bottleneck(&est, &ctx);
+                    checked += 1;
+                    oom += usize::from(est.oom());
+                    let stage = rng.next_below(config.num_stages());
+                    let prim = *rng.choose(&Primitive::ALL).expect("nonempty");
+                    let resource = *rng.choose(&Resource::ALL).expect("nonempty");
+                    let opts = *rng.choose(&GEN_OPTIONS).expect("nonempty");
+                    let cands = generate_with(&pm, &config, &est, prim, stage, resource, opts);
+                    for cand in &cands {
+                        let cest = pm.evaluate_unchecked(&cand.config);
+                        check_top_bottleneck(&cest, &format!("{ctx}: {}", prim.name()));
+                        checked += 1;
+                        oom += usize::from(cest.oom());
+                    }
+                    if let Some(next) = rng.choose(&cands) {
+                        config = next.config.clone();
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        oom > 100 && checked - oom > 100,
+        "{checked} estimates checked, {oom} of them OOM"
+    );
+}
+
+#[test]
+fn the_top_bottleneck_breaks_ties_by_lowest_stage() {
+    let stage = |time: f64, mem: u64| StageEstimate {
+        comp_fwd: time / 3.0,
+        comp_bwd: 2.0 * time / 3.0,
+        comm_fwd: 0.0,
+        comm_bwd: 0.0,
+        dp_sync: 0.0,
+        mem_params: 0,
+        mem_opt: 0,
+        mem_act_per_mb: 0,
+        in_flight: 1,
+        mem_reserved: 0,
+        mem_total: mem,
+        stage_time: time,
+    };
+    let estimate = |stages: Vec<StageEstimate>, capacity: u64| {
+        let max_memory = stages.iter().map(|s| s.mem_total).max().unwrap_or(0);
+        ConfigEstimate {
+            num_microbatches: 4,
+            iteration_time: stages.iter().map(|s| s.stage_time).fold(0.0, f64::max),
+            slowest_stage: 0,
+            max_memory,
+            max_memory_stage: 0,
+            mem_capacity: capacity,
+            stages,
+        }
+    };
+    let cases = [
+        // Equal stage times: the lower index ranks first.
+        (vec![stage(1.0, 5), stage(3.0, 5), stage(3.0, 5)], 10, 1),
+        (vec![stage(2.0, 5), stage(2.0, 5), stage(2.0, 5)], 10, 0),
+        // Out of memory: equal `mem_total` ties the same way, whatever
+        // the stage times.
+        (vec![stage(1.0, 30), stage(9.0, 10), stage(1.0, 30)], 20, 0),
+        (vec![stage(1.0, 10), stage(9.0, 30), stage(1.0, 30)], 20, 1),
+        (vec![stage(1.0, 25), stage(9.0, 25), stage(5.0, 25)], 20, 0),
+        // One stage.
+        (vec![stage(1.0, 30)], 20, 0),
+    ];
+    for (i, (stages, capacity, want)) in cases.into_iter().enumerate() {
+        let est = estimate(stages, capacity);
+        check_top_bottleneck(&est, &format!("case {i}"));
+        assert_eq!(
+            top_bottleneck(&est).expect("stages").stage,
+            want,
+            "case {i}"
+        );
+    }
+    assert_eq!(top_bottleneck(&estimate(Vec::new(), 1)), None);
 }

@@ -45,6 +45,7 @@ use aceso_cluster::ClusterSpec;
 use aceso_config::{ParallelConfig, Stage};
 use aceso_model::ModelGraph;
 use aceso_obs::{Counter, HistKind, Recorder};
+use aceso_util::FoldState;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -141,10 +142,14 @@ fn stage_key(config: &ParallelConfig, i: usize, dev_start: usize) -> StageKey {
 /// a clone of the search's one model (INV-MEMO in docs/SEARCH.md).
 pub struct CachedEvaluator<'a> {
     pm: PerfModel<'a>,
-    memo: RefCell<HashMap<StageKey, StageEstimate>>,
+    /// Stage estimate memo. Keyed by a content hash and small integers
+    /// and never iterated, so it hashes with the fold hasher
+    /// (INV-FOLD-HASH).
+    memo: RefCell<HashMap<StageKey, StageEstimate, FoldState>>,
     /// Fix-up memo: `(content hash, microbatch, in_flight)` to the
-    /// rewritten stage, `None` when the fix-up changes nothing.
-    fixups: RefCell<HashMap<FixupKey, Option<Arc<Stage>>>>,
+    /// rewritten stage, `None` when the fix-up changes nothing. Never
+    /// iterated; fold-hashed like `memo` (INV-FOLD-HASH).
+    fixups: RefCell<HashMap<FixupKey, Option<Arc<Stage>>, FoldState>>,
     rec: Recorder,
 }
 
@@ -162,8 +167,8 @@ impl<'a> CachedEvaluator<'a> {
     pub fn with_recorder(pm: PerfModel<'a>, rec: Recorder) -> Self {
         Self {
             pm,
-            memo: RefCell::new(HashMap::new()),
-            fixups: RefCell::new(HashMap::new()),
+            memo: RefCell::new(HashMap::default()),
+            fixups: RefCell::new(HashMap::default()),
             rec,
         }
     }

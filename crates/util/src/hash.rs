@@ -110,6 +110,86 @@ impl FnvHasher {
     }
 }
 
+/// Multiplier of [`FoldHasher`]: the 64-bit constant of FxHash, odd and
+/// with well-spread bits.
+const FOLD_SEED: u64 = 0x51_7C_C1_B7_27_22_0A_95;
+
+/// A fold hasher for in-memory tables whose keys are already mixed:
+/// one rotate, xor and multiply per word, where std's default SipHash
+/// runs a keyed permutation (INV-FOLD-HASH in docs/SEARCH.md).
+///
+/// Only for tables keyed by FNV-mixed values (fingerprints, stage
+/// content hashes) and small integers, that are never iterated into an
+/// output: such a table's hasher changes how fast it answers, never
+/// what. Anything stored, compared across processes or fingerprinted
+/// hashes with [`FnvHasher`].
+///
+/// # Examples
+///
+/// ```
+/// use aceso_util::hash::FoldState;
+/// use std::collections::HashSet;
+///
+/// let mut seen: HashSet<u64, FoldState> = HashSet::default();
+/// assert!(seen.insert(0xCBF2_9CE4_8422_2325));
+/// assert!(!seen.insert(0xCBF2_9CE4_8422_2325));
+/// ```
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FoldHasher {
+    state: u64,
+}
+
+impl FoldHasher {
+    #[inline]
+    fn fold(&mut self, word: u64) {
+        self.state = (self.state.rotate_left(5) ^ word).wrapping_mul(FOLD_SEED);
+    }
+}
+
+impl std::hash::Hasher for FoldHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.fold(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+        }
+        for &b in chunks.remainder() {
+            self.fold(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, v: u8) {
+        self.fold(u64::from(v));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.fold(u64::from(v));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.fold(v);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, v: usize) {
+        self.fold(v as u64);
+    }
+
+    /// The multiply leaves its best-mixed bits at the top; the rotate
+    /// brings them down to the low bits a table indexes by.
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.state.rotate_left(26)
+    }
+}
+
+/// The [`std::hash::BuildHasher`] of [`FoldHasher`] tables
+/// (INV-FOLD-HASH).
+pub type FoldState = std::hash::BuildHasherDefault<FoldHasher>;
+
 /// Derives a deterministic perturbation factor in `[1 - spread, 1 + spread]`
 /// from a hash key.
 ///
@@ -181,6 +261,27 @@ mod tests {
         b.write_u64(2);
         b.write_u64(1);
         assert_ne!(a.finish(), b.finish());
+    }
+
+    #[test]
+    fn fold_hasher_is_stable_and_spreads_fingerprints() {
+        use std::hash::{BuildHasher, Hash, Hasher};
+        let hash = |v: u64| FoldState::default().hash_one(v);
+        // Unkeyed: the same key hashes the same in every table.
+        assert_eq!(hash(7), hash(7));
+        let mut bytes = FoldHasher::default();
+        bytes.write(&7u64.to_le_bytes());
+        let mut word = FoldHasher::default();
+        7u64.hash(&mut word);
+        assert_eq!(bytes.finish(), word.finish());
+        // Fingerprint-like keys fill the low bits a table indexes by.
+        let buckets: std::collections::HashSet<u64> = (0..256u64)
+            .map(|k| hash(fnv1a(&k.to_le_bytes())) & 0xFF)
+            .collect();
+        assert!(buckets.len() > 128, "{} of 256 buckets", buckets.len());
+        // So do small integers.
+        let small: std::collections::HashSet<u64> = (0..256u64).map(|k| hash(k) & 0xFF).collect();
+        assert!(small.len() > 128, "{} of 256 buckets", small.len());
     }
 
     #[test]

@@ -66,7 +66,7 @@ fn contracts() -> Vec<Contract> {
     vec![
         Contract {
             doc: "docs/SEARCH.md",
-            sources: &["crates/core/src", "crates/config/src"],
+            sources: &["crates/core/src", "crates/config/src", "crates/perf/src"],
             owns: "",
             anchors: &[
                 "MEMO",
@@ -75,6 +75,7 @@ fn contracts() -> Vec<Contract> {
                 "STAGE-HASH",
                 "FIXUP-MEMO",
                 "BACKTRACK-BOUND",
+                "FOLD-HASH",
             ],
             counters: &[("search_worker_batches", Class::Deterministic)],
             all_nondeterministic: Some(""),
@@ -88,6 +89,8 @@ fn contracts() -> Vec<Contract> {
                 "crates/core/tests/properties.rs",
                 "identical_searches_emit_byte_identical_event_streams",
                 "backtrack_pops_what_an_unbounded_heap_pops",
+                "backtrack_step_batches_pop_what_single_pushes_pop",
+                "FoldHasher",
                 "NONDETERMINISTIC_COUNTERS",
             ],
             versions: vec![format!(
